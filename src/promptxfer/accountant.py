@@ -7,6 +7,7 @@ by minimizing RDP(alpha) + log(1/delta)/(alpha - 1) over a fixed order grid.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -118,6 +119,7 @@ def rdp_epsilon(
 SIGMA_SEARCH_RANGE = (0.3, 100.0)
 
 
+@functools.lru_cache(maxsize=None)
 def calibrate_sigma(
     target_epsilon: float,
     delta: float,
@@ -128,7 +130,8 @@ def calibrate_sigma(
     """Smallest noise multiplier (within ~1%) that stays within target_epsilon.
 
     Binary search over sigma in [0.3, 100]; the returned sigma never
-    overspends the budget.
+    overspends the budget.  The search is pure, so it is memoised on its
+    arguments: repeated calibrations (one per DP shadow prompt) cost nothing.
     """
     if target_epsilon <= 0:
         raise ValueError("target epsilon must be positive")

@@ -2,8 +2,16 @@
 
 Leaf tensors are created at the process-wide default dtype: float32 for
 normal runs, float64 inside ``precision("float64")`` for gradient
-verification.  Graphs are plain closures over numpy arrays; a graph must be
-driven by a single thread, independent graphs may run in parallel.
+verification.
+
+Graphs are acyclic.  Each op's output holds its parents and a backward
+function ``bw(g)`` that receives the upstream gradient as its argument and
+captures only its inputs and the numpy arrays it needs, never the output
+tensor.  A graph is therefore freed by reference counting the moment its
+output is dropped, with no work left for the cyclic garbage collector.
+``backward()`` keeps leaf gradients only: once an interior node's backward
+has run, its gradient is released.  A graph must be driven by a single
+thread; independent graphs may run in parallel.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     @property
@@ -104,7 +112,8 @@ class Tensor:
         self._acc(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
+                node.grad = None
 
     # Operator sugar; all routing goes through the module-level ops.
     def __add__(self, other):
@@ -166,7 +175,7 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _graph(out: Tensor, parents: Iterable[Tensor], backward: Callable[[], None]) -> None:
+def _graph(out: Tensor, parents: Iterable[Tensor], backward: Callable[[np.ndarray], None]) -> None:
     live = tuple(p for p in parents if p.requires_grad or p._parents)
     if live:
         out.requires_grad = True
@@ -190,8 +199,7 @@ def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data + b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._acc(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
@@ -205,8 +213,7 @@ def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data - b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._acc(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
@@ -220,8 +227,7 @@ def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data * b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._acc(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
@@ -235,8 +241,7 @@ def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data / b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._acc(_unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
@@ -251,8 +256,8 @@ def power(a, k: float) -> Tensor:
     k = float(k)
     out = _new(a.data**k)
 
-    def bw():
-        a._acc(out.grad * (k * a.data ** (k - 1)))
+    def bw(g):
+        a._acc(g * (k * a.data ** (k - 1)))
 
     _graph(out, (a,), bw)
     return out
@@ -264,8 +269,7 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul requires tensors with at least 2 dimensions")
     out = _new(a.data @ b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
@@ -277,10 +281,11 @@ def matmul(a, b) -> Tensor:
 
 def exp(a) -> Tensor:
     a = _lift(a)
-    out = _new(np.exp(a.data))
+    e = np.exp(a.data)
+    out = _new(e)
 
-    def bw():
-        a._acc(out.grad * out.data)
+    def bw(g):
+        a._acc(g * e)
 
     _graph(out, (a,), bw)
     return out
@@ -290,8 +295,8 @@ def log(a) -> Tensor:
     a = _lift(a)
     out = _new(np.log(a.data))
 
-    def bw():
-        a._acc(out.grad / a.data)
+    def bw(g):
+        a._acc(g / a.data)
 
     _graph(out, (a,), bw)
     return out
@@ -299,10 +304,11 @@ def log(a) -> Tensor:
 
 def tanh(a) -> Tensor:
     a = _lift(a)
-    out = _new(np.tanh(a.data))
+    t = np.tanh(a.data)
+    out = _new(t)
 
-    def bw():
-        a._acc(out.grad * (1.0 - out.data * out.data))
+    def bw(g):
+        a._acc(g * (1.0 - t * t))
 
     _graph(out, (a,), bw)
     return out
@@ -318,9 +324,9 @@ def gelu(a) -> Tensor:
     cdf = 0.5 * (1.0 + _special.erf(a.data * _INV_SQRT2))
     out = _new(a.data * cdf)
 
-    def bw():
+    def bw(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        a._acc(out.grad * (cdf + a.data * pdf))
+        a._acc(g * (cdf + a.data * pdf))
 
     _graph(out, (a,), bw)
     return out
@@ -330,8 +336,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
     out = _new(np.sum(a.data, axis=axis, keepdims=keepdims))
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._acc(np.broadcast_to(g, a.data.shape))
@@ -345,8 +350,7 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     out = _new(np.mean(a.data, axis=axis, keepdims=keepdims))
     count = a.data.size if axis is None else np.prod([a.data.shape[i] for i in np.atleast_1d(axis)])
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a._acc(np.broadcast_to(g, a.data.shape) / count)
@@ -359,8 +363,8 @@ def reshape(a, shape) -> Tensor:
     a = _lift(a)
     out = _new(a.data.reshape(shape))
 
-    def bw():
-        a._acc(out.grad.reshape(a.data.shape))
+    def bw(g):
+        a._acc(g.reshape(a.data.shape))
 
     _graph(out, (a,), bw)
     return out
@@ -372,8 +376,8 @@ def transpose(a, axes) -> Tensor:
     out = _new(np.transpose(a.data, axes))
     inv = tuple(np.argsort(axes))
 
-    def bw():
-        a._acc(np.transpose(out.grad, inv))
+    def bw(g):
+        a._acc(np.transpose(g, inv))
 
     _graph(out, (a,), bw)
     return out
@@ -383,8 +387,8 @@ def broadcast_to(a, shape) -> Tensor:
     a = _lift(a)
     out = _new(np.broadcast_to(a.data, shape))
 
-    def bw():
-        a._acc(_unbroadcast(out.grad, a.data.shape))
+    def bw(g):
+        a._acc(_unbroadcast(g, a.data.shape))
 
     _graph(out, (a,), bw)
     return out
@@ -396,9 +400,9 @@ def take(a, indices, axis: int = 0) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     out = _new(np.take(a.data, idx, axis=axis))
 
-    def bw():
+    def bw(g):
         buf = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(buf, axis, 0), idx, np.moveaxis(out.grad, axis, 0))
+        np.add.at(np.moveaxis(buf, axis, 0), idx, np.moveaxis(g, axis, 0))
         a._acc(buf)
 
     _graph(out, (a,), bw)
@@ -413,10 +417,10 @@ def take_along_last(a, indices) -> Tensor:
         raise ValueError("index shape must match the tensor shape minus the last axis")
     out = _new(np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0])
 
-    def bw():
+    def bw(g):
         buf = np.zeros_like(a.data)
         flat = buf.reshape(-1, a.data.shape[-1])
-        flat[np.arange(flat.shape[0]), idx.reshape(-1)] += out.grad.reshape(-1)
+        flat[np.arange(flat.shape[0]), idx.reshape(-1)] += g.reshape(-1)
         a._acc(buf)
 
     _graph(out, (a,), bw)
@@ -430,9 +434,9 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     sl = tuple(sl)
     out = _new(a.data[sl])
 
-    def bw():
+    def bw(g):
         buf = np.zeros_like(a.data)
-        buf[sl] = out.grad
+        buf[sl] = g
         a._acc(buf)
 
     _graph(out, (a,), bw)
@@ -444,13 +448,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = _new(np.concatenate([t.data for t in ts], axis=axis))
     sizes = [t.data.shape[axis] for t in ts]
 
-    def bw():
+    def bw(g):
         offset = 0
         for t, size in zip(ts, sizes):
             if t.requires_grad:
-                sl = [slice(None)] * out.grad.ndim
+                sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offset, offset + size)
-                t._acc(out.grad[tuple(sl)])
+                t._acc(g[tuple(sl)])
             offset += size
 
     _graph(out, ts, bw)
@@ -465,11 +469,11 @@ def _np_log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = _lift(a)
-    out = _new(_np_log_softmax(a.data, axis=axis))
+    y = _np_log_softmax(a.data, axis=axis)
+    out = _new(y)
 
-    def bw():
-        g = out.grad
-        a._acc(g - np.exp(out.data) * g.sum(axis=axis, keepdims=True))
+    def bw(g):
+        a._acc(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
     _graph(out, (a,), bw)
     return out
@@ -485,14 +489,10 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     lse = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
     out = _new(lse if keepdims else np.squeeze(lse, axis=axis))
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-            ref = lse
-        else:
-            ref = out.data
-        a._acc(g * np.exp(a.data - ref))
+        a._acc(g * np.exp(a.data - lse))
 
     _graph(out, (a,), bw)
     return out
@@ -525,7 +525,11 @@ def kl_divergence(reference_logits, adjustable_logits) -> Tensor:
     logp = _np_log_softmax(ref)
     p = np.exp(logp)
     logq = log_softmax(adj)
-    return tsum(mul(_new(p), sub(_new(logp), logq)))
+    kl = tsum(mul(_new(p), sub(_new(logp), logq)))
+    # KL >= 0; a negative total is rounding of a near-zero divergence in
+    # float32.  Only the value is clamped, so the gradient is unchanged.
+    kl.data = np.maximum(kl.data, 0)
+    return kl
 
 
 def cross_entropy(logits, target_index: int) -> Tensor:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rdp_oracle
+from promptxfer import accountant
 from promptxfer.accountant import calibrate_sigma, rdp_epsilon
 
 ORACLE_GRID = [
@@ -101,3 +102,18 @@ def test_calibrate_paperlike_setting_cross_checked_with_oracle():
 def test_calibrate_unattainable_rejected():
     with pytest.raises(ValueError, match="cannot reach"):
         calibrate_sigma(0.0005, 1e-6, 0.5, 20000)
+
+
+def test_calibrate_memoised_on_all_arguments(monkeypatch):
+    orders = (2.0, 4.0, 8.0, 16.0, 32.0)
+    calibrate_sigma.cache_clear()
+    first = calibrate_sigma(4.0, 1e-5, 0.05, 100, orders)
+    calls = []
+    real = accountant.rdp_epsilon
+    monkeypatch.setattr(
+        accountant, "rdp_epsilon", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    assert calibrate_sigma(4.0, 1e-5, 0.05, 100, orders) is first
+    assert calls == []
+    calibrate_sigma(4.0, 1e-5, 0.05, 100, orders[1:])
+    assert calls  # different orders: a new search

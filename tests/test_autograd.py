@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from promptxfer.autograd import (
     transpose,
     zero_grads,
 )
+from promptxfer.model import ModelConfig, init_model, lm_loss
 
 
 def rand(rng, *shape):
@@ -113,8 +115,8 @@ def test_finite_diff_check_negative_control():
     def bad_square(t):
         out = ag._new(t.data * t.data)
 
-        def bw():
-            t._acc(out.grad * 4.0 * t.data)
+        def bw(g):
+            t._acc(g * 4.0 * t.data)
 
         ag._graph(out, (t,), bw)
         return out.sum()
@@ -313,3 +315,54 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         (x * 2.0).backward()
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime
+# ---------------------------------------------------------------------------
+
+
+def _tiny_lm():
+    cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, max_seq_len=12)
+    model = init_model(cfg, 0)
+    model.set_trainable(True)
+    return model, np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+
+
+def _live_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def test_graph_freed_by_reference_count():
+    model, ids = _tiny_lm()
+    lm_loss(model, ids).backward()  # warm the model's mask cache
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_tensors()
+        loss = lm_loss(model, ids)
+        loss.backward()
+        assert _live_tensors() > before
+        del loss
+        assert _live_tensors() == before
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_backward_keeps_leaf_grads_only():
+    model, ids = _tiny_lm()
+    loss = lm_loss(model, ids)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    loss.backward()
+    leaves = [n for n in nodes.values() if not n._parents]
+    interior = [n for n in nodes.values() if n._parents]
+    assert leaves and interior
+    assert all(n.requires_grad and n.grad is not None for n in leaves)
+    assert all(n.grad is None for n in interior)
+    assert all(p.grad is not None for p in model.parameters())
