@@ -12,11 +12,20 @@ output is dropped, with no work left for the cyclic garbage collector.
 ``backward()`` keeps leaf gradients only: once an interior node's backward
 has run, its gradient is released.  A graph must be driven by a single
 thread; independent graphs may run in parallel.
+
+Because each training step frees its whole graph at once, glibc would hand
+the top of its heap back to the kernel after almost every step, and the next
+step would fault the same pages in again.  Whether the top is free depends on
+where long-lived blocks happened to land, so the cost changed from one seed
+to the next.  On import this module therefore keeps freed heap memory in the
+process (``_keep_freed_heap``); the resident high-water mark is unchanged.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,6 +33,31 @@ from scipy import special as _special
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
 _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# glibc mallopt parameters and the values glibc's own dynamic threshold
+# reaches at most on 64-bit: blocks up to 32 MiB come from the heap, and the
+# heap top is returned to the kernel only once more than 64 MiB of it is free.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _keep_freed_heap() -> bool:
+    """Fix glibc's trim and mmap thresholds so that memory a step frees is
+    reused by the next step instead of being unmapped and faulted in again.
+    Returns False where the C library has no ``mallopt``."""
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    ok = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    return bool(ok and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+_keep_freed_heap()
 
 
 def default_dtype() -> np.dtype:

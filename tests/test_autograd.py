@@ -366,3 +366,28 @@ def test_backward_keeps_leaf_grads_only():
     assert all(n.requires_grad and n.grad is not None for n in leaves)
     assert all(n.grad is None for n in interior)
     assert all(p.grad is not None for p in model.parameters())
+
+
+def test_repeated_steps_reuse_freed_heap():
+    # Each step frees its whole graph at once; the next step must reuse that
+    # memory rather than fault it in again from the kernel.
+    if not ag._keep_freed_heap():
+        pytest.skip("no glibc mallopt")
+    import resource
+
+    x = Tensor(np.ones((64, 1024), dtype=np.float32), requires_grad=True)  # 256 KiB
+
+    def step():
+        y = x
+        for _ in range(8):
+            y = ag.tanh(y * 1.01)
+        ag.tsum(y).backward()
+        ag.zero_grads([x])  # as an optimizer loop does; nothing of the step survives it
+
+    for _ in range(3):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 64  # one step touches well over 1000 pages of arrays
