@@ -538,7 +538,8 @@ def _check_finite_vector(x: np.ndarray, name: str) -> None:
 
 
 def kl_divergence(reference_logits, adjustable_logits) -> Tensor:
-    """KL(softmax(reference) || softmax(adjustable)) in nats.
+    """KL(softmax(reference) || softmax(adjustable)) in nats, for two logit
+    vectors, or summed over the rows of two [n x C] logit arrays.
 
     The reference side is treated as a constant; gradient flows into the
     adjustable logits only.
@@ -548,11 +549,11 @@ def kl_divergence(reference_logits, adjustable_logits) -> Tensor:
     # inputs produce an exact zero
     ref = reference_logits.data if isinstance(reference_logits, Tensor) else np.asarray(reference_logits)
     ref = np.asarray(ref, dtype=adj.data.dtype)
-    if ref.ndim != 1 or adj.ndim != 1:
-        raise ValueError("kl_divergence expects 1-D logit vectors")
+    if ref.ndim not in (1, 2) or adj.ndim not in (1, 2):
+        raise ValueError("kl_divergence expects logit vectors or [n x C] rows of logits")
     if ref.shape != adj.shape:
         raise ValueError(f"logit length mismatch: {ref.shape} vs {adj.shape}")
-    if ref.shape[0] < 2:
+    if ref.shape[-1] < 2:
         raise ValueError("kl_divergence needs at least 2 logits")
     _check_finite_vector(ref, "reference logits")
     _check_finite_vector(adj.data, "adjustable logits")
@@ -561,7 +562,8 @@ def kl_divergence(reference_logits, adjustable_logits) -> Tensor:
     logq = log_softmax(adj)
     kl = tsum(mul(_new(p), sub(_new(logp), logq)))
     # KL >= 0; a negative total is rounding of a near-zero divergence in
-    # float32.  Only the value is clamped, so the gradient is unchanged.
+    # float32.  Only the value of the total is clamped, so the gradient is
+    # unchanged.
     kl.data = np.maximum(kl.data, 0)
     return kl
 
@@ -581,32 +583,6 @@ def cross_entropy(logits, target_index: int) -> Tensor:
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None
-
-
-def flatten_grads(params: Sequence[Tensor]) -> np.ndarray:
-    parts = []
-    for p in params:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        parts.append(np.asarray(g).ravel())
-    return np.concatenate(parts)
-
-
-def per_example_grads(
-    loss_fn: Callable[[object], Tensor],
-    examples: Sequence,
-    params: Sequence[Tensor],
-) -> list[np.ndarray]:
-    """One flattened gradient vector over `params` per example."""
-    if len(examples) == 0:
-        raise ValueError("per_example_grads requires at least one example")
-    grads = []
-    for ex in examples:
-        zero_grads(params)
-        loss = loss_fn(ex)
-        loss.backward()
-        grads.append(flatten_grads(params))
-    zero_grads(params)
-    return grads
 
 
 def finite_diff_check(

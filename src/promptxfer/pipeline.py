@@ -706,11 +706,14 @@ def stage_attack(run: SeedRun) -> dict:
         def train_fn_factory(use_dp: bool):
             def train_fn(dataset: LabeledDataset, seed: int) -> SoftPrompt:
                 prompt = init_prompt(model, atk.prompt_length, seed, cfg.prompt.init_scheme)
+                # the attack reads only the tuned prompt, so the tuning history
+                # is recorded once, after the last epoch
                 tune_cfg = TuneConfig(
                     epochs=atk.epochs,
                     learning_rate=atk.learning_rate,
                     batch_size=atk.batch_size,
                     seed=seed,
+                    eval_every=max(1, atk.epochs),
                 )
                 if use_dp:
                     dp_params = make_dp_params(

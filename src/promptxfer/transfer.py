@@ -7,6 +7,12 @@ with a mixing weight alpha.  Distributions are compared over the
 verbalizer-aggregated class space by default; shift terms are differences of
 log-probabilities renormalized through softmax so the divergence is
 well-defined.
+
+Each step evaluates `transfer_loss`, the objective the tests check, over
+`model.ROWS_PER_FORWARD`-row chunks of its batch: one right-padded
+answer-position forward of the prompted teacher per chunk, with the chunk's
+graph freed before the next chunk's forward.  The chunk losses are divided
+by the batch size, so the accumulated gradient is that of the batch mean.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import LabeledDataset
-from .model import SoftPrompt, TransformerLM, initial_prompt_matrix, label_set_log_probability
+from .model import (
+    SoftPrompt,
+    TransformerLM,
+    answer_log_probs,
+    class_log_probs_batch,
+    initial_prompt_matrix,
+    row_chunks,
+)
 from .optim import Optimizer
 
 
@@ -76,7 +89,8 @@ def transfer_loss(
     student_plain_logits,
     alpha: float,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """(total, l1, l2) for one example over a shared label space.
+    """(total, l1, l2) over a shared label space, for one example ([C]
+    vectors) or summed over the rows of [n x C] arrays.
 
     l1 imitates the prompted student's distribution; l2 aligns the
     prompt-induced shift (softmax-renormalized logit deltas).  Gradient
@@ -98,32 +112,14 @@ def _as_const(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _answer_class_log_probs(
-    model: TransformerLM, ids: np.ndarray, pmat, verbalizers, label_space: str
-) -> Tensor:
-    """[batch x label-space] log distribution at the answer position."""
-    logits = model._forward_batch(ids, pmat, return_hidden=False)
-    last = ag.narrow(logits, 1, logits.shape[1] - 1, 1).reshape((ids.shape[0], logits.shape[2]))
-    if label_space == "full_vocab":
-        return ag.log_softmax(last, axis=-1)
-    return label_set_log_probability(last, verbalizers)
-
-
-def _static_log_probs(model, dataset, prompt_matrix, label_space) -> np.ndarray:
-    """Constant per-example log distributions, batched by length."""
-    model.set_trainable(False)
-    n = len(dataset)
-    width = dataset.vocab.size if label_space == "full_vocab" else dataset.n_classes
-    out = np.zeros((n, width), dtype=np.float64)
-    buckets: dict[int, list[int]] = {}
-    for i in range(n):
-        buckets.setdefault(len(dataset.templated(i)), []).append(i)
-    pmat = None if prompt_matrix is None else ag._new(np.asarray(prompt_matrix))
-    for _, rows in sorted(buckets.items()):
-        ids = np.stack([dataset.templated(i) for i in rows])
-        lp = _answer_class_log_probs(model, ids, pmat, dataset.verbalizers, label_space)
-        out[rows] = lp.data.astype(np.float64)
-    return out
+def _transfer_chunk_backward(teacher, p_t, data, rows, sides, alpha, verbalizers, scale) -> np.ndarray:
+    """Back-propagate scale * transfer_loss over `rows` into p_t; returns the
+    unscaled (total, l1, l2).  The graph is freed on return."""
+    s_prompted, s_plain, t_plain = (side[rows] for side in sides)
+    t_prompted = answer_log_probs(teacher, [data.templated(i) for i in rows], verbalizers, p_t)
+    total, l1, l2 = transfer_loss(t_prompted, t_plain, s_prompted, s_plain, alpha)
+    (total * scale).backward()
+    return np.array([total.item(), l1.item(), l2.item()])
 
 
 def transfer_prompt(
@@ -155,10 +151,13 @@ def transfer_prompt(
     student.set_trainable(False)
 
     # static sides: prompted/plain student and plain teacher, all constants
-    s_prompted = _static_log_probs(student, public_data, p_s.matrix, config.label_space)
-    s_plain = _static_log_probs(student, public_data, None, config.label_space)
-    t_plain = _static_log_probs(teacher, public_data, None, config.label_space)
-    delta_s = s_prompted - s_plain
+    verbalizers = None if config.label_space == "full_vocab" else public_data.verbalizers
+    seqs = public_data.sequences
+    sides = (
+        class_log_probs_batch(student, seqs, verbalizers, prompt=p_s.matrix),
+        class_log_probs_batch(student, seqs, verbalizers),
+        class_log_probs_batch(teacher, seqs, verbalizers),
+    )
 
     p_t = Tensor(start.copy(), requires_grad=True)
     opt = Optimizer([p_t], kind="adam", learning_rate=config.learning_rate)
@@ -176,33 +175,14 @@ def transfer_prompt(
         idx = order[cursor : cursor + config.batch_size]
         cursor += config.batch_size
 
-        buckets: dict[int, list[int]] = {}
-        for i in idx:
-            buckets.setdefault(len(public_data.templated(i)), []).append(int(i))
-        total = l1_sum = l2_sum = None
-        for _, rows in sorted(buckets.items()):
-            ids = np.stack([public_data.templated(i) for i in rows])
-            t_lp = _answer_class_log_probs(
-                teacher, ids, p_t, public_data.verbalizers, config.label_space
-            )
-            part1 = _kl_rows(s_prompted[rows], t_lp)
-            part2 = _kl_rows(delta_s[rows], t_lp - ag._new(t_plain[rows]))
-            total_part = part1 * (1.0 - alpha) + part2 * alpha
-            total = total_part if total is None else total + total_part
-            l1_sum = part1 if l1_sum is None else l1_sum + part1
-            l2_sum = part2 if l2_sum is None else l2_sum + part2
-        total = total * (1.0 / len(idx))
         opt.zero_grad()
-        total.backward()
-        opt.step()
-        history.append(
-            {
-                "step": step,
-                "total": total.item(),
-                "l1": l1_sum.item() / len(idx),
-                "l2": l2_sum.item() / len(idx),
-            }
+        sums = sum(
+            _transfer_chunk_backward(teacher, p_t, public_data, rows, sides, alpha, verbalizers, 1.0 / len(idx))
+            for rows in row_chunks(idx)
         )
+        opt.step()
+        total, l1, l2 = sums / len(idx)
+        history.append({"step": step, "total": float(total), "l1": float(l1), "l2": float(l2)})
 
     p_t_prompt = SoftPrompt(
         matrix=p_t.data.astype(np.float32),
@@ -212,18 +192,6 @@ def transfer_prompt(
         dp_meta=p_s.dp_meta,
     )
     return p_t_prompt, history
-
-
-def _kl_rows(ref_log_probs: np.ndarray, adj_logits: Tensor) -> Tensor:
-    """Sum over rows of KL(softmax(ref) || softmax(adj)); ref rows constant.
-
-    ref rows are log-probabilities (or logit deltas); both sides are
-    renormalized through log-softmax, so any common shift cancels.
-    """
-    ref_ls = ag._np_log_softmax(np.asarray(ref_log_probs), axis=-1)
-    p = np.exp(ref_ls)
-    adj_ls = ag.log_softmax(adj_logits, axis=-1)
-    return ag.tsum(ag.mul(ag._new(p), ag.sub(ag._new(ref_ls), adj_ls)))
 
 
 def direct_transfer(p_s: SoftPrompt, teacher: TransformerLM) -> SoftPrompt:

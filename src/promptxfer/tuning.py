@@ -4,6 +4,14 @@ The DP path follows the clip-sum-noise recipe: per-example gradients over
 the prompt matrix are clipped to norm c, summed, perturbed with Gaussian
 noise of std sigma*c per coordinate, and normalized by the expected batch
 size q*N under Poisson subsampling.
+
+Per-example gradients come from one backward: each row of a chunk reads its
+own copy of the prompt (a [k x l x d] leaf), so the gradient of the summed
+loss with respect to copy r is exactly row r's gradient.
+
+Every step runs `model.ROWS_PER_FORWARD`-row chunks, each forward and
+backward inside its own function call, so a chunk's graph is freed before
+the next chunk's forward; leaf gradients accumulate across chunks.
 """
 
 from __future__ import annotations
@@ -20,7 +28,15 @@ from . import autograd as ag
 from .accountant import calibrate_sigma, rdp_epsilon
 from .autograd import Tensor
 from .corpus import LabeledDataset
-from .model import DpMeta, SoftPrompt, TransformerLM, classify_batch, label_set_log_probability
+from .model import (
+    DpMeta,
+    SoftPrompt,
+    TransformerLM,
+    answer_log_probs,
+    class_log_probs_batch,
+    classify_batch,
+    row_chunks,
+)
 from .optim import Optimizer
 
 
@@ -116,40 +132,21 @@ def make_dp_params(
 
 
 def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
-    """g * min(1, c / ||g||_2); zero vectors pass through."""
+    """g * min(1, c / ||g||_2), for each row of g when g is 2-D; zero rows
+    pass through."""
     if c <= 0:
         raise ValueError("clip norm must be positive")
-    norm = float(np.linalg.norm(g))
-    if norm <= c:
-        return np.array(g, copy=True)
-    return g * (c / norm)
+    norms = np.linalg.norm(g, axis=-1, keepdims=True)
+    return g * (c / np.maximum(norms, c))
 
 
-def _class_loss(model: TransformerLM, prompt_var: Tensor, seq: np.ndarray, label: int, verbalizers) -> Tensor:
-    logits = model._forward_batch(seq[None, :], prompt_var, return_hidden=False)
-    last = ag.narrow(logits, 1, logits.shape[1] - 1, 1).reshape((1, logits.shape[2]))
-    lp = label_set_log_probability(last, verbalizers)
-    return -ag.take_along_last(lp, np.array([label])).sum()
-
-
-def _batched_class_loss(
-    model: TransformerLM, prompt_var: Tensor, dataset: LabeledDataset, idx: Sequence[int]
-) -> Tensor:
-    """Mean classification cross-entropy over a mini-batch (length-bucketed)."""
-    buckets: dict[int, list[int]] = {}
-    for i in idx:
-        buckets.setdefault(len(dataset.templated(i)), []).append(i)
-    total = None
-    for _, rows in sorted(buckets.items()):
-        ids = np.stack([dataset.templated(i) for i in rows])
-        labels = dataset.labels[rows]
-        logits = model._forward_batch(ids, prompt_var, return_hidden=False)
-        last = ag.narrow(logits, 1, logits.shape[1] - 1, 1).reshape((len(rows), logits.shape[2]))
-        lp = label_set_log_probability(last, dataset.verbalizers)
-        picked = ag.take_along_last(lp, labels)
-        part = -picked.sum()
-        total = part if total is None else total + part
-    return total * (1.0 / len(idx))
+def _class_nll_backward(model: TransformerLM, prompt: Tensor, dataset: LabeledDataset, rows, scale: float) -> float:
+    """Back-propagate scale * (summed class cross-entropy over `rows`) into the
+    prompt leaf; returns the loss.  The graph is freed on return."""
+    lp = answer_log_probs(model, [dataset.templated(i) for i in rows], dataset.verbalizers, prompt)
+    loss = -ag.take_along_last(lp, dataset.labels[rows]).sum() * scale
+    loss.backward()
+    return loss.item()
 
 
 def promptdpsgd_step(
@@ -171,19 +168,17 @@ def promptdpsgd_step(
     """
     shape = prompt_var.data.shape
     acc = np.zeros(shape, dtype=np.float64)
-    for i in sampled_indices:
-        ag.zero_grads([prompt_var])
-        loss = _class_loss(model, prompt_var, dataset.templated(i), int(dataset.labels[i]), dataset.verbalizers)
-        loss.backward()
-        clipped = clip_gradient(prompt_var.grad.astype(np.float64).ravel(), dp.clip_norm)
-        post_norm = float(np.linalg.norm(clipped))
+    for rows in row_chunks(np.asarray(sampled_indices, dtype=np.int64)):
+        copies = Tensor(np.broadcast_to(prompt_var.data, (len(rows),) + shape), requires_grad=True)
+        _class_nll_backward(model, copies, dataset, rows, 1.0)
+        clipped = clip_gradient(copies.grad.astype(np.float64).reshape(len(rows), -1), dp.clip_norm)
+        post_norm = float(np.linalg.norm(clipped, axis=1).max())
         if post_norm > dp.clip_norm * (1.0 + 1e-6):
             raise AssertionError(f"clipped gradient norm {post_norm} exceeds clip bound {dp.clip_norm}")
-        acc += clipped.reshape(shape)
+        acc += clipped.sum(axis=0).reshape(shape)
     noise = rng.normal(0.0, dp.noise_multiplier * dp.clip_norm, size=shape)
     grad_estimate = (acc + noise) / (dp.sample_rate * dataset_size)
     grad_estimate = grad_estimate.astype(prompt_var.data.dtype)
-    ag.zero_grads([prompt_var])
     optimizer.step([grad_estimate])
     return grad_estimate
 
@@ -218,11 +213,12 @@ def tune_prompt(
             losses = []
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
-                loss = _batched_class_loss(model, prompt_var, dataset, idx)
                 opt.zero_grad()
-                loss.backward()
+                scale = 1.0 / len(idx)
+                losses.append(
+                    sum(_class_nll_backward(model, prompt_var, dataset, rows, scale) for rows in row_chunks(idx))
+                )
                 opt.step()
-                losses.append(loss.item())
                 steps_done += 1
             if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
                 record(steps_done, float(np.mean(losses)))
@@ -241,10 +237,8 @@ def tune_prompt(
             idx = np.flatnonzero(mask)
             promptdpsgd_step(model, prompt_var, dataset, idx, dp, n, rng, opt)
             if (step + 1) % (steps_per_epoch * config.eval_every) == 0 or step == dp.steps - 1:
-                full_loss = _batched_class_loss(
-                    model, prompt_var.detach(), dataset, range(n)
-                ).item()
-                record(step + 1, full_loss)
+                lp = class_log_probs_batch(model, dataset.sequences, dataset.verbalizers, prompt_var.detach())
+                record(step + 1, -float(np.mean(lp[np.arange(n), dataset.labels])))
         dp_meta = DpMeta(
             epsilon=dp.epsilon, delta=dp.delta, sigma=dp.noise_multiplier, clip_norm=dp.clip_norm
         )

@@ -18,13 +18,11 @@ from promptxfer.autograd import (
     logsumexp,
     matmul,
     narrow,
-    per_example_grads,
     precision,
     softmax,
     take,
     take_along_last,
     transpose,
-    zero_grads,
 )
 from promptxfer.model import ModelConfig, init_model, lm_loss
 
@@ -186,6 +184,22 @@ def test_kl_gradient_flows_to_adjustable_only():
         assert ok, err
 
 
+def test_kl_rows_sum_over_rows():
+    rng = np.random.default_rng(6)
+    with precision(np.float64):
+        ref, adj = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        rows = kl_divergence(ref, Tensor(adj))
+        singles = [kl_divergence(r, Tensor(a)).item() for r, a in zip(ref, adj)]
+    assert rows.item() == pytest.approx(sum(singles), rel=1e-12)
+
+    x = Tensor(adj, requires_grad=True)
+    kl_divergence(ref, x).backward()
+    expected = np.exp(adj) / np.exp(adj).sum(axis=1, keepdims=True) - np.exp(ref) / np.exp(ref).sum(
+        axis=1, keepdims=True
+    )
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-5, atol=1e-7)
+
+
 def test_kl_rejects_bad_input():
     with pytest.raises(ValueError):
         kl_divergence(Tensor([1.0, np.inf]), Tensor([0.0, 0.0]))
@@ -193,6 +207,10 @@ def test_kl_rejects_bad_input():
         kl_divergence(Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0]))
     with pytest.raises(ValueError):
         kl_divergence(Tensor([1.0]), Tensor([1.0]))
+    with pytest.raises(ValueError):
+        kl_divergence(np.zeros((2, 3)), Tensor(np.zeros((3, 2))))
+    with pytest.raises(ValueError):
+        kl_divergence(np.zeros((2, 2, 2)), Tensor(np.zeros((2, 2, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -219,68 +237,6 @@ def test_cross_entropy_gradcheck():
     for _ in range(20):
         ok, err = finite_diff_check(lambda t: cross_entropy(t, 1), rng.normal(size=5), tolerance=1e-6)
         assert ok, err
-
-
-# ---------------------------------------------------------------------------
-# per_example_grads
-# ---------------------------------------------------------------------------
-
-
-def test_per_example_grads_closed_form():
-    w = Tensor(np.zeros(2), requires_grad=True)
-    xs = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
-
-    def loss(x):
-        d = w - Tensor(x)
-        return (d * d).sum()
-
-    g = per_example_grads(loss, xs, [w])
-    np.testing.assert_allclose(g[0], [-2.0, 0.0], atol=1e-6)
-    np.testing.assert_allclose(g[1], [0.0, -4.0], atol=1e-6)
-
-
-def test_per_example_grads_singleton_and_symmetry():
-    rng = np.random.default_rng(1)
-    w = Tensor(rng.normal(size=3), requires_grad=True)
-
-    def loss(x):
-        return ((w - Tensor(x)) ** 2.0).sum()
-
-    x = rng.normal(size=3)
-    single = per_example_grads(loss, [x], [w])
-    zero_grads([w])
-    loss(x).backward()
-    np.testing.assert_allclose(single[0], w.grad, rtol=1e-6)
-
-    twin = per_example_grads(loss, [x, x.copy()], [w])
-    np.testing.assert_array_equal(twin[0], twin[1])
-
-
-def test_per_example_grads_mean_matches_batch_gradient():
-    rng = np.random.default_rng(2)
-    with precision(np.float64):
-        w = Tensor(rng.normal(size=4), requires_grad=True)
-        xs = [rng.normal(size=4) for _ in range(6)]
-
-        def loss(x):
-            return ((w - Tensor(x)) ** 2.0).sum()
-
-        per = per_example_grads(loss, xs, [w])
-        mean_of_per = np.mean(per, axis=0)
-
-        zero_grads([w])
-        total = loss(xs[0])
-        for x in xs[1:]:
-            total = total + loss(x)
-        (total / len(xs)).backward()
-        rel = np.abs(mean_of_per - w.grad) / np.maximum(np.abs(w.grad), 1.0)
-    assert rel.max() < 1e-6
-
-
-def test_per_example_grads_rejects_empty():
-    w = Tensor([1.0], requires_grad=True)
-    with pytest.raises(ValueError):
-        per_example_grads(lambda x: (w * w).sum(), [], [w])
 
 
 # ---------------------------------------------------------------------------

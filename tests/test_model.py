@@ -6,14 +6,18 @@ import pytest
 from promptxfer import autograd as ag
 from promptxfer.autograd import Tensor, finite_diff_check, precision
 from promptxfer.model import (
+    ROWS_PER_FORWARD,
     ModelConfig,
     SoftPrompt,
     TransformerLM,
+    answer_log_probs,
+    class_log_probs_batch,
     classify,
     classify_batch,
     init_model,
     init_prompt,
     initial_prompt_matrix,
+    label_set_log_probability,
     label_set_probability,
     lm_loss,
 )
@@ -224,6 +228,50 @@ def test_classify_batch_matches_single():
     batched = classify_batch(model, seqs, verbs, prompt=prompt)
     singles = np.array([classify(model, s, verbs, prompt=prompt)[0] for s in seqs])
     np.testing.assert_array_equal(batched, singles)
+
+
+@pytest.mark.parametrize("with_prompt", [False, True])
+@pytest.mark.parametrize("verbs", [[[2, 7], [3]], None], ids=["classes", "full_vocab"])
+def test_answer_log_probs_ragged_batch_matches_rows_alone(with_prompt, verbs):
+    cfg = small_config()
+    model = init_model(cfg, 13)
+    rng = np.random.default_rng(5)
+    seqs = [rng.integers(0, cfg.vocab_size, size=n) for n in (3, 9, 1, 6, 9, 4)]
+    prompt = init_prompt(model, length=3, seed=2) if with_prompt else None
+    got = answer_log_probs(model, seqs, verbs, prompt).data
+    for row, seq in zip(got, seqs):
+        last = model.forward(seq, prompt=prompt).data[-1]
+        alone = ag.log_softmax(ag._new(last)) if verbs is None else label_set_log_probability(last, verbs)
+        np.testing.assert_allclose(row, alone.data, rtol=0, atol=1e-5)
+    np.testing.assert_array_equal(class_log_probs_batch(model, seqs, verbs, prompt=prompt), got)
+
+
+def test_answer_log_probs_per_row_prompt_copies():
+    model = init_model(small_config(), 14)
+    rng = np.random.default_rng(6)
+    seqs = [rng.integers(0, 29, size=n) for n in (5, 2, 7)]
+    mats = [init_prompt(model, length=2, seed=s).matrix for s in range(3)]
+    got = answer_log_probs(model, seqs, [[4], [5]], np.stack(mats)).data
+    for row, seq, mat in zip(got, seqs, mats):
+        np.testing.assert_allclose(row, answer_log_probs(model, [seq], [[4], [5]], mat).data[0], atol=1e-6)
+
+
+def test_class_log_probs_batch_chunks_rows():
+    model = init_model(small_config(), 15)
+    rng = np.random.default_rng(7)
+    seqs = [rng.integers(0, 29, size=rng.integers(2, 8)) for _ in range(2 * ROWS_PER_FORWARD + 3)]
+    calls = []
+    forward = model._forward_batch
+
+    def counting(ids, *args, **kwargs):
+        calls.append(len(ids))
+        return forward(ids, *args, **kwargs)
+
+    model._forward_batch = counting
+    out = class_log_probs_batch(model, seqs, [[4], [5]])
+    assert calls == [ROWS_PER_FORWARD, ROWS_PER_FORWARD, 3]
+    assert out.dtype == np.float64 and out.shape == (len(seqs), 2)
+    assert class_log_probs_batch(model, [], [[4], [5]]).shape == (0, 2)
 
 
 def test_prompt_gradient_path_finite_diff():

@@ -111,6 +111,24 @@ def test_transfer_loss_gradcheck():
         assert ok, err
 
 
+def test_transfer_loss_rows_equal_sum_of_single_rows():
+    from promptxfer.autograd import precision
+
+    rng = np.random.default_rng(4)
+    tp, t0, sp, s0 = (rng.normal(size=(5, 3)) for _ in range(4))
+    with precision(np.float64):
+        x = Tensor(tp, requires_grad=True)
+        rows = transfer_loss(x, t0, sp, s0, alpha=0.3)
+        rows[0].backward()
+        for k in range(3):
+            singles = [transfer_loss(Tensor(tp[r]), t0[r], sp[r], s0[r], alpha=0.3)[k].item() for r in range(5)]
+            assert rows[k].item() == pytest.approx(sum(singles), rel=1e-12)
+        for r in range(5):
+            one = Tensor(tp[r], requires_grad=True)
+            transfer_loss(one, t0[r], sp[r], s0[r], alpha=0.3)[0].backward()
+            np.testing.assert_allclose(x.grad[r], one.grad, rtol=1e-12, atol=1e-15)
+
+
 def test_transfer_loss_rejects_nonfinite():
     tp = Tensor(np.array([0.0, 1.0]), requires_grad=True)
     with pytest.raises(ValueError):
@@ -168,6 +186,40 @@ def test_transfer_runs_exact_steps_and_freezes_models(model_pair):
     p_t2, history2 = transfer_prompt(teacher, student, p_s, public, cfg)
     np.testing.assert_array_equal(p_t.matrix, p_t2.matrix)
     assert history == history2
+
+
+def test_transfer_step_frees_each_chunk_graph(model_pair):
+    # Every forward of a step must start from the same live-tensor count: a
+    # chunk's graph is freed before the next chunk's forward.
+    import gc
+
+    from promptxfer.model import ROWS_PER_FORWARD, TransformerLM
+
+    teacher, student, public = model_pair
+    p_s = init_prompt(student, length=3, seed=4)
+    batch = min(len(public), 2 * ROWS_PER_FORWARD)
+    assert batch > ROWS_PER_FORWARD
+    cfg = TransferConfig(alpha=0.4, steps=2, batch_size=batch, seed=5)
+    live = []
+    forward = TransformerLM._forward_batch
+
+    def counting(model, *args, **kwargs):
+        if model is teacher:
+            live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+        return forward(model, *args, **kwargs)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    TransformerLM._forward_batch = counting
+    try:
+        transfer_prompt(teacher, student, p_s, public, cfg)
+    finally:
+        TransformerLM._forward_batch = forward
+        if was_enabled:
+            gc.enable()
+    per_step = -(-batch // ROWS_PER_FORWARD)
+    in_steps = live[-2 * per_step :]
+    assert len(in_steps) == 2 * per_step and len(set(in_steps)) == 1, live
 
 
 def test_transfer_carries_dp_meta_unchanged(model_pair):

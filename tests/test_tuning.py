@@ -7,7 +7,8 @@ from promptxfer.accountant import rdp_epsilon
 from promptxfer.autograd import Tensor
 from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
 from promptxfer.distill import KdConfig, distill
-from promptxfer.model import ModelConfig, classify_batch, init_model, init_prompt
+from promptxfer import autograd as ag
+from promptxfer.model import ROWS_PER_FORWARD, ModelConfig, answer_log_probs, classify_batch, init_model, init_prompt
 from promptxfer.optim import Optimizer
 from promptxfer.tuning import (
     DpParams,
@@ -31,6 +32,15 @@ def test_clip_examples():
     np.testing.assert_allclose(clip_gradient(np.array([3.0, 4.0]), 1.0), [0.6, 0.8], rtol=1e-7)
     z = np.zeros(3)
     np.testing.assert_array_equal(clip_gradient(z, 1.0), z)
+
+
+def test_clip_rows():
+    g = np.array([[0.0, 0.0, 0.0], [0.3, 0.4, 0.0], [3.0, 0.0, 4.0]])  # norms 0, 0.5, 5
+    clipped = clip_gradient(g, 1.0)
+    np.testing.assert_array_equal(clipped[:2], g[:2])
+    np.testing.assert_allclose(clipped[2], [0.6, 0.0, 0.8], rtol=1e-12)
+    for row, want in zip(g, clipped):
+        np.testing.assert_array_equal(clip_gradient(row, 1.0), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,34 +160,54 @@ def test_tune_prompt_rejects_infeasible_budget(tiny_task):
 # ---------------------------------------------------------------------------
 
 
+def _one_row_grad(model, dataset, matrix, i):
+    """Prompt gradient of example i's class cross-entropy, from a one-row call."""
+    pv = Tensor(matrix.copy(), requires_grad=True)
+    lp = answer_log_probs(model, [dataset.templated(i)], dataset.verbalizers, pv)
+    (-ag.take_along_last(lp, dataset.labels[[i]]).sum()).backward()
+    return pv.grad
+
+
 def test_dpsgd_step_sigma_to_zero_matches_clipped_batch_sum(tiny_task):
     model, private, _ = tiny_task
     train = private.split("train")
     n = len(train)
-    from promptxfer import autograd as ag
-    from promptxfer.tuning import _class_loss
-
     dp = DpParams(
         clip_norm=10.0, noise_multiplier=1e-12, sample_rate=0.25, steps=1, epsilon=8.0, delta=1e-4
     )
-    idx = [0, 3, 5, 8]
     pv = Tensor(init_prompt(model, length=4, seed=11).matrix, requires_grad=True)
 
-    per_example = []
-    for i in idx:
-        ag.zero_grads([pv])
-        _class_loss(model, pv, train.templated(i), int(train.labels[i]), train.verbalizers).backward()
-        per_example.append(pv.grad.copy())
-    expected = sum(per_example) / (dp.sample_rate * n)  # all norms << clip bound
+    # the second index set spans two ROWS_PER_FORWARD chunks
+    for idx in ([0, 3, 5, 8], list(range(1, 2 * ROWS_PER_FORWARD, 2)) + [40, 41, 42]):
+        per_example = [_one_row_grad(model, train, pv.data, i) for i in idx]
+        expected = sum(per_example) / (dp.sample_rate * n)  # all norms << clip bound
 
-    pv2 = Tensor(pv.data.copy(), requires_grad=True)
-    opt = Optimizer([pv2], kind="sgd", learning_rate=1.0)
-    estimate = promptdpsgd_step(
-        model, pv2, train, idx, dp, n, np.random.default_rng(0), opt
-    )
-    np.testing.assert_allclose(estimate, expected, rtol=1e-4, atol=1e-7)
-    # the SGD update applied exactly -lr * estimate
-    np.testing.assert_allclose(pv2.data, pv.data - estimate, rtol=1e-5)
+        pv2 = Tensor(pv.data.copy(), requires_grad=True)
+        opt = Optimizer([pv2], kind="sgd", learning_rate=1.0)
+        estimate = promptdpsgd_step(
+            model, pv2, train, idx, dp, n, np.random.default_rng(0), opt
+        )
+        np.testing.assert_allclose(estimate, expected, rtol=1e-4, atol=1e-7)
+        # the SGD update applied exactly -lr * estimate
+        np.testing.assert_allclose(pv2.data, pv.data - estimate, rtol=1e-5)
+
+
+def test_dpsgd_step_clips_each_example(tiny_task):
+    model, private, _ = tiny_task
+    train = private.split("train")
+    n = len(train)
+    matrix = init_prompt(model, length=4, seed=11).matrix
+    idx = list(range(ROWS_PER_FORWARD + 3))
+    per_example = [_one_row_grad(model, train, matrix, i).astype(np.float64).ravel() for i in idx]
+    norms = np.linalg.norm(per_example, axis=1)
+    c = float(np.median(norms))  # clips about half of the examples
+    dp = DpParams(clip_norm=c, noise_multiplier=1e-12, sample_rate=0.25, steps=1, epsilon=8.0, delta=1e-4)
+    expected = sum(g * min(1.0, c / norm) for g, norm in zip(per_example, norms)) / (dp.sample_rate * n)
+
+    pv = Tensor(matrix.copy(), requires_grad=True)
+    opt = Optimizer([pv], kind="sgd", learning_rate=1.0)
+    estimate = promptdpsgd_step(model, pv, train, idx, dp, n, np.random.default_rng(0), opt)
+    np.testing.assert_allclose(estimate.ravel(), expected, rtol=1e-4, atol=1e-7)
 
 
 def test_dpsgd_step_noise_std_monte_carlo(tiny_task):
