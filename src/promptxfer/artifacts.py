@@ -5,11 +5,18 @@ Layout (little-endian): magic(4) | version u16 | meta_len u32 | meta JSON
 tensor table: count u32, then per entry name_len u16, name, dtype tag u8
 (0 = f32), ndim u8, dims u32..., raw '<f4' values.  Prompt payload is the
 l x d matrix as raw '<f4'.  Round-trips are bit-exact.
+
+The readers raise `ArtifactError` for any file they cannot read back: a bad
+magic or version, a truncated or over-long file, unreadable metadata, or a
+checkpoint whose weights do not match its fingerprint.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import struct
 from typing import BinaryIO
 
@@ -40,15 +47,44 @@ def _write_header(fh: BinaryIO, magic: bytes, meta: dict) -> None:
     fh.write(blob)
 
 
+def _read(fh: BinaryIO, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ArtifactError(f"truncated artifact: expected {n} more bytes, found {len(data)}")
+    return data
+
+
+def _open(path) -> io.BytesIO:
+    # an in-memory view, so a corrupt length cannot make a read allocate it
+    with open(path, "rb") as fh:
+        return io.BytesIO(fh.read())
+
+
+def _expect_end(fh: BinaryIO) -> None:
+    if fh.read(1):
+        raise ArtifactError("trailing bytes after the artifact payload")
+
+
+@contextlib.contextmanager
+def _unreadable_as_artifact_error(path):
+    """Metadata that does not decode or describe a valid artifact."""
+    try:
+        yield
+    except ArtifactError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, struct.error) as e:
+        raise ArtifactError(f"unreadable artifact {path}: {e!r}") from e
+
+
 def _read_header(fh: BinaryIO, magic: bytes) -> dict:
     got = fh.read(4)
     if got != magic:
         raise ArtifactError(f"bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack("<H", fh.read(2))
+    (version,) = struct.unpack("<H", _read(fh, 2))
     if version != FORMAT_VERSION:
         raise ArtifactError(f"unsupported format version {version}")
-    (meta_len,) = struct.unpack("<I", fh.read(4))
-    return json.loads(fh.read(meta_len).decode("utf-8"))
+    (meta_len,) = struct.unpack("<I", _read(fh, 4))
+    return json.loads(_read(fh, meta_len).decode("utf-8"))
 
 
 def _write_tensor(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
@@ -62,14 +98,13 @@ def _write_tensor(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
 
 
 def _read_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(name_len).decode("utf-8")
-    dtype_tag, ndim = struct.unpack("<BB", fh.read(2))
+    (name_len,) = struct.unpack("<H", _read(fh, 2))
+    name = _read(fh, name_len).decode("utf-8")
+    dtype_tag, ndim = struct.unpack("<BB", _read(fh, 2))
     if dtype_tag != _DTYPE_F32:
         raise ArtifactError(f"unknown dtype tag {dtype_tag}")
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-    count = int(np.prod(shape)) if ndim else 1
-    arr = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape).copy()
+    shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
+    arr = np.frombuffer(_read(fh, 4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
     return name, arr
 
 
@@ -90,16 +125,19 @@ def save_model(path, model: TransformerLM, provenance: dict | None = None) -> No
 
 
 def load_model(path) -> TransformerLM:
-    with open(path, "rb") as fh:
+    fh = _open(path)
+    with _unreadable_as_artifact_error(path):
         meta = _read_header(fh, MODEL_MAGIC)
         config = ModelConfig.from_dict(meta["config"])
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read(fh, 4))
         params: dict[str, ag.Tensor] = {}
         for _ in range(count):
             name, arr = _read_tensor(fh)
             params[name] = ag._new(arr)
-    model = TransformerLM(config, params)
-    if model.fingerprint() != meta["fingerprint"]:
+        _expect_end(fh)
+        model = TransformerLM(config, params)
+        fingerprint = meta["fingerprint"]
+    if model.fingerprint() != fingerprint:
         raise ArtifactError(f"checkpoint fingerprint mismatch in {path}")
     model.provenance = meta.get("provenance", {})
     return model
@@ -121,15 +159,17 @@ def save_prompt(path, prompt: SoftPrompt, tuning_config_digest: str = "") -> Non
 
 
 def load_prompt(path) -> SoftPrompt:
-    with open(path, "rb") as fh:
+    fh = _open(path)
+    with _unreadable_as_artifact_error(path):
         meta = _read_header(fh, PROMPT_MAGIC)
         l, d = int(meta["l"]), int(meta["d"])
-        mat = np.frombuffer(fh.read(4 * l * d), dtype="<f4").reshape(l, d).copy()
-    dp = DpMeta.from_dict(meta["dp_meta"]) if meta.get("dp_meta") else None
-    return SoftPrompt(
-        matrix=mat,
-        init_seed=int(meta["init_seed"]),
-        init_scheme=meta["init_scheme"],
-        source_fingerprint=meta["source_fingerprint"],
-        dp_meta=dp,
-    )
+        mat = np.frombuffer(_read(fh, 4 * l * d), dtype="<f4").reshape(l, d).copy()
+        _expect_end(fh)
+        dp = DpMeta.from_dict(meta["dp_meta"]) if meta.get("dp_meta") else None
+        return SoftPrompt(
+            matrix=mat,
+            init_seed=int(meta["init_seed"]),
+            init_scheme=meta["init_scheme"],
+            source_fingerprint=meta["source_fingerprint"],
+            dp_meta=dp,
+        )

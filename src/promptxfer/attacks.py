@@ -13,7 +13,6 @@ import csv
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -133,7 +132,6 @@ def lira_attack(
     target_members: Sequence[int],
     n_shadows: int = 8,
     seed: int = 0,
-    threads: int = 1,
 ) -> AttackResult:
     """Membership inference on the prompt-tuning set via shadow prompts.
 
@@ -153,15 +151,11 @@ def lira_attack(
         rng = np.random.default_rng(shadow_seed(seed, i))
         picks.append(np.sort(rng.choice(n, size=half, replace=False)))
 
-    def run_shadow(i: int) -> np.ndarray:
-        prompt = train_fn(candidate_pool.subset(picks[i]), shadow_seed(seed, i))
-        return true_class_confidences(model, candidate_pool, prompt)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            conf = np.stack(list(pool.map(run_shadow, range(n_shadows))))
-    else:
-        conf = np.stack([run_shadow(i) for i in range(n_shadows)])
+    shadow_conf = []
+    for i, rows in enumerate(picks):
+        prompt = train_fn(candidate_pool.subset(rows), shadow_seed(seed, i))
+        shadow_conf.append(true_class_confidences(model, candidate_pool, prompt))
+    conf = np.stack(shadow_conf)
 
     in_mask = np.zeros((n_shadows, n), dtype=bool)
     for i, rows in enumerate(picks):

@@ -1,5 +1,11 @@
 """Command-line entry points: distill, tune, transfer, attack, eval, pipeline.
 
+Every subcommand is one `pipeline.run_pipeline` call over the same stage
+plan: `distill`, `tune` and `transfer` stop after the plan entry named in
+`THROUGH`, `attack` runs the membership attack with no baselines, and
+`eval` and `pipeline` run the whole plan.  Nothing is read back from earlier
+runs; each subcommand trains what it needs from scratch.
+
 Exit codes: 0 success, 2 configuration error, 3 stage failure.
 """
 
@@ -11,9 +17,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import json
 import logging
 import sys
+from dataclasses import replace
 
 from . import pipeline as pl
 
@@ -23,66 +29,29 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
+# subcommand -> last STAGE_PLAN entry it runs; the others run the whole plan
+THROUGH = {"distill": "kd", "tune": "tune_student_dp", "transfer": "transfer_dp"}
+
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="experiment config JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the config's seed list")
     parser.add_argument("--out", type=str, default=None, help="output directory override")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for seeds/shadows")
-    parser.add_argument(
-        "--strict-deterministic",
-        action="store_true",
-        help="single-threaded, bitwise-reproducible mode",
-    )
 
 
 def _load_config(args) -> pl.ExperimentConfig:
     config = pl.load_config(args.config) if args.config else pl.ExperimentConfig()
+    overrides: dict = {}
     if args.seed is not None:
-        config.seeds = (args.seed,)
+        overrides["seeds"] = (args.seed,)
     if args.out is not None:
-        config.output_dir = args.out
-    if args.threads is not None:
-        config.threads = args.threads
-    if args.strict_deterministic:
-        config.strict_deterministic = True
-    return config
-
-
-def _restrict(config: pl.ExperimentConfig, baselines: tuple[str, ...]) -> pl.ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(config, baselines=baselines)
-
-
-def _run_stages(config: pl.ExperimentConfig, upto: str, attack_only: bool = False) -> int:
-    """Run the seed pipeline up to (and including) one stage group."""
-    ledger = pl.DataAccessLedger()
-    os.makedirs(config.output_dir, exist_ok=True)
-    for seed in config.seeds:
-        seed_dir = os.path.join(config.output_dir, f"seed{seed}")
-        run = pl.SeedRun(config=config, seed=seed, ledger=ledger, out_dir=seed_dir)
-        pl.stage_data(run)
-        pl.stage_pretrain(run)
-        if upto == "distill":
-            pl.stage_distill(run)
-            continue
-        pl.stage_distill(run)
-        if attack_only:
-            pl.stage_attack(run)
-            continue
-        if upto == "tune":
-            pl.stage_tune_student(run)
-            if "post_dp" in config.baselines:
-                pl.stage_tune_student_dp(run)
-            continue
-        if upto == "transfer":
-            pl.stage_tune_student(run)
-            pl.stage_transfer(run)
-            continue
-    with open(os.path.join(config.output_dir, "data_access.json"), "w", encoding="utf-8") as fh:
-        json.dump(ledger.to_list(), fh, indent=2, sort_keys=True)
-    return EXIT_OK
+        overrides["output_dir"] = args.out
+    if args.command == "eval" and args.baseline:
+        overrides["baselines"] = tuple(args.baseline)
+    if args.command == "attack":
+        overrides["baselines"] = ()
+        overrides["attack"] = replace(config.attack, enabled=True)
+    return replace(config, **overrides)
 
 
 def main(argv=None) -> int:
@@ -94,11 +63,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("distill", "pretrain the teacher and distill the student"),
-        ("tune", "tune the student-side soft prompt on the private train split"),
-        ("transfer", "transfer the tuned prompt to the teacher via public data"),
-        ("attack", "run the membership-inference harness against tuned prompts"),
-        ("eval", "evaluate requested baselines from existing artifacts"),
-        ("pipeline", "run the full workflow end to end"),
+        ("tune", "distill, then tune the student-side soft prompts on the private train split"),
+        ("transfer", "distill and tune, then transfer the tuned prompts to the teacher via public data"),
+        ("attack", "distill, then run the membership-inference harness against tuned prompts"),
+        ("eval", "run the whole workflow for the requested baselines and evaluate them"),
+        ("pipeline", "run the whole workflow end to end"),
     ):
         p = sub.add_parser(name, help=help_text)
         _common_flags(p)
@@ -107,42 +76,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args)
-    except pl.ConfigError as e:
-        log.error("config error: %s", e)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "pipeline":
-            report = pl.run_pipeline(config)
-            for kind, row in report.baselines.items():
-                log.info("%s: mean %.4f (std %.4f)", kind, row["mean"], row["std"])
-            if report.seed_errors:
-                log.error("failed seeds: %s", report.seed_errors)
-                return EXIT_STAGE
-            return EXIT_OK
-        if args.command == "distill":
-            return _run_stages(config, "distill")
-        if args.command == "tune":
-            return _run_stages(config, "tune")
-        if args.command == "transfer":
-            return _run_stages(config, "transfer")
-        if args.command == "attack":
-            from dataclasses import replace
-
-            config = replace(config, attack=replace(config.attack, enabled=True))
-            return _run_stages(config, "attack", attack_only=True)
-        if args.command == "eval":
-            baselines = tuple(args.baseline) if args.baseline else config.baselines
-            report = pl.run_pipeline(_restrict(config, baselines))
-            for kind, row in report.baselines.items():
-                log.info("%s: mean %.4f (std %.4f)", kind, row["mean"], row["std"])
-            return EXIT_STAGE if report.seed_errors else EXIT_OK
+        report = pl.run_pipeline(_load_config(args), through=THROUGH.get(args.command))
     except pl.ConfigError as e:
         log.error("config error: %s", e)
         return EXIT_CONFIG
     except pl.StageError as e:
         log.error("%s", e)
+        return EXIT_STAGE
+    for kind, row in report.baselines.items():
+        log.info("%s: mean %.4f (std %.4f)", kind, row["mean"], row["std"])
+    if report.seed_errors:
+        log.error("failed seeds: %s", report.seed_errors)
         return EXIT_STAGE
     return EXIT_OK
 

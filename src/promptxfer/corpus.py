@@ -140,18 +140,12 @@ class LabeledDataset:
         )
 
 
-def apply_template(text: str, dataset: "LabeledDataset | TemplateSpec") -> np.ndarray:
+def apply_template(text: str, dataset: "LabeledDataset") -> np.ndarray:
     """[bos] + tokens(text + suffix); the answer slot follows the last token."""
     if not text.strip():
         raise ValueError("cannot template an empty text")
     ids = [BOS_ID] + dataset.vocab.encode_text(text + dataset.template_suffix)
     return np.asarray(ids, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class TemplateSpec:
-    vocab: Vocab
-    template_suffix: str
 
 
 # -- synthetic task families --------------------------------------------------

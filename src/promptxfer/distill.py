@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,7 +50,7 @@ class KdConfig:
     max_steps: int = 400
     plateau_window: int = 40
     plateau_tolerance: float = 0.02
-    checkpoint_interval: int = 40
+    checkpoint_interval: int = 40  # steps between plateau checks
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.student_layer_indices)
@@ -217,7 +216,6 @@ def distill(
     kd_corpus: Sequence[np.ndarray],
     config: KdConfig,
     seed: int,
-    out_dir: str | None = None,
 ) -> tuple[TransformerLM, list[dict]]:
     """Adam over corpus batches until max_steps or the loss plateaus."""
     if not kd_corpus:
@@ -252,20 +250,12 @@ def distill(
         }
         history.append(row)
         totals.append(row["total"])
-        if (step + 1) % config.checkpoint_interval == 0:
-            if out_dir is not None:
-                from .artifacts import save_model
+        if (step + 1) % config.checkpoint_interval == 0 and plateau_stop(
+            totals, config.plateau_window, config.plateau_tolerance
+        ):
+            log.info("distillation plateaued at step %d", step + 1)
+            break
 
-                save_model(os.path.join(out_dir, f"student_step{step + 1}.pstl"), student)
-            if plateau_stop(totals, config.plateau_window, config.plateau_tolerance):
-                log.info("distillation plateaued at step %d", step + 1)
-                break
-
-    if out_dir is not None:
-        from .artifacts import save_model
-
-        save_model(os.path.join(out_dir, "student.pstl"), student)
-        write_loss_history(os.path.join(out_dir, "kd_loss.csv"), history)
     student.set_trainable(False)
     return student, history
 

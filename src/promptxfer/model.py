@@ -113,9 +113,6 @@ class TransformerLM:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def set_trainable(self, flag: bool, exclude: Sequence[str] = ()) -> None:
         for name, p in self.params.items():
             p.requires_grad = flag and name not in exclude
@@ -425,16 +422,6 @@ def _validate_verbalizers(verbalizers: Sequence[Sequence[int]]) -> None:
         if seen.intersection(ids):
             raise ValueError("verbalizer sets must be pairwise disjoint")
         seen.update(ids)
-
-
-def classify(model: TransformerLM, token_ids, verbalizers, prompt=None) -> tuple[int, np.ndarray]:
-    """Text-infilling classification at the final input position.
-
-    Ties break toward the lowest class id (np.argmax convention).
-    """
-    logits = model.forward(np.asarray(token_ids), prompt=prompt)
-    dist = label_set_probability(logits.data[-1], verbalizers)
-    return int(np.argmax(dist)), dist
 
 
 def answer_log_probs(model: TransformerLM, sequences: Sequence[np.ndarray], verbalizers, prompt=None) -> Tensor:

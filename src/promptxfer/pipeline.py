@@ -1,9 +1,13 @@
 """Config-driven orchestration of the distill/tune/transfer workflow.
 
-Stages are plain functions over a per-seed context so they can be re-run or
-composed individually.  Every dataset hand-off is recorded in a data-access
-ledger keyed by (seed, stage, role); the audit tests assert that the
-teacher-side stages never receive the private train split.
+One ordered plan, `STAGE_PLAN`, runs every seed: pretrain, distill, tune,
+transfer, the control baselines, eval and the membership attack.  Each entry
+runs when a requested baseline (or the enabled attack) needs it, and
+`run_pipeline(config, through=name)` stops after the named entry, so every
+CLI subcommand runs a prefix of the same plan.  Every dataset hand-off is
+recorded in a data-access ledger keyed by (seed, stage, role);
+`tests/test_pipeline.py` asserts that the teacher-side stages never receive
+the private train split.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -174,8 +177,6 @@ class ExperimentConfig:
     public_subset: int | None = None
     seeds: tuple[int, ...] = (0, 1, 2)
     output_dir: str = "runs/default"
-    threads: int = 1
-    strict_deterministic: bool = False
 
     def __post_init__(self):
         unknown = set(self.baselines) - set(ALL_BASELINES)
@@ -243,6 +244,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
     blob = dict(blob)
+    # Configs written before every run became single-threaded carry these two
+    # keys; they are accepted with the values that still describe a run.
+    if blob.pop("threads", 1) != 1:
+        raise ConfigError("threads: runs are single-threaded, so only 1 is accepted")
+    if not isinstance(blob.pop("strict_deterministic", False), bool):
+        raise ConfigError("strict_deterministic must be true or false")
     kwargs: dict = {}
     if "teacher" in blob:
         kwargs["teacher"] = ArchSpec(**blob.pop("teacher"))
@@ -273,7 +280,7 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown task kind {kind!r}")
     for key in ("student_layers", "kd", "transfer_alpha", "baselines", "public_subset",
-                "seeds", "output_dir", "threads", "strict_deterministic"):
+                "seeds", "output_dir"):
         if key in blob:
             kwargs[key] = blob.pop(key)
     blob.pop("kind", None)
@@ -294,7 +301,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    return config_from_dict(blob)
+    try:
+        return config_from_dict(blob)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:  # a nested key or value the dataclasses reject
+        raise ConfigError(f"invalid config: {e}") from e
 
 
 # -- data-access ledger --------------------------------------------------------
@@ -336,7 +348,7 @@ class SeedRun:
     config: ExperimentConfig
     seed: int
     ledger: DataAccessLedger
-    out_dir: str | None = None
+    out_dir: str
     data: TaskData | None = None
     teacher: TransformerLM | None = None
     student: TransformerLM | None = None
@@ -353,9 +365,7 @@ class SeedRun:
     accuracies: dict = field(default_factory=dict)
     artifact_paths: dict = field(default_factory=dict)
 
-    def path(self, name: str) -> str | None:
-        if self.out_dir is None:
-            return None
+    def path(self, name: str) -> str:
         os.makedirs(self.out_dir, exist_ok=True)
         p = os.path.join(self.out_dir, name)
         self.artifact_paths[name] = p
@@ -391,8 +401,7 @@ def stage_data(run: SeedRun) -> None:
             spec = replace(cfg.task, seed=seed_stream(run.seed, "task"))
             private, public, corpus = gen_synth_pair(spec)
             vocab = private.vocab
-            if run.out_dir:
-                write_manifest(run.path("task_manifest.json"), spec, vocab)
+            write_manifest(run.path("task_manifest.json"), spec, vocab)
             corpus_ids = tokenize_corpus(corpus, vocab)
         else:
             with open(cfg.task.corpus, "r", encoding="utf-8") as fh:
@@ -466,10 +475,9 @@ def stage_pretrain(run: SeedRun) -> None:
         model_cfg = cfg.teacher.to_model_config(run.data.vocab.size)
         teacher = init_model(model_cfg, seed_stream(run.seed, "teacher_init"))
         history = _train_lm(teacher, run.data.corpus_ids, cfg.pretrain, seed_stream(run.seed, "pretrain"))
-        if run.out_dir:
-            write_loss_history(run.path("pretrain_loss.csv"), history)
-            teacher.provenance = {"stage": "pretrain", "seed": run.seed}
-            art.save_model(run.path("teacher.pstl"), teacher)
+        write_loss_history(run.path("pretrain_loss.csv"), history)
+        teacher.provenance = {"stage": "pretrain", "seed": run.seed}
+        art.save_model(run.path("teacher.pstl"), teacher)
         return teacher
 
     run.teacher = run.timed("pretrain", build, amortizable=True)
@@ -482,9 +490,8 @@ def stage_distill(run: SeedRun) -> None:
         student, history = distill(
             run.teacher, run.data.corpus_ids, run.config.kd_config(), seed_stream(run.seed, "kd")
         )
-        if run.out_dir:
-            write_loss_history(run.path("kd_loss.csv"), history)
-            art.save_model(run.path("student.pstl"), student)
+        write_loss_history(run.path("kd_loss.csv"), history)
+        art.save_model(run.path("student.pstl"), student)
         return student
 
     run.student = run.timed("kd", build, amortizable=True)
@@ -507,9 +514,8 @@ def stage_control_student(run: SeedRun) -> None:
         )
         history = _train_lm(control, run.data.corpus_ids, lm_cfg, seed_stream(run.seed, "control_lm"))
         control.provenance["trained_by"] = "plain_lm"
-        if run.out_dir:
-            write_loss_history(run.path("control_lm_loss.csv"), history)
-            art.save_model(run.path("control_student.pstl"), control)
+        write_loss_history(run.path("control_lm_loss.csv"), history)
+        art.save_model(run.path("control_student.pstl"), control)
         return control
 
     run.control_student = run.timed("control_lm", build, amortizable=True)
@@ -535,9 +541,8 @@ def _tune_on(run: SeedRun, model: TransformerLM, stage: str, dp: bool, artifact:
             )
             tune_cfg = replace(tune_cfg, dp=dp_params)
         tuned, history = tune_prompt(model, prompt, run.data.private_train, tune_cfg)
-        if run.out_dir:
-            write_loss_history(run.path(artifact.replace(".pspa", "_history.csv")), history)
-            art.save_prompt(run.path(artifact), tuned, tuning_config_digest=tune_cfg.digest())
+        write_loss_history(run.path(artifact.replace(".pspa", "_history.csv")), history)
+        art.save_prompt(run.path(artifact), tuned, tuning_config_digest=tune_cfg.digest())
         return tuned
 
     return run.timed(stage, build)
@@ -610,9 +615,8 @@ def _transfer_from(run: SeedRun, p_s: SoftPrompt, stage: str, artifact: str) -> 
         )
         source_model = run.control_student if stage == "control_transfer" else run.student
         p_t, history = transfer_prompt(run.teacher, source_model, p_s, public, tr_cfg)
-        if run.out_dir:
-            write_loss_history(run.path(artifact.replace(".pspa", "_loss.csv")), history)
-            art.save_prompt(run.path(artifact), p_t)
+        write_loss_history(run.path(artifact.replace(".pspa", "_loss.csv")), history)
+        art.save_prompt(run.path(artifact), p_t)
         return p_t
 
     return run.timed(stage, build)
@@ -658,40 +662,16 @@ def eval_baseline(run: SeedRun, kind: str) -> float:
     return _accuracy(model, test, prompt=prompt)
 
 
-STAGE_PLAN: tuple[tuple[str, Callable[[SeedRun], None], frozenset], ...] = (
-    ("pretrain", stage_pretrain, frozenset(ALL_BASELINES)),
-    ("kd", stage_distill, frozenset(ALL_BASELINES) - {"full_zs", "full_pt"}),
-    ("tune_student", stage_tune_student, frozenset({"compressed_pt", "direct_transfer", "post"})),
-    ("tune_student_dp", stage_tune_student_dp, frozenset({"post_dp"})),
-    ("transfer", stage_transfer, frozenset({"post"})),
-    ("transfer_dp", stage_transfer_dp, frozenset({"post_dp"})),
-    ("full_pt", stage_full_pt, frozenset({"full_pt"})),
-    ("control_lm", stage_control_student, frozenset({"finetuned_control"})),
-    ("control_tune", stage_control_tune, frozenset({"finetuned_control"})),
-    ("control_transfer", stage_control_transfer, frozenset({"finetuned_control"})),
-)
-
-
-def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str | None) -> SeedRun:
-    run = SeedRun(config=config, seed=seed, ledger=ledger, out_dir=out_dir)
-    requested = set(config.baselines)
-    stage_data(run)
-    for name, fn, serves in STAGE_PLAN:
-        if requested & serves:
-            fn(run)
-    for kind in config.baselines:
+def stage_eval(run: SeedRun) -> None:
+    """Test accuracy of every requested baseline, one timed row each."""
+    for kind in run.config.baselines:
         run.accuracies[kind] = run.timed("eval", lambda k=kind: eval_baseline(run, k))
-    if config.attack.enabled:
-        stage_attack(run)
-    return run
 
 
 def stage_attack(run: SeedRun) -> dict:
     """LiRA on the student's prompt-tuning set, non-DP and (optionally) DP."""
     cfg = run.config
     atk = cfg.attack
-    if run.student is None:
-        raise StageError("attacks", "attack stage needs a distilled student")
     pool_size = min(atk.pool_size, len(run.data.private_train))
     pool = run.data.private_train.subset(range(pool_size), name="candidate_pool")
     pool = with_label_noise(pool, atk.label_noise, seed_stream(run.seed, "attack_noise"))
@@ -742,17 +722,44 @@ def stage_attack(run: SeedRun) -> dict:
                 members,
                 n_shadows=atk.n_shadows,
                 seed=seed_stream(run.seed, f"attack_{tag}"),
-                threads=cfg.threads if not cfg.strict_deterministic else 1,
             )
             results[tag] = res
-            if run.out_dir:
-                write_attack_csv(res, run.path(f"attack_{tag}.csv"))
-                write_attack_summary(res, run.path(f"attack_{tag}.json"), seeds=[run.seed])
+            write_attack_csv(res, run.path(f"attack_{tag}.csv"))
+            write_attack_summary(res, run.path(f"attack_{tag}.json"), seeds=[run.seed])
         out = {tag: {"auc": r.auc, "tpr_at_1pct_fpr": r.tpr_at_1pct_fpr} for tag, r in results.items()}
         run.accuracies.update({f"attack_{tag}_auc": v["auc"] for tag, v in out.items()})
         return out
 
     return run.timed("attacks", build)
+
+
+# Each entry runs when the config requests something it serves: a baseline,
+# or "attacks" when config.attack is enabled.
+STAGE_PLAN: tuple[tuple[str, Callable[[SeedRun], object], frozenset], ...] = (
+    ("pretrain", stage_pretrain, frozenset(ALL_BASELINES) | {"attacks"}),
+    ("kd", stage_distill, frozenset(ALL_BASELINES) - {"full_zs", "full_pt"} | {"attacks"}),
+    ("tune_student", stage_tune_student, frozenset({"compressed_pt", "direct_transfer", "post"})),
+    ("tune_student_dp", stage_tune_student_dp, frozenset({"post_dp"})),
+    ("transfer", stage_transfer, frozenset({"post"})),
+    ("transfer_dp", stage_transfer_dp, frozenset({"post_dp"})),
+    ("full_pt", stage_full_pt, frozenset({"full_pt"})),
+    ("control_lm", stage_control_student, frozenset({"finetuned_control"})),
+    ("control_tune", stage_control_tune, frozenset({"finetuned_control"})),
+    ("control_transfer", stage_control_transfer, frozenset({"finetuned_control"})),
+    ("eval", stage_eval, frozenset(ALL_BASELINES)),
+    ("attacks", stage_attack, frozenset({"attacks"})),
+)
+
+
+def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str, plan: tuple) -> SeedRun:
+    """Run the entries of `plan` (a prefix of STAGE_PLAN) that the config requests."""
+    run = SeedRun(config=config, seed=seed, ledger=ledger, out_dir=out_dir)
+    requested = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
+    stage_data(run)
+    for _, fn, serves in plan:
+        if requested & serves:
+            fn(run)
+    return run
 
 
 # -- reports --------------------------------------------------------------------
@@ -790,62 +797,44 @@ class RunReport:
         }
 
 
-def run_pipeline(config: ExperimentConfig, write_artifacts: bool = True) -> RunReport:
-    """Execute all requested baselines over all seeds and aggregate."""
+def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunReport:
+    """Run STAGE_PLAN, up to and including the entry named `through` (the
+    whole plan for None), over all seeds and aggregate what was evaluated."""
+    names = [name for name, _, _ in STAGE_PLAN]
+    if through is not None and through not in names:
+        raise ConfigError(f"unknown stage {through!r}; the plan is {names}")
+    plan = STAGE_PLAN if through is None else STAGE_PLAN[: names.index(through) + 1]
     ledger = DataAccessLedger()
-    out_root = config.output_dir if write_artifacts else None
-    if out_root:
-        os.makedirs(out_root, exist_ok=True)
-        with open(os.path.join(out_root, "config.json"), "w", encoding="utf-8") as fh:
-            json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
+    out_root = config.output_dir
+    os.makedirs(out_root, exist_ok=True)
+    with open(os.path.join(out_root, "config.json"), "w", encoding="utf-8") as fh:
+        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
 
-    threads = 1 if config.strict_deterministic else max(1, config.threads)
     runs: dict[int, SeedRun] = {}
     errors: dict[int, str] = {}
-
-    def one(seed: int):
-        seed_dir = os.path.join(out_root, f"seed{seed}") if out_root else None
-        return run_seed(config, seed, ledger, seed_dir)
-
-    if threads > 1 and len(config.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {seed: pool.submit(one, seed) for seed in config.seeds}
-            for seed, fut in futures.items():
-                try:
-                    runs[seed] = fut.result()
-                except StageError as e:
-                    errors[seed] = str(e)
-                    log.error("seed %d failed: %s", seed, e)
-    else:
-        for seed in config.seeds:
-            try:
-                runs[seed] = one(seed)
-            except StageError as e:
-                errors[seed] = str(e)
-                log.error("seed %d failed: %s", seed, e)
-
+    for seed in config.seeds:
+        try:
+            runs[seed] = run_seed(config, seed, ledger, os.path.join(out_root, f"seed{seed}"), plan)
+        except StageError as e:
+            errors[seed] = str(e)
+            log.error("seed %d failed: %s", seed, e)
     if not runs:
         raise StageError("pipeline", f"every seed failed: {errors}")
 
+    def per_seed(key: str) -> dict:
+        return {str(s): runs[s].accuracies[key] for s in sorted(runs) if key in runs[s].accuracies}
+
     baselines: dict[str, dict] = {}
     for kind in config.baselines:
-        per_seed = {str(seed): runs[seed].accuracies[kind] for seed in sorted(runs)}
-        values = list(per_seed.values())
-        baselines[kind] = {
-            "mean": float(np.mean(values)),
-            "std": float(np.std(values)),
-            "per_seed": per_seed,
-        }
+        accs = per_seed(kind)
+        if accs:
+            values = list(accs.values())
+            baselines[kind] = {"mean": float(np.mean(values)), "std": float(np.std(values)), "per_seed": accs}
     attack_metrics: dict[str, dict] = {}
-    if config.attack.enabled:
-        for tag in ("nondp", "dp") if config.attack.with_dp else ("nondp",):
-            key = f"attack_{tag}_auc"
-            vals = {str(s): runs[s].accuracies[key] for s in sorted(runs) if key in runs[s].accuracies}
-            if vals:
-                attack_metrics[tag] = {
-                    "auc_mean": float(np.mean(list(vals.values()))),
-                    "auc_per_seed": vals,
-                }
+    for tag in ("nondp", "dp"):
+        aucs = per_seed(f"attack_{tag}_auc")
+        if aucs:
+            attack_metrics[tag] = {"auc_mean": float(np.mean(list(aucs.values()))), "auc_per_seed": aucs}
 
     timings = [row for seed in sorted(runs) for row in runs[seed].timings]
     artifacts = {f"seed{seed}": runs[seed].artifact_paths for seed in sorted(runs)}
@@ -859,8 +848,7 @@ def run_pipeline(config: ExperimentConfig, write_artifacts: bool = True) -> RunR
         seed_errors={str(s): msg for s, msg in errors.items()},
         attack_metrics=attack_metrics,
     )
-    if out_root:
-        write_report(report, out_root)
+    write_report(report, out_root)
     return report
 
 
@@ -887,8 +875,3 @@ def write_timing_csv(report: RunReport, path) -> None:
             writer.writerow(
                 [row["stage"], f"{row['seconds']:.6f}", row["seed"], int(row["amortizable"])]
             )
-
-
-def timing_report(report: RunReport) -> list[dict]:
-    """Per-stage wall-clock rows; kd and pretrain marked amortizable."""
-    return list(report.timings)

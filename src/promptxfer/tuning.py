@@ -201,10 +201,8 @@ def tune_prompt(
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
 
-    def record(step: int, loss: float) -> None:
-        preds = classify_batch(model, dataset.sequences, dataset.verbalizers, prompt=prompt_var.detach())
-        acc = float(np.mean(preds == dataset.labels))
-        history.append({"step": step, "loss": loss, "train_accuracy": acc})
+    def record(step: int, loss: float, preds: np.ndarray) -> None:
+        history.append({"step": step, "loss": loss, "train_accuracy": float(np.mean(preds == dataset.labels))})
 
     if config.dp is None:
         steps_done = 0
@@ -221,7 +219,8 @@ def tune_prompt(
                 opt.step()
                 steps_done += 1
             if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-                record(steps_done, float(np.mean(losses)))
+                preds = classify_batch(model, dataset.sequences, dataset.verbalizers, prompt=prompt_var.detach())
+                record(steps_done, float(np.mean(losses)), preds)
         dp_meta = None
     else:
         dp = config.dp
@@ -237,8 +236,9 @@ def tune_prompt(
             idx = np.flatnonzero(mask)
             promptdpsgd_step(model, prompt_var, dataset, idx, dp, n, rng, opt)
             if (step + 1) % (steps_per_epoch * config.eval_every) == 0 or step == dp.steps - 1:
+                # one scoring pass gives both the history loss and the accuracy
                 lp = class_log_probs_batch(model, dataset.sequences, dataset.verbalizers, prompt_var.detach())
-                record(step + 1, -float(np.mean(lp[np.arange(n), dataset.labels])))
+                record(step + 1, -float(np.mean(lp[np.arange(n), dataset.labels])), np.argmax(lp, axis=1))
         dp_meta = DpMeta(
             epsilon=dp.epsilon, delta=dp.delta, sigma=dp.noise_multiplier, clip_norm=dp.clip_norm
         )

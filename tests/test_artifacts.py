@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -68,3 +71,48 @@ def test_prompt_without_dp_meta(tmp_path):
     path = tmp_path / "p.pspa"
     save_prompt(path, prompt)
     assert load_prompt(path).dp_meta is None
+
+
+def _saved(tmp_path):
+    model = init_model(ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab_size=11, max_seq_len=8), 0)
+    prompt = init_prompt(model, length=3, seed=9)
+    prompt.dp_meta = DpMeta(epsilon=8.0, delta=1e-4, sigma=1.3, clip_norm=1.0)
+    save_model(tmp_path / "m.pstl", model)
+    save_prompt(tmp_path / "p.pspa", prompt)
+    return ((tmp_path / "m.pstl", load_model), (tmp_path / "p.pspa", load_prompt))
+
+
+def test_truncated_or_extended_artifacts_raise_artifact_error(tmp_path):
+    for path, load in _saved(tmp_path):
+        raw = path.read_bytes()
+        bad = tmp_path / ("bad" + path.suffix)
+        for n in range(len(raw)):
+            bad.write_bytes(raw[:n])
+            with pytest.raises(ArtifactError):
+                load(bad)
+        bad.write_bytes(raw + b"\0")
+        with pytest.raises(ArtifactError, match="trailing"):
+            load(bad)
+
+
+def test_corrupt_artifact_headers_raise_artifact_error(tmp_path):
+    for path, load in _saved(tmp_path):
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", raw[6:10])
+        bad = tmp_path / ("bad" + path.suffix)
+        # every header byte flipped: magic, version, metadata length, metadata JSON
+        for i in range(10 + meta_len):
+            corrupt = bytearray(raw)
+            corrupt[i] ^= 0xFF
+            bad.write_bytes(bytes(corrupt))
+            with pytest.raises(ArtifactError):
+                load(bad)
+
+
+def test_prompt_metadata_that_is_valid_json_but_not_a_prompt(tmp_path):
+    for meta in ([1, 2], {"l": 3}, {"l": -1, "d": -4}, {"l": 10**12, "d": 10**12}, {"l": 1, "d": 2, "init_seed": 0}):
+        blob = json.dumps(meta).encode()
+        path = tmp_path / "p.pspa"
+        path.write_bytes(b"PSPA" + struct.pack("<HI", 1, len(blob)) + blob + bytes(8))
+        with pytest.raises(ArtifactError):
+            load_prompt(path)

@@ -191,16 +191,6 @@ def test_lira_leaks_on_overfit_prompt_and_null_is_chance(attack_setup):
     np.testing.assert_array_equal(res.scores(), res2.scores())
 
 
-def test_lira_threaded_matches_sequential(attack_setup):
-    model, pool = attack_setup
-    train_fn = make_train_fn(model, epochs=6)
-    members = np.arange(0, len(pool), 2)
-    target = train_fn(pool.subset(members), 123)
-    seq = lira_attack(model, pool, train_fn, target, members, n_shadows=4, seed=3, threads=1)
-    par = lira_attack(model, pool, train_fn, target, members, n_shadows=4, seed=3, threads=4)
-    np.testing.assert_allclose(seq.scores(), par.scores(), rtol=1e-6)
-
-
 def test_lira_rejects_too_few_shadows(attack_setup):
     model, pool = attack_setup
     with pytest.raises(ValueError):

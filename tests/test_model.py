@@ -12,7 +12,6 @@ from promptxfer.model import (
     TransformerLM,
     answer_log_probs,
     class_log_probs_batch,
-    classify,
     classify_batch,
     init_model,
     init_prompt,
@@ -199,8 +198,8 @@ def test_classify_shift_invariance_and_rigged_head():
     _, hidden = model.forward(ids, return_hidden=True)
     h = hidden.data[-1]
     model.params["lm_head"].data[:, 4] = (100.0 * h / np.dot(h, h)).astype(np.float32)
-    cls, dist = classify(model, ids, [[3], [4]])
-    assert cls == 1 and dist[1] > 0.99
+    dist = label_set_probability(model.forward(ids).data[-1], [[3], [4]])
+    assert np.argmax(dist) == 1 and dist[1] > 0.99
 
     # symmetric rigging: tie broken toward the lowest class id
     dist = label_set_probability(np.zeros(4), [[0], [1]])
@@ -226,7 +225,9 @@ def test_classify_batch_matches_single():
     verbs = [[2], [3]]
     prompt = init_prompt(model, length=2, seed=1)
     batched = classify_batch(model, seqs, verbs, prompt=prompt)
-    singles = np.array([classify(model, s, verbs, prompt=prompt)[0] for s in seqs])
+    singles = np.array(
+        [np.argmax(label_set_probability(model.forward(s, prompt=prompt).data[-1], verbs)) for s in seqs]
+    )
     np.testing.assert_array_equal(batched, singles)
 
 

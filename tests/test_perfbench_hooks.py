@@ -4,10 +4,26 @@ benchmark run."""
 
 import gc
 import importlib
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("pipeline", "model", "autograd", "optim", "tuning", "accountant", "attacks", "artifacts", "corpus")
+
+
+def test_perfbench_workload_configs_load(monkeypatch, tmp_path):
+    """Every config the benchmark writes loads, so a config key it still
+    writes cannot be removed from the program unnoticed."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    pipeline = importlib.import_module("promptxfer.pipeline")
+    assert workloads.WORKLOADS
+    for name, wl in workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(wl.config(0, str(tmp_path / name))))
+        config = pipeline.load_config(path)
+        assert config.baselines == wl.baselines
+        assert config.attack.enabled == wl.attack
 
 
 def test_perfbench_hooks_install_on_the_program_and_restore(monkeypatch):

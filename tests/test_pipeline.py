@@ -1,0 +1,182 @@
+"""The stage plan, its CLI subcommands, the data-access ledger and config
+loading, on a tiny config (2-layer d=16 teacher, 32-example task) that runs
+the whole plan in about a second."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from promptxfer import pipeline as pl
+from promptxfer.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from promptxfer.corpus import default_task_spec
+
+BASELINES = ["full_zs", "compressed_pt", "direct_transfer", "post", "post_dp"]
+
+
+def tiny_config(out_dir, **overrides) -> dict:
+    task = default_task_spec(
+        length_range=(4, 8), n_private_train=32, n_private_test=32, n_public=32, n_corpus_sentences=64
+    )
+    blob = {
+        "teacher": {"n_layers": 2, "d_model": 16, "n_heads": 2, "max_seq_len": 32},
+        "student_layers": 1,
+        "pretrain": {"steps": 20, "check_interval": 21},
+        "kd": {"max_steps": 10, "checkpoint_interval": 11},
+        "prompt": {"length": 2},
+        "tune": {"epochs": 2, "learning_rate": 1e-2, "batch_size": 8},
+        "transfer": {"steps": 3, "batch_size": 8},
+        "task": {"kind": "synthetic", **task.to_dict()},
+        "baselines": BASELINES,
+        "attack": {"enabled": True, "n_shadows": 2, "pool_size": 16, "epochs": 1, "batch_size": 8, "prompt_length": 2},
+        "seeds": [0],
+        "output_dir": str(out_dir),
+    }
+    blob.update(overrides)
+    return blob
+
+
+def write_config(path: Path, blob) -> str:
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def seed_files(out_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((out_dir / "seed0").iterdir())}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipeline")
+    config = write_config(out / "config_in.json", tiny_config(out / "run"))
+    assert main(["pipeline", "--config", config]) == EXIT_OK
+    return out / "run"
+
+
+def test_pipeline_runs_the_whole_plan(full_run):
+    report = json.loads((full_run / "report.json").read_text())
+    assert set(report["baselines"]) == set(BASELINES)
+    assert set(report["attack_metrics"]) == {"nondp", "dp"}
+    stages = [row["stage"] for row in report["timings"]]
+    assert stages == [
+        "data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp",
+        *["eval"] * len(BASELINES), "attacks",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, files, stages",
+    [
+        ("distill", {"task_manifest.json", "pretrain_loss.csv", "teacher.pstl", "kd_loss.csv", "student.pstl"},
+         ["data", "pretrain", "kd"]),
+        ("tune", {"prompt_student.pspa", "prompt_student_history.csv",
+                  "prompt_student_dp.pspa", "prompt_student_dp_history.csv"},
+         ["data", "pretrain", "kd", "tune_student", "tune_student_dp"]),
+        ("transfer", {"prompt_transferred.pspa", "prompt_transferred_loss.csv",
+                      "prompt_transferred_dp.pspa", "prompt_transferred_dp_loss.csv"},
+         ["data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp"]),
+        ("attack", {"attack_nondp.csv", "attack_nondp.json", "attack_dp.csv", "attack_dp.json"},
+         ["data", "pretrain", "kd", "attacks"]),
+    ],
+)
+def test_subcommand_runs_a_prefix_of_the_plan_and_writes_what_the_pipeline_writes(
+    full_run, tmp_path, command, files, stages
+):
+    config = write_config(tmp_path / "config_in.json", tiny_config(tmp_path / "run"))
+    assert main([command, "--config", config]) == EXIT_OK
+    written = seed_files(tmp_path / "run")
+    expected = seed_files(full_run)
+    assert files <= set(written)
+    for name, data in written.items():
+        assert data == expected[name], name
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert [row["stage"] for row in report["timings"]] == stages
+    assert report["baselines"] == {}  # nothing was evaluated
+    assert bool(report["attack_metrics"]) == (command == "attack")
+
+
+def test_eval_restricts_the_baselines(full_run, tmp_path):
+    config = write_config(tmp_path / "config_in.json", tiny_config(tmp_path / "run"))
+    assert main(["eval", "--config", config, "--baseline", "full_zs", "--baseline", "post"]) == EXIT_OK
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    full = json.loads((full_run / "report.json").read_text())
+    assert report["baselines"] == {k: full["baselines"][k] for k in ("full_zs", "post")}
+
+
+def test_teacher_side_stages_never_read_private_train(full_run):
+    ledger = pl.DataAccessLedger()
+    ledger.records = json.loads((full_run / "data_access.json").read_text())
+    assert ledger.stages_touching("private_train") == {"tune_student", "tune_student_dp", "attacks"}
+    for stage in ("pretrain", "kd", "transfer", "transfer_dp"):
+        assert ledger.roles_for_stage(stage) <= {"kd_corpus", "public"}, stage
+    assert ledger.stages_touching("private_test") == {"eval"}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"bogus": 1},
+        {"pretrain": {"steps": 20, "bogus": 1}},
+        {"threads": 4},
+        {"strict_deterministic": "yes"},
+        {"baselines": ["not_a_baseline"]},
+    ],
+)
+def test_bad_config_exits_2(tmp_path, change):
+    config = write_config(tmp_path / "c.json", tiny_config(tmp_path / "run", **change))
+    assert main(["pipeline", "--config", config]) == EXIT_CONFIG
+
+
+def test_unreadable_config_exits_2(tmp_path):
+    assert main(["pipeline", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["pipeline", "--config", str(bad)]) == EXIT_CONFIG
+    assert main(["eval", "--config", write_config(tmp_path / "c.json", tiny_config(tmp_path)),
+                 "--baseline", "nope"]) == EXIT_CONFIG
+
+
+def test_unknown_stage_is_a_config_error(tmp_path):
+    with pytest.raises(pl.ConfigError, match="unknown stage"):
+        pl.run_pipeline(pl.config_from_dict(tiny_config(tmp_path)), through="tune")
+
+
+def test_failing_stage_exits_3(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("transfer diverged")
+
+    monkeypatch.setattr(pl, "transfer_prompt", broken)
+    config = write_config(tmp_path / "c.json", tiny_config(tmp_path / "run"))
+    assert main(["pipeline", "--config", config]) == EXIT_STAGE
+
+
+def test_one_failed_seed_is_reported_and_exits_3(tmp_path, monkeypatch):
+    transfer = pl.transfer_prompt
+    calls = []
+
+    def first_call_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("transfer diverged")
+        return transfer(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "transfer_prompt", first_call_fails)
+    blob = tiny_config(tmp_path / "run", baselines=["post"], seeds=[0, 1])
+    blob["attack"]["enabled"] = False
+    assert main(["pipeline", "--config", write_config(tmp_path / "c.json", blob)]) == EXIT_STAGE
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert set(report["seed_errors"]) == {"0"} and "transfer diverged" in report["seed_errors"]["0"]
+    assert set(report["baselines"]["post"]["per_seed"]) == {"1"}
+
+
+def test_config_json_round_trip(full_run, tmp_path):
+    blob = tiny_config(tmp_path)
+    config = pl.config_from_dict(blob)
+    assert pl.config_from_dict(json.loads(json.dumps(pl.config_to_dict(config)))) == config
+    assert pl.load_config(full_run / "config.json") == pl.config_from_dict(tiny_config(full_run))
+    assert pl.config_from_dict(pl.config_to_dict(pl.ExperimentConfig())) == pl.ExperimentConfig()
+    # keys that configs of earlier versions carry are accepted and dropped
+    for legacy in ({"threads": 1}, {"strict_deterministic": True}, {"threads": 1, "strict_deterministic": False}):
+        assert pl.config_from_dict({**blob, **legacy}) == config
+    with pytest.raises(pl.ConfigError, match="threads"):
+        pl.config_from_dict({**blob, "threads": 2})

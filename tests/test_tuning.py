@@ -8,6 +8,7 @@ from promptxfer.autograd import Tensor
 from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
 from promptxfer.distill import KdConfig, distill
 from promptxfer import autograd as ag
+from promptxfer import tuning
 from promptxfer.model import ROWS_PER_FORWARD, ModelConfig, answer_log_probs, classify_batch, init_model, init_prompt
 from promptxfer.optim import Optimizer
 from promptxfer.tuning import (
@@ -141,6 +142,35 @@ def test_tune_prompt_dp_records_meta_and_respects_budget(tiny_task):
     spent = rdp_epsilon(dp.noise_multiplier, dp.sample_rate, dp.steps, dp.delta)
     assert tuned.dp_meta.epsilon >= spent
     assert tuned.dp_meta.sigma == dp.noise_multiplier
+
+
+def test_dp_history_scores_the_set_once_per_row(tiny_task, monkeypatch):
+    """Each DP history row takes its loss and its accuracy from one scoring
+    pass, and both agree with classify_batch on that row's prompt."""
+    model, private, _ = tiny_task
+    train = private.split("train")
+    score = tuning.class_log_probs_batch
+    scored_prompts = []
+
+    def counting_score(model_, sequences, verbalizers, prompt=None):
+        scored_prompts.append(prompt.data.copy())
+        return score(model_, sequences, verbalizers, prompt)
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("a DP history row scored the tuning set twice")
+
+    monkeypatch.setattr(tuning, "class_log_probs_batch", counting_score)
+    monkeypatch.setattr(tuning, "classify_batch", second_pass)
+    dp = make_dp_params(dataset_size=len(train), batch_size=16, epochs=3, epsilon=8.0)
+    cfg = TuneConfig(epochs=3, batch_size=16, dp=dp, seed=1)
+    _, history = tune_prompt(model, init_prompt(model, length=4, seed=9), train, cfg)
+
+    assert len(history) == len(scored_prompts) == 3
+    for row, matrix in zip(history, scored_prompts):
+        lp = score(model, train.sequences, train.verbalizers, matrix)
+        preds = classify_batch(model, train.sequences, train.verbalizers, prompt=matrix)
+        assert row["train_accuracy"] == float(np.mean(preds == train.labels))
+        assert row["loss"] == -float(np.mean(lp[np.arange(len(train)), train.labels]))
 
 
 def test_tune_prompt_rejects_infeasible_budget(tiny_task):
