@@ -1,5 +1,5 @@
 """Leakage measurement: likelihood-ratio membership inference against soft
-prompts, plus a lowest-k% log-probability score for corpus-level leakage.
+prompts.
 
 The membership attack trains shadow prompts on independent random halves of
 a candidate pool, models each candidate's logit-scaled true-class confidence
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import LabeledDataset
-from .model import SoftPrompt, TransformerLM, class_log_probs_batch, lm_loss
+from .model import SoftPrompt, TransformerLM, class_log_probs_batch
 
 log = logging.getLogger(__name__)
 
@@ -86,29 +86,6 @@ def tpr_at_fpr(scores: Sequence[float], labels: Sequence[bool], fpr_target: floa
         if fpr <= fpr_target:
             best = max(best, float((pred & labels).sum()) / n_pos)
     return best
-
-
-def mink_score(model: TransformerLM, token_ids, k_percent: float = 20.0) -> float:
-    """Mean of the lowest ceil(k% * (n-1)) next-token log-probabilities.
-
-    Higher means more member-like.  k = 100 reduces to -lm_loss.
-    """
-    if not 0 < k_percent <= 100:
-        raise ValueError("k_percent must lie in (0, 100]")
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 2:
-        raise ValueError("mink_score needs a sequence of at least 2 tokens")
-    logits = model.forward(ids)
-    lp_all = logits.data - _logsumexp_rows(logits.data)
-    token_lp = lp_all[np.arange(ids.size - 1), ids[1:]]
-    k = math.ceil(k_percent / 100.0 * (ids.size - 1))
-    lowest = np.sort(token_lp)[:k]
-    return float(np.mean(lowest))
-
-
-def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    return m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))
 
 
 def true_class_confidences(

@@ -13,6 +13,23 @@ output is dropped, with no work left for the cyclic garbage collector.
 has run, its gradient is released.  A graph must be driven by a single
 thread; independent graphs may run in parallel.
 
+A transformer block is three fused nodes, each with a hand-written
+backward.  What each backward keeps alive, besides its input tensors:
+
+- ``layer_norm``: the normalised input and the reciprocal standard
+  deviation per row.
+- ``causal_attention``: the concatenated Q/K/V weight, the fused Q/K/V
+  projection (``[rows x 3d]``) and the attention probabilities
+  (``[b x heads x T x T]``).  The softmax gradient is formed from the
+  saved probabilities P as P * (dP - rowsum(dP * P)), the form the
+  FlashAttention backward uses (Dao et al. 2022).
+- ``gelu_mlp``: the pre-activation and the Gaussian CDF at it
+  (``[rows x 4d]`` each); the GELU output is recomputed for the ``w2``
+  gradient.
+
+The output projection and the LM head are ``matmul`` with a 2-D right
+operand, which also runs as one GEMM over the flattened rows.
+
 Because each training step frees its whole graph at once, glibc would hand
 the top of its heap back to the kernel after almost every step, and the next
 step would fault the same pages in again.  Whether the top is free depends on
@@ -25,6 +42,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -58,10 +76,6 @@ def _keep_freed_heap() -> bool:
 
 
 _keep_freed_heap()
-
-
-def default_dtype() -> np.dtype:
-    return _DEFAULT_DTYPE
 
 
 def set_default_dtype(dtype) -> None:
@@ -301,6 +315,20 @@ def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors with at least 2 dimensions")
+    if b.ndim == 2:
+        # a weight: one GEMM over the flattened rows, forward and backward
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out = _new((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:]))
+
+        def bw2(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a._acc((g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b._acc(a2.T @ g2)
+
+        _graph(out, (a, b), bw2)
+        return out
     out = _new(a.data @ b.data)
 
     def bw(g):
@@ -310,59 +338,6 @@ def matmul(a, b) -> Tensor:
             b._acc(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     _graph(out, (a, b), bw)
-    return out
-
-
-def exp(a) -> Tensor:
-    a = _lift(a)
-    e = np.exp(a.data)
-    out = _new(e)
-
-    def bw(g):
-        a._acc(g * e)
-
-    _graph(out, (a,), bw)
-    return out
-
-
-def log(a) -> Tensor:
-    a = _lift(a)
-    out = _new(np.log(a.data))
-
-    def bw(g):
-        a._acc(g / a.data)
-
-    _graph(out, (a,), bw)
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = _lift(a)
-    t = np.tanh(a.data)
-    out = _new(t)
-
-    def bw(g):
-        a._acc(g * (1.0 - t * t))
-
-    _graph(out, (a,), bw)
-    return out
-
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def gelu(a) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF."""
-    a = _lift(a)
-    cdf = 0.5 * (1.0 + _special.erf(a.data * _INV_SQRT2))
-    out = _new(a.data * cdf)
-
-    def bw(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        a._acc(g * (cdf + a.data * pdf))
-
-    _graph(out, (a,), bw)
     return out
 
 
@@ -495,6 +470,133 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+# -- fused transformer-layer nodes ------------------------------------------
+# Each is one graph node with a hand-written backward.  Weight and bias
+# gradients are single 2-D GEMMs or sums over the [rows x d] flattened
+# activations, and are computed only for parameters that require them.
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = ((xc * xc).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    xhat = xc * rstd
+    del xc
+    out = _new(xhat * gain.data + bias.data)
+
+    def bw(g):
+        d = g.shape[-1]
+        if gain.requires_grad:
+            gain._acc((g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            bias._acc(g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gy = g * gain.data
+            mean_gy = gy.mean(axis=-1, keepdims=True)
+            mean_gyx = (gy * xhat).mean(axis=-1, keepdims=True)
+            x._acc(rstd * (gy - mean_gy - xhat * mean_gyx))
+
+    _graph(out, (x, gain, bias), bw)
+    return out
+
+
+MASK_FILL = -1e9
+
+
+@functools.lru_cache(maxsize=None)
+def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
+    """Additive [n x n] mask: MASK_FILL above the diagonal, 0 elsewhere."""
+    mask = np.triu(np.full((n, n), MASK_FILL, dtype=dtype), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def causal_attention(x, wq, wk, wv, bq, bk, bv, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention of x [b x T x d] before the output
+    projection: softmax(Q K^T / sqrt(dh) + mask) V per head, heads
+    concatenated back to [b x T x d].  Q, K and V come from one GEMM."""
+    x = _lift(x)
+    weights = tuple(_lift(t) for t in (wq, wk, wv))
+    biases = tuple(_lift(t) for t in (bq, bk, bv))
+    b, n, d = x.data.shape
+    dh = d // n_heads
+    scale = dh**-0.5
+    w = np.concatenate([t.data for t in weights], axis=1)
+    x2 = x.data.reshape(-1, d)
+    qkv = x2 @ w + np.concatenate([t.data for t in biases])
+    q, k, v = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)  # each [b x h x T x dh]
+    p = (q @ k.swapaxes(-1, -2)) * scale
+    p += _causal_mask(n, p.dtype)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _new((p @ v).transpose(0, 2, 1, 3).reshape(b, n, d))
+
+    def bw(g):
+        gh = g.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+        dqkv = np.empty((3, b, n_heads, n, dh), dtype=np.result_type(g, qkv))
+        dqkv[2] = p.swapaxes(-1, -2) @ gh
+        # softmax backward from the saved probabilities
+        ds = gh @ v.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        dqkv[0] = ds @ k
+        dqkv[1] = ds.swapaxes(-1, -2) @ q
+        dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(-1, 3 * d)
+        if x.requires_grad:
+            x._acc((dqkv @ w.T).reshape(b, n, d))
+        if any(t.requires_grad for t in weights):
+            dw = x2.T @ dqkv
+            for i, t in enumerate(weights):
+                if t.requires_grad:
+                    t._acc(dw[:, i * d : (i + 1) * d])
+        if any(t.requires_grad for t in biases):
+            db = dqkv.sum(axis=0)
+            for i, t in enumerate(biases):
+                if t.requires_grad:
+                    t._acc(db[i * d : (i + 1) * d])
+
+    _graph(out, (x, *weights, *biases), bw)
+    return out
+
+
+# float64 scalars: the GELU runs in float64 whatever its input's dtype
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
+    """GELU(x @ w1 + b1) @ w2 + b2 over the last axis, with the exact GELU
+    x * Phi(x) (Gaussian CDF)."""
+    x, w1, b1, w2, b2 = (_lift(t) for t in (x, w1, b1, w2, b2))
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    pre = x2 @ w1.data + b1.data
+    cdf = 0.5 * (1.0 + _special.erf(pre * _INV_SQRT2))
+    out = _new(((pre * cdf) @ w2.data + b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:]))
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if w2.requires_grad:
+            w2._acc((pre * cdf).T @ g2)
+        if b2.requires_grad:
+            b2._acc(g2.sum(axis=0))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * pre * pre)
+        dpre = (g2 @ w2.data.T) * (cdf + pre * pdf)
+        if w1.requires_grad:
+            w1._acc(x2.T @ dpre)
+        if b1.requires_grad:
+            b1._acc(dpre.sum(axis=0))
+        if x.requires_grad:
+            x._acc((dpre @ w1.data.T).reshape(x.data.shape))
+
+    _graph(out, (x, w1, b1, w2, b2), bw)
+    return out
+
+
 def _np_log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     m = x.max(axis=axis, keepdims=True)
     s = x - m
@@ -511,10 +613,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
     _graph(out, (a,), bw)
     return out
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    return exp(log_softmax(a, axis=axis))
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -566,23 +664,6 @@ def kl_divergence(reference_logits, adjustable_logits) -> Tensor:
     # unchanged.
     kl.data = np.maximum(kl.data, 0)
     return kl
-
-
-def cross_entropy(logits, target_index: int) -> Tensor:
-    """-log softmax(logits)[target]; numerically stable; differentiable."""
-    lt = _lift(logits)
-    if lt.ndim != 1:
-        raise ValueError("cross_entropy expects a 1-D logit vector")
-    n = lt.shape[0]
-    target_index = int(target_index)
-    if not 0 <= target_index < n:
-        raise ValueError(f"target index {target_index} out of range for {n} logits")
-    return -take(log_softmax(lt), [target_index]).sum()
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 def finite_diff_check(

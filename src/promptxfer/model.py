@@ -12,16 +12,22 @@ by `answer_log_probs`.  It right-pads a ragged batch to its longest row and
 runs one forward.  The padding is exact: under causal attention a position
 sees only itself and earlier positions, and every pad token comes after the
 answer position of its row, so the answer position's value is the one the
-row would get alone.  The final layer norm and the LM head run on the
-gathered answer positions only.
+row would get alone.  The answer positions are gathered right after the
+last block's attention: nothing after it mixes positions, so that block's
+second layer norm and MLP, the final layer norm and the LM head run on one
+row per sequence.
+
+Each block is three fused autograd nodes (`autograd.layer_norm`,
+`causal_attention`, `gelu_mlp`) plus the output projection and the
+residual adds.
 
 `ROWS_PER_FORWARD` bounds the rows of one forward.  A training graph holds
 every activation of its rows until its backward has run, and padding a
 32-row transfer batch to its longest row adds about a fifth more positions.
-In perfbench's plain POST workload, one 32-row graph per transfer step
-peaked at about 168 MB resident, against 145 MB with per-length buckets;
-chunks of 16 rows, each freed before the next forward, peak at about
-130 MB, little above the 128 MB that pretraining and distillation reach.
+In perfbench's plain POST workload (seeds 20 and 21), one 32-row graph
+per transfer step peaked at 119-120 MB resident; chunks of 16 rows, each
+freed before the next forward, peak at 99-101 MB, about the 99 MB that
+pretraining and distillation reach.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .autograd import Tensor
 PARAM_INIT_STD = 0.02
 PROMPT_INIT_STD = 0.5
 LN_EPS = 1e-5
-MASK_FILL = -1e9
 ROWS_PER_FORWARD = 16
 
 
@@ -75,38 +80,43 @@ class ModelConfig:
         return cls(**d)
 
 
-def _layer_param_names(i: int) -> list[str]:
-    base = f"layers.{i}."
-    names = [base + "ln1.g", base + "ln1.b"]
-    for w in ("wq", "wk", "wv", "wo"):
-        names += [base + "attn." + w, base + "attn." + w + "_b"]
-    names += [base + "ln2.g", base + "ln2.b"]
-    names += [base + "mlp.w1", base + "mlp.w1_b", base + "mlp.w2", base + "mlp.w2_b"]
-    return names
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in checkpoint order."""
+    d, v = config.d_model, config.vocab_size
+    shapes = {"tok_emb": (v, d), "pos_emb": (config.max_seq_len, d)}
+    for i in range(config.n_layers):
+        base = f"layers.{i}."
+        shapes[base + "ln1.g"] = shapes[base + "ln1.b"] = (d,)
+        for w in ("wq", "wk", "wv", "wo"):
+            shapes[base + "attn." + w] = (d, d)
+            shapes[base + "attn." + w + "_b"] = (d,)
+        shapes[base + "ln2.g"] = shapes[base + "ln2.b"] = (d,)
+        shapes[base + "mlp.w1"], shapes[base + "mlp.w1_b"] = (d, 4 * d), (4 * d,)
+        shapes[base + "mlp.w2"], shapes[base + "mlp.w2_b"] = (4 * d, d), (d,)
+    shapes["final_ln.g"] = shapes["final_ln.b"] = (d,)
+    if not config.tie_lm_head:
+        shapes["lm_head"] = (d, v)
+    return shapes
 
 
 def param_names(config: ModelConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb"]
-    for i in range(config.n_layers):
-        names += _layer_param_names(i)
-    names += ["final_ln.g", "final_ln.b"]
-    if not config.tie_lm_head:
-        names.append("lm_head")
-    return names
+    return list(param_shapes(config))
 
 
 class TransformerLM:
     """A tiny causal LM; plays either side of a teacher/student pair."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
-        expected = param_names(config)
-        if list(params.keys()) != expected:
+        expected = param_shapes(config)
+        if list(params.keys()) != list(expected):
             missing = set(expected) ^ set(params.keys())
             raise ValueError(f"parameter set does not match config: {sorted(missing)}")
+        for name, shape in expected.items():
+            if params[name].shape != shape:
+                raise ValueError(f"parameter {name} has shape {params[name].shape}, the config gives {shape}")
         self.config = config
         self.params = params
         self.provenance: dict = {}
-        self._mask_cache: dict[tuple[int, str], np.ndarray] = {}
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -124,6 +134,7 @@ class TransformerLM:
             arr = self.params[name].data
             h.update(name.encode())
             h.update(str(arr.dtype).encode())
+            h.update(str(arr.shape).encode())
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
@@ -131,14 +142,6 @@ class TransformerLM:
         return sum(p.data.size for p in self.parameters())
 
     # -- forward ------------------------------------------------------------
-
-    def _mask(self, n: int, dtype) -> np.ndarray:
-        key = (n, str(dtype))
-        m = self._mask_cache.get(key)
-        if m is None:
-            m = np.triu(np.full((n, n), MASK_FILL, dtype=dtype), k=1)
-            self._mask_cache[key] = m
-        return m
 
     def _resolve_prompt(self, prompt):
         if prompt is None:
@@ -176,8 +179,9 @@ class TransformerLM:
         self, ids: np.ndarray, pmat: Tensor | None, return_hidden: bool, answer_at: np.ndarray | None = None
     ):
         """Logits [bsz x (l + n_tok) x vocab], or [bsz x vocab] at token index
-        `answer_at[r]` of each row r when `answer_at` is given; the final
-        layer norm and the head then run on those positions only."""
+        `answer_at[r]` of each row r when `answer_at` is given; the last
+        block's MLP, the final layer norm and the head then run on those
+        positions only."""
         cfg = self.config
         bsz, n_tok = ids.shape
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
@@ -201,11 +205,12 @@ class TransformerLM:
         x = x + pos.reshape((1, total, cfg.d_model))
 
         for i in range(cfg.n_layers):
-            x = x + self._attention(self._layer_norm(x, f"layers.{i}.ln1"), i, total)
+            x = x + self._attention(self._layer_norm(x, f"layers.{i}.ln1"), i)
+            if answer_at is not None and i == cfg.n_layers - 1:
+                # nothing after this reads the other positions
+                flat = np.arange(bsz) * total + l + np.asarray(answer_at, dtype=np.int64)
+                x = ag.take(x.reshape((bsz * total, cfg.d_model)), flat, axis=0)
             x = x + self._mlp(self._layer_norm(x, f"layers.{i}.ln2"), i)
-        if answer_at is not None:
-            flat = np.arange(bsz) * total + l + np.asarray(answer_at, dtype=np.int64)
-            x = ag.take(x.reshape((bsz * total, cfg.d_model)), flat, axis=0)
         h = self._layer_norm(x, "final_ln")
 
         if cfg.tie_lm_head:
@@ -217,70 +222,34 @@ class TransformerLM:
         return logits
 
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
-        g, b = self.params[name + ".g"], self.params[name + ".b"]
-        mu = x.mean(axis=-1, keepdims=True)
-        xc = x - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        return xc * ((var + LN_EPS) ** -0.5) * g + b
+        return ag.layer_norm(x, self.params[name + ".g"], self.params[name + ".b"], LN_EPS)
 
-    def _attention(self, x: Tensor, i: int, total: int) -> Tensor:
-        cfg = self.config
-        bsz = x.shape[0]
-        nh, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-        base = f"layers.{i}.attn."
-
-        def proj(name):
-            out = ag.matmul(x, self.params[base + name]) + self.params[base + name + "_b"]
-            return ag.transpose(out.reshape((bsz, total, nh, dh)), (0, 2, 1, 3))
-
-        q, k, v = proj("wq"), proj("wk"), proj("wv")
-        scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        scores = scores + self._mask(total, x.data.dtype)
-        attn = ag.softmax(scores, axis=-1)
-        ctx = ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)).reshape((bsz, total, cfg.d_model))
-        return ag.matmul(ctx, self.params[base + "wo"]) + self.params[base + "wo_b"]
+    def _attention(self, x: Tensor, i: int) -> Tensor:
+        p, base = self.params, f"layers.{i}.attn."
+        qkv = [p[base + name] for name in ("wq", "wk", "wv", "wq_b", "wk_b", "wv_b")]
+        ctx = ag.causal_attention(x, *qkv, self.config.n_heads)
+        return ag.matmul(ctx, p[base + "wo"]) + p[base + "wo_b"]
 
     def _mlp(self, x: Tensor, i: int) -> Tensor:
-        base = f"layers.{i}.mlp."
-        h = ag.gelu(ag.matmul(x, self.params[base + "w1"]) + self.params[base + "w1_b"])
-        return ag.matmul(h, self.params[base + "w2"]) + self.params[base + "w2_b"]
+        p, base = self.params, f"layers.{i}.mlp."
+        return ag.gelu_mlp(x, p[base + "w1"], p[base + "w1_b"], p[base + "w2"], p[base + "w2_b"])
 
 
 def init_model(config: ModelConfig, seed: int) -> TransformerLM:
     """Scaled-Gaussian init (std 0.02; residual output projections shrunk
-    by 1/sqrt(2*n_layers)); deterministic in seed."""
+    by 1/sqrt(2*n_layers)); layer-norm gains 1, biases 0; deterministic in
+    seed."""
     rng = np.random.default_rng(seed)
-    d = config.d_model
     res_std = PARAM_INIT_STD / math.sqrt(2.0 * config.n_layers)
-
-    def gauss(*shape, std=PARAM_INIT_STD):
-        return Tensor(rng.normal(0.0, std, size=shape))
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape))
-
-    def ones(*shape):
-        return Tensor(np.ones(shape))
-
     params: dict[str, Tensor] = {}
-    params["tok_emb"] = gauss(config.vocab_size, d)
-    params["pos_emb"] = gauss(config.max_seq_len, d)
-    for i in range(config.n_layers):
-        base = f"layers.{i}."
-        params[base + "ln1.g"], params[base + "ln1.b"] = ones(d), zeros(d)
-        for w in ("wq", "wk", "wv"):
-            params[base + "attn." + w] = gauss(d, d)
-            params[base + "attn." + w + "_b"] = zeros(d)
-        params[base + "attn.wo"] = gauss(d, d, std=res_std)
-        params[base + "attn.wo_b"] = zeros(d)
-        params[base + "ln2.g"], params[base + "ln2.b"] = ones(d), zeros(d)
-        params[base + "mlp.w1"] = gauss(d, 4 * d)
-        params[base + "mlp.w1_b"] = zeros(4 * d)
-        params[base + "mlp.w2"] = gauss(4 * d, d, std=res_std)
-        params[base + "mlp.w2_b"] = zeros(d)
-    params["final_ln.g"], params["final_ln.b"] = ones(d), zeros(d)
-    if not config.tie_lm_head:
-        params["lm_head"] = gauss(d, config.vocab_size)
+    for name, shape in param_shapes(config).items():
+        if name.endswith(".g"):
+            params[name] = Tensor(np.ones(shape))
+        elif name.endswith((".b", "_b")):
+            params[name] = Tensor(np.zeros(shape))
+        else:
+            std = res_std if name.endswith(("attn.wo", "mlp.w2")) else PARAM_INIT_STD
+            params[name] = Tensor(rng.normal(0.0, std, size=shape))
     return TransformerLM(config, params)
 
 

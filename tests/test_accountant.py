@@ -117,3 +117,11 @@ def test_calibrate_memoised_on_all_arguments(monkeypatch):
     assert calls == []
     calibrate_sigma(4.0, 1e-5, 0.05, 100, orders[1:])
     assert calls  # different orders: a new search
+
+
+def test_integer_orders_only():
+    assert accountant.DEFAULT_ORDERS == tuple(range(2, 65))
+    for alpha in (1.5, 1, 2.5):
+        with pytest.raises(ValueError, match="integers"):
+            accountant.rdp_step(1.0, 0.05, alpha)
+    assert accountant.rdp_step(1.0, 0.05, 4.0) == accountant.rdp_step(1.0, 0.05, 4)

@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 
+from promptxfer import autograd as ag
+
 from promptxfer.artifacts import (
     ArtifactError,
     load_model,
@@ -23,6 +25,18 @@ def test_model_round_trip_bit_exact(tmp_path):
     assert loaded.fingerprint() == model.fingerprint()
     save_model(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_swapped_tensor_shape_raises_artifact_error(tmp_path):
+    model = init_model(ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab_size=11, max_seq_len=8), 0)
+    before = model.fingerprint()
+    emb = model.params["tok_emb"].data
+    model.params["tok_emb"] = ag._new(emb.reshape(8, 11))  # same bytes, dims swapped
+    assert model.fingerprint() != before  # shapes are part of the fingerprint
+    path = tmp_path / "swapped.pstl"
+    save_model(path, model)  # its fingerprint matches the swapped tensor
+    with pytest.raises(ArtifactError, match="tok_emb"):
+        load_model(path)
 
 
 def test_model_magic_and_tamper_detection(tmp_path):

@@ -8,7 +8,6 @@ from promptxfer.attacks import (
     auc,
     lira_attack,
     logit_scale,
-    mink_score,
     tpr_at_fpr,
     write_attack_csv,
     write_attack_summary,
@@ -83,34 +82,6 @@ def test_attack_result_auc_consistency(tmp_path):
     write_attack_summary(res, summary_path, seeds=[0, 1, 2])
     blob = json.loads(summary_path.read_text())
     assert blob["auc"] == res.auc and blob["n_shadows"] == 8 and blob["seeds"] == [0, 1, 2]
-
-
-# -- mink ---------------------------------------------------------------------
-
-
-def test_mink_k100_equals_negative_lm_loss():
-    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, vocab_size=19, max_seq_len=16)
-    model = init_model(cfg, 0)
-    ids = np.array([2, 5, 7, 3, 11, 4])
-    score = mink_score(model, ids, k_percent=100.0)
-    assert score == pytest.approx(-lm_loss(model, ids).item(), rel=1e-5)
-
-
-def test_mink_uniform_model_gives_log_vocab():
-    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, vocab_size=19, max_seq_len=16)
-    model = init_model(cfg, 0)
-    model.params["lm_head"].data[:] = 0.0  # uniform logits at every position
-    ids = np.array([2, 5, 7, 3])
-    assert mink_score(model, ids, k_percent=40.0) == pytest.approx(-math.log(19.0), rel=1e-6)
-
-
-def test_mink_validation():
-    cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, vocab_size=19, max_seq_len=16)
-    model = init_model(cfg, 0)
-    with pytest.raises(ValueError):
-        mink_score(model, np.array([1]), 20.0)
-    with pytest.raises(ValueError):
-        mink_score(model, np.array([1, 2]), 0.0)
 
 
 # -- LiRA ---------------------------------------------------------------------

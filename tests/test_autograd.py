@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from promptxfer import autograd as ag
 from promptxfer.autograd import (
     Tensor,
+    causal_attention,
     concat,
-    cross_entropy,
     finite_diff_check,
-    gelu,
+    gelu_mlp,
     kl_divergence,
+    layer_norm,
     log_softmax,
     logsumexp,
     matmul,
     narrow,
     precision,
-    softmax,
     take,
     take_along_last,
     transpose,
@@ -36,22 +36,27 @@ def rand(rng, *shape):
 # instances each, 64-bit mode, rel err < 1e-6
 # ---------------------------------------------------------------------------
 
+_EYE4, _ZERO4 = np.eye(4), np.zeros(4)
+_ZERO1x1, _ONE1x1, _ZERO1, _ONE1 = np.zeros((1, 1)), np.ones((1, 1)), np.zeros(1), np.ones(1)
+
 OP_CASES = {
     "add": lambda x: (x + 1.5 + x * 2.0).sum(),
     "sub": lambda x: (3.0 - x).sum(),
     "mul": lambda x: (x * x).sum(),
     "div": lambda x: (x / 2.5 + 1.0 / (x * x + 1.0)).sum(),
     "power": lambda x: ((x * x + 1.0) ** 1.5).sum(),
-    "exp": lambda x: ag.exp(x * 0.3).sum(),
-    "log": lambda x: ag.log(x * x + 0.5).sum(),
-    "tanh": lambda x: ag.tanh(x).sum(),
-    "gelu": lambda x: gelu(x).sum(),
     "sum_axis": lambda x: (x.sum(axis=0) ** 2.0).sum(),
     "mean_axis": lambda x: (x.mean(axis=1) ** 2.0).sum(),
     "reshape": lambda x: (x.reshape((x.size,)) ** 2.0).mean(),
     "log_softmax": lambda x: (log_softmax(x, axis=-1) * 0.5).sum(),
-    "softmax": lambda x: (softmax(x, axis=-1) ** 2.0).sum(),
     "logsumexp": lambda x: logsumexp(x, axis=-1).sum(),
+    # the GELU and the softmax live inside the fused nodes; these reduce the
+    # nodes to them: an identity MLP is the elementwise GELU, and 1-wide
+    # attention with q = 1 and k = v = x has row t = sum_j softmax(x[:t+1])_j x_j
+    "gelu": lambda x: gelu_mlp(x, _EYE4, _ZERO4, _EYE4, _ZERO4).sum(),
+    "softmax": lambda x: (
+        causal_attention(x.reshape((3, 4, 1)), _ZERO1x1, _ONE1x1, _ONE1x1, _ONE1, _ZERO1, _ZERO1, 1) ** 2.0
+    ).sum(),
 }
 
 
@@ -65,12 +70,92 @@ def test_gradcheck_elementwise_ops(name):
         assert ok, f"{name}: max rel err {err:.3e}"
 
 
+# ---------------------------------------------------------------------------
+# fused transformer-layer nodes: float64 finite differences with respect to
+# the input and to every weight and bias, through a random linear read-out
+# (a plain sum would hide, for example, the layer-norm input gradient)
+# ---------------------------------------------------------------------------
+
+D, HEADS = 8, 2
+
+
+def _fused_args(node, rng):
+    d = D
+    if node == "layer_norm":
+        return {"x": rng.normal(size=(2, 3, d)), "gain": 1.0 + rng.normal(size=d), "bias": rng.normal(size=d)}
+    if node == "causal_attention":
+        args = {"x": rng.normal(size=(2, 4, d))}
+        args.update({w: rng.normal(size=(d, d)) * 0.5 for w in ("wq", "wk", "wv")})
+        args.update({b: rng.normal(size=d) * 0.5 for b in ("bq", "bk", "bv")})
+        return args
+    return {
+        "x": rng.normal(size=(2, 3, d)),
+        "w1": rng.normal(size=(d, 4 * d)) * 0.5,
+        "b1": rng.normal(size=4 * d),
+        "w2": rng.normal(size=(4 * d, d)) * 0.5,
+        "b2": rng.normal(size=d),
+    }
+
+
+def _call_fused(node, args):
+    if node == "layer_norm":
+        return layer_norm(args["x"], args["gain"], args["bias"], 1e-5)
+    if node == "causal_attention":
+        order = ("x", "wq", "wk", "wv", "bq", "bk", "bv")
+        return causal_attention(*(args[k] for k in order), HEADS)
+    return gelu_mlp(*(args[k] for k in ("x", "w1", "b1", "w2", "b2")))
+
+
+FUSED_CASES = [
+    ("layer_norm", arg) for arg in ("x", "gain", "bias")
+] + [
+    ("causal_attention", arg) for arg in ("x", "wq", "wk", "wv", "bq", "bk", "bv")
+] + [
+    ("gelu_mlp", arg) for arg in ("x", "w1", "b1", "w2", "b2")
+]
+
+
+@pytest.mark.parametrize("node,arg", FUSED_CASES, ids=[f"{n}-{a}" for n, a in FUSED_CASES])
+def test_gradcheck_fused_nodes(node, arg):
+    rng = np.random.default_rng(sum(map(ord, node + arg)))
+    with precision(np.float64):
+        for _ in range(3):
+            args = {k: Tensor(v) for k, v in _fused_args(node, rng).items()}
+            readout = rng.normal(size=_call_fused(node, args).shape)
+
+            def f(t):
+                return (_call_fused(node, {**args, arg: t}) * readout).sum()
+
+            ok, err = finite_diff_check(f, args[arg].data, tolerance=1e-6)
+            assert ok, f"{node} d/d{arg}: max rel err {err:.3e}"
+
+
+def test_fused_nodes_skip_frozen_and_keep_inputs_only():
+    """Only what requires a gradient gets one, and no backward captures its
+    own output (the graph stays acyclic)."""
+    rng = np.random.default_rng(1)
+    for node in ("layer_norm", "causal_attention", "gelu_mlp"):
+        args = {k: Tensor(v) for k, v in _fused_args(node, rng).items()}
+        args["x"].requires_grad = True
+        out = _call_fused(node, args)
+        assert out._parents == (args["x"],)
+        cells = [c.cell_contents for c in out._backward.__closure__ or ()]
+        assert not any(c is out for c in cells)
+        out.sum().backward()
+        assert args["x"].grad is not None and args["x"].grad.shape == args["x"].shape
+        assert all(t.grad is None for k, t in args.items() if k != "x")
+
+
 def test_gradcheck_matmul_and_structure_ops():
     rng = np.random.default_rng(7)
     w = rng.normal(size=(4, 3))
+    rows = rng.normal(size=(3, 5, 2))
 
     cases = [
         lambda x: (matmul(x, Tensor(w)) ** 2.0).sum(),
+        # a 2-D right operand after a 3-D left one: both gradients
+        lambda x: (matmul(x.reshape((2, 2, 2)), Tensor(w[:2])) ** 2.0).sum(),
+        lambda x: (matmul(Tensor(rows), x) ** 2.0).sum(),
         lambda x: (transpose(x, (1, 0)) ** 2.0).mean(),
         lambda x: (take(x, [1, 1, 0], axis=0) ** 2.0).sum(),
         lambda x: (narrow(x, 1, 1, 2) ** 2.0).sum(),
@@ -128,7 +213,7 @@ def test_finite_diff_check_coordinate_sampling():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 6))
     ok, _ = finite_diff_check(
-        lambda t: ag.exp(t * 0.1).sum(), x, tolerance=1e-6, max_coords=10, rng=rng
+        lambda t: logsumexp(t * 0.1, axis=-1).sum(), x, tolerance=1e-6, max_coords=10, rng=rng
     )
     assert ok
 
@@ -214,32 +299,6 @@ def test_kl_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# cross_entropy
-# ---------------------------------------------------------------------------
-
-
-def test_cross_entropy_values():
-    assert math.isclose(cross_entropy(Tensor([0.0, 0.0]), 0).item(), math.log(2.0), rel_tol=1e-6)
-    assert cross_entropy(Tensor([1000.0, 0.0]), 0).item() < 1e-6
-    expected = math.log(math.e + math.e**2 + math.e**3) - 3.0
-    assert math.isclose(cross_entropy(Tensor([1.0, 2.0, 3.0]), 2).item(), expected, rel_tol=1e-6)
-
-
-def test_cross_entropy_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        cross_entropy(Tensor([0.0, 1.0]), 2)
-    with pytest.raises(ValueError):
-        cross_entropy(Tensor([0.0, 1.0]), -1)
-
-
-def test_cross_entropy_gradcheck():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        ok, err = finite_diff_check(lambda t: cross_entropy(t, 1), rng.normal(size=5), tolerance=1e-6)
-        assert ok, err
-
-
-# ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
 
@@ -248,7 +307,7 @@ def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        y = (softmax(matmul(x, x)) ** 2.0).sum()
+        y = (log_softmax(matmul(x, x)) ** 2.0).sum()
         y.backward()
         return y.item(), x.grad.copy()
 
@@ -336,9 +395,9 @@ def test_repeated_steps_reuse_freed_heap():
     def step():
         y = x
         for _ in range(8):
-            y = ag.tanh(y * 1.01)
+            y = log_softmax(y * 1.01)
         ag.tsum(y).backward()
-        ag.zero_grads([x])  # as an optimizer loop does; nothing of the step survives it
+        x.zero_grad()  # as an optimizer loop does; nothing of the step survives it
 
     for _ in range(3):
         step()

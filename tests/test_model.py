@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from promptxfer import autograd as ag
 from promptxfer.autograd import Tensor, finite_diff_check, precision
@@ -234,17 +235,75 @@ def test_classify_batch_matches_single():
 @pytest.mark.parametrize("with_prompt", [False, True])
 @pytest.mark.parametrize("verbs", [[[2, 7], [3]], None], ids=["classes", "full_vocab"])
 def test_answer_log_probs_ragged_batch_matches_rows_alone(with_prompt, verbs):
-    cfg = small_config()
-    model = init_model(cfg, 13)
-    rng = np.random.default_rng(5)
-    seqs = [rng.integers(0, cfg.vocab_size, size=n) for n in (3, 9, 1, 6, 9, 4)]
-    prompt = init_prompt(model, length=3, seed=2) if with_prompt else None
-    got = answer_log_probs(model, seqs, verbs, prompt).data
-    for row, seq in zip(got, seqs):
-        last = model.forward(seq, prompt=prompt).data[-1]
-        alone = ag.log_softmax(ag._new(last)) if verbs is None else label_set_log_probability(last, verbs)
-        np.testing.assert_allclose(row, alone.data, rtol=0, atol=1e-5)
-    np.testing.assert_array_equal(class_log_probs_batch(model, seqs, verbs, prompt=prompt), got)
+    # with one layer, the block whose MLP runs at the answer positions only
+    # is also the first
+    for n_layers in (2, 1):
+        cfg = small_config(n_layers=n_layers)
+        model = init_model(cfg, 13)
+        rng = np.random.default_rng(5)
+        seqs = [rng.integers(0, cfg.vocab_size, size=n) for n in (3, 9, 1, 6, 9, 4)]
+        prompt = init_prompt(model, length=3, seed=2) if with_prompt else None
+        got = answer_log_probs(model, seqs, verbs, prompt).data
+        for row, seq in zip(got, seqs):
+            last = model.forward(seq, prompt=prompt).data[-1]
+            alone = ag.log_softmax(ag._new(last)) if verbs is None else label_set_log_probability(last, verbs)
+            np.testing.assert_allclose(row, alone.data, rtol=0, atol=1e-5)
+        np.testing.assert_array_equal(class_log_probs_batch(model, seqs, verbs, prompt=prompt), got)
+
+
+def _numpy_forward(model, ids, prompt=None):
+    """Logits of one row from the checkpoint's arrays alone, in float64."""
+    cfg = model.config
+    p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
+    d, nh = cfg.d_model, cfg.n_heads
+    dh = d // nh
+
+    def ln(x, name):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-5) * p[name + ".g"] + p[name + ".b"]
+
+    x = p["tok_emb"][ids]
+    if prompt is not None:
+        x = np.concatenate([prompt.astype(np.float64), x])
+    n = len(x)
+    x = x + p["pos_emb"][:n]
+    future = np.triu(np.ones((n, n), dtype=bool), k=1)
+    for i in range(cfg.n_layers):
+        a = f"layers.{i}.attn."
+        h = ln(x, f"layers.{i}.ln1")
+        q, k, v = ((h @ p[a + w] + p[a + w + "_b"]).reshape(n, nh, dh).transpose(1, 0, 2) for w in ("wq", "wk", "wv"))
+        s = np.where(future, -np.inf, q @ k.transpose(0, 2, 1) / math.sqrt(dh))
+        w = np.exp(s - s.max(axis=-1, keepdims=True))
+        ctx = (w / w.sum(axis=-1, keepdims=True)) @ v
+        x = x + ctx.transpose(1, 0, 2).reshape(n, d) @ p[a + "wo"] + p[a + "wo_b"]
+        m = f"layers.{i}.mlp."
+        u = ln(x, f"layers.{i}.ln2") @ p[m + "w1"] + p[m + "w1_b"]
+        u = u * 0.5 * (1.0 + special.erf(u / math.sqrt(2.0)))
+        x = x + u @ p[m + "w2"] + p[m + "w2_b"]
+    head = p["tok_emb"].T if cfg.tie_lm_head else p["lm_head"]
+    return ln(x, "final_ln") @ head
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_forward_matches_numpy_reference(tie):
+    with precision(np.float64):
+        model = init_model(small_config(tie_lm_head=tie), 16)
+        for t in model.parameters():  # move every weight off its init value
+            t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
+        prompt = init_prompt(model, length=2, seed=4).matrix
+        rng = np.random.default_rng(8)
+        seqs = [rng.integers(0, 29, size=n) for n in (5, 1, 8, 3)]
+        verbs = [[2, 7], [3]]
+        got = answer_log_probs(model, seqs, verbs, prompt).data
+        full = answer_log_probs(model, seqs, None, prompt).data
+        for row, full_row, seq in zip(got, full, seqs):
+            want = _numpy_forward(model, seq, prompt)
+            np.testing.assert_allclose(model.forward(seq, prompt=prompt).data, want, rtol=1e-9, atol=1e-12)
+            last = want[-1] - special.logsumexp(want[-1])
+            np.testing.assert_allclose(full_row, last, rtol=1e-9, atol=1e-12)
+            raw = np.array([special.logsumexp(last[ids]) - math.log(len(ids)) for ids in verbs])
+            np.testing.assert_allclose(row, raw - special.logsumexp(raw), rtol=1e-9, atol=1e-12)
 
 
 def test_answer_log_probs_per_row_prompt_copies():
