@@ -28,10 +28,6 @@ def word_tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def detokenize(tokens: Sequence[str]) -> str:
-    return " ".join(tokens)
-
-
 @dataclass(frozen=True)
 class Vocab:
     id_to_token: tuple[str, ...]

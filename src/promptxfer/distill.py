@@ -1,15 +1,17 @@
-"""Teacher-to-student compression with a three-term objective.
+"""LM training: teacher pretraining and teacher-to-student compression.
 
-The loss combines a temperature-softened KL term on the logits, the plain
+`train_lm` runs plain next-token training (the teacher's pretraining and the
+control student).  `distill` compresses the teacher with a three-term
+objective: a temperature-softened KL term on the logits, the plain
 next-token cross-entropy, and a cosine-distance term on final hidden states,
 with configurable weights.  The student is carved out of the teacher: a
-subset of layers plus the teacher's embedding and LM head.
+subset of layers plus the teacher's embedding and LM head.  Both run a fixed
+number of Adam steps over length-bucketed corpus batches.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .model import ModelConfig, TransformerLM, param_names
+from .model import ModelConfig, TransformerLM, lm_loss, param_names
 from .optim import Optimizer
 
 log = logging.getLogger(__name__)
@@ -48,9 +50,6 @@ class KdConfig:
     learning_rate: float = 0.00025
     batch_size: int = 5
     max_steps: int = 400
-    plateau_window: int = 40
-    plateau_tolerance: float = 0.02
-    checkpoint_interval: int = 40  # steps between plateau checks
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.student_layer_indices)
@@ -211,13 +210,39 @@ def sample_length_bucketed_batch(
     return np.stack([sequences[i] for i in rows])
 
 
+def train_lm(
+    model: TransformerLM,
+    corpus_ids: Sequence[np.ndarray],
+    steps: int,
+    batch_size: int,
+    learning_rate: float,
+    seed: int,
+) -> list[dict]:
+    """`steps` Adam steps of next-token loss over length-bucketed batches."""
+    model.set_trainable(True)
+    opt = Optimizer(model.parameters(), kind="adam", learning_rate=learning_rate)
+    rng = np.random.default_rng(seed)
+    buckets = _length_buckets(corpus_ids)
+    history: list[dict] = []
+    for step in range(steps):
+        ids = sample_length_bucketed_batch(corpus_ids, buckets, batch_size, rng)
+        opt.zero_grad()
+        loss = lm_loss(model, ids)
+        loss.backward()
+        opt.step()
+        history.append({"step": step, "loss": loss.item()})
+    model.set_trainable(False)
+    return history
+
+
 def distill(
     teacher: TransformerLM,
     kd_corpus: Sequence[np.ndarray],
     config: KdConfig,
     seed: int,
 ) -> tuple[TransformerLM, list[dict]]:
-    """Adam over corpus batches until max_steps or the loss plateaus."""
+    """`config.max_steps` Adam steps of the distillation loss over
+    length-bucketed corpus batches."""
     if not kd_corpus:
         raise ValueError("distillation corpus is empty")
     rng = np.random.default_rng(seed)
@@ -230,7 +255,6 @@ def distill(
 
     buckets = _length_buckets(kd_corpus)
     history: list[dict] = []
-    totals: list[float] = []
     for step in range(config.max_steps):
         ids = sample_length_bucketed_batch(kd_corpus, buckets, config.batch_size, rng)
         t_logits, t_hidden = teacher._forward_batch(ids, None, return_hidden=True)
@@ -249,29 +273,9 @@ def distill(
             "l_cos": l_cos.item(),
         }
         history.append(row)
-        totals.append(row["total"])
-        if (step + 1) % config.checkpoint_interval == 0 and plateau_stop(
-            totals, config.plateau_window, config.plateau_tolerance
-        ):
-            log.info("distillation plateaued at step %d", step + 1)
-            break
 
     student.set_trainable(False)
     return student, history
-
-
-def plateau_stop(loss_history: Sequence[float], window: int, rel_tolerance: float) -> bool:
-    """True once the mean loss of the latest window stops improving on the
-    previous window by more than rel_tolerance (relative)."""
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if len(loss_history) < 2 * window:
-        return False
-    prev = float(np.mean(loss_history[-2 * window : -window]))
-    latest = float(np.mean(loss_history[-window:]))
-    if prev <= 0:
-        return True
-    return (prev - latest) / prev < rel_tolerance
 
 
 def write_loss_history(path, history: Sequence[dict]) -> None:

@@ -138,9 +138,6 @@ class TransformerLM:
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
-    def n_params(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     # -- forward ------------------------------------------------------------
 
     def _resolve_prompt(self, prompt):
@@ -303,15 +300,6 @@ class SoftPrompt:
     @property
     def width(self) -> int:
         return self.matrix.shape[1]
-
-    def replace_matrix(self, matrix: np.ndarray, source_fingerprint: str | None = None) -> "SoftPrompt":
-        return SoftPrompt(
-            matrix=matrix,
-            init_seed=self.init_seed,
-            init_scheme=self.init_scheme,
-            source_fingerprint=source_fingerprint or self.source_fingerprint,
-            dp_meta=self.dp_meta,
-        )
 
 
 def initial_prompt_matrix(

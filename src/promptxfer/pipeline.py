@@ -19,7 +19,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,24 +40,13 @@ from .corpus import (
 from .distill import (
     KdConfig,
     KdWeights,
-    _length_buckets,
     default_layer_indices,
     distill,
     init_student_from_teacher,
-    plateau_stop,
-    sample_length_bucketed_batch,
+    train_lm,
     write_loss_history,
 )
-from .model import (
-    ModelConfig,
-    SoftPrompt,
-    TransformerLM,
-    classify_batch,
-    init_model,
-    init_prompt,
-    lm_loss,
-)
-from .optim import Optimizer
+from .model import ModelConfig, SoftPrompt, TransformerLM, classify_batch, init_model, init_prompt
 from .transfer import HeuristicInputs, TransferConfig, alpha_heuristic, direct_transfer, transfer_prompt
 from .tuning import TuneConfig, make_dp_params, tune_prompt
 
@@ -119,9 +108,10 @@ class PretrainConfig:
     steps: int = 1200
     batch_size: int = 16
     learning_rate: float = 3e-3
-    plateau_window: int = 100
-    plateau_tolerance: float = 0.01
-    check_interval: int = 100
+
+    def __post_init__(self):
+        if self.steps <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
+            raise ConfigError("pretrain.steps, batch_size and learning_rate must be positive")
 
 
 @dataclass
@@ -190,6 +180,12 @@ class ExperimentConfig:
             raise ConfigError("transfer_alpha must lie in [0, 1]")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        try:
+            kd = self.kd_config()
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid kd config: {e}") from e
+        if kd.student_layer_indices[-1] >= self.teacher.n_layers:
+            raise ConfigError("kd.student_layer_indices must lie in [0, teacher.n_layers)")
         if isinstance(self.task, CsvTask):
             for attr in ("train", "test", "public", "corpus"):
                 path = getattr(self.task, attr)
@@ -250,6 +246,14 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
         raise ConfigError("threads: runs are single-threaded, so only 1 is accepted")
     if not isinstance(blob.pop("strict_deterministic", False), bool):
         raise ConfigError("strict_deterministic must be true or false")
+    # Pretraining and KD once had an early-stopping rule; configs written
+    # then carry its keys, which no longer change a run.
+    for key, retired in (
+        ("pretrain", ("plateau_window", "plateau_tolerance", "check_interval")),
+        ("kd", ("plateau_window", "plateau_tolerance", "checkpoint_interval")),
+    ):
+        if isinstance(blob.get(key), dict):
+            blob[key] = {k: v for k, v in blob[key].items() if k not in retired}
     kwargs: dict = {}
     if "teacher" in blob:
         kwargs["teacher"] = ArchSpec(**blob.pop("teacher"))
@@ -438,35 +442,6 @@ def stage_data(run: SeedRun) -> None:
         )
 
 
-def _train_lm(
-    model: TransformerLM,
-    corpus_ids: Sequence[np.ndarray],
-    cfg: PretrainConfig,
-    seed: int,
-) -> list[dict]:
-    model.set_trainable(True)
-    opt = Optimizer(model.parameters(), kind="adam", learning_rate=cfg.learning_rate)
-    rng = np.random.default_rng(seed)
-    buckets = _length_buckets(corpus_ids)
-    history: list[dict] = []
-    losses: list[float] = []
-    for step in range(cfg.steps):
-        ids = sample_length_bucketed_batch(corpus_ids, buckets, cfg.batch_size, rng)
-        opt.zero_grad()
-        loss = lm_loss(model, ids)
-        loss.backward()
-        opt.step()
-        value = loss.item()
-        losses.append(value)
-        history.append({"step": step, "loss": value})
-        if (step + 1) % cfg.check_interval == 0 and plateau_stop(
-            losses, cfg.plateau_window, cfg.plateau_tolerance
-        ):
-            break
-    model.set_trainable(False)
-    return history
-
-
 def stage_pretrain(run: SeedRun) -> None:
     cfg = run.config
     run.ledger.log(run.seed, "pretrain", "kd_corpus", "corpus")
@@ -474,7 +449,11 @@ def stage_pretrain(run: SeedRun) -> None:
     def build() -> TransformerLM:
         model_cfg = cfg.teacher.to_model_config(run.data.vocab.size)
         teacher = init_model(model_cfg, seed_stream(run.seed, "teacher_init"))
-        history = _train_lm(teacher, run.data.corpus_ids, cfg.pretrain, seed_stream(run.seed, "pretrain"))
+        pt = cfg.pretrain
+        history = train_lm(
+            teacher, run.data.corpus_ids, pt.steps, pt.batch_size, pt.learning_rate,
+            seed_stream(run.seed, "pretrain"),
+        )
         write_loss_history(run.path("pretrain_loss.csv"), history)
         teacher.provenance = {"stage": "pretrain", "seed": run.seed}
         art.save_model(run.path("teacher.pstl"), teacher)
@@ -502,17 +481,12 @@ def stage_control_student(run: SeedRun) -> None:
     run.ledger.log(run.seed, "control_lm", "kd_corpus", "corpus")
 
     def build() -> TransformerLM:
-        control = init_student_from_teacher(run.teacher, run.config.kd_config())
         kd_cfg = run.config.kd_config()
-        lm_cfg = PretrainConfig(
-            steps=kd_cfg.max_steps,
-            batch_size=kd_cfg.batch_size,
-            learning_rate=run.config.pretrain.learning_rate,
-            plateau_window=kd_cfg.plateau_window,
-            plateau_tolerance=kd_cfg.plateau_tolerance,
-            check_interval=kd_cfg.checkpoint_interval,
+        control = init_student_from_teacher(run.teacher, kd_cfg)
+        history = train_lm(
+            control, run.data.corpus_ids, kd_cfg.max_steps, kd_cfg.batch_size,
+            run.config.pretrain.learning_rate, seed_stream(run.seed, "control_lm"),
         )
-        history = _train_lm(control, run.data.corpus_ids, lm_cfg, seed_stream(run.seed, "control_lm"))
         control.provenance["trained_by"] = "plain_lm"
         write_loss_history(run.path("control_lm_loss.csv"), history)
         art.save_model(run.path("control_student.pstl"), control)
@@ -775,14 +749,6 @@ class RunReport:
     resolved_alphas: dict
     seed_errors: dict
     attack_metrics: dict
-
-    def accuracy_blob(self) -> bytes:
-        """Canonical bytes of the accuracy fields (reproducibility contract)."""
-        return json.dumps(
-            {"baselines": self.baselines, "resolved_alphas": self.resolved_alphas},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
 
     def to_dict(self) -> dict:
         return {

@@ -10,9 +10,9 @@ from promptxfer.distill import (
     distill,
     distill_loss,
     init_student_from_teacher,
-    plateau_stop,
+    train_lm,
 )
-from promptxfer.model import ModelConfig, init_model
+from promptxfer.model import ModelConfig, init_model, lm_loss
 
 
 def teacher_fixture(n_layers=4, vocab=31, d=16):
@@ -146,17 +146,6 @@ def test_distill_loss_gradcheck():
         assert ok, err
 
 
-def test_plateau_stop_cases():
-    assert plateau_stop([1.0] * 64, window=32, rel_tolerance=0.02) is True
-    decreasing = list(np.linspace(2.0, 1.0, 64))
-    assert plateau_stop(decreasing, window=32, rel_tolerance=0.02) is False
-    hist = [1.0] * 32 + [0.99] * 32
-    assert plateau_stop(hist, window=32, rel_tolerance=0.02) is True
-    assert plateau_stop([1.0] * 10, window=32, rel_tolerance=0.02) is False
-    with pytest.raises(ValueError):
-        plateau_stop([1.0, 1.0], window=1, rel_tolerance=0.02)
-
-
 def test_distill_freeze_contract_and_loss_trend():
     teacher = teacher_fixture(vocab=41)
     spec = default_task_spec(seed=7, n_corpus_sentences=300, n_private_train=4, n_private_test=4, n_public=4)
@@ -170,11 +159,9 @@ def test_distill_freeze_contract_and_loss_trend():
         freeze_lm_head=True,
         learning_rate=1e-3,
         max_steps=200,
-        checkpoint_interval=50,
-        plateau_window=25,
-        plateau_tolerance=0.0,  # never stop early here
     )
     student, history = distill(teacher2, corpus_ids, cfg, seed=5)
+    assert [row["step"] for row in history] == list(range(200))
     np.testing.assert_array_equal(student.params["lm_head"].data, teacher2.params["lm_head"].data)
     assert history[-1]["total"] < history[0]["total"]
 
@@ -199,9 +186,26 @@ def test_self_distillation_limit():
         weights=KdWeights(alpha_ce=1.0, alpha_lm=0.0, alpha_cos=0.0),
         learning_rate=1e-4,
         max_steps=30,
-        checkpoint_interval=10,
-        plateau_tolerance=0.0,
     )
     _, history = distill(teacher, ids, cfg, seed=0)
     assert history[0]["l_ce"] < 1e-6
     assert history[-1]["l_ce"] < 0.01
+
+
+def test_train_lm_runs_every_step_and_lowers_the_loss():
+    spec = default_task_spec(seed=7, n_corpus_sentences=120, n_private_train=4, n_private_test=4, n_public=4)
+    pri, _, corpus = gen_synth_pair(spec)
+    corpus_ids = [seq[:20] for seq in tokenize_corpus(corpus, pri.vocab)]
+    cfg = ModelConfig(n_layers=2, d_model=16, n_heads=4, vocab_size=pri.vocab.size, max_seq_len=24)
+    model = init_model(cfg, 1)
+    probe = np.stack([s for s in corpus_ids if len(s) == len(corpus_ids[0])][:8])
+    before = lm_loss(model, probe).item()
+    history = train_lm(model, corpus_ids, steps=60, batch_size=8, learning_rate=3e-3, seed=4)
+    assert [row["step"] for row in history] == list(range(60))
+    assert lm_loss(model, probe).item() < before
+    assert not any(p.requires_grad for p in model.parameters())
+
+    # determinism per seed
+    again = init_model(cfg, 1)
+    assert train_lm(again, corpus_ids, steps=60, batch_size=8, learning_rate=3e-3, seed=4) == history
+    assert again.fingerprint() == model.fingerprint()

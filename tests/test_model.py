@@ -58,7 +58,7 @@ def test_parameter_count_closed_form():
     d, v = cfg.d_model, cfg.vocab_size
     per_layer = (4 * d * d + 4 * d) + (8 * d * d + 5 * d) + 4 * d  # attn + mlp + two norms
     expected = v * d + cfg.max_seq_len * d + cfg.n_layers * per_layer + 2 * d + d * v
-    assert model.n_params() == expected
+    assert sum(p.data.size for p in model.parameters()) == expected
 
 
 def test_forward_shapes_with_and_without_prompt():

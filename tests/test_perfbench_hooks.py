@@ -24,6 +24,9 @@ def test_perfbench_workload_configs_load(monkeypatch, tmp_path):
         config = pipeline.load_config(path)
         assert config.baselines == wl.baselines
         assert config.attack.enabled == wl.attack
+        # the step counts perfbench's require_counts expects
+        assert config.pretrain.steps == workloads.PRETRAIN_STEPS
+        assert config.kd_config().max_steps == workloads.KD_STEPS
 
 
 def test_perfbench_hooks_install_on_the_program_and_restore(monkeypatch):

@@ -11,7 +11,8 @@ from promptxfer import pipeline as pl
 from promptxfer.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from promptxfer.corpus import default_task_spec
 
-BASELINES = ["full_zs", "compressed_pt", "direct_transfer", "post", "post_dp"]
+BASELINES = list(pl.ALL_BASELINES)
+PRETRAIN_STEPS, KD_STEPS = 20, 10
 
 
 def tiny_config(out_dir, **overrides) -> dict:
@@ -21,8 +22,8 @@ def tiny_config(out_dir, **overrides) -> dict:
     blob = {
         "teacher": {"n_layers": 2, "d_model": 16, "n_heads": 2, "max_seq_len": 32},
         "student_layers": 1,
-        "pretrain": {"steps": 20, "check_interval": 21},
-        "kd": {"max_steps": 10, "checkpoint_interval": 11},
+        "pretrain": {"steps": PRETRAIN_STEPS},
+        "kd": {"max_steps": KD_STEPS},
         "prompt": {"length": 2},
         "tune": {"epochs": 2, "learning_rate": 1e-2, "batch_size": 8},
         "transfer": {"steps": 3, "batch_size": 8},
@@ -60,8 +61,17 @@ def test_pipeline_runs_the_whole_plan(full_run):
     stages = [row["stage"] for row in report["timings"]]
     assert stages == [
         "data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp",
+        "full_pt", "control_lm", "control_tune", "control_transfer",
         *["eval"] * len(BASELINES), "attacks",
     ]
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("pretrain_loss.csv", PRETRAIN_STEPS), ("kd_loss.csv", KD_STEPS), ("control_lm_loss.csv", KD_STEPS)]
+)
+def test_lm_training_runs_every_configured_step(full_run, name, rows):
+    lines = (full_run / "seed0" / name).read_text().splitlines()
+    assert len(lines) == 1 + rows  # header + one row per step
 
 
 @pytest.mark.parametrize(
@@ -106,8 +116,10 @@ def test_eval_restricts_the_baselines(full_run, tmp_path):
 def test_teacher_side_stages_never_read_private_train(full_run):
     ledger = pl.DataAccessLedger()
     ledger.records = json.loads((full_run / "data_access.json").read_text())
-    assert ledger.stages_touching("private_train") == {"tune_student", "tune_student_dp", "attacks"}
-    for stage in ("pretrain", "kd", "transfer", "transfer_dp"):
+    assert ledger.stages_touching("private_train") == {
+        "tune_student", "tune_student_dp", "full_pt", "control_tune", "attacks"
+    }
+    for stage in ("pretrain", "kd", "transfer", "transfer_dp", "control_lm", "control_transfer"):
         assert ledger.roles_for_stage(stage) <= {"kd_corpus", "public"}, stage
     assert ledger.stages_touching("private_test") == {"eval"}
 
@@ -120,6 +132,13 @@ def test_teacher_side_stages_never_read_private_train(full_run):
         {"threads": 4},
         {"strict_deterministic": "yes"},
         {"baselines": ["not_a_baseline"]},
+        {"pretrain": {"batch_size": 0}},
+        {"pretrain": {"learning_rate": -1}},
+        {"pretrain": {"steps": -3}},
+        {"kd": {"max_steps": 0}},
+        {"kd": {"bogus": 1}},
+        {"kd": {"student_layer_indices": [1, 0]}},
+        {"kd": {"student_layer_indices": [0, 2]}},  # the tiny teacher has 2 layers
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
@@ -180,3 +199,13 @@ def test_config_json_round_trip(full_run, tmp_path):
         assert pl.config_from_dict({**blob, **legacy}) == config
     with pytest.raises(pl.ConfigError, match="threads"):
         pl.config_from_dict({**blob, "threads": 2})
+    # so are the keys of the retired plateau stop, even with values under
+    # which it would have ended both runs at their first check
+    stopping = {"plateau_window": 2, "plateau_tolerance": 1.0}
+    retired = {
+        **blob,
+        "pretrain": {**blob["pretrain"], **stopping, "check_interval": 4},
+        "kd": {**blob["kd"], **stopping, "checkpoint_interval": 4},
+    }
+    assert pl.config_from_dict(retired) == config
+    assert pl.config_to_dict(pl.config_from_dict(retired)) == pl.config_to_dict(config)

@@ -9,7 +9,15 @@ from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
 from promptxfer.distill import KdConfig, distill
 from promptxfer import autograd as ag
 from promptxfer import tuning
-from promptxfer.model import ROWS_PER_FORWARD, ModelConfig, answer_log_probs, classify_batch, init_model, init_prompt
+from promptxfer.model import (
+    ROWS_PER_FORWARD,
+    ModelConfig,
+    SoftPrompt,
+    answer_log_probs,
+    classify_batch,
+    init_model,
+    init_prompt,
+)
 from promptxfer.optim import Optimizer
 from promptxfer.tuning import (
     DpParams,
@@ -106,7 +114,12 @@ def test_tune_prompt_zero_epochs_is_identity(tiny_task):
 def test_tune_prompt_dimension_mismatch(tiny_task):
     model, private, _ = tiny_task
     prompt = init_prompt(model, length=4, seed=5)
-    bad = prompt.replace_matrix(np.zeros((4, model.config.d_model + 2), dtype=np.float32))
+    bad = SoftPrompt(
+        matrix=np.zeros((4, model.config.d_model + 2), dtype=np.float32),
+        init_seed=prompt.init_seed,
+        init_scheme=prompt.init_scheme,
+        source_fingerprint=prompt.source_fingerprint,
+    )
     with pytest.raises(ValueError, match="dimension mismatch"):
         tune_prompt(model, bad, private.split("train"), TuneConfig(epochs=1))
 
