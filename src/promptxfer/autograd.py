@@ -19,9 +19,12 @@ backward.  What each backward keeps alive, besides its input tensors:
 - ``layer_norm``: the normalised input and the reciprocal standard
   deviation per row.
 - ``causal_attention``: the concatenated Q/K/V weight, the fused Q/K/V
-  projection (``[rows x 3d]``) and the attention probabilities
-  (``[b x heads x T x T]``).  The softmax gradient is formed from the
-  saved probabilities P as P * (dP - rowsum(dP * P)), the form the
+  projection (``[positions x 3d]``), each row's keys and values with its
+  prefix copy in front (``[b x heads x (l + T) x dh]``) and the attention
+  probabilities: ``[b x heads x T x (l + T)]`` plus the shared prefix's own
+  ``[heads x l x l]``, or ``[b x heads x (l + T) x (l + T)]`` with one
+  prefix copy per row.  The softmax gradient is formed from the saved
+  probabilities P as P * (dP - rowsum(dP * P)), the form the
   FlashAttention backward uses (Dao et al. 2022).
 - ``gelu_mlp``: the pre-activation and the Gaussian CDF at it
   (``[rows x 4d]`` each); the GELU output is recomputed for the ``w2``
@@ -392,26 +395,29 @@ def transpose(a, axes) -> Tensor:
     return out
 
 
-def broadcast_to(a, shape) -> Tensor:
-    a = _lift(a)
-    out = _new(np.broadcast_to(a.data, shape))
-
-    def bw(g):
-        a._acc(_unbroadcast(g, a.data.shape))
-
-    _graph(out, (a,), bw)
-    return out
-
-
 def take(a, indices, axis: int = 0) -> Tensor:
-    """Index-select along an axis; duplicate indices accumulate in backward."""
+    """Index-select along an axis with a 1-D index array; duplicate indices
+    accumulate in backward."""
     a = _lift(a)
     idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ValueError("take expects a 1-D index array")
     out = _new(np.take(a.data, idx, axis=axis))
+    idx = idx % a.data.shape[axis]  # np.take has checked the range
+    unique = bool(np.all(idx[1:] > idx[:-1]))
 
     def bw(g):
         buf = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(buf, axis, 0), idx, np.moveaxis(g, axis, 0))
+        dst, src = np.moveaxis(buf, axis, 0), np.moveaxis(g, axis, 0)
+        if unique:
+            dst[idx] = src
+        else:
+            # grouped sum: rows with equal indices are adjacent after a
+            # stable sort, and reduceat adds each run of them
+            order = np.argsort(idx, kind="stable")
+            sorted_idx = idx[order]
+            starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+            dst[sorted_idx[starts]] = np.add.reduceat(src[order], starts, axis=0)
         a._acc(buf)
 
     _graph(out, (a,), bw)
@@ -512,41 +518,102 @@ def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
     return mask
 
 
-def causal_attention(x, wq, wk, wv, bq, bk, bv, n_heads: int) -> Tensor:
-    """Multi-head causal self-attention of x [b x T x d] before the output
-    projection: softmax(Q K^T / sqrt(dh) + mask) V per head, heads
-    concatenated back to [b x T x d].  Q, K and V come from one GEMM."""
-    x = _lift(x)
-    weights = tuple(_lift(t) for t in (wq, wk, wv))
-    biases = tuple(_lift(t) for t in (bq, bk, bv))
-    b, n, d = x.data.shape
-    dh = d // n_heads
-    scale = dh**-0.5
-    w = np.concatenate([t.data for t in weights], axis=1)
-    x2 = x.data.reshape(-1, d)
-    qkv = x2 @ w + np.concatenate([t.data for t in biases])
-    q, k, v = qkv.reshape(b, n, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)  # each [b x h x T x dh]
-    p = (q @ k.swapaxes(-1, -2)) * scale
-    p += _causal_mask(n, p.dtype)
+def _attend(q, k, v, mask, scale):
+    """softmax(q k^T * scale + mask) v and the probabilities."""
+    # numpy's batched matmul multiplies a contiguous k^T (here and v^T in the
+    # backward) faster than the strided view, by more than the copy costs
+    p = q @ np.ascontiguousarray(k.swapaxes(-1, -2))
+    p *= scale
+    p += mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = _new((p @ v).transpose(0, 2, 1, 3).reshape(b, n, d))
+    return p @ v, p
+
+
+def _attend_backward(gh, q, k, v, p, scale):
+    """(dq, dk, dv) of `_attend`; the softmax gradient is formed from the
+    saved probabilities."""
+    dv = p.swapaxes(-1, -2) @ gh
+    ds = gh @ np.ascontiguousarray(v.swapaxes(-1, -2))
+    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds *= p
+    ds *= scale
+    return ds @ k, ds.swapaxes(-1, -2) @ q, dv
+
+
+def causal_attention(x, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix: tuple[int, int] = (0, 0)) -> Tensor:
+    """Multi-head causal self-attention before the output projection, over
+    the flat hidden state x [m*l + rows*T x d]: `prefix` = (m, l) gives m
+    copies of an l-position prefix, then come `rows` sequences of T token
+    positions each.  m is 1 (one prefix that every row shares) or `rows`
+    (one copy per row); m*l = 0 is a batch without a prefix.
+
+    Prefix queries attend causally within their copy: they never see a
+    token, so one copy serves all its rows.  Token queries attend to their
+    row's prefix copy, then causally to their own row.  Per head this is
+    softmax(Q K^T / sqrt(dh) + mask) V, with heads concatenated back to
+    [m*l + rows*T x d], exactly what each row would get with its prefix
+    prepended.  Q, K and V come from one GEMM over all positions.  With one
+    copy per row, a copy's queries join its row's, so each row is one
+    [l + T]-query attention; a shared prefix attends once on its own."""
+    x = _lift(x)
+    weights = tuple(_lift(t) for t in (wq, wk, wv))
+    biases = tuple(_lift(t) for t in (bq, bk, bv))
+    n_pos, d = x.data.shape
+    m, l = prefix
+    n_pre = m * l
+    n = (n_pos - n_pre) // rows
+    if n_pre and m not in (1, rows) or n_pre + rows * n != n_pos:
+        raise ValueError(f"{n_pos} positions do not split into {m} x {l} prefix and {rows} rows")
+    h, dh = n_heads, d // n_heads
+    scale = dh**-0.5
+    w = np.concatenate([t.data for t in weights], axis=1)
+    x2 = x.data
+    qkv = x2 @ w + np.concatenate([t.data for t in biases])
+    q, k, v = qkv[n_pre:].reshape(rows, n, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [rows x h x T x dh]
+    shared = None  # q, k, v and probabilities of a shared prefix's own attention
+    if n_pre:
+        qp, kp, vp = qkv[:n_pre].reshape(m, l, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [m x h x l x dh]
+        k = np.concatenate([np.broadcast_to(kp, (rows, h, l, dh)), k], axis=2)
+        v = np.concatenate([np.broadcast_to(vp, (rows, h, l, dh)), v], axis=2)
+        if m == rows:
+            q = np.concatenate([qp, q], axis=2)
+        else:
+            ctx_pre, pp = _attend(qp, kp, vp, _causal_mask(l, qkv.dtype), scale)
+            shared = (qp, kp, vp, pp)
+    n_q = q.shape[2]  # queries per row: T, or l + T when the prefix joins the row
+    ctx, p = _attend(q, k, v, _causal_mask(l + n, qkv.dtype)[l + n - n_q :], scale)
+    out = np.empty((n_pos, d), dtype=ctx.dtype)
+    out[n_pre:].reshape(rows, n, h, dh)[...] = ctx[:, :, n_q - n :].transpose(0, 2, 1, 3)
+    if n_pre:
+        if shared is None:
+            ctx_pre = ctx[:, :, :l]
+        out[:n_pre].reshape(m, l, h, dh)[...] = ctx_pre.transpose(0, 2, 1, 3)
+    out = _new(out)
 
     def bw(g):
-        gh = g.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
-        dqkv = np.empty((3, b, n_heads, n, dh), dtype=np.result_type(g, qkv))
-        dqkv[2] = p.swapaxes(-1, -2) @ gh
-        # softmax backward from the saved probabilities
-        ds = gh @ v.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        dqkv[0] = ds @ k
-        dqkv[1] = ds.swapaxes(-1, -2) @ q
-        dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(-1, 3 * d)
+        dqkv = np.empty((n_pos, 3 * d), dtype=np.result_type(g, qkv))
+        gh = g[n_pre:].reshape(rows, n, h, dh).transpose(0, 2, 1, 3)
+        gh_pre = g[:n_pre].reshape(m, l, h, dh).transpose(0, 2, 1, 3)
+        if n_q > n:
+            gh = np.concatenate([gh_pre, gh], axis=2)
+        dq, dk, dv = _attend_backward(gh, q, k, v, p, scale)
+        tok = dqkv[n_pre:].reshape(rows, n, 3, h, dh)
+        for i, grad in enumerate((dq[:, :, n_q - n :], dk[:, :, l:], dv[:, :, l:])):
+            tok[:, :, i] = grad.transpose(0, 2, 1, 3)
+        if n_pre:
+            dqp, dkp, dvp = dq[:, :, :l], dk[:, :, :l], dv[:, :, :l]
+            if shared is not None:
+                # every row's reads of the shared keys and values add up
+                dqp, dk_own, dv_own = _attend_backward(gh_pre, *shared, scale)
+                dkp = dk_own + dkp.sum(axis=0, keepdims=True)
+                dvp = dv_own + dvp.sum(axis=0, keepdims=True)
+            pre = dqkv[:n_pre].reshape(m, l, 3, h, dh)
+            for i, grad in enumerate((dqp, dkp, dvp)):
+                pre[:, :, i] = grad.transpose(0, 2, 1, 3)
         if x.requires_grad:
-            x._acc((dqkv @ w.T).reshape(b, n, d))
+            x._acc(dqkv @ w.T)
         if any(t.requires_grad for t in weights):
             dw = x2.T @ dqkv
             for i, t in enumerate(weights):

@@ -3,8 +3,19 @@
 Pre-norm blocks, GELU MLPs, learned positional embeddings, causal attention.
 A soft prompt is an [l x d] matrix prepended at the embedding level; during
 prompt tuning the model parameters stay frozen and gradient reaches the
-prompt matrix only.  An [n x l x d] prompt gives every row its own copy,
-which is how DP-SGD gets all per-example prompt gradients from one backward.
+prompt matrix only.
+
+A forward holds its hidden state as one flat [m*l + b*T x d] matrix: the
+prompt's l positions once per prompt copy, then the b rows of T token
+positions.  m is 1 for a shared [l x d] prompt, b for an [b x l x d] prompt
+that gives every row its own copy (how DP-SGD gets all per-example prompt
+gradients from one backward), and m*l is 0 without a prompt.  Under causal
+attention the prompt positions never see a token, so their activations
+depend on the prompt alone and one copy serves every row that reads it, as
+in prefix-tuning (Li & Liang 2021).  Layer norm, the MLP, the projections
+and the residual adds work row by row on that matrix; only
+`autograd.causal_attention` knows the layout: token queries attend to
+their row's prompt copy, then causally to their own row.
 
 Classification, tuning, transfer and the attacks all read one thing: the
 class log-probabilities at each sequence's answer (last) position, computed
@@ -27,7 +38,9 @@ every activation of its rows until its backward has run, and padding a
 In perfbench's plain POST workload (seeds 20 and 21), one 32-row graph
 per transfer step peaked at 119-120 MB resident; chunks of 16 rows, each
 freed before the next forward, peak at 99-101 MB, about the 99 MB that
-pretraining and distillation reach.
+pretraining and distillation reach.  `row_chunks` sorts a batch's rows by
+length before it slices them, so each chunk is padded to a length close to
+its own rows' rather than to the batch's longest.
 """
 
 from __future__ import annotations
@@ -178,36 +191,41 @@ class TransformerLM:
         """Logits [bsz x (l + n_tok) x vocab], or [bsz x vocab] at token index
         `answer_at[r]` of each row r when `answer_at` is given; the last
         block's MLP, the final layer norm and the head then run on those
-        positions only."""
+        positions only.  The blocks run on the flat layout of the module
+        docstring: m*l prefix positions, then bsz*n_tok token positions."""
         cfg = self.config
+        d = cfg.d_model
         bsz, n_tok = ids.shape
         if ids.min() < 0 or ids.max() >= cfg.vocab_size:
             raise ValueError("token id out of range for vocabulary")
-        l = 0 if pmat is None else pmat.shape[-2]
+        m, l = (0, 0) if pmat is None else (pmat.shape[0] if pmat.ndim == 3 else 1, pmat.shape[-2])
+        if m not in (0, 1, bsz):
+            raise ValueError(f"{m} prompt copies for {bsz} rows")
         total = l + n_tok
         if total > cfg.max_seq_len:
             raise ValueError(f"sequence length {total} exceeds max_seq_len {cfg.max_seq_len}")
 
-        tok = ag.take(self.params["tok_emb"], ids.reshape(-1), axis=0).reshape((bsz, n_tok, cfg.d_model))
-        if pmat is None:
-            x = tok
-        elif pmat.ndim == 3:
-            if pmat.shape[0] != bsz:
-                raise ValueError(f"{pmat.shape[0]} prompt copies for {bsz} rows")
-            x = ag.concat([pmat, tok], axis=1)
-        else:
-            rows = ag.broadcast_to(pmat.reshape((1, l, cfg.d_model)), (bsz, l, cfg.d_model))
-            x = ag.concat([rows, tok], axis=1)
-        pos = ag.take(self.params["pos_emb"], np.arange(total), axis=0)
-        x = x + pos.reshape((1, total, cfg.d_model))
+        pos = self.params["pos_emb"]
+        tok = ag.take(self.params["tok_emb"], ids.reshape(-1), axis=0).reshape((bsz, n_tok, d))
+        x = (tok + ag.take(pos, np.arange(l, total), axis=0)).reshape((bsz * n_tok, d))
+        if l:
+            prefix = (pmat + ag.take(pos, np.arange(l), axis=0)).reshape((m * l, d))
+            x = ag.concat([prefix, x], axis=0)
 
         for i in range(cfg.n_layers):
-            x = x + self._attention(self._layer_norm(x, f"layers.{i}.ln1"), i)
+            x = x + self._attention(self._layer_norm(x, f"layers.{i}.ln1"), i, bsz, (m, l))
             if answer_at is not None and i == cfg.n_layers - 1:
                 # nothing after this reads the other positions
-                flat = np.arange(bsz) * total + l + np.asarray(answer_at, dtype=np.int64)
-                x = ag.take(x.reshape((bsz * total, cfg.d_model)), flat, axis=0)
+                at = m * l + np.arange(bsz) * n_tok + np.asarray(answer_at, dtype=np.int64)
+                x = ag.take(x, at, axis=0)
             x = x + self._mlp(self._layer_norm(x, f"layers.{i}.ln2"), i)
+        if answer_at is None:
+            if l:
+                # each row's own positions: its prefix copy, then its tokens
+                rows = np.arange(bsz)[:, None]
+                at = np.concatenate([rows % m * l + np.arange(l), m * l + rows * n_tok + np.arange(n_tok)], axis=1)
+                x = ag.take(x, at.reshape(-1), axis=0)
+            x = x.reshape((bsz, total, d))
         h = self._layer_norm(x, "final_ln")
 
         if cfg.tie_lm_head:
@@ -221,10 +239,10 @@ class TransformerLM:
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
         return ag.layer_norm(x, self.params[name + ".g"], self.params[name + ".b"], LN_EPS)
 
-    def _attention(self, x: Tensor, i: int) -> Tensor:
+    def _attention(self, x: Tensor, i: int, rows: int, prefix: tuple[int, int]) -> Tensor:
         p, base = self.params, f"layers.{i}.attn."
         qkv = [p[base + name] for name in ("wq", "wk", "wv", "wq_b", "wk_b", "wv_b")]
-        ctx = ag.causal_attention(x, *qkv, self.config.n_heads)
+        ctx = ag.causal_attention(x, *qkv, self.config.n_heads, rows, prefix)
         return ag.matmul(ctx, p[base + "wo"]) + p[base + "wo_b"]
 
     def _mlp(self, x: Tensor, i: int) -> Tensor:
@@ -331,17 +349,15 @@ def init_prompt(model: TransformerLM, length: int, seed: int, scheme: str = "gau
 # -- losses and classification ---------------------------------------------
 
 
-def lm_loss(model: TransformerLM, token_ids, prompt=None) -> Tensor:
+def lm_loss(model: TransformerLM, token_ids) -> Tensor:
     """Mean next-token cross-entropy over real-token targets only."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
     if ids.shape[1] < 2:
         raise ValueError("lm_loss needs at least 2 tokens")
-    pmat = model._resolve_prompt(prompt)
-    l = 0 if pmat is None else pmat.shape[0]
-    logits = model._forward_batch(ids, pmat, return_hidden=False)
-    pred = ag.narrow(logits, 1, l, ids.shape[1] - 1)
+    logits = model._forward_batch(ids, None, return_hidden=False)
+    pred = ag.narrow(logits, 1, 0, ids.shape[1] - 1)
     lp = ag.log_softmax(pred, axis=-1)
     picked = ag.take_along_last(lp, ids[:, 1:])
     return -picked.mean()
@@ -397,10 +413,13 @@ def answer_log_probs(model: TransformerLM, sequences: Sequence[np.ndarray], verb
     return label_set_log_probability(logits, verbalizers)
 
 
-def row_chunks(rows: Sequence[int]):
-    """Consecutive slices of at most ROWS_PER_FORWARD rows."""
-    for start in range(0, len(rows), ROWS_PER_FORWARD):
-        yield rows[start : start + ROWS_PER_FORWARD]
+def row_chunks(lengths: Sequence[int]):
+    """The positions of a batch's rows in order of length (stable), in
+    consecutive slices of at most ROWS_PER_FORWARD, so that each chunk is
+    padded to a length close to its own rows'."""
+    order = np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
+    for start in range(0, len(order), ROWS_PER_FORWARD):
+        yield order[start : start + ROWS_PER_FORWARD]
 
 
 def class_log_probs_batch(
@@ -409,14 +428,16 @@ def class_log_probs_batch(
     verbalizers,
     prompt=None,
 ) -> np.ndarray:
-    """[n x C] answer-position log distributions as a float64 array, from
-    `answer_log_probs` over ROWS_PER_FORWARD rows at a time."""
+    """[n x C] answer-position log distributions as a float64 array in input
+    order, from `answer_log_probs` over the length-sorted `row_chunks`."""
     if verbalizers is not None:
         _validate_verbalizers(verbalizers)
     pmat = model._resolve_prompt(prompt)
-    parts = [answer_log_probs(model, chunk, verbalizers, pmat).data for chunk in row_chunks(sequences)]
     width = model.config.vocab_size if verbalizers is None else len(verbalizers)
-    return np.concatenate(parts, dtype=np.float64) if parts else np.zeros((0, width))
+    out = np.zeros((len(sequences), width))
+    for chunk in row_chunks([len(s) for s in sequences]):
+        out[chunk] = answer_log_probs(model, [sequences[i] for i in chunk], verbalizers, pmat).data
+    return out
 
 
 def classify_batch(model, sequences, verbalizers, prompt=None) -> np.ndarray:

@@ -9,10 +9,12 @@ log-probabilities renormalized through softmax so the divergence is
 well-defined.
 
 Each step evaluates `transfer_loss`, the objective the tests check, over
-`model.ROWS_PER_FORWARD`-row chunks of its batch: one right-padded
-answer-position forward of the prompted teacher per chunk, with the chunk's
-graph freed before the next chunk's forward.  The chunk losses are divided
-by the batch size, so the accumulated gradient is that of the batch mean.
+the length-sorted `model.row_chunks` of its batch (at most
+`model.ROWS_PER_FORWARD` rows each): one right-padded answer-position
+forward of the prompted teacher per chunk, which runs the prompt's
+positions once for the whole chunk, with the chunk's graph freed before the
+next chunk's forward.  The chunk losses are divided by the batch size, so
+the accumulated gradient is that of the batch mean.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ def transfer_prompt(
 
         opt.zero_grad()
         sums = sum(
-            _transfer_chunk_backward(teacher, p_t, public_data, rows, sides, alpha, verbalizers, 1.0 / len(idx))
-            for rows in row_chunks(idx)
+            _transfer_chunk_backward(teacher, p_t, public_data, idx[pos], sides, alpha, verbalizers, 1.0 / len(idx))
+            for pos in row_chunks([len(public_data.templated(i)) for i in idx])
         )
         opt.step()
         total, l1, l2 = sums / len(idx)

@@ -6,12 +6,15 @@ noise of std sigma*c per coordinate, and normalized by the expected batch
 size q*N under Poisson subsampling.
 
 Per-example gradients come from one backward: each row of a chunk reads its
-own copy of the prompt (a [k x l x d] leaf), so the gradient of the summed
-loss with respect to copy r is exactly row r's gradient.
+own copy of the prompt (a [k x l x d] leaf, whose k*l prompt positions the
+forward runs once each), so the gradient of the summed loss with respect to
+copy r is exactly row r's gradient.  Plain tuning passes the shared [l x d]
+prompt, whose l positions the forward runs once per chunk.
 
-Every step runs `model.ROWS_PER_FORWARD`-row chunks, each forward and
-backward inside its own function call, so a chunk's graph is freed before
-the next chunk's forward; leaf gradients accumulate across chunks.
+Every step runs the length-sorted `model.row_chunks` of its batch, at most
+`model.ROWS_PER_FORWARD` rows each, each forward and backward inside its
+own function call, so a chunk's graph is freed before the next chunk's
+forward; leaf gradients accumulate across chunks.
 """
 
 from __future__ import annotations
@@ -168,7 +171,9 @@ def promptdpsgd_step(
     """
     shape = prompt_var.data.shape
     acc = np.zeros(shape, dtype=np.float64)
-    for rows in row_chunks(np.asarray(sampled_indices, dtype=np.int64)):
+    sampled = np.asarray(sampled_indices, dtype=np.int64)
+    for pos in row_chunks([len(dataset.templated(i)) for i in sampled]):
+        rows = sampled[pos]
         copies = Tensor(np.broadcast_to(prompt_var.data, (len(rows),) + shape), requires_grad=True)
         _class_nll_backward(model, copies, dataset, rows, 1.0)
         clipped = clip_gradient(copies.grad.astype(np.float64).reshape(len(rows), -1), dp.clip_norm)
@@ -214,7 +219,10 @@ def tune_prompt(
                 opt.zero_grad()
                 scale = 1.0 / len(idx)
                 losses.append(
-                    sum(_class_nll_backward(model, prompt_var, dataset, rows, scale) for rows in row_chunks(idx))
+                    sum(
+                        _class_nll_backward(model, prompt_var, dataset, idx[pos], scale)
+                        for pos in row_chunks([len(dataset.templated(i)) for i in idx])
+                    )
                 )
                 opt.step()
                 steps_done += 1

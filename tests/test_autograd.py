@@ -55,7 +55,7 @@ OP_CASES = {
     # attention with q = 1 and k = v = x has row t = sum_j softmax(x[:t+1])_j x_j
     "gelu": lambda x: gelu_mlp(x, _EYE4, _ZERO4, _EYE4, _ZERO4).sum(),
     "softmax": lambda x: (
-        causal_attention(x.reshape((3, 4, 1)), _ZERO1x1, _ONE1x1, _ONE1x1, _ONE1, _ZERO1, _ZERO1, 1) ** 2.0
+        causal_attention(x.reshape((12, 1)), _ZERO1x1, _ONE1x1, _ONE1x1, _ONE1, _ZERO1, _ZERO1, 1, 3) ** 2.0
     ).sum(),
 }
 
@@ -73,18 +73,25 @@ def test_gradcheck_elementwise_ops(name):
 # ---------------------------------------------------------------------------
 # fused transformer-layer nodes: float64 finite differences with respect to
 # the input and to every weight and bias, through a random linear read-out
-# (a plain sum would hide, for example, the layer-norm input gradient)
+# (a plain sum would hide, for example, the layer-norm input gradient).
+# Attention runs on the flat layout: ROWS rows of T tokens, and with a
+# prefix, PREFIX_LEN prefix rows shared by every row (m = 1) or one copy per
+# row (m = ROWS) in front of them.
 # ---------------------------------------------------------------------------
 
-D, HEADS = 8, 2
+D, HEADS, ROWS, T, PREFIX_LEN = 8, 2, 3, 4, 2
+PREFIX_COPIES = {"causal_attention": 0, "causal_attention_shared": 1, "causal_attention_per_row": ROWS}
 
 
 def _fused_args(node, rng):
     d = D
     if node == "layer_norm":
         return {"x": rng.normal(size=(2, 3, d)), "gain": 1.0 + rng.normal(size=d), "bias": rng.normal(size=d)}
-    if node == "causal_attention":
-        args = {"x": rng.normal(size=(2, 4, d))}
+    if node in PREFIX_COPIES:
+        m = PREFIX_COPIES[node]
+        args = {"x": rng.normal(size=(ROWS * T, d))}
+        if m:
+            args = {"prefix": rng.normal(size=(m * PREFIX_LEN, d)), "tokens": args["x"]}
         args.update({w: rng.normal(size=(d, d)) * 0.5 for w in ("wq", "wk", "wv")})
         args.update({b: rng.normal(size=d) * 0.5 for b in ("bq", "bk", "bv")})
         return args
@@ -100,9 +107,11 @@ def _fused_args(node, rng):
 def _call_fused(node, args):
     if node == "layer_norm":
         return layer_norm(args["x"], args["gain"], args["bias"], 1e-5)
-    if node == "causal_attention":
-        order = ("x", "wq", "wk", "wv", "bq", "bk", "bv")
-        return causal_attention(*(args[k] for k in order), HEADS)
+    if node in PREFIX_COPIES:
+        m = PREFIX_COPIES[node]
+        x = concat([args["prefix"], args["tokens"]], axis=0) if m else args["x"]
+        weights = (args[k] for k in ("wq", "wk", "wv", "bq", "bk", "bv"))
+        return causal_attention(x, *weights, HEADS, ROWS, (m, PREFIX_LEN if m else 0))
     return gelu_mlp(*(args[k] for k in ("x", "w1", "b1", "w2", "b2")))
 
 
@@ -110,6 +119,10 @@ FUSED_CASES = [
     ("layer_norm", arg) for arg in ("x", "gain", "bias")
 ] + [
     ("causal_attention", arg) for arg in ("x", "wq", "wk", "wv", "bq", "bk", "bv")
+] + [
+    (node, arg)
+    for node in ("causal_attention_shared", "causal_attention_per_row")
+    for arg in ("prefix", "tokens", "wq", "wk", "wv", "bq", "bk", "bv")
 ] + [
     ("gelu_mlp", arg) for arg in ("x", "w1", "b1", "w2", "b2")
 ]
@@ -158,10 +171,14 @@ def test_gradcheck_matmul_and_structure_ops():
         lambda x: (matmul(Tensor(rows), x) ** 2.0).sum(),
         lambda x: (transpose(x, (1, 0)) ** 2.0).mean(),
         lambda x: (take(x, [1, 1, 0], axis=0) ** 2.0).sum(),
+        # strictly increasing indices scatter by assignment, the others by a
+        # grouped sum; a negative index is the same row as its positive twin
+        lambda x: (take(x, [0, 2, 3], axis=1) ** 2.0).sum(),
+        lambda x: (take(x, [3, 0, 3, 1, 0], axis=1) ** 2.0).sum(),
+        lambda x: (take(x, [1, -1], axis=0) ** 2.0).sum(),
         lambda x: (narrow(x, 1, 1, 2) ** 2.0).sum(),
         lambda x: (concat([x, x * 2.0], axis=0) ** 2.0).sum(),
         lambda x: (take_along_last(x, np.array([2, 0])) ** 2.0).sum(),
-        lambda x: (ag.broadcast_to(x.reshape((1, 2, 4)), (3, 2, 4)) ** 2.0).sum(),
     ]
     for f in cases:
         for _ in range(20):

@@ -141,11 +141,13 @@ def test_lm_loss_overfits_single_token_corpus():
     assert history[-1] < 0.1
 
 
-def test_lm_loss_prompt_changes_value():
+def test_prompt_changes_answer_log_probs():
     model = init_model(small_config(), 6)
-    ids = np.array([1, 2, 3, 4])
+    seqs = [np.array([1, 2, 3, 4]), np.array([5, 6])]
     zero = np.zeros((2, model.config.d_model), dtype=np.float32)
-    assert lm_loss(model, ids).item() != pytest.approx(lm_loss(model, ids, prompt=zero).item())
+    plain = answer_log_probs(model, seqs, None).data
+    prompted = answer_log_probs(model, seqs, None, zero).data
+    assert not np.allclose(plain, prompted)
 
 
 def test_prompt_tuning_gradient_isolation():
@@ -153,7 +155,8 @@ def test_prompt_tuning_gradient_isolation():
     model.set_trainable(False)
     before = model.fingerprint()
     pvar = Tensor(initial_prompt_matrix(model.config.d_model, 3, 0), requires_grad=True)
-    loss = lm_loss(model, np.array([1, 2, 3]), prompt=pvar)
+    seqs = [np.array([1, 2, 3]), np.array([4, 5, 6, 7, 8])]
+    loss = -answer_log_probs(model, seqs, [[2], [9]], pvar).sum()
     loss.backward()
     assert pvar.grad is not None and np.any(pvar.grad != 0)
     opt = Optimizer([pvar], kind="sgd", learning_rate=0.1)
@@ -316,6 +319,103 @@ def test_answer_log_probs_per_row_prompt_copies():
         np.testing.assert_allclose(row, answer_log_probs(model, [seq], [[4], [5]], mat).data[0], atol=1e-6)
 
 
+@pytest.mark.parametrize("verbs", [[[2, 7], [3]], None], ids=["classes", "full_vocab"])
+def test_shared_prompt_matches_copies_and_rows_alone(verbs):
+    """One shared [l x d] prompt, n copies of it and per-row forwards agree:
+    the prefix positions never see a token, so one copy serves every row."""
+    with precision(np.float64):
+        for n_layers in (1, 3):
+            cfg = small_config(n_layers=n_layers)
+            model = init_model(cfg, 17)
+            for t in model.parameters():
+                t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
+            rng = np.random.default_rng(9)
+            seqs = [rng.integers(0, cfg.vocab_size, size=n) for n in (4, 9, 1, 6, 9, 2)]
+            prompt = rng.normal(0.0, 0.5, size=(3, cfg.d_model))
+            shared = answer_log_probs(model, seqs, verbs, prompt).data
+            copies = answer_log_probs(model, seqs, verbs, np.stack([prompt] * len(seqs))).data
+            np.testing.assert_allclose(copies, shared, rtol=1e-9, atol=1e-12)
+            for row, seq in zip(shared, seqs):
+                last = model.forward(seq, prompt=prompt).data[-1]
+                alone = ag.log_softmax(ag._new(last)) if verbs is None else label_set_log_probability(last, verbs)
+                np.testing.assert_allclose(row, alone.data, rtol=1e-9, atol=1e-12)
+            # every position of a batched prompted forward, prefix included
+            ids = np.stack([seq[:1].repeat(5) if len(seq) < 5 else seq[:5] for seq in seqs])
+            full = model.forward(ids, prompt=prompt).data
+            assert full.shape == (len(seqs), 3 + 5, cfg.vocab_size)
+            for row, seq in zip(full, ids):
+                np.testing.assert_allclose(row, model.forward(seq, prompt=prompt).data, rtol=1e-9, atol=1e-12)
+
+
+def test_shared_prompt_gradient_is_sum_of_copy_gradients():
+    """The gradient of a shared prompt is the sum of the per-copy gradients,
+    and copy r's gradient is row r's alone, which is what DP-SGD clips."""
+    with precision(np.float64):
+        model = init_model(small_config(n_layers=3), 18)
+        model.set_trainable(False)
+        rng = np.random.default_rng(10)
+        seqs = [rng.integers(0, 29, size=n) for n in (5, 2, 8, 3)]
+        labels = np.array([1, 0, 0, 1])
+        verbs = [[4, 11], [5]]
+        mat = rng.normal(0.0, 0.5, size=(2, 16))
+
+        def nll_grad(prompt, rows):
+            lp = answer_log_probs(model, [seqs[r] for r in rows], verbs, prompt)
+            (-ag.take_along_last(lp, labels[rows]).sum()).backward()
+            return prompt.grad
+
+        shared = nll_grad(Tensor(mat, requires_grad=True), list(range(4)))
+        per_copy = nll_grad(Tensor(np.stack([mat] * 4), requires_grad=True), list(range(4)))
+        np.testing.assert_allclose(per_copy.sum(axis=0), shared, rtol=1e-9, atol=1e-12)
+        for r in range(4):
+            alone = nll_grad(Tensor(mat, requires_grad=True), [r])
+            np.testing.assert_allclose(per_copy[r], alone, rtol=1e-9, atol=1e-12)
+
+
+def test_prompted_forward_runs_the_prefix_once(monkeypatch):
+    """Tier-1 guard on the work of a prompted chunk: its first layer norm
+    sees the l prefix positions once, then the padded token positions."""
+    model = init_model(small_config(n_layers=1), 19)
+    rng = np.random.default_rng(11)
+    seqs = [rng.integers(0, 29, size=n) for n in rng.integers(3, 12, size=ROWS_PER_FORWARD)]
+    padded = ROWS_PER_FORWARD * max(len(s) for s in seqs)
+    l = 8
+    rows_seen = []
+    layer_norm = ag.layer_norm
+
+    def counting(x, *args):
+        rows_seen.append(x.data.size // x.data.shape[-1])
+        return layer_norm(x, *args)
+
+    monkeypatch.setattr(ag, "layer_norm", counting)
+    prompt = init_prompt(model, length=l, seed=0)
+    answer_log_probs(model, seqs, [[4], [5]], prompt)
+    assert rows_seen[0] == l + padded  # not ROWS_PER_FORWARD * (l + longest row)
+    rows_seen.clear()
+    answer_log_probs(model, seqs, [[4], [5]], np.stack([prompt.matrix] * len(seqs)))
+    assert rows_seen[0] == len(seqs) * l + padded
+    rows_seen.clear()
+    answer_log_probs(model, seqs, [[4], [5]])
+    assert rows_seen[0] == padded
+
+
+def test_class_log_probs_batch_returns_input_order():
+    """Rows are chunked by length, but come back in the order given."""
+    with precision(np.float64):
+        model = init_model(small_config(), 20)
+        rng = np.random.default_rng(12)
+        seqs = [rng.integers(0, 29, size=n) for n in rng.integers(2, 14, size=2 * ROWS_PER_FORWARD + 5)]
+        prompt = init_prompt(model, length=2, seed=3)
+        perm = rng.permutation(len(seqs))
+        for verbs in ([[4], [5]], None):
+            out = class_log_probs_batch(model, seqs, verbs, prompt=prompt)
+            shuffled = class_log_probs_batch(model, [seqs[i] for i in perm], verbs, prompt=prompt)
+            np.testing.assert_allclose(shuffled, out[perm], rtol=1e-9, atol=1e-12)
+            for i in (0, 17, len(seqs) - 1):
+                alone = answer_log_probs(model, [seqs[i]], verbs, prompt).data[0]
+                np.testing.assert_allclose(out[i], alone, rtol=1e-9, atol=1e-12)
+
+
 def test_class_log_probs_batch_chunks_rows():
     model = init_model(small_config(), 15)
     rng = np.random.default_rng(7)
@@ -324,29 +424,38 @@ def test_class_log_probs_batch_chunks_rows():
     forward = model._forward_batch
 
     def counting(ids, *args, **kwargs):
-        calls.append(len(ids))
+        calls.append(ids.shape)
         return forward(ids, *args, **kwargs)
 
     model._forward_batch = counting
     out = class_log_probs_batch(model, seqs, [[4], [5]])
-    assert calls == [ROWS_PER_FORWARD, ROWS_PER_FORWARD, 3]
+    assert [rows for rows, _ in calls] == [ROWS_PER_FORWARD, ROWS_PER_FORWARD, 3]
+    # chunks of the length-sorted rows, each padded to its own longest row
+    lengths = sorted(len(s) for s in seqs)
+    starts = range(0, len(seqs), ROWS_PER_FORWARD)
+    assert [width for _, width in calls] == [max(lengths[i : i + ROWS_PER_FORWARD]) for i in starts]
     assert out.dtype == np.float64 and out.shape == (len(seqs), 2)
     assert class_log_probs_batch(model, [], [[4], [5]]).shape == (0, 2)
 
 
 def test_prompt_gradient_path_finite_diff():
+    """The pipeline's prompt objective (class cross-entropy at the answer
+    positions of a ragged batch) through the prefix layout, in float64, for
+    a shared prompt and for one copy per row."""
     with precision(np.float64):
         cfg = small_config(vocab_size=17, max_seq_len=12)
         model = init_model(cfg, 11)
         model.set_trainable(False)
-        ids = np.array([1, 5, 2, 9])
+        seqs = [np.array([1, 5, 2, 9]), np.array([3, 8]), np.array([7, 1, 4])]
+        labels = np.array([0, 1, 1])
 
         def f(pv):
-            return lm_loss(model, ids, prompt=pv)
+            lp = answer_log_probs(model, seqs, [[2, 6], [9]], pv)
+            return -ag.take_along_last(lp, labels).sum()
 
         rng = np.random.default_rng(4)
-        for _ in range(3):
-            mat = rng.normal(0.0, 0.5, size=(2, cfg.d_model))
+        for shape in [(2, cfg.d_model)] * 2 + [(len(seqs), 2, cfg.d_model)] * 2:
+            mat = rng.normal(0.0, 0.5, size=shape)
             ok, err = finite_diff_check(f, mat, tolerance=1e-6, max_coords=12, rng=rng)
             assert ok, err
 

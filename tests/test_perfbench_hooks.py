@@ -7,6 +7,8 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("pipeline", "model", "autograd", "optim", "tuning", "accountant", "attacks", "artifacts", "corpus")
 
@@ -50,3 +52,30 @@ def test_perfbench_hooks_install_on_the_program_and_restore(monkeypatch):
         patches.restore()
     assert [dict(vars(o)) for o in owners] == before
     assert gc.callbacks == callbacks
+
+
+def test_prompted_forward_reads_head_useful_ratio_one(monkeypatch):
+    """perfbench's head ratio divides the logits' rows by the rows of `ids`;
+    a prompted answer-position forward must still compute one head row per
+    sequence, for a shared prompt and for one copy per row."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    px = {name: importlib.import_module(f"promptxfer.{name}") for name in MODULES}
+    model = px["model"]
+    lm = model.init_model(model.ModelConfig(n_layers=2, d_model=8, n_heads=2, vocab_size=12, max_seq_len=16), 0)
+    seqs = [np.array([1, 2, 3]), np.array([4, 5, 6, 7, 8]), np.array([9])]
+    prompt = model.init_prompt(lm, length=4, seed=0)
+
+    patches = tracing.Patches()
+    try:
+        boundary = tracing.Boundary()
+        boundary.prompt_start = 0.0  # count head rows as in the prompt phase
+        tracer = tracing.Tracer(boundary)
+        tracer.install(patches, px)
+        model.answer_log_probs(lm, seqs, [[10], [11]], prompt)
+        model.answer_log_probs(lm, seqs, None, np.stack([prompt.matrix] * len(seqs)))
+        metrics = tracer.metrics(0.0, 0.0, 0.0)
+    finally:
+        patches.restore()
+    assert tracer.calls["forward"] == 2
+    assert metrics["model.head_useful_ratio"] == 1.0
