@@ -8,7 +8,9 @@ l x d matrix as raw '<f4'.  Round-trips are bit-exact.
 
 The readers raise `ArtifactError` for any file they cannot read back: a bad
 magic or version, a truncated or over-long file, unreadable metadata, or a
-checkpoint whose weights do not match its fingerprint.
+checkpoint whose weights do not match its fingerprint.  `save_model` raises
+it for a model with a parameter that is not float32, rather than writing a
+checkpoint that could never load.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ def _read_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
 
 
 def save_model(path, model: TransformerLM, provenance: dict | None = None) -> None:
+    """Write a PSTL checkpoint.  Every parameter must be float32, the dtype
+    the file stores, or the fingerprint would not match on reload."""
+    for name, p in model.params.items():
+        if p.data.dtype != np.float32:
+            raise ArtifactError(f"cannot save {path}: parameter {name} is {p.data.dtype}, not float32")
     if provenance is None:
         provenance = getattr(model, "provenance", {})
     meta = {

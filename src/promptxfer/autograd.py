@@ -1,8 +1,12 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Leaf tensors are created at the process-wide default dtype: float32 for
-normal runs, float64 inside ``precision("float64")`` for gradient
-verification.
+Computation is float32 throughout: leaf tensors are created at the
+process-wide default dtype, float32, and every op keeps its inputs' dtype
+(its scalar constants are Python floats, which never widen a float32
+array).  ``precision("float64")`` and float64 arrays are used only for
+gradient checks and for the prompt transfer's objective
+(``transfer.transfer_prompt``), which compares differences of near-equal
+log-probabilities.
 
 Graphs are acyclic.  Each op's output holds its parents and a backward
 function ``bw(g)`` that receives the upstream gradient as its argument and
@@ -46,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -360,7 +365,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
     out = _new(np.mean(a.data, axis=axis, keepdims=keepdims))
-    count = a.data.size if axis is None else np.prod([a.data.shape[i] for i in np.atleast_1d(axis)])
+    count = a.data.size if axis is None else math.prod(a.data.shape[i] for i in np.atleast_1d(axis))
 
     def bw(g):
         if axis is not None and not keepdims:
@@ -629,9 +634,8 @@ def causal_attention(x, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix:
     return out
 
 
-# float64 scalars: the GELU runs in float64 whatever its input's dtype
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:

@@ -35,12 +35,13 @@ residual adds.
 `ROWS_PER_FORWARD` bounds the rows of one forward.  A training graph holds
 every activation of its rows until its backward has run, and padding a
 32-row transfer batch to its longest row adds about a fifth more positions.
-In perfbench's plain POST workload (seeds 20 and 21), one 32-row graph
-per transfer step peaked at 119-120 MB resident; chunks of 16 rows, each
-freed before the next forward, peak at 99-101 MB, about the 99 MB that
-pretraining and distillation reach.  `row_chunks` sorts a batch's rows by
-length before it slices them, so each chunk is padded to a length close to
-its own rows' rather than to the batch's longest.
+In perfbench's plain POST workload (seeds 20 and 21, when training still
+ran in float64), one 32-row graph per transfer step peaked at 119-120 MB
+resident; chunks of 16 rows, each freed before the next forward, peaked at
+99-101 MB, about the 99 MB that pretraining and distillation reached.
+`row_chunks` sorts a batch's rows by length before it slices them, so each
+chunk is padded to a length close to its own rows' rather than to the
+batch's longest.
 """
 
 from __future__ import annotations

