@@ -31,6 +31,9 @@ MODEL_MAGIC = b"PSTL"
 PROMPT_MAGIC = b"PSPA"
 FORMAT_VERSION = 1
 _DTYPE_F32 = 0
+# the one start every prompt has (`model.initial_prompt_matrix`), named in
+# each prompt file's metadata
+INIT_SCHEME = "gaussian"
 
 
 class ArtifactError(ValueError):
@@ -155,7 +158,7 @@ def save_prompt(path, prompt: SoftPrompt, tuning_config_digest: str = "") -> Non
         "l": prompt.length,
         "d": prompt.width,
         "init_seed": prompt.init_seed,
-        "init_scheme": prompt.init_scheme,
+        "init_scheme": INIT_SCHEME,
         "source_fingerprint": prompt.source_fingerprint,
         "dp_meta": prompt.dp_meta.to_dict() if prompt.dp_meta else None,
         "tuning_config_digest": tuning_config_digest,
@@ -172,11 +175,12 @@ def load_prompt(path) -> SoftPrompt:
         l, d = int(meta["l"]), int(meta["d"])
         mat = np.frombuffer(_read(fh, 4 * l * d), dtype="<f4").reshape(l, d).copy()
         _expect_end(fh)
+        if meta["init_scheme"] != INIT_SCHEME:
+            raise ArtifactError(f"{path}: prompt init scheme {meta['init_scheme']!r}, expected {INIT_SCHEME!r}")
         dp = DpMeta.from_dict(meta["dp_meta"]) if meta.get("dp_meta") else None
         return SoftPrompt(
             matrix=mat,
             init_seed=int(meta["init_seed"]),
-            init_scheme=meta["init_scheme"],
             source_fingerprint=meta["source_fingerprint"],
             dp_meta=dp,
         )

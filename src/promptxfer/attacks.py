@@ -34,12 +34,6 @@ class AttackResult:
     tpr_at_1pct_fpr: float
     n_shadows: int
 
-    def scores(self) -> np.ndarray:
-        return np.array([s for _, s, _ in self.per_example])
-
-    def membership(self) -> np.ndarray:
-        return np.array([m for _, _, m in self.per_example], dtype=bool)
-
 
 def logit_scale(p: float) -> float:
     """ln(p / (1-p)) after clamping p to [1e-6, 1 - 1e-6]."""

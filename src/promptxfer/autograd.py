@@ -34,8 +34,8 @@ backward.  What each backward keeps alive, besides its input tensors:
   (``[rows x 4d]`` each); the GELU output is recomputed for the ``w2``
   gradient.
 
-The output projection and the LM head are ``matmul`` with a 2-D right
-operand, which also runs as one GEMM over the flattened rows.
+The output projection and the LM head are ``matmul``, whose right operand
+is always a 2-D weight, so it also runs as one GEMM over the flattened rows.
 
 Because each training step frees its whole graph at once, glibc would hand
 the top of its heap back to the kernel after almost every step, and the next
@@ -320,30 +320,20 @@ def power(a, k: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b for a weight b ([k x n]) and a of any rank >= 2: one GEMM over
+    a's flattened rows, forward and backward."""
     a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul requires tensors with at least 2 dimensions")
-    if b.ndim == 2:
-        # a weight: one GEMM over the flattened rows, forward and backward
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        out = _new((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:]))
-
-        def bw2(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a._acc((g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                b._acc(a2.T @ g2)
-
-        _graph(out, (a, b), bw2)
-        return out
-    out = _new(a.data @ b.data)
+    if a.ndim < 2 or b.ndim != 2:
+        raise ValueError("matmul takes a left operand of rank >= 2 and a 2-D right operand")
+    a2 = a.data.reshape(-1, a.data.shape[-1])
+    out = _new((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:]))
 
     def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
-            a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            a._acc((g2 @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
-            b._acc(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            b._acc(a2.T @ g2)
 
     _graph(out, (a, b), bw)
     return out

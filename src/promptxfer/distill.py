@@ -5,8 +5,9 @@ control student).  `distill` compresses the teacher with a three-term
 objective: a temperature-softened KL term on the logits, the plain
 next-token cross-entropy, and a cosine-distance term on final hidden states,
 with configurable weights.  The student is carved out of the teacher: a
-subset of layers plus the teacher's embedding and LM head.  Both run a fixed
-number of Adam steps over length-bucketed corpus batches.
+subset of layers plus the teacher's embedding and LM head, all of which
+distillation trains.  Both run a fixed number of Adam steps over
+length-bucketed corpus batches.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ class KdWeights:
 @dataclass
 class KdConfig:
     student_layer_indices: tuple[int, ...]
-    freeze_embedding: bool = False
-    freeze_lm_head: bool = False
     weights: KdWeights = field(default_factory=KdWeights)
     learning_rate: float = 0.00025
     batch_size: int = 5
@@ -93,25 +92,8 @@ def init_student_from_teacher(teacher: TransformerLM, config: KdConfig) -> Trans
             src = name
         params[name] = ag._new(teacher.params[src].data.copy())
     student = TransformerLM(s_cfg, params)
-    student.provenance = {
-        "teacher_fingerprint": teacher.fingerprint(),
-        "layer_indices": list(idx),
-        "freeze_embedding": config.freeze_embedding,
-        "freeze_lm_head": config.freeze_lm_head,
-    }
+    student.provenance = {"teacher_fingerprint": teacher.fingerprint(), "layer_indices": list(idx)}
     return student
-
-
-def _frozen_names(model: TransformerLM, config: KdConfig) -> set[str]:
-    frozen: set[str] = set()
-    if config.freeze_embedding:
-        frozen.add("tok_emb")
-    if config.freeze_lm_head:
-        if model.config.tie_lm_head:
-            frozen.add("tok_emb")
-        else:
-            frozen.add("lm_head")
-    return frozen
 
 
 def distill_loss(
@@ -220,7 +202,7 @@ def train_lm(
 ) -> list[dict]:
     """`steps` Adam steps of next-token loss over length-bucketed batches."""
     model.set_trainable(True)
-    opt = Optimizer(model.parameters(), kind="adam", learning_rate=learning_rate)
+    opt = Optimizer(model.parameters(), learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
     buckets = _length_buckets(corpus_ids)
     history: list[dict] = []
@@ -248,10 +230,8 @@ def distill(
     rng = np.random.default_rng(seed)
     student = init_student_from_teacher(teacher, config)
     teacher.set_trainable(False)
-    frozen = _frozen_names(student, config)
-    student.set_trainable(True, exclude=sorted(frozen))
-    trainable = [p for p in student.parameters() if p.requires_grad]
-    opt = Optimizer(trainable, kind="adam", learning_rate=config.learning_rate)
+    student.set_trainable(True)
+    opt = Optimizer(student.parameters(), learning_rate=config.learning_rate)
 
     buckets = _length_buckets(kd_corpus)
     history: list[dict] = []

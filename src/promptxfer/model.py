@@ -49,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -137,9 +137,9 @@ class TransformerLM:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def set_trainable(self, flag: bool, exclude: Sequence[str] = ()) -> None:
-        for name, p in self.params.items():
-            p.requires_grad = flag and name not in exclude
+    def set_trainable(self, flag: bool) -> None:
+        for p in self.params.values():
+            p.requires_grad = flag
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -297,11 +297,11 @@ class DpMeta:
 
 @dataclass
 class SoftPrompt:
-    """Trainable prompt rows plus the provenance the transfer step needs."""
+    """Trainable prompt rows plus the provenance the transfer step needs:
+    `init_seed` regenerates the initial rows (`initial_prompt_matrix`)."""
 
     matrix: np.ndarray
     init_seed: int
-    init_scheme: str
     source_fingerprint: str
     dp_meta: DpMeta | None = None
 
@@ -309,8 +309,6 @@ class SoftPrompt:
         self.matrix = np.asarray(self.matrix, dtype=np.float32)
         if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
             raise ValueError("prompt matrix must be [l x d] with l >= 1")
-        if self.init_scheme not in ("gaussian", "embedding_sample"):
-            raise ValueError(f"unknown init scheme {self.init_scheme!r}")
 
     @property
     def length(self) -> int:
@@ -321,30 +319,16 @@ class SoftPrompt:
         return self.matrix.shape[1]
 
 
-def initial_prompt_matrix(
-    d_model: int,
-    length: int,
-    seed: int,
-    scheme: str = "gaussian",
-    token_embedding: np.ndarray | None = None,
-) -> np.ndarray:
-    """Regenerable initial prompt rows; the transfer step re-derives these."""
+def initial_prompt_matrix(d_model: int, length: int, seed: int) -> np.ndarray:
+    """Regenerable initial prompt rows, N(0, PROMPT_INIT_STD^2) per entry;
+    the transfer step re-derives these from the seed."""
     rng = np.random.default_rng(seed)
-    if scheme == "gaussian":
-        return rng.normal(0.0, PROMPT_INIT_STD, size=(length, d_model)).astype(np.float32)
-    if scheme == "embedding_sample":
-        if token_embedding is None:
-            raise ValueError("embedding_sample init needs the token embedding table")
-        rows = rng.integers(0, token_embedding.shape[0], size=length)
-        return np.asarray(token_embedding, dtype=np.float32)[rows].copy()
-    raise ValueError(f"unknown init scheme {scheme!r}")
+    return rng.normal(0.0, PROMPT_INIT_STD, size=(length, d_model)).astype(np.float32)
 
 
-def init_prompt(model: TransformerLM, length: int, seed: int, scheme: str = "gaussian") -> SoftPrompt:
-    mat = initial_prompt_matrix(
-        model.config.d_model, length, seed, scheme, token_embedding=model.params["tok_emb"].data
-    )
-    return SoftPrompt(matrix=mat, init_seed=seed, init_scheme=scheme, source_fingerprint=model.fingerprint())
+def init_prompt(model: TransformerLM, length: int, seed: int) -> SoftPrompt:
+    mat = initial_prompt_matrix(model.config.d_model, length, seed)
+    return SoftPrompt(matrix=mat, init_seed=seed, source_fingerprint=model.fingerprint())
 
 
 # -- losses and classification ---------------------------------------------
@@ -380,11 +364,6 @@ def label_set_log_probability(logits, verbalizers: Sequence[Sequence[int]]) -> T
     return raw - ag.logsumexp(raw, axis=-1, keepdims=True)
 
 
-def label_set_probability(logits, verbalizers: Sequence[Sequence[int]]) -> np.ndarray:
-    """Renormalized class probability vector (sums to 1)."""
-    return np.exp(label_set_log_probability(logits, verbalizers).data)
-
-
 def _validate_verbalizers(verbalizers: Sequence[Sequence[int]]) -> None:
     if not verbalizers:
         raise ValueError("verbalizers must be non-empty")
@@ -399,18 +378,15 @@ def _validate_verbalizers(verbalizers: Sequence[Sequence[int]]) -> None:
 
 
 def answer_log_probs(model: TransformerLM, sequences: Sequence[np.ndarray], verbalizers, prompt=None) -> Tensor:
-    """[n x C] log distribution at each sequence's answer (last) position, from
-    one forward over the rows right-padded to the longest (exact; see the
-    module docstring).  C is the number of classes, or the vocabulary size
-    when `verbalizers` is None.  `prompt` may be [l x d] or one [l x d] copy
-    per row, [n x l x d]."""
+    """[n x C] class log distribution at each sequence's answer (last)
+    position, from one forward over the rows right-padded to the longest
+    (exact; see the module docstring).  C is the number of classes.
+    `prompt` may be [l x d] or one [l x d] copy per row, [n x l x d]."""
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     ids = np.zeros((len(sequences), lengths.max()), dtype=np.int64)
     for row, seq in zip(ids, sequences):
         row[: len(seq)] = seq
     logits = model._forward_batch(ids, model._resolve_prompt(prompt), return_hidden=False, answer_at=lengths - 1)
-    if verbalizers is None:
-        return ag.log_softmax(logits, axis=-1)
     return label_set_log_probability(logits, verbalizers)
 
 
@@ -429,13 +405,11 @@ def class_log_probs_batch(
     verbalizers,
     prompt=None,
 ) -> np.ndarray:
-    """[n x C] answer-position log distributions as a float64 array in input
-    order, from `answer_log_probs` over the length-sorted `row_chunks`."""
-    if verbalizers is not None:
-        _validate_verbalizers(verbalizers)
+    """[n x C] answer-position class log distributions as a float64 array in
+    input order, from `answer_log_probs` over the length-sorted `row_chunks`."""
+    _validate_verbalizers(verbalizers)
     pmat = model._resolve_prompt(prompt)
-    width = model.config.vocab_size if verbalizers is None else len(verbalizers)
-    out = np.zeros((len(sequences), width))
+    out = np.zeros((len(sequences), len(verbalizers)))
     for chunk in row_chunks([len(s) for s in sequences]):
         out[chunk] = answer_log_probs(model, [sequences[i] for i in chunk], verbalizers, pmat).data
     return out

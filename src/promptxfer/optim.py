@@ -1,80 +1,51 @@
-"""SGD and Adam updates over parameter tensors."""
+"""Adam over a fixed list of parameter tensors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .autograd import Tensor
 
-
-@dataclass
-class OptimizerState:
-    kind: str = "adam"
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-
-
-def optimizer_step(
-    state: OptimizerState,
-    params: Sequence[Tensor],
-    grads: Sequence[np.ndarray],
-) -> Sequence[Tensor]:
-    """Apply one in-place update to `params`; increments step_count by 1."""
-    if len(params) != len(grads):
-        raise ValueError("params and grads must have the same length")
-    for p, g in zip(params, grads):
-        if np.shape(g) != p.data.shape:
-            raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.data.shape}")
-    if state.kind == "adam" and not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    if state.kind == "adam" and len(state.m) != len(params):
-        raise ValueError("optimizer state was initialized for a different parameter set")
-
-    state.step_count += 1
-    lr = state.learning_rate
-    if state.kind == "sgd":
-        for p, g in zip(params, grads):
-            p.data = p.data - lr * g
-        return params
-
-    t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
-    return params
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Optimizer:
-    """Convenience wrapper binding an OptimizerState to a parameter list."""
+    """Adam (Kingma & Ba 2015) with bias-corrected moments, updating each
+    parameter's data in place of the old array."""
 
-    def __init__(self, params: Sequence[Tensor], kind: str = "adam", learning_rate: float = 1e-3, **kwargs):
+    def __init__(self, params: Sequence[Tensor], learning_rate: float):
+        if learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         self.params = list(params)
-        self.state = OptimizerState(kind=kind, learning_rate=learning_rate, **kwargs)
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: Sequence[np.ndarray] | None = None) -> None:
+        """One update from `grads`, or from each parameter's .grad (zero where
+        it has none)."""
         if grads is None:
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        optimizer_step(self.state, self.params, grads)
+        if len(grads) != len(self.params):
+            raise ValueError("params and grads must have the same length")
+        for p, g in zip(self.params, grads):
+            if np.shape(g) != p.data.shape:
+                raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.data.shape}")
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

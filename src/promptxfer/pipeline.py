@@ -117,7 +117,6 @@ class PretrainConfig:
 @dataclass
 class PromptSpec:
     length: int = 8
-    init_scheme: str = "gaussian"
 
 
 @dataclass
@@ -160,7 +159,7 @@ class ExperimentConfig:
     tune: TuneConfig = field(default_factory=lambda: TuneConfig(epochs=20, learning_rate=1e-2, batch_size=16))
     dp: DpSpec = field(default_factory=DpSpec)
     transfer_alpha: float | str = "heuristic"
-    transfer: TransferConfig = field(default_factory=lambda: TransferConfig(alpha=0.5))
+    transfer: TransferConfig = field(default_factory=TransferConfig)
     task: SynthTaskSpec | CsvTask = field(default_factory=default_task_spec)
     baselines: tuple[str, ...] = ("full_zs", "compressed_pt", "direct_transfer", "post")
     attack: AttackConfig = field(default_factory=AttackConfig)
@@ -211,6 +210,54 @@ class ExperimentConfig:
         ).hexdigest()[:16]
 
 
+# Keys a config may carry that set nothing: retired options, and fields the
+# pipeline overwrites.  `config_from_dict` accepts each only at a value listed
+# here (any value where the list is None) and drops it; `config_to_dict`
+# writes none of them.  Key: (section, key), section None for the top level.
+FIXED_KEYS: dict[tuple[str | None, str], tuple[tuple | None, str]] = {
+    (None, "threads"): ((1,), "runs are single-threaded"),
+    (None, "strict_deterministic"): ((False, True), "runs are always deterministic"),
+    # the early-stopping rule pretraining and KD once had
+    ("pretrain", "plateau_window"): (None, "pretraining runs pretrain.steps steps"),
+    ("pretrain", "plateau_tolerance"): (None, "pretraining runs pretrain.steps steps"),
+    ("pretrain", "check_interval"): (None, "pretraining runs pretrain.steps steps"),
+    ("kd", "plateau_window"): (None, "distillation runs kd.max_steps steps"),
+    ("kd", "plateau_tolerance"): (None, "distillation runs kd.max_steps steps"),
+    ("kd", "checkpoint_interval"): (None, "distillation runs kd.max_steps steps"),
+    # the one POST variant the program implements
+    ("prompt", "init_scheme"): (("gaussian",), "prompts start from Gaussian rows"),
+    ("transfer", "label_space"): (("class_distribution",), "the transfer compares class distributions"),
+    ("transfer", "init_from"): (("initial",), "the transfer starts from the regenerated initial rows"),
+    ("kd", "freeze_embedding"): ((False,), "distillation trains every student parameter"),
+    ("kd", "freeze_lm_head"): ((False,), "distillation trains every student parameter"),
+    # set per stage from other keys
+    ("task", "seed"): ((0,), "the task seed is derived from `seeds`"),
+    ("tune", "seed"): ((0,), "the tuning seed is derived from `seeds`"),
+    ("transfer", "seed"): ((0,), "the transfer seed is derived from `seeds`"),
+    ("tune", "dp"): ((None,), "DP-SGD is set by `dp`"),
+    ("transfer", "alpha"): ((0.5,), "the transfer's alpha is set by `transfer_alpha`"),
+}
+
+
+def _drop_fixed_keys(blob: dict) -> dict:
+    """`blob` without its FIXED_KEYS; ConfigError for one at another value."""
+    blob = dict(blob)
+    for (section, key), (allowed, reason) in FIXED_KEYS.items():
+        holder = blob if section is None else blob.get(section)
+        if not isinstance(holder, dict) or key not in holder:
+            continue
+        if section is not None:
+            holder = blob[section] = dict(holder)
+        value = holder.pop(key)
+        if allowed is not None and not any(
+            value == a and isinstance(value, bool) == isinstance(a, bool) for a in allowed
+        ):
+            name = key if section is None else f"{section}.{key}"
+            values = " or ".join(json.dumps(a) for a in allowed)
+            raise ConfigError(f"{name}: {reason}, so only {values} is accepted")
+    return blob
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     def plain(obj):
         if isinstance(obj, (SynthTaskSpec,)):
@@ -234,26 +281,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         return obj
 
     out = plain(cfg)
-    out["transfer"].pop("alpha", None)  # resolved separately via transfer_alpha
+    for section, key in FIXED_KEYS:
+        (out if section is None else out.get(section, {})).pop(key, None)
     return out
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
-    blob = dict(blob)
-    # Configs written before every run became single-threaded carry these two
-    # keys; they are accepted with the values that still describe a run.
-    if blob.pop("threads", 1) != 1:
-        raise ConfigError("threads: runs are single-threaded, so only 1 is accepted")
-    if not isinstance(blob.pop("strict_deterministic", False), bool):
-        raise ConfigError("strict_deterministic must be true or false")
-    # Pretraining and KD once had an early-stopping rule; configs written
-    # then carry its keys, which no longer change a run.
-    for key, retired in (
-        ("pretrain", ("plateau_window", "plateau_tolerance", "check_interval")),
-        ("kd", ("plateau_window", "plateau_tolerance", "checkpoint_interval")),
-    ):
-        if isinstance(blob.get(key), dict):
-            blob[key] = {k: v for k, v in blob[key].items() if k not in retired}
+    blob = _drop_fixed_keys(blob)
     kwargs: dict = {}
     if "teacher" in blob:
         kwargs["teacher"] = ArchSpec(**blob.pop("teacher"))
@@ -266,18 +300,14 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
         if key in blob:
             kwargs[key] = cls(**blob.pop(key))
     if "tune" in blob:
-        tune = dict(blob.pop("tune"))
-        tune.pop("dp", None)
-        kwargs["tune"] = TuneConfig(**tune)
+        kwargs["tune"] = TuneConfig(**blob.pop("tune"))
     if "transfer" in blob:
-        tr = dict(blob.pop("transfer"))
-        tr.pop("alpha", None)
-        kwargs["transfer"] = TransferConfig(**tr)
+        kwargs["transfer"] = TransferConfig(**blob.pop("transfer"))
     if "task" in blob:
         task = dict(blob.pop("task"))
         kind = task.pop("kind", "synthetic")
         if kind == "synthetic":
-            kwargs["task"] = SynthTaskSpec.from_dict(task)
+            kwargs["task"] = SynthTaskSpec.from_dict({**task, "seed": 0})
         elif kind == "csv":
             task["verbalizer_words"] = tuple(tuple(v) for v in task.get("verbalizer_words", ()))
             kwargs["task"] = CsvTask(**task)
@@ -309,6 +339,8 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(blob)
     except ConfigError:
         raise
+    except KeyError as e:
+        raise ConfigError(f"invalid config: missing key {e}") from e
     except (TypeError, ValueError) as e:  # a nested key or value the dataclasses reject
         raise ConfigError(f"invalid config: {e}") from e
 
@@ -324,12 +356,6 @@ class DataAccessLedger:
 
     def log(self, seed: int, stage: str, role: str, dataset_name: str) -> None:
         self.records.append({"seed": seed, "stage": stage, "role": role, "dataset": dataset_name})
-
-    def roles_for_stage(self, stage: str) -> set[str]:
-        return {r["role"] for r in self.records if r["stage"] == stage}
-
-    def stages_touching(self, role: str) -> set[str]:
-        return {r["stage"] for r in self.records if r["role"] == role}
 
     def to_list(self) -> list[dict]:
         return list(self.records)
@@ -495,25 +521,29 @@ def stage_control_student(run: SeedRun) -> None:
     run.control_student = run.timed("control_lm", build, amortizable=True)
 
 
+def _under_dp(tune_cfg: TuneConfig, dataset_size: int, dp: DpSpec) -> TuneConfig:
+    """`tune_cfg` under DP-SGD, with sigma calibrated so that its epochs over
+    `dataset_size` examples spend at most `dp.epsilon`."""
+    params = make_dp_params(
+        dataset_size=dataset_size,
+        batch_size=tune_cfg.batch_size,
+        epochs=tune_cfg.epochs,
+        epsilon=dp.epsilon,
+        delta=dp.delta,
+        clip_norm=dp.clip_norm,
+    )
+    return replace(tune_cfg, dp=params)
+
+
 def _tune_on(run: SeedRun, model: TransformerLM, stage: str, dp: bool, artifact: str) -> SoftPrompt:
     run.ledger.log(run.seed, stage, "private_train", run.data.private_train.name)
     cfg = run.config
 
     def build() -> SoftPrompt:
-        prompt = init_prompt(
-            model, cfg.prompt.length, seed_stream(run.seed, "prompt_init"), cfg.prompt.init_scheme
-        )
+        prompt = init_prompt(model, cfg.prompt.length, seed_stream(run.seed, "prompt_init"))
         tune_cfg = replace(cfg.tune, seed=seed_stream(run.seed, stage))
         if dp:
-            dp_params = make_dp_params(
-                dataset_size=len(run.data.private_train),
-                batch_size=tune_cfg.batch_size,
-                epochs=tune_cfg.epochs,
-                epsilon=cfg.dp.epsilon,
-                delta=cfg.dp.delta,
-                clip_norm=cfg.dp.clip_norm,
-            )
-            tune_cfg = replace(tune_cfg, dp=dp_params)
+            tune_cfg = _under_dp(tune_cfg, len(run.data.private_train), cfg.dp)
         tuned, history = tune_prompt(model, prompt, run.data.private_train, tune_cfg)
         write_loss_history(run.path(artifact.replace(".pspa", "_history.csv")), history)
         art.save_prompt(run.path(artifact), tuned, tuning_config_digest=tune_cfg.digest())
@@ -612,27 +642,21 @@ def eval_baseline(run: SeedRun, kind: str) -> float:
     """Test accuracy of one baseline from the artifacts built so far."""
     test = run.data.private_test
     run.ledger.log(run.seed, "eval", "private_test", test.name)
-    requirements: dict[str, tuple] = {
-        "full_zs": (run.teacher,),
+    # baseline -> (model, prompt); full_zs is the one without a prompt
+    sources: dict[str, tuple] = {
+        "full_zs": (run.teacher, None),
         "full_pt": (run.teacher, run.p_full),
         "compressed_pt": (run.student, run.p_s),
-        "direct_transfer": (run.teacher, run.p_s),
+        "direct_transfer": (run.teacher, direct_transfer(run.p_s, run.teacher) if run.p_s else None),
         "post": (run.teacher, run.p_t),
         "post_dp": (run.teacher, run.p_t_dp),
         "finetuned_control": (run.teacher, run.p_control_t),
     }
-    if kind not in requirements:
+    if kind not in sources:
         raise StageError("eval", f"unknown baseline {kind!r}")
-    pieces = requirements[kind]
-    if any(p is None for p in pieces):
+    model, prompt = sources[kind]
+    if model is None or (prompt is None and kind != "full_zs"):
         raise StageError("eval", f"baseline {kind!r} is missing a required artifact")
-    if kind == "full_zs":
-        return _accuracy(run.teacher, test)
-    if kind == "compressed_pt":
-        return _accuracy(run.student, test, prompt=run.p_s)
-    if kind == "direct_transfer":
-        return _accuracy(run.teacher, test, prompt=direct_transfer(run.p_s, run.teacher))
-    model, prompt = pieces
     return _accuracy(model, test, prompt=prompt)
 
 
@@ -659,7 +683,7 @@ def stage_attack(run: SeedRun) -> dict:
 
         def train_fn_factory(use_dp: bool):
             def train_fn(dataset: LabeledDataset, seed: int) -> SoftPrompt:
-                prompt = init_prompt(model, atk.prompt_length, seed, cfg.prompt.init_scheme)
+                prompt = init_prompt(model, atk.prompt_length, seed)
                 # the attack reads only the tuned prompt, so the tuning history
                 # is recorded once, after the last epoch
                 tune_cfg = TuneConfig(
@@ -670,15 +694,7 @@ def stage_attack(run: SeedRun) -> dict:
                     eval_every=max(1, atk.epochs),
                 )
                 if use_dp:
-                    dp_params = make_dp_params(
-                        dataset_size=len(dataset),
-                        batch_size=atk.batch_size,
-                        epochs=atk.epochs,
-                        epsilon=cfg.dp.epsilon,
-                        delta=cfg.dp.delta,
-                        clip_norm=cfg.dp.clip_norm,
-                    )
-                    tune_cfg = replace(tune_cfg, dp=dp_params)
+                    tune_cfg = _under_dp(tune_cfg, len(dataset), cfg.dp)
                 tuned, _ = tune_prompt(model, prompt, dataset, tune_cfg)
                 return tuned
 

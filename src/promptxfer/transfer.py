@@ -4,7 +4,7 @@ The target prompt starts from the source prompt's regenerated initial rows
 and is optimized so the prompted teacher (1) mimics the prompted student's
 predictions and (2) reproduces the prediction *shift* the prompt induces,
 with a mixing weight alpha.  Distributions are compared over the
-verbalizer-aggregated class space by default; shift terms are differences of
+verbalizer-aggregated class space; shift terms are differences of
 log-probabilities renormalized through softmax so the divergence is
 well-defined.
 
@@ -82,19 +82,13 @@ class TransferConfig:
     steps: int = 1000
     learning_rate: float = 0.001
     batch_size: int = 32
-    label_space: str = "class_distribution"
     seed: int = 0
-    init_from: str = "initial"  # or "tuned": start from the tuned source rows
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must lie in [0, 1]")
         if self.steps < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("steps must be >= 0; batch_size and learning_rate positive")
-        if self.label_space not in ("class_distribution", "full_vocab"):
-            raise ValueError("label_space must be class_distribution or full_vocab")
-        if self.init_from not in ("initial", "tuned"):
-            raise ValueError("init_from must be initial or tuned")
 
 
 def transfer_loss(
@@ -104,7 +98,7 @@ def transfer_loss(
     student_plain_logits,
     alpha: float,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """(total, l1, l2) over a shared label space, for one example ([C]
+    """(total, l1, l2) over the class space, for one example ([C]
     vectors) or summed over the rows of [n x C] arrays.
 
     l1 imitates the prompted student's distribution; l2 aligns the
@@ -155,17 +149,11 @@ def transfer_prompt(
     if len(public_data) == 0:
         raise ValueError("public dataset is empty")
 
-    if config.init_from == "tuned":
-        start = p_s.matrix.copy()
-    else:
-        start = initial_prompt_matrix(
-            d, p_s.length, p_s.init_seed, p_s.init_scheme,
-            token_embedding=student.params["tok_emb"].data,
-        )
+    start = initial_prompt_matrix(d, p_s.length, p_s.init_seed)
     with ag.precision(np.float64):
         teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
         # static sides: prompted/plain student and plain teacher, all constants
-        verbalizers = None if config.label_space == "full_vocab" else public_data.verbalizers
+        verbalizers = public_data.verbalizers
         seqs = public_data.sequences
         sides = (
             class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix),
@@ -174,7 +162,7 @@ def transfer_prompt(
         )
 
         p_t = Tensor(start, requires_grad=True)
-        opt = Optimizer([p_t], kind="adam", learning_rate=config.learning_rate)
+        opt = Optimizer([p_t], learning_rate=config.learning_rate)
         rng = np.random.default_rng(config.seed)
         n = len(public_data)
         alpha = float(config.alpha)
@@ -202,7 +190,6 @@ def transfer_prompt(
     p_t_prompt = SoftPrompt(
         matrix=p_t.data.astype(np.float32),
         init_seed=p_s.init_seed,
-        init_scheme=p_s.init_scheme,
         source_fingerprint=teacher.fingerprint(),
         dp_meta=p_s.dp_meta,
     )
@@ -221,7 +208,6 @@ def direct_transfer(p_s: SoftPrompt, teacher: TransformerLM) -> SoftPrompt:
     return SoftPrompt(
         matrix=p_s.matrix.copy(),
         init_seed=p_s.init_seed,
-        init_scheme=p_s.init_scheme,
         source_fingerprint=teacher.fingerprint(),
         dp_meta=p_s.dp_meta,
     )

@@ -202,7 +202,7 @@ def tune_prompt(
     n = len(dataset)
     model.set_trainable(False)
     prompt_var = Tensor(prompt.matrix.copy(), requires_grad=True)
-    opt = Optimizer([prompt_var], kind="adam", learning_rate=config.learning_rate)
+    opt = Optimizer([prompt_var], learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
 
@@ -256,7 +256,6 @@ def tune_prompt(
     tuned = SoftPrompt(
         matrix=prompt_var.data.astype(np.float32),
         init_seed=prompt.init_seed,
-        init_scheme=prompt.init_scheme,
         source_fingerprint=model.fingerprint(),
         dp_meta=dp_meta,
     )

@@ -132,7 +132,7 @@ def test_prompt_round_trip_bit_exact(tmp_path):
     loaded = load_prompt(p1)
     np.testing.assert_array_equal(loaded.matrix, prompt.matrix)
     assert loaded.init_seed == prompt.init_seed
-    assert loaded.init_scheme == prompt.init_scheme
+    assert b'"init_scheme":"gaussian"' in p1.read_bytes()
     assert loaded.source_fingerprint == prompt.source_fingerprint
     assert loaded.dp_meta == prompt.dp_meta
     save_prompt(p2, loaded, tuning_config_digest="abc123")
@@ -143,7 +143,6 @@ def test_prompt_without_dp_meta(tmp_path):
     prompt = SoftPrompt(
         matrix=np.ones((2, 4), dtype=np.float32),
         init_seed=0,
-        init_scheme="gaussian",
         source_fingerprint="f" * 64,
     )
     path = tmp_path / "p.pspa"
@@ -188,7 +187,10 @@ def test_corrupt_artifact_headers_raise_artifact_error(tmp_path):
 
 
 def test_prompt_metadata_that_is_valid_json_but_not_a_prompt(tmp_path):
-    for meta in ([1, 2], {"l": 3}, {"l": -1, "d": -4}, {"l": 10**12, "d": 10**12}, {"l": 1, "d": 2, "init_seed": 0}):
+    # a complete header, but for a prompt start the program does not make
+    other_start = {"l": 1, "d": 2, "init_seed": 0, "init_scheme": "embedding_sample", "source_fingerprint": "f"}
+    for meta in ([1, 2], {"l": 3}, {"l": -1, "d": -4}, {"l": 10**12, "d": 10**12}, {"l": 1, "d": 2, "init_seed": 0},
+                 other_start):
         blob = json.dumps(meta).encode()
         path = tmp_path / "p.pspa"
         path.write_bytes(b"PSPA" + struct.pack("<HI", 1, len(blob)) + blob + bytes(8))

@@ -185,19 +185,9 @@ def test_gradcheck_matmul_and_structure_ops():
             x = rand(rng, 2, 4)
             ok, err = finite_diff_check(f, x, tolerance=1e-6)
             assert ok, f"max rel err {err:.3e}"
-
-
-def test_gradcheck_batched_matmul():
-    rng = np.random.default_rng(11)
-    b = rng.normal(size=(2, 3, 5))
-
-    def f(x):
-        return (matmul(x, Tensor(b)) ** 2.0).sum()
-
-    for _ in range(20):
-        x = rand(rng, 2, 4, 3)
-        ok, err = finite_diff_check(f, x, tolerance=1e-6)
-        assert ok, err
+    # the right operand is always a 2-D weight
+    with pytest.raises(ValueError):
+        matmul(Tensor(rows), Tensor(rows))
 
 
 def test_finite_diff_check_examples():

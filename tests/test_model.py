@@ -18,7 +18,6 @@ from promptxfer.model import (
     init_prompt,
     initial_prompt_matrix,
     label_set_log_probability,
-    label_set_probability,
     lm_loss,
 )
 from promptxfer.optim import Optimizer
@@ -28,6 +27,15 @@ def small_config(**kw):
     base = dict(n_layers=2, d_model=16, n_heads=4, vocab_size=29, max_seq_len=32)
     base.update(kw)
     return ModelConfig(**base)
+
+
+# one class per token of small_config's vocabulary: the class distribution is
+# then the whole next-token distribution
+EVERY_TOKEN = [[t] for t in range(29)]
+
+
+def class_probs(logits, verbalizers) -> np.ndarray:
+    return np.exp(label_set_log_probability(logits, verbalizers).data)
 
 
 def test_config_validation():
@@ -85,7 +93,6 @@ def test_zero_prompt_differs_from_no_prompt():
     zero = SoftPrompt(
         matrix=np.zeros((1, model.config.d_model), dtype=np.float32),
         init_seed=0,
-        init_scheme="gaussian",
         source_fingerprint=model.fingerprint(),
     )
     shifted = model.forward(ids, prompt=zero).data[-1]
@@ -128,7 +135,7 @@ def test_lm_loss_overfits_single_token_corpus():
     cfg = small_config(vocab_size=11)
     model = init_model(cfg, 5)
     model.set_trainable(True)
-    opt = Optimizer(model.parameters(), kind="adam", learning_rate=3e-3)
+    opt = Optimizer(model.parameters(), learning_rate=3e-3)
     seq = np.full(8, 7)
     history = []
     for _ in range(100):
@@ -145,8 +152,8 @@ def test_prompt_changes_answer_log_probs():
     model = init_model(small_config(), 6)
     seqs = [np.array([1, 2, 3, 4]), np.array([5, 6])]
     zero = np.zeros((2, model.config.d_model), dtype=np.float32)
-    plain = answer_log_probs(model, seqs, None).data
-    prompted = answer_log_probs(model, seqs, None, zero).data
+    plain = answer_log_probs(model, seqs, EVERY_TOKEN).data
+    prompted = answer_log_probs(model, seqs, EVERY_TOKEN, zero).data
     assert not np.allclose(plain, prompted)
 
 
@@ -159,7 +166,7 @@ def test_prompt_tuning_gradient_isolation():
     loss = -answer_log_probs(model, seqs, [[2], [9]], pvar).sum()
     loss.backward()
     assert pvar.grad is not None and np.any(pvar.grad != 0)
-    opt = Optimizer([pvar], kind="sgd", learning_rate=0.1)
+    opt = Optimizer([pvar], learning_rate=0.1)
     opt.step()
     assert model.fingerprint() == before
 
@@ -168,31 +175,31 @@ def test_label_set_probability_examples():
     # two classes, single token each, base probs 0.2 and 0.6 -> [0.25, 0.75]
     probs = np.array([0.2, 0.6, 0.2])
     logits = np.log(probs)
-    out = label_set_probability(logits, [[0], [1]])
+    out = class_probs(logits, [[0], [1]])
     np.testing.assert_allclose(out, [0.25, 0.75], rtol=1e-6)
 
     # uniform logits, equal-size sets -> uniform classes
-    out = label_set_probability(np.zeros(6), [[0, 1], [2, 3]])
+    out = class_probs(np.zeros(6), [[0, 1], [2, 3]])
     np.testing.assert_allclose(out, [0.5, 0.5], rtol=1e-6)
 
     # average-then-renormalize with unequal sets
     probs = np.array([0.1, 0.3, 0.2, 0.4])
-    out = label_set_probability(np.log(probs), [[0, 1], [2]])
+    out = class_probs(np.log(probs), [[0, 1], [2]])
     np.testing.assert_allclose(out, [0.5, 0.5], rtol=1e-6)
 
 
 def test_label_set_probability_rejects_overlap_and_empty():
     with pytest.raises(ValueError):
-        label_set_probability(np.zeros(4), [[0, 1], [1, 2]])
+        class_probs(np.zeros(4), [[0, 1], [1, 2]])
     with pytest.raises(ValueError):
-        label_set_probability(np.zeros(4), [[0], []])
+        class_probs(np.zeros(4), [[0], []])
 
 
 def test_classify_shift_invariance_and_rigged_head():
     logits = np.random.default_rng(1).normal(size=9)
     verbs = [[0, 1], [4], [6, 7]]
-    base = label_set_probability(logits, verbs)
-    shifted = label_set_probability(logits + 5.0, verbs)
+    base = class_probs(logits, verbs)
+    shifted = class_probs(logits + 5.0, verbs)
     np.testing.assert_allclose(base, shifted, atol=1e-6)
     assert np.argmax(base) == np.argmax(shifted)
 
@@ -202,11 +209,11 @@ def test_classify_shift_invariance_and_rigged_head():
     _, hidden = model.forward(ids, return_hidden=True)
     h = hidden.data[-1]
     model.params["lm_head"].data[:, 4] = (100.0 * h / np.dot(h, h)).astype(np.float32)
-    dist = label_set_probability(model.forward(ids).data[-1], [[3], [4]])
+    dist = class_probs(model.forward(ids).data[-1], [[3], [4]])
     assert np.argmax(dist) == 1 and dist[1] > 0.99
 
     # symmetric rigging: tie broken toward the lowest class id
-    dist = label_set_probability(np.zeros(4), [[0], [1]])
+    dist = class_probs(np.zeros(4), [[0], [1]])
     assert np.argmax(dist) == 0
 
 
@@ -230,13 +237,13 @@ def test_classify_batch_matches_single():
     prompt = init_prompt(model, length=2, seed=1)
     batched = classify_batch(model, seqs, verbs, prompt=prompt)
     singles = np.array(
-        [np.argmax(label_set_probability(model.forward(s, prompt=prompt).data[-1], verbs)) for s in seqs]
+        [np.argmax(class_probs(model.forward(s, prompt=prompt).data[-1], verbs)) for s in seqs]
     )
     np.testing.assert_array_equal(batched, singles)
 
 
 @pytest.mark.parametrize("with_prompt", [False, True])
-@pytest.mark.parametrize("verbs", [[[2, 7], [3]], None], ids=["classes", "full_vocab"])
+@pytest.mark.parametrize("verbs", [[[2, 7], [3]], EVERY_TOKEN], ids=["classes", "full_vocab"])
 def test_answer_log_probs_ragged_batch_matches_rows_alone(with_prompt, verbs):
     # with one layer, the block whose MLP runs at the answer positions only
     # is also the first
@@ -249,7 +256,7 @@ def test_answer_log_probs_ragged_batch_matches_rows_alone(with_prompt, verbs):
         got = answer_log_probs(model, seqs, verbs, prompt).data
         for row, seq in zip(got, seqs):
             last = model.forward(seq, prompt=prompt).data[-1]
-            alone = ag.log_softmax(ag._new(last)) if verbs is None else label_set_log_probability(last, verbs)
+            alone = label_set_log_probability(last, verbs)
             np.testing.assert_allclose(row, alone.data, rtol=0, atol=1e-5)
         np.testing.assert_array_equal(class_log_probs_batch(model, seqs, verbs, prompt=prompt), got)
 
@@ -299,7 +306,7 @@ def test_forward_matches_numpy_reference(tie):
         seqs = [rng.integers(0, 29, size=n) for n in (5, 1, 8, 3)]
         verbs = [[2, 7], [3]]
         got = answer_log_probs(model, seqs, verbs, prompt).data
-        full = answer_log_probs(model, seqs, None, prompt).data
+        full = answer_log_probs(model, seqs, EVERY_TOKEN, prompt).data
         for row, full_row, seq in zip(got, full, seqs):
             want = _numpy_forward(model, seq, prompt)
             np.testing.assert_allclose(model.forward(seq, prompt=prompt).data, want, rtol=1e-9, atol=1e-12)
@@ -319,7 +326,7 @@ def test_answer_log_probs_per_row_prompt_copies():
         np.testing.assert_allclose(row, answer_log_probs(model, [seq], [[4], [5]], mat).data[0], atol=1e-6)
 
 
-@pytest.mark.parametrize("verbs", [[[2, 7], [3]], None], ids=["classes", "full_vocab"])
+@pytest.mark.parametrize("verbs", [[[2, 7], [3]], EVERY_TOKEN], ids=["classes", "full_vocab"])
 def test_shared_prompt_matches_copies_and_rows_alone(verbs):
     """One shared [l x d] prompt, n copies of it and per-row forwards agree:
     the prefix positions never see a token, so one copy serves every row."""
@@ -337,7 +344,7 @@ def test_shared_prompt_matches_copies_and_rows_alone(verbs):
             np.testing.assert_allclose(copies, shared, rtol=1e-9, atol=1e-12)
             for row, seq in zip(shared, seqs):
                 last = model.forward(seq, prompt=prompt).data[-1]
-                alone = ag.log_softmax(ag._new(last)) if verbs is None else label_set_log_probability(last, verbs)
+                alone = label_set_log_probability(last, verbs)
                 np.testing.assert_allclose(row, alone.data, rtol=1e-9, atol=1e-12)
             # every position of a batched prompted forward, prefix included
             ids = np.stack([seq[:1].repeat(5) if len(seq) < 5 else seq[:5] for seq in seqs])
@@ -407,7 +414,7 @@ def test_class_log_probs_batch_returns_input_order():
         seqs = [rng.integers(0, 29, size=n) for n in rng.integers(2, 14, size=2 * ROWS_PER_FORWARD + 5)]
         prompt = init_prompt(model, length=2, seed=3)
         perm = rng.permutation(len(seqs))
-        for verbs in ([[4], [5]], None):
+        for verbs in ([[4], [5]], EVERY_TOKEN):
             out = class_log_probs_batch(model, seqs, verbs, prompt=prompt)
             shuffled = class_log_probs_batch(model, [seqs[i] for i in perm], verbs, prompt=prompt)
             np.testing.assert_allclose(shuffled, out[perm], rtol=1e-9, atol=1e-12)
@@ -459,14 +466,3 @@ def test_prompt_gradient_path_finite_diff():
             ok, err = finite_diff_check(f, mat, tolerance=1e-6, max_coords=12, rng=rng)
             assert ok, err
 
-
-def test_embedding_sample_prompt_init():
-    model = init_model(small_config(), 12)
-    p = init_prompt(model, length=4, seed=3, scheme="embedding_sample")
-    emb = model.params["tok_emb"].data
-    for row in p.matrix:
-        assert any(np.array_equal(row, e) for e in emb)
-    again = initial_prompt_matrix(
-        model.config.d_model, 4, 3, "embedding_sample", token_embedding=emb
-    )
-    np.testing.assert_array_equal(p.matrix, again)

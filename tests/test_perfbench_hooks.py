@@ -73,7 +73,7 @@ def test_prompted_forward_reads_head_useful_ratio_one(monkeypatch):
         tracer = tracing.Tracer(boundary)
         tracer.install(patches, px)
         model.answer_log_probs(lm, seqs, [[10], [11]], prompt)
-        model.answer_log_probs(lm, seqs, None, np.stack([prompt.matrix] * len(seqs)))
+        model.answer_log_probs(lm, seqs, [[10], [11]], np.stack([prompt.matrix] * len(seqs)))
         metrics = tracer.metrics(0.0, 0.0, 0.0)
     finally:
         patches.restore()

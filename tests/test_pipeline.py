@@ -1,6 +1,6 @@
-"""The stage plan, its CLI subcommands, the data-access ledger and config
-loading, on a tiny config (2-layer d=16 teacher, 32-example task) that runs
-the whole plan in about a second."""
+"""The stage plan, its CLI subcommands, the data-access ledger, config
+loading and the CSV task, on a tiny config (2-layer d=16 teacher, 32-example
+task) that runs the whole plan in about a second."""
 
 import json
 from pathlib import Path
@@ -10,16 +10,14 @@ import pytest
 from promptxfer import artifacts as art
 from promptxfer import pipeline as pl
 from promptxfer.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from promptxfer.corpus import default_task_spec
+from promptxfer.corpus import default_task_spec, gen_synth_pair, write_csv
 
 BASELINES = list(pl.ALL_BASELINES)
 PRETRAIN_STEPS, KD_STEPS = 20, 10
+TASK = default_task_spec(length_range=(4, 8), n_private_train=32, n_private_test=32, n_public=32, n_corpus_sentences=64)
 
 
 def tiny_config(out_dir, **overrides) -> dict:
-    task = default_task_spec(
-        length_range=(4, 8), n_private_train=32, n_private_test=32, n_public=32, n_corpus_sentences=64
-    )
     blob = {
         "teacher": {"n_layers": 2, "d_model": 16, "n_heads": 2, "max_seq_len": 32},
         "student_layers": 1,
@@ -28,7 +26,7 @@ def tiny_config(out_dir, **overrides) -> dict:
         "prompt": {"length": 2},
         "tune": {"epochs": 2, "learning_rate": 1e-2, "batch_size": 8},
         "transfer": {"steps": 3, "batch_size": 8},
-        "task": {"kind": "synthetic", **task.to_dict()},
+        "task": {"kind": "synthetic", **TASK.to_dict()},
         "baselines": BASELINES,
         "attack": {"enabled": True, "n_shadows": 2, "pool_size": 16, "epochs": 1, "batch_size": 8, "prompt_length": 2},
         "seeds": [0],
@@ -130,14 +128,17 @@ def test_written_checkpoints_load_and_reproduce_the_report(full_run, tmp_path):
 
 
 def test_teacher_side_stages_never_read_private_train(full_run):
-    ledger = pl.DataAccessLedger()
-    ledger.records = json.loads((full_run / "data_access.json").read_text())
-    assert ledger.stages_touching("private_train") == {
+    records = json.loads((full_run / "data_access.json").read_text())
+
+    def stages_reading(role):
+        return {r["stage"] for r in records if r["role"] == role}
+
+    assert stages_reading("private_train") == {
         "tune_student", "tune_student_dp", "full_pt", "control_tune", "attacks"
     }
     for stage in ("pretrain", "kd", "transfer", "transfer_dp", "control_lm", "control_transfer"):
-        assert ledger.roles_for_stage(stage) <= {"kd_corpus", "public"}, stage
-    assert ledger.stages_touching("private_test") == {"eval"}
+        assert {r["role"] for r in records if r["stage"] == stage} <= {"kd_corpus", "public"}, stage
+    assert stages_reading("private_test") == {"eval"}
 
 
 @pytest.mark.parametrize(
@@ -155,6 +156,13 @@ def test_teacher_side_stages_never_read_private_train(full_run):
         {"kd": {"bogus": 1}},
         {"kd": {"student_layer_indices": [1, 0]}},
         {"kd": {"student_layer_indices": [0, 2]}},  # the tiny teacher has 2 layers
+        # the retired POST switches, at a value other than the one a run uses
+        {"prompt": {"length": 2, "init_scheme": "embedding_sample"}},
+        {"transfer": {"steps": 3, "label_space": "full_vocab"}},
+        {"transfer": {"steps": 3, "init_from": "tuned"}},
+        {"kd": {"max_steps": 10, "freeze_embedding": True}},
+        {"kd": {"max_steps": 10, "freeze_lm_head": True}},
+        {"task": {"kind": "synthetic", "n_classes": 2}},  # the rest of the task missing
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
@@ -204,6 +212,48 @@ def test_one_failed_seed_is_reported_and_exits_3(tmp_path, monkeypatch):
     assert set(report["baselines"]["post"]["per_seed"]) == {"1"}
 
 
+@pytest.mark.parametrize(
+    "section, key, value, controller",
+    [
+        ("transfer", "alpha", 0.3, "transfer_alpha"),
+        ("transfer", "seed", 4, "seeds"),
+        ("tune", "seed", 4, "seeds"),
+        ("task", "seed", 4, "seeds"),
+        ("tune", "dp", {"epsilon": 1.0}, "`dp`"),
+    ],
+)
+def test_overwritten_key_names_the_key_that_sets_it(tmp_path, section, key, value, controller):
+    blob = tiny_config(tmp_path)
+    blob[section] = {**blob[section], key: value}
+    with pytest.raises(pl.ConfigError, match=f"{section}.{key}: .*{controller}"):
+        pl.config_from_dict(blob)
+
+
+def older_config_json(blob: dict) -> dict:
+    """The config.json that versions with the five POST switches wrote for
+    `blob`: every key that now sets nothing, at the value the run used, plus
+    the keys of still older configs."""
+    old = pl.config_to_dict(pl.config_from_dict(blob))
+    old["prompt"]["init_scheme"] = "gaussian"
+    old["transfer"].update(label_space="class_distribution", init_from="initial", seed=0)
+    old["tune"].update(seed=0, dp=None)
+    old["task"]["seed"] = 0
+    old["kd"].update(freeze_embedding=False, freeze_lm_head=False)
+    old.update(threads=1, strict_deterministic=False)
+    return old
+
+
+def test_config_json_of_older_versions_reloads(tmp_path):
+    blob = tiny_config(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(older_config_json(blob), indent=2, sort_keys=True))
+    config = pl.load_config(path)
+    assert config == pl.config_from_dict(blob)
+    written = pl.config_to_dict(config)
+    for section, key in pl.FIXED_KEYS:
+        assert key not in (written if section is None else written.get(section, {})), (section, key)
+
+
 def test_config_json_round_trip(full_run, tmp_path):
     blob = tiny_config(tmp_path)
     config = pl.config_from_dict(blob)
@@ -225,3 +275,47 @@ def test_config_json_round_trip(full_run, tmp_path):
     }
     assert pl.config_from_dict(retired) == config
     assert pl.config_to_dict(pl.config_from_dict(retired)) == pl.config_to_dict(config)
+
+
+@pytest.fixture
+def csv_task(tmp_path) -> dict:
+    """The tiny task's splits as `text,label` CSVs and its corpus as lines."""
+    private, public, corpus = gen_synth_pair(TASK)
+    task = {"kind": "csv", "template_suffix": TASK.template_suffix,
+            "verbalizer_words": [list(ws) for ws in TASK.verbalizer_words]}
+    for split, ds in (("train", private.split("train")), ("test", private.split("test")), ("public", public)):
+        task[split] = str(tmp_path / f"{split}.csv")
+        write_csv(ds, task[split])
+    task["corpus"] = str(tmp_path / "corpus.txt")
+    Path(task["corpus"]).write_text("\n".join(corpus) + "\n", encoding="utf-8")
+    return task
+
+
+def csv_config(tmp_path, task: dict) -> str:
+    blob = tiny_config(tmp_path / "run", task=task)
+    blob["attack"]["enabled"] = False
+    return write_config(tmp_path / "config_in.json", blob)
+
+
+def test_csv_task_runs_the_pipeline(tmp_path, csv_task):
+    assert main(["pipeline", "--config", csv_config(tmp_path, csv_task)]) == EXIT_OK
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert set(report["baselines"]) == set(BASELINES)
+    config = pl.load_config(tmp_path / "run" / "config.json")
+    assert isinstance(config.task, pl.CsvTask)
+    assert config == pl.load_config(tmp_path / "config_in.json")
+
+
+def test_csv_label_outside_the_classes_exits_3(tmp_path, csv_task, caplog):
+    rows = Path(csv_task["train"]).read_text(encoding="utf-8").splitlines()
+    rows[3] = rows[3].rsplit(",", 1)[0] + ",2"  # two classes: 0 and 1
+    Path(csv_task["train"]).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["pipeline", "--config", csv_config(tmp_path, csv_task)]) == EXIT_STAGE
+    assert f"{csv_task['train']}: row 4: label 2 out of range" in caplog.text
+
+
+def test_csv_task_without_its_train_file_exits_2(tmp_path, csv_task):
+    no_key = {k: v for k, v in csv_task.items() if k != "train"}
+    assert main(["pipeline", "--config", csv_config(tmp_path, no_key)]) == EXIT_CONFIG
+    Path(csv_task["train"]).unlink()
+    assert main(["pipeline", "--config", csv_config(tmp_path, csv_task)]) == EXIT_CONFIG

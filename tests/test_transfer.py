@@ -156,19 +156,10 @@ def test_transfer_zero_steps_returns_regenerated_init(model_pair):
     p_s.matrix += 0.25  # pretend it was tuned away from init
     cfg = TransferConfig(alpha=0.5, steps=0, seed=0)
     p_t, history = transfer_prompt(teacher, student, p_s, public, cfg)
-    expected = initial_prompt_matrix(16, 3, 17, "gaussian")
+    expected = initial_prompt_matrix(16, 3, 17)
     np.testing.assert_array_equal(p_t.matrix, expected)
     assert history == []
     assert p_t.source_fingerprint == teacher.fingerprint()
-
-
-def test_transfer_init_from_tuned_mode(model_pair):
-    teacher, student, public = model_pair
-    p_s = init_prompt(student, length=3, seed=17)
-    p_s.matrix += 0.25
-    cfg = TransferConfig(alpha=0.5, steps=0, seed=0, init_from="tuned")
-    p_t, _ = transfer_prompt(teacher, student, p_s, public, cfg)
-    np.testing.assert_array_equal(p_t.matrix, p_s.matrix)
 
 
 def test_transfer_runs_exact_steps_and_freezes_models(model_pair):
@@ -244,7 +235,7 @@ def test_transfer_objective_is_float64_on_float32_models(model_pair):
     assert p_t.matrix.dtype == np.float32
     assert p_t.source_fingerprint == teacher.fingerprint()
 
-    start = initial_prompt_matrix(16, 3, 4, "gaussian")
+    start = initial_prompt_matrix(16, 3, 4)
     verbs, seqs = public.verbalizers, public.sequences
     with precision(np.float64):
         teacher64, student64 = (
@@ -300,6 +291,6 @@ def test_transfer_config_validation():
     with pytest.raises(ValueError):
         TransferConfig(alpha=1.5)
     with pytest.raises(ValueError):
-        TransferConfig(label_space="logits")
+        TransferConfig(steps=-1)
     with pytest.raises(ValueError):
-        TransferConfig(init_from="elsewhere")
+        TransferConfig(batch_size=0)
