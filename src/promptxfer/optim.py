@@ -15,16 +15,28 @@ EPS = 1e-8
 
 class Optimizer:
     """Adam (Kingma & Ba 2015) with bias-corrected moments, updating each
-    parameter's data in place of the old array."""
+    parameter's data in place of the old array.
+
+    The parameters must share one dtype.  Both moments live in one flat
+    buffer each, in parameter order, so a step is about a dozen whole-buffer
+    operations rather than a dozen per parameter.  Each elementwise update
+    is the one a per-parameter Adam computes, in the same order, so the
+    results are bit-identical to it.  Gradients are cast to the parameters'
+    dtype."""
 
     def __init__(self, params: Sequence[Tensor], learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.params = list(params)
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        size = sum(p.data.size for p in self.params)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
 
     def step(self, grads: Sequence[np.ndarray] | None = None) -> None:
         """One update from `grads`, or from each parameter's .grad (zero where
@@ -37,15 +49,35 @@ class Optimizer:
             if np.shape(g) != p.data.shape:
                 raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.data.shape}")
         self.step_count += 1
+        if not self.params:
+            return
         t = self.step_count
         bc1 = 1.0 - BETA1**t
         bc2 = 1.0 - BETA2**t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+        m, v = self.m, self.v
+        g = np.concatenate([np.ravel(x) for x in grads], dtype=m.dtype)
+        tmp = np.empty_like(g)
+        # m = BETA1 * m + (1 - BETA1) * g
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        m += tmp
+        # v = BETA2 * v + (1 - BETA2) * (g * g); g is scratch from here on
+        v *= BETA2
+        np.multiply(g, g, out=g)
+        g *= 1.0 - BETA2
+        v += g
+        # update = learning_rate * (m / bc1) / (sqrt(v / bc2) + EPS)
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += EPS
+        np.divide(m, bc1, out=tmp)
+        tmp *= self.learning_rate
+        tmp /= g
+        offset = 0
+        for p in self.params:
+            n = p.data.size
+            p.data = p.data - tmp[offset : offset + n].reshape(p.data.shape)
+            offset += n
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -287,22 +287,15 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
+    """The ExperimentConfig that `blob` describes.  A section that `blob`
+    gives sets only the keys it names; the rest keep the default
+    experiment's values (`ExperimentConfig()`), not their class defaults."""
     blob = _drop_fixed_keys(blob)
     kwargs: dict = {}
-    if "teacher" in blob:
-        kwargs["teacher"] = ArchSpec(**blob.pop("teacher"))
-    for key, cls in (
-        ("pretrain", PretrainConfig),
-        ("prompt", PromptSpec),
-        ("dp", DpSpec),
-        ("attack", AttackConfig),
-    ):
+    defaults = ExperimentConfig()
+    for key in ("teacher", "pretrain", "prompt", "tune", "dp", "transfer", "attack"):
         if key in blob:
-            kwargs[key] = cls(**blob.pop(key))
-    if "tune" in blob:
-        kwargs["tune"] = TuneConfig(**blob.pop("tune"))
-    if "transfer" in blob:
-        kwargs["transfer"] = TransferConfig(**blob.pop("transfer"))
+            kwargs[key] = replace(getattr(defaults, key), **blob.pop(key))
     if "task" in blob:
         task = dict(blob.pop("task"))
         kind = task.pop("kind", "synthetic")

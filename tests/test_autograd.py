@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from promptxfer import autograd as ag
 from promptxfer.autograd import (
@@ -157,6 +158,66 @@ def test_fused_nodes_skip_frozen_and_keep_inputs_only():
         out.sum().backward()
         assert args["x"].grad is not None and args["x"].grad.shape == args["x"].shape
         assert all(t.grad is None for k, t in args.items() if k != "x")
+
+
+# ---------------------------------------------------------------------------
+# Gaussian CDF of the GELU: a vectorised kernel for float32, scipy's erf for
+# float64
+# ---------------------------------------------------------------------------
+
+
+def _exact_cdf(x):
+    return 0.5 * special.erfc(-np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+
+
+def test_gaussian_cdf_float32_error_and_range():
+    x = np.concatenate([np.linspace(-12.0, 12.0, 2_000_001, dtype=np.float32), np.float32([0.0, -0.0])])
+    phi = ag.gaussian_cdf(x)
+    assert phi.dtype == np.float32
+    assert np.abs(phi - _exact_cdf(x)).max() <= 1.5e-7
+    assert phi.min() >= 0.0 and phi.max() <= 1.0
+    assert np.all(np.diff(phi[:-2]) >= 0)
+    assert ag.gaussian_cdf(np.float32([0.0, -0.0])).tolist() == [0.5, 0.5]
+
+
+def test_gaussian_cdf_float32_tails_and_nan():
+    x = np.float32([-np.inf, -1e30, -8.0, 8.0, 1e30, np.inf, np.nan])
+    phi = ag.gaussian_cdf(x)
+    assert phi[:6].tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert np.isnan(phi[6])
+
+
+def test_gaussian_cdf_float64_is_scipy_erf():
+    x = np.random.default_rng(0).normal(scale=4.0, size=10_000)
+    x[:3] = (0.0, -0.0, 40.0)
+    # the expression the float64 GELU has always used, bit for bit
+    expected = 0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0))))
+    phi = ag.gaussian_cdf(x)
+    assert phi.dtype == np.float64
+    assert np.array_equal(phi, expected)
+
+
+def test_gelu_mlp_float32_input_gradient_matches_float64():
+    rng = np.random.default_rng(3)
+    d = 16
+    arrays = {
+        "x": rng.normal(size=(6, d)),
+        "w1": rng.normal(size=(d, 4 * d)) * 0.4,
+        "b1": rng.normal(size=4 * d),
+        "w2": rng.normal(size=(4 * d, d)) * 0.4,
+        "b2": rng.normal(size=d),
+    }
+    readout = rng.normal(size=(6, d))
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        with precision(dtype):
+            args = {k: Tensor(v) for k, v in arrays.items()}
+            args["x"].requires_grad = True
+            (gelu_mlp(*args.values()) * Tensor(readout)).sum().backward()
+        grads[dtype] = args["x"].grad
+        assert grads[dtype].dtype == dtype
+    g64 = grads[np.float64]
+    np.testing.assert_allclose(grads[np.float32], g64, rtol=1e-5, atol=1e-5 * np.abs(g64).max())
 
 
 def test_gradcheck_matmul_and_structure_ops():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptxfer.autograd import Tensor
+from promptxfer.autograd import Tensor, precision
 from promptxfer.optim import EPS, Optimizer
 
 
@@ -37,11 +37,70 @@ def test_adam_second_step_matches_closed_form():
 
 
 def test_step_count_increments_once_per_update():
-    p1, p2 = Tensor(np.zeros(2)), Tensor(np.zeros(3))
+    p1, p2 = Tensor(np.zeros(2)), Tensor(np.zeros((3, 1)))
     opt = Optimizer([p1, p2], learning_rate=0.1)
-    opt.step([np.ones(2), np.ones(3)])
+    opt.step([np.ones(2, dtype=np.float32), -np.ones((3, 1), dtype=np.float32)])
     assert opt.step_count == 1
-    assert [m.shape for m in opt.m] == [(2,), (3,)]
+    # every parameter takes its own first step of size lr, in its own shape
+    assert p1.data.shape == (2,) and p2.data.shape == (3, 1)
+    np.testing.assert_allclose(p1.data, -0.1, rtol=1e-6)
+    np.testing.assert_allclose(p2.data, 0.1, rtol=1e-6)
+    opt.step([np.ones(2, dtype=np.float32), -np.ones((3, 1), dtype=np.float32)])
+    assert opt.step_count == 2
+
+
+def _per_array_adam(params, grad_seq, lr):
+    """Adam written out one parameter at a time, the reference for the flat
+    buffers: returns each parameter's value after every step."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    params = list(params)
+    trail = []
+    for t, grads in enumerate(grad_seq, start=1):
+        bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for i, g in enumerate(grads):
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
+            m_hat = m[i] / bc1
+            v_hat = v[i] / bc2
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        trail.append([p.copy() for p in params])
+    return trail
+
+
+@pytest.mark.parametrize(
+    "shapes,dtype",
+    [([(5, 3), (3,), (1,), (2, 4, 2)], np.float32), ([(8, 6)], np.float64)],
+    ids=["float32-mixed-shapes", "float64-prompt"],
+)
+def test_flat_update_is_bit_identical_to_per_array_adam(shapes, dtype):
+    rng = np.random.default_rng(11)
+    # parameters of the updates' own size, so that a one-ulp difference in an
+    # update shows in the parameter
+    init = [(rng.normal(size=s) * 1e-3).astype(dtype) for s in shapes]
+    # gradients spanning several orders of magnitude, with exact zeros
+    grad_seq = [
+        [(rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s) * (rng.random(s) > 0.1)).astype(dtype) for s in shapes]
+        for _ in range(4)
+    ]
+    with precision(dtype):
+        params = [Tensor(a.copy()) for a in init]
+    opt = Optimizer(params, learning_rate=3e-3)
+    for grads, expected in zip(grad_seq, _per_array_adam(init, grad_seq, 3e-3)):
+        opt.step(grads)
+        for p, e in zip(params, expected):
+            assert p.data.dtype == dtype and p.data.shape == e.shape
+            assert np.array_equal(p.data, e)
+
+
+def test_mixed_parameter_dtypes_rejected():
+    with precision(np.float64):
+        p = Tensor(np.zeros(2))
+    with pytest.raises(ValueError):
+        Optimizer([Tensor(np.zeros(2)), p], learning_rate=0.1)
+    # a gradient is cast to the parameters' dtype
+    Optimizer([p], learning_rate=0.1).step([np.ones(2, dtype=np.float32)])
+    assert p.data.dtype == np.float64
 
 
 def test_shape_mismatch_rejected():

@@ -31,6 +31,36 @@ def test_perfbench_workload_configs_load(monkeypatch, tmp_path):
         assert config.kd_config().max_steps == workloads.KD_STEPS
 
 
+def test_perfbench_workload_configs_load_unchanged(monkeypatch, tmp_path):
+    """Each workload sets every key of each section it gives, so loading a
+    section over the default experiment's section gives the same config as
+    building it from its class defaults did."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wls = importlib.import_module("workloads")
+    pl = importlib.import_module("promptxfer.pipeline")
+    TuneConfig = importlib.import_module("promptxfer.tuning").TuneConfig
+    TransferConfig = importlib.import_module("promptxfer.transfer").TransferConfig
+    for name, wl in wls.WORKLOADS.items():
+        out = str(tmp_path / name)
+        expected = pl.ExperimentConfig(
+            student_layers=2,
+            pretrain=pl.PretrainConfig(steps=wls.PRETRAIN_STEPS, batch_size=16, learning_rate=3e-3),
+            kd={"max_steps": wls.KD_STEPS},
+            tune=TuneConfig(epochs=wls.TUNE_EPOCHS, learning_rate=1e-2, batch_size=wls.TUNE_BATCH),
+            transfer_alpha="heuristic",
+            transfer=TransferConfig(steps=wls.TRANSFER_STEPS, learning_rate=1e-3, batch_size=wls.TRANSFER_BATCH),
+            public_subset=wls.TRANSFER_BATCH,
+            baselines=wl.baselines,
+            attack=pl.AttackConfig(
+                enabled=wl.attack, n_shadows=wls.ATTACK_SHADOWS, pool_size=wls.ATTACK_POOL,
+                epochs=wls.ATTACK_EPOCHS, batch_size=wls.ATTACK_BATCH, with_dp=True,
+            ),
+            seeds=(0,),
+            output_dir=out,
+        )
+        assert pl.config_from_dict(wl.config(0, out)) == expected, name
+
+
 def test_perfbench_hooks_install_on_the_program_and_restore(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")

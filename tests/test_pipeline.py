@@ -3,6 +3,7 @@ loading and the CSV task, on a tiny config (2-layer d=16 teacher, 32-example
 task) that runs the whole plan in about a second."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,19 @@ def test_config_json_round_trip(full_run, tmp_path):
     }
     assert pl.config_from_dict(retired) == config
     assert pl.config_to_dict(pl.config_from_dict(retired)) == pl.config_to_dict(config)
+
+
+def test_partial_section_keeps_the_default_experiments_values(tmp_path):
+    default = pl.ExperimentConfig()
+    config = pl.config_from_dict({"tune": {"epochs": 20}, "attack": {"n_shadows": 3}})
+    # the default experiment tunes at learning rate 0.01 in batches of 16,
+    # not at TuneConfig's class defaults (0.001 and 32)
+    assert config.tune == default.tune
+    assert (config.tune.learning_rate, config.tune.batch_size) == (1e-2, 16)
+    assert config.attack == replace(default.attack, n_shadows=3)
+    assert pl.config_from_dict({"tune": {"epochs": 5}}).tune == replace(default.tune, epochs=5)
+    with pytest.raises(pl.ConfigError, match="epoch"):
+        pl.load_config(write_config(tmp_path / "typo.json", {"tune": {"epoch": 5}}))
 
 
 @pytest.fixture
