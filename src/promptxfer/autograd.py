@@ -36,9 +36,13 @@ backward.  What each backward keeps alive, besides its input tensors:
   prefix copy in front (``[b x heads x (l + T) x dh]``) and the attention
   probabilities: ``[b x heads x T x (l + T)]`` plus the shared prefix's own
   ``[heads x l x l]``, or ``[b x heads x (l + T) x (l + T)]`` with one
-  prefix copy per row.  The softmax gradient is formed from the saved
-  probabilities P as P * (dP - rowsum(dP * P)), the form the
-  FlashAttention backward uses (Dao et al. 2022).
+  prefix copy per row.  With ``query_at`` (one query per row) it keeps the
+  K/V weight and projection (``[positions x 2d]``), the same keys and
+  values, the queries (``[b x heads x 1 x dh]``) and
+  ``[b x heads x 1 x (l + T)]`` probabilities, and no prefix attention of
+  its own.  The softmax gradient is formed from the saved probabilities P
+  as P * (dP - rowsum(dP * P)), the form the FlashAttention backward uses
+  (Dao et al. 2022).
 - ``gelu_mlp``: the pre-activation and the Gaussian CDF at it
   (``[rows x 4d]`` each, float32 in training and scoring, float64 in the
   transfer); the GELU output is recomputed for the ``w2`` gradient, and the
@@ -46,6 +50,19 @@ backward.  What each backward keeps alive, besides its input tensors:
 
 The output projection and the LM head are ``matmul``, whose right operand
 is always a 2-D weight, so it also runs as one GEMM over the flattened rows.
+
+Softmax rows are short (one per query, l + T keys), and numpy reduces a
+short last axis one row at a time.  The row max is therefore taken from a
+copy with that axis first, which is exact.  Row sums and row dot products
+use ``np.einsum``, which reduces each row on its own, so a row's value does
+not depend on the rows batched beside it.  Row sums by a BLAS GEMV against
+a ones vector do depend on them: with them, a ragged batch no longer
+matched its rows in another order bit for bit.  Layer norm's means use the
+same helpers.  Probabilities below ``P_FLUSH`` (2^-60) are set to exactly
+0.  They lie far below the rounding error of a row's weighted sum, but in a
+trained model's peaked rows they are float32 subnormals, which slow the
+backward's GEMMs by a factor of about four wherever they reach.  Zero, not
+a floor, keeps masked keys exactly out.
 
 Because each training step frees its whole graph at once, glibc would hand
 the top of its heap back to the kernel after almost every step, and the next
@@ -487,25 +504,41 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # activations, and are computed only for parameters that require them.
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), each row reduced on its own."""
+    return np.einsum("...k->...", a)[..., None]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b).sum(axis=-1, keepdims=True) without the product array."""
+    return np.einsum("...k,...k->...", a, b)[..., None]
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), from a copy with the last axis first:
+    the reduction then runs over whole contiguous slices, not row by row."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).max(axis=0)[..., None]
+
+
 def layer_norm(x, gain, bias, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
     x, gain, bias = _lift(x), _lift(gain), _lift(bias)
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = ((xc * xc).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    d = x.data.shape[-1]
+    xc = x.data - _row_sum(x.data) / d
+    rstd = (_row_dot(xc, xc) / d + eps) ** -0.5
     xhat = xc * rstd
     del xc
     out = _new(xhat * gain.data + bias.data)
 
     def bw(g):
-        d = g.shape[-1]
         if gain.requires_grad:
             gain._acc((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias._acc(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gy = g * gain.data
-            mean_gy = gy.mean(axis=-1, keepdims=True)
-            mean_gyx = (gy * xhat).mean(axis=-1, keepdims=True)
+            mean_gy = _row_sum(gy) / d
+            mean_gyx = _row_dot(gy, xhat) / d
             x._acc(rstd * (gy - mean_gy - xhat * mean_gyx))
 
     _graph(out, (x, gain, bias), bw)
@@ -523,6 +556,10 @@ def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
     return mask
 
 
+# Probabilities below this are set to exactly 0 (see the module docstring).
+P_FLUSH = 2.0**-60
+
+
 def _attend(q, k, v, mask, scale):
     """softmax(q k^T * scale + mask) v and the probabilities."""
     # numpy's batched matmul multiplies a contiguous k^T (here and v^T in the
@@ -530,9 +567,10 @@ def _attend(q, k, v, mask, scale):
     p = q @ np.ascontiguousarray(k.swapaxes(-1, -2))
     p *= scale
     p += mask
-    p -= p.max(axis=-1, keepdims=True)
+    p -= _row_max(p)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _row_sum(p)
+    p *= p >= P_FLUSH
     return p @ v, p
 
 
@@ -541,13 +579,15 @@ def _attend_backward(gh, q, k, v, p, scale):
     saved probabilities."""
     dv = p.swapaxes(-1, -2) @ gh
     ds = gh @ np.ascontiguousarray(v.swapaxes(-1, -2))
-    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds -= _row_dot(ds, p)
     ds *= p
     ds *= scale
     return ds @ k, ds.swapaxes(-1, -2) @ q, dv
 
 
-def causal_attention(x, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix: tuple[int, int] = (0, 0)) -> Tensor:
+def causal_attention(
+    x, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix: tuple[int, int] = (0, 0), query_at=None
+) -> Tensor:
     """Multi-head causal self-attention before the output projection, over
     the flat hidden state x [m*l + rows*T x d]: `prefix` = (m, l) gives m
     copies of an l-position prefix, then come `rows` sequences of T token
@@ -561,7 +601,12 @@ def causal_attention(x, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix:
     [m*l + rows*T x d], exactly what each row would get with its prefix
     prepended.  Q, K and V come from one GEMM over all positions.  With one
     copy per row, a copy's queries join its row's, so each row is one
-    [l + T]-query attention; a shared prefix attends once on its own."""
+    [l + T]-query attention; a shared prefix attends once on its own.
+
+    With `query_at` (one token index per row) only the query at token
+    query_at[r] of each row r runs, and the result is [rows x d]: K and V
+    come from every position, Q from those positions alone, and the
+    prefix's own queries do not run."""
     x = _lift(x)
     weights = tuple(_lift(t) for t in (wq, wk, wv))
     biases = tuple(_lift(t) for t in (bq, bk, bv))
@@ -573,62 +618,94 @@ def causal_attention(x, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix:
         raise ValueError(f"{n_pos} positions do not split into {m} x {l} prefix and {rows} rows")
     h, dh = n_heads, d // n_heads
     scale = dh**-0.5
-    w = np.concatenate([t.data for t in weights], axis=1)
     x2 = x.data
-    qkv = x2 @ w + np.concatenate([t.data for t in biases])
-    q, k, v = qkv[n_pre:].reshape(rows, n, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [rows x h x T x dh]
+    if query_at is None:
+        at, first = None, 0
+    else:
+        # flat positions of the queries; Q runs apart, at those rows only
+        query_at = np.asarray(query_at, dtype=np.int64)
+        at, first = n_pre + np.arange(rows) * n + query_at, 1
+    w = np.concatenate([t.data for t in weights[first:]], axis=1)
+    proj = x2 @ w + np.concatenate([t.data for t in biases[first:]])  # [positions x 3d], or 2d without Q
+    c = proj.shape[1] // d
+    *q, k, v = proj[n_pre:].reshape(rows, n, c, h, dh).transpose(2, 0, 3, 1, 4)  # each [rows x h x T x dh]
+    if at is None:
+        q = q[0]
+    else:
+        q = (x2[at] @ weights[0].data + biases[0].data).reshape(rows, h, 1, dh)
+        future = np.arange(l + n) > l + query_at[:, None]
+        mask = np.where(future, MASK_FILL, 0.0).astype(proj.dtype)[:, None, None, :]
     shared = None  # q, k, v and probabilities of a shared prefix's own attention
     if n_pre:
-        qp, kp, vp = qkv[:n_pre].reshape(m, l, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [m x h x l x dh]
+        *qp, kp, vp = proj[:n_pre].reshape(m, l, c, h, dh).transpose(2, 0, 3, 1, 4)  # each [m x h x l x dh]
         k = np.concatenate([np.broadcast_to(kp, (rows, h, l, dh)), k], axis=2)
         v = np.concatenate([np.broadcast_to(vp, (rows, h, l, dh)), v], axis=2)
-        if m == rows:
-            q = np.concatenate([qp, q], axis=2)
-        else:
-            ctx_pre, pp = _attend(qp, kp, vp, _causal_mask(l, qkv.dtype), scale)
-            shared = (qp, kp, vp, pp)
-    n_q = q.shape[2]  # queries per row: T, or l + T when the prefix joins the row
-    ctx, p = _attend(q, k, v, _causal_mask(l + n, qkv.dtype)[l + n - n_q :], scale)
-    out = np.empty((n_pos, d), dtype=ctx.dtype)
-    out[n_pre:].reshape(rows, n, h, dh)[...] = ctx[:, :, n_q - n :].transpose(0, 2, 1, 3)
-    if n_pre:
-        if shared is None:
-            ctx_pre = ctx[:, :, :l]
-        out[:n_pre].reshape(m, l, h, dh)[...] = ctx_pre.transpose(0, 2, 1, 3)
+        if at is None and m == rows:
+            q = np.concatenate([qp[0], q], axis=2)
+        elif at is None:
+            ctx_pre, pp = _attend(qp[0], kp, vp, _causal_mask(l, proj.dtype), scale)
+            shared = (qp[0], kp, vp, pp)
+    n_q = q.shape[2]  # queries per row: T, l + T when the prefix joins the row, or 1
+    if at is None:
+        mask = _causal_mask(l + n, proj.dtype)[l + n - n_q :]
+    ctx, p = _attend(q, k, v, mask, scale)
+    if at is not None:
+        out = ctx.reshape(rows, d)
+    else:
+        out = np.empty((n_pos, d), dtype=ctx.dtype)
+        out[n_pre:].reshape(rows, n, h, dh)[...] = ctx[:, :, n_q - n :].transpose(0, 2, 1, 3)
+        if n_pre:
+            if shared is None:
+                ctx_pre = ctx[:, :, :l]
+            out[:n_pre].reshape(m, l, h, dh)[...] = ctx_pre.transpose(0, 2, 1, 3)
     out = _new(out)
 
     def bw(g):
-        dqkv = np.empty((n_pos, 3 * d), dtype=np.result_type(g, qkv))
-        gh = g[n_pre:].reshape(rows, n, h, dh).transpose(0, 2, 1, 3)
-        gh_pre = g[:n_pre].reshape(m, l, h, dh).transpose(0, 2, 1, 3)
-        if n_q > n:
-            gh = np.concatenate([gh_pre, gh], axis=2)
+        dproj = np.empty((n_pos, c * d), dtype=np.result_type(g, proj))
+        if at is not None:
+            gh = g.reshape(rows, h, 1, dh)
+        else:
+            gh = g[n_pre:].reshape(rows, n, h, dh).transpose(0, 2, 1, 3)
+            gh_pre = g[:n_pre].reshape(m, l, h, dh).transpose(0, 2, 1, 3)
+            if n_q > n:
+                gh = np.concatenate([gh_pre, gh], axis=2)
         dq, dk, dv = _attend_backward(gh, q, k, v, p, scale)
-        tok = dqkv[n_pre:].reshape(rows, n, 3, h, dh)
-        for i, grad in enumerate((dq[:, :, n_q - n :], dk[:, :, l:], dv[:, :, l:])):
+        tok = dproj[n_pre:].reshape(rows, n, c, h, dh)
+        for i, grad in enumerate((dq[:, :, n_q - n :], dk[:, :, l:], dv[:, :, l:])[first:]):
             tok[:, :, i] = grad.transpose(0, 2, 1, 3)
         if n_pre:
             dqp, dkp, dvp = dq[:, :, :l], dk[:, :, :l], dv[:, :, :l]
-            if shared is not None:
+            if m != rows:
                 # every row's reads of the shared keys and values add up
+                dkp, dvp = dkp.sum(axis=0, keepdims=True), dvp.sum(axis=0, keepdims=True)
+            if shared is not None:
                 dqp, dk_own, dv_own = _attend_backward(gh_pre, *shared, scale)
-                dkp = dk_own + dkp.sum(axis=0, keepdims=True)
-                dvp = dv_own + dvp.sum(axis=0, keepdims=True)
-            pre = dqkv[:n_pre].reshape(m, l, 3, h, dh)
-            for i, grad in enumerate((dqp, dkp, dvp)):
+                dkp += dk_own
+                dvp += dv_own
+            pre = dproj[:n_pre].reshape(m, l, c, h, dh)
+            for i, grad in enumerate((dqp, dkp, dvp)[first:]):
                 pre[:, :, i] = grad.transpose(0, 2, 1, 3)
+        # (input rows, gradient of their projection, its weights and biases)
+        groups = [(x2, dproj, weights[first:], biases[first:])]
+        if at is not None:
+            dq = dq.reshape(rows, d)
+            groups.append((x2[at], dq, weights[:1], biases[:1]))
         if x.requires_grad:
-            x._acc(dqkv @ w.T)
-        if any(t.requires_grad for t in weights):
-            dw = x2.T @ dqkv
-            for i, t in enumerate(weights):
-                if t.requires_grad:
-                    t._acc(dw[:, i * d : (i + 1) * d])
-        if any(t.requires_grad for t in biases):
-            db = dqkv.sum(axis=0)
-            for i, t in enumerate(biases):
-                if t.requires_grad:
-                    t._acc(db[i * d : (i + 1) * d])
+            dx = dproj @ w.T
+            if at is not None:
+                dx[at] += dq @ weights[0].data.T
+            x._acc(dx)
+        for rows_in, grad, ws, bs in groups:
+            if any(t.requires_grad for t in ws):
+                dw = rows_in.T @ grad
+                for i, t in enumerate(ws):
+                    if t.requires_grad:
+                        t._acc(dw[:, i * d : (i + 1) * d])
+            if any(t.requires_grad for t in bs):
+                db = grad.sum(axis=0)
+                for i, t in enumerate(bs):
+                    if t.requires_grad:
+                        t._acc(db[i * d : (i + 1) * d])
 
     _graph(out, (x, *weights, *biases), bw)
     return out

@@ -23,10 +23,14 @@ by `answer_log_probs`.  It right-pads a ragged batch to its longest row and
 runs one forward.  The padding is exact: under causal attention a position
 sees only itself and earlier positions, and every pad token comes after the
 answer position of its row, so the answer position's value is the one the
-row would get alone.  The answer positions are gathered right after the
-last block's attention: nothing after it mixes positions, so that block's
-second layer norm and MLP, the final layer norm and the LM head run on one
-row per sequence.
+row would get alone.  Nothing after the last block's attention reads a
+position other than the answer, so that attention runs one query per row,
+at its answer position (`causal_attention`'s `query_at`); its keys and
+values still come from every position of the row and its prefix copy, and
+the prefix's own queries do not run there.  The residual stream is
+gathered at the answer positions beside it, so the rest of that block, the
+final layer norm and the LM head run on one row per sequence.  Full-logit
+forwards (`lm_loss`, distillation) run every query in every block.
 
 Each block is three fused autograd nodes (`autograd.layer_norm`,
 `causal_attention`, `gelu_mlp`) plus the output projection and the
@@ -36,9 +40,14 @@ residual adds.
 every activation of its rows until its backward has run, and padding a
 32-row transfer batch to its longest row adds about a fifth more positions.
 In perfbench's plain POST workload (seeds 20 and 21, float32 training and
-a float64 transfer), one 32-row graph per transfer step peaked at 103-105
-MB resident; chunks of 16 rows, each freed before the next forward, peaked
-at 86 MB, against the 80-81 MB that pretraining and distillation reached.
+a float64 transfer, answer-only last block), one 32-row graph per transfer
+step peaked at 101 MB resident; chunks of 16 rows, each freed before the
+next forward, peaked at 84-85 MB, and chunks of 8 at 81-82 MB, against the
+80-81 MB that pretraining and distillation reached.  Neither 8 nor 32 rows
+was clearly faster: over three traced runs per seed on one 2-core host,
+the transfer's median read 1.9 s (8 rows), 2.0 s (16) and 2.1 s (32),
+inside the runs' spread of 1.5-2.2 s, and the student's tuning 0.44, 0.36
+and 0.33 s.
 `row_chunks` sorts a batch's rows by length before it slices them, so each
 chunk is padded to a length close to its own rows' rather than to the
 batch's longest.
@@ -214,11 +223,12 @@ class TransformerLM:
             x = ag.concat([prefix, x], axis=0)
 
         for i in range(cfg.n_layers):
-            x = x + self._attention(self._layer_norm(x, f"layers.{i}.ln1"), i, bsz, (m, l))
-            if answer_at is not None and i == cfg.n_layers - 1:
+            query_at = answer_at if i == cfg.n_layers - 1 else None
+            attn = self._attention(self._layer_norm(x, f"layers.{i}.ln1"), i, bsz, (m, l), query_at)
+            if query_at is not None:
                 # nothing after this reads the other positions
-                at = m * l + np.arange(bsz) * n_tok + np.asarray(answer_at, dtype=np.int64)
-                x = ag.take(x, at, axis=0)
+                x = ag.take(x, m * l + np.arange(bsz) * n_tok + np.asarray(query_at, dtype=np.int64), axis=0)
+            x = x + attn
             x = x + self._mlp(self._layer_norm(x, f"layers.{i}.ln2"), i)
         if answer_at is None:
             if l:
@@ -240,10 +250,10 @@ class TransformerLM:
     def _layer_norm(self, x: Tensor, name: str) -> Tensor:
         return ag.layer_norm(x, self.params[name + ".g"], self.params[name + ".b"], LN_EPS)
 
-    def _attention(self, x: Tensor, i: int, rows: int, prefix: tuple[int, int]) -> Tensor:
+    def _attention(self, x: Tensor, i: int, rows: int, prefix: tuple[int, int], query_at=None) -> Tensor:
         p, base = self.params, f"layers.{i}.attn."
         qkv = [p[base + name] for name in ("wq", "wk", "wv", "wq_b", "wk_b", "wv_b")]
-        ctx = ag.causal_attention(x, *qkv, self.config.n_heads, rows, prefix)
+        ctx = ag.causal_attention(x, *qkv, self.config.n_heads, rows, prefix, query_at)
         return ag.matmul(ctx, p[base + "wo"]) + p[base + "wo_b"]
 
     def _mlp(self, x: Tensor, i: int) -> Tensor:

@@ -677,14 +677,13 @@ def stage_attack(run: SeedRun) -> dict:
         def train_fn_factory(use_dp: bool):
             def train_fn(dataset: LabeledDataset, seed: int) -> SoftPrompt:
                 prompt = init_prompt(model, atk.prompt_length, seed)
-                # the attack reads only the tuned prompt, so the tuning history
-                # is recorded once, after the last epoch
+                # the attack reads only the tuned prompt, so no history is recorded
                 tune_cfg = TuneConfig(
                     epochs=atk.epochs,
                     learning_rate=atk.learning_rate,
                     batch_size=atk.batch_size,
                     seed=seed,
-                    eval_every=max(1, atk.epochs),
+                    eval_every=0,
                 )
                 if use_dp:
                     tune_cfg = _under_dp(tune_cfg, len(dataset), cfg.dp)

@@ -15,6 +15,12 @@ Every step runs the length-sorted `model.row_chunks` of its batch, at most
 `model.ROWS_PER_FORWARD` rows each, each forward and backward inside its
 own function call, so a chunk's graph is freed before the next chunk's
 forward; leaf gradients accumulate across chunks.
+
+The history (`TuneConfig.eval_every`) costs one scoring pass over the
+whole tuning set per row.  `eval_every` 0 records no row and runs no such
+pass, for callers that read only the tuned prompt, such as LiRA's shadow
+prompts; it draws nothing from the tuning RNG either way, so the prompt is
+the same.
 """
 
 from __future__ import annotations
@@ -83,11 +89,13 @@ class TuneConfig:
     batch_size: int = 32
     dp: DpParams | None = None
     seed: int = 0
-    eval_every: int = 1  # epochs (or epoch-equivalents under DP) between history rows
+    eval_every: int = 1  # epochs (or epoch-equivalents under DP) between history rows; 0: none
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("epochs must be >= 0; batch_size and learning_rate positive")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0 (0 records no history)")
 
     def digest(self) -> str:
         blob = {
@@ -226,7 +234,7 @@ def tune_prompt(
                 )
                 opt.step()
                 steps_done += 1
-            if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+            if config.eval_every and ((epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1):
                 preds = classify_batch(model, dataset.sequences, dataset.verbalizers, prompt=prompt_var.detach())
                 record(steps_done, float(np.mean(losses)), preds)
         dp_meta = None
@@ -243,7 +251,7 @@ def tune_prompt(
             mask = rng.random(n) < dp.sample_rate
             idx = np.flatnonzero(mask)
             promptdpsgd_step(model, prompt_var, dataset, idx, dp, n, rng, opt)
-            if (step + 1) % (steps_per_epoch * config.eval_every) == 0 or step == dp.steps - 1:
+            if config.eval_every and ((step + 1) % (steps_per_epoch * config.eval_every) == 0 or step == dp.steps - 1):
                 # one scoring pass gives both the history loss and the accuracy
                 lp = class_log_probs_batch(model, dataset.sequences, dataset.verbalizers, prompt_var.detach())
                 record(step + 1, -float(np.mean(lp[np.arange(n), dataset.labels])), np.argmax(lp, axis=1))

@@ -77,11 +77,14 @@ def test_gradcheck_elementwise_ops(name):
 # (a plain sum would hide, for example, the layer-norm input gradient).
 # Attention runs on the flat layout: ROWS rows of T tokens, and with a
 # prefix, PREFIX_LEN prefix rows shared by every row (m = 1) or one copy per
-# row (m = ROWS) in front of them.
+# row (m = ROWS) in front of them.  The `_query` nodes run the same three
+# layouts with one query per row, at token QUERY_AT[r] of row r.
 # ---------------------------------------------------------------------------
 
 D, HEADS, ROWS, T, PREFIX_LEN = 8, 2, 3, 4, 2
 PREFIX_COPIES = {"causal_attention": 0, "causal_attention_shared": 1, "causal_attention_per_row": ROWS}
+QUERY_AT = np.array([3, 0, 2])
+PREFIX_COPIES.update({name + "_query": m for name, m in PREFIX_COPIES.items()})
 
 
 def _fused_args(node, rng):
@@ -112,18 +115,17 @@ def _call_fused(node, args):
         m = PREFIX_COPIES[node]
         x = concat([args["prefix"], args["tokens"]], axis=0) if m else args["x"]
         weights = (args[k] for k in ("wq", "wk", "wv", "bq", "bk", "bv"))
-        return causal_attention(x, *weights, HEADS, ROWS, (m, PREFIX_LEN if m else 0))
+        query_at = QUERY_AT if node.endswith("_query") else None
+        return causal_attention(x, *weights, HEADS, ROWS, (m, PREFIX_LEN if m else 0), query_at)
     return gelu_mlp(*(args[k] for k in ("x", "w1", "b1", "w2", "b2")))
 
 
 FUSED_CASES = [
     ("layer_norm", arg) for arg in ("x", "gain", "bias")
 ] + [
-    ("causal_attention", arg) for arg in ("x", "wq", "wk", "wv", "bq", "bk", "bv")
-] + [
     (node, arg)
-    for node in ("causal_attention_shared", "causal_attention_per_row")
-    for arg in ("prefix", "tokens", "wq", "wk", "wv", "bq", "bk", "bv")
+    for node, m in PREFIX_COPIES.items()
+    for arg in (("prefix", "tokens") if m else ("x",)) + ("wq", "wk", "wv", "bq", "bk", "bv")
 ] + [
     ("gelu_mlp", arg) for arg in ("x", "w1", "b1", "w2", "b2")
 ]
@@ -144,11 +146,33 @@ def test_gradcheck_fused_nodes(node, arg):
             assert ok, f"{node} d/d{arg}: max rel err {err:.3e}"
 
 
+@pytest.mark.parametrize("node", [n for n in PREFIX_COPIES if not n.endswith("_query")])
+def test_attention_query_at_is_the_full_node_at_those_queries(node):
+    """One query per row gives the full node's output rows at the queried
+    positions, and the same gradients when only those rows are read."""
+    rng = np.random.default_rng(21)
+    with precision(np.float64):
+        args = {k: Tensor(v, requires_grad=True) for k, v in _fused_args(node, rng).items()}
+        readout = rng.normal(size=(ROWS, D))
+        m = PREFIX_COPIES[node]
+        at = m * PREFIX_LEN + np.arange(ROWS) * T + QUERY_AT
+        full = take(_call_fused(node, args), at)
+        one = _call_fused(node + "_query", args)
+        np.testing.assert_allclose(one.data, full.data, rtol=1e-12, atol=0)
+        (full * readout).sum().backward()
+        want = {k: t.grad for k, t in args.items()}
+        for t in args.values():
+            t.zero_grad()
+        (one * readout).sum().backward()
+        for k, t in args.items():
+            np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15, err_msg=k)
+
+
 def test_fused_nodes_skip_frozen_and_keep_inputs_only():
     """Only what requires a gradient gets one, and no backward captures its
     own output (the graph stays acyclic)."""
     rng = np.random.default_rng(1)
-    for node in ("layer_norm", "causal_attention", "gelu_mlp"):
+    for node in ("layer_norm", "causal_attention", "causal_attention_query", "gelu_mlp"):
         args = {k: Tensor(v) for k, v in _fused_args(node, rng).items()}
         args["x"].requires_grad = True
         out = _call_fused(node, args)
@@ -158,6 +182,63 @@ def test_fused_nodes_skip_frozen_and_keep_inputs_only():
         out.sum().backward()
         assert args["x"].grad is not None and args["x"].grad.shape == args["x"].shape
         assert all(t.grad is None for k, t in args.items() if k != "x")
+
+
+# ---------------------------------------------------------------------------
+# softmax rows: reductions over the last axis and the probability flush
+# ---------------------------------------------------------------------------
+
+
+def _subnormal(a):
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
+
+def test_row_reductions_match_numpy_and_do_not_depend_on_other_rows():
+    rng = np.random.default_rng(22)
+    for dtype in (np.float32, np.float64):
+        for shape in ((7, 23), (3, 4, 5, 17), (6, 64)):
+            a = rng.normal(size=shape).astype(dtype)
+            b = rng.normal(size=shape).astype(dtype)
+            np.testing.assert_array_equal(ag._row_max(a), a.max(axis=-1, keepdims=True))
+            rtol = 1e-5 if dtype == np.float32 else 1e-13
+            np.testing.assert_allclose(ag._row_sum(a), a.sum(axis=-1, keepdims=True), rtol=rtol, atol=rtol)
+            np.testing.assert_allclose(ag._row_dot(a, b), (a * b).sum(axis=-1, keepdims=True), rtol=rtol, atol=rtol)
+            for lo, hi in ((0, 1), (1, 3), (2, shape[0])):
+                np.testing.assert_array_equal(ag._row_sum(a[lo:hi]), ag._row_sum(a)[lo:hi])
+                np.testing.assert_array_equal(ag._row_dot(a[lo:hi], b[lo:hi]), ag._row_dot(a, b)[lo:hi])
+
+
+def test_attention_probabilities_are_flushed_and_masked_keys_stay_out():
+    rng = np.random.default_rng(23)
+    n = 12
+    q, k, v = (rng.normal(size=(2, 3, n, 4)).astype(np.float32) * 6.0 for _ in range(3))
+    mask = ag._causal_mask(n, np.dtype(np.float32))
+    _, p = ag._attend(q, k, v, mask, 0.5)
+    assert p.dtype == np.float32
+    assert np.all(p[..., mask < 0] == 0)
+    assert not np.any((p > 0) & (p < ag.P_FLUSH))
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-6)
+
+
+def test_peaked_attention_backward_has_no_subnormals():
+    """Scores 6.5 nats apart put some unflushed probabilities, and through
+    them some gradients, in float32's subnormal range."""
+    rng = np.random.default_rng(24)
+    keys = 20
+    q = np.array([1.0, 1.2, 0.8], dtype=np.float32).reshape(1, 1, 3, 1)
+    k = (-6.5 * np.arange(keys, dtype=np.float32)).reshape(1, 1, keys, 1)
+    v = rng.normal(size=(1, 1, keys, 1)).astype(np.float32)
+    gh = rng.normal(size=(1, 1, 3, 1)).astype(np.float32)
+    mask = np.zeros((3, keys), dtype=np.float32)
+    s = q @ k.swapaxes(-1, -2)
+    unflushed = np.exp(s - s.max(axis=-1, keepdims=True))
+    unflushed /= unflushed.sum(axis=-1, keepdims=True)
+    assert _subnormal(unflushed).any()
+    ctx, p = ag._attend(q, k, v, mask, 1.0)
+    assert not _subnormal(p).any()
+    for grad in ag._attend_backward(gh, q, k, v, p, 1.0):
+        assert grad.dtype == np.float32
+        assert not _subnormal(grad).any()
 
 
 # ---------------------------------------------------------------------------

@@ -242,23 +242,32 @@ def test_classify_batch_matches_single():
     np.testing.assert_array_equal(batched, singles)
 
 
-@pytest.mark.parametrize("with_prompt", [False, True])
+@pytest.mark.parametrize("with_prompt", [False, True, "per_row"])
 @pytest.mark.parametrize("verbs", [[[2, 7], [3]], EVERY_TOKEN], ids=["classes", "full_vocab"])
 def test_answer_log_probs_ragged_batch_matches_rows_alone(with_prompt, verbs):
-    # with one layer, the block whose MLP runs at the answer positions only
-    # is also the first
+    # with one layer, the block whose attention and MLP run at the answer
+    # positions only is also the first
     for n_layers in (2, 1):
         cfg = small_config(n_layers=n_layers)
         model = init_model(cfg, 13)
         rng = np.random.default_rng(5)
         seqs = [rng.integers(0, cfg.vocab_size, size=n) for n in (3, 9, 1, 6, 9, 4)]
-        prompt = init_prompt(model, length=3, seed=2) if with_prompt else None
+        # one prompt for every row, or an [n x l x d] prompt with one per row
+        own = [init_prompt(model, length=3, seed=2 + r).matrix for r in range(len(seqs))]
+        prompt = {False: None, True: own[0], "per_row": np.stack(own)}[with_prompt]
         got = answer_log_probs(model, seqs, verbs, prompt).data
-        for row, seq in zip(got, seqs):
-            last = model.forward(seq, prompt=prompt).data[-1]
+        for r, (row, seq) in enumerate(zip(got, seqs)):
+            last = model.forward(seq, prompt=own[r] if with_prompt == "per_row" else prompt).data[-1]
             alone = label_set_log_probability(last, verbs)
             np.testing.assert_allclose(row, alone.data, rtol=0, atol=1e-5)
-        np.testing.assert_array_equal(class_log_probs_batch(model, seqs, verbs, prompt=prompt), got)
+        # a row's bits do not depend on its neighbours: the rows in order of
+        # length, as `class_log_probs_batch` runs them, give the same bits
+        if with_prompt == "per_row":
+            order = np.argsort([len(s) for s in seqs], kind="stable")
+            sorted_rows = answer_log_probs(model, [seqs[i] for i in order], verbs, prompt[order]).data
+            np.testing.assert_array_equal(sorted_rows, got[order])
+        else:
+            np.testing.assert_array_equal(class_log_probs_batch(model, seqs, verbs, prompt=prompt), got)
 
 
 def _numpy_forward(model, ids, prompt=None):
@@ -404,6 +413,32 @@ def test_prompted_forward_runs_the_prefix_once(monkeypatch):
     rows_seen.clear()
     answer_log_probs(model, seqs, [[4], [5]])
     assert rows_seen[0] == padded
+
+
+def test_answer_position_forward_runs_one_query_per_row_in_the_last_block(monkeypatch):
+    """Only the answer positions are read after the last block's attention,
+    so its attention runs their queries alone; earlier blocks run every
+    query, the prefix's included."""
+    model = init_model(small_config(n_layers=3), 20)
+    rng = np.random.default_rng(12)
+    seqs = [rng.integers(0, 29, size=n) for n in (4, 7, 2, 7)]
+    queries = []
+    attend = ag._attend
+
+    def spying(q, *args):
+        queries.append(q.shape)
+        return attend(q, *args)
+
+    monkeypatch.setattr(ag, "_attend", spying)
+    l, longest = 3, 7
+    for prompt in (None, init_prompt(model, length=l, seed=1).matrix):
+        queries.clear()
+        answer_log_probs(model, seqs, [[4], [5]], prompt)
+        last = queries[-1]
+        assert last[0] == len(seqs) and last[2] == 1
+        # a shared prompt's own attention, then its rows', in each earlier block
+        per_block = [(len(seqs), 4, longest, 4)] if prompt is None else [(1, 4, l, 4), (len(seqs), 4, longest, 4)]
+        assert queries[:-1] == per_block * 2
 
 
 def test_class_log_probs_batch_returns_input_order():

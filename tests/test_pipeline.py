@@ -105,6 +105,16 @@ def test_subcommand_runs_a_prefix_of_the_plan_and_writes_what_the_pipeline_write
     assert bool(report["attack_metrics"]) == (command == "attack")
 
 
+def test_tuning_without_history_writes_no_history_and_the_same_prompts(full_run, tmp_path):
+    blob = tiny_config(tmp_path / "run")
+    blob["tune"]["eval_every"] = 0
+    assert main(["tune", "--config", write_config(tmp_path / "config_in.json", blob)]) == EXIT_OK
+    written = seed_files(tmp_path / "run")
+    assert not [name for name in written if name.endswith("_history.csv")]
+    for name in ("prompt_student.pspa", "prompt_student_dp.pspa"):
+        assert written[name] == seed_files(full_run)[name], name
+
+
 def test_eval_restricts_the_baselines(full_run, tmp_path):
     config = write_config(tmp_path / "config_in.json", tiny_config(tmp_path / "run"))
     assert main(["eval", "--config", config, "--baseline", "full_zs", "--baseline", "post"]) == EXIT_OK
@@ -164,6 +174,7 @@ def test_teacher_side_stages_never_read_private_train(full_run):
         {"kd": {"max_steps": 10, "freeze_embedding": True}},
         {"kd": {"max_steps": 10, "freeze_lm_head": True}},
         {"task": {"kind": "synthetic", "n_classes": 2}},  # the rest of the task missing
+        {"tune": {"epochs": 2, "eval_every": -1}},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):

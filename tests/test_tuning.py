@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,31 @@ def test_tune_prompt_zero_epochs_is_identity(tiny_task):
     np.testing.assert_array_equal(tuned.matrix, prompt.matrix)
     assert history == []
     assert tuned.source_fingerprint == model.fingerprint()
+
+
+@pytest.mark.parametrize("dp", [False, True])
+def test_eval_every_zero_records_no_history_and_runs_no_scoring_pass(tiny_task, monkeypatch, dp):
+    model, private, _ = tiny_task
+    train = private.split("train").subset(range(24))
+    prompt = init_prompt(model, length=4, seed=8)
+    cfg = TuneConfig(epochs=2, learning_rate=1e-2, batch_size=8, seed=4)
+    if dp:
+        cfg = replace(cfg, dp=make_dp_params(dataset_size=len(train), batch_size=8, epochs=2, epsilon=8.0))
+    with_history, history = tune_prompt(model, prompt, train, cfg)
+    assert len(history) == 2
+    scored = []
+    for name in ("classify_batch", "class_log_probs_batch"):
+        monkeypatch.setattr(tuning, name, lambda *a, name=name, **k: scored.append(name))
+    tuned, history = tune_prompt(model, prompt, train, replace(cfg, eval_every=0))
+    assert history == [] and scored == []
+    # the scoring pass draws nothing from the tuning RNG
+    np.testing.assert_array_equal(tuned.matrix, with_history.matrix)
+
+
+def test_eval_every_must_be_nonnegative():
+    assert TuneConfig(eval_every=0).eval_every == 0
+    with pytest.raises(ValueError, match="eval_every"):
+        TuneConfig(eval_every=-1)
 
 
 def test_tune_prompt_dimension_mismatch(tiny_task):
