@@ -416,9 +416,15 @@ def class_log_probs_batch(
     prompt=None,
 ) -> np.ndarray:
     """[n x C] answer-position class log distributions as a float64 array in
-    input order, from `answer_log_probs` over the length-sorted `row_chunks`."""
+    input order, from `answer_log_probs` over the length-sorted `row_chunks`.
+    `prompt` is one [l x d] prompt for every row."""
     _validate_verbalizers(verbalizers)
     pmat = model._resolve_prompt(prompt)
+    if pmat is not None and pmat.ndim == 3:
+        # the rows are reordered into chunks, so per-row copies would not follow them
+        raise ValueError(
+            "class_log_probs_batch takes one [l x d] prompt; score per-row prompts with answer_log_probs"
+        )
     out = np.zeros((len(sequences), len(verbalizers)))
     for chunk in row_chunks([len(s) for s in sequences]):
         out[chunk] = answer_log_probs(model, [sequences[i] for i in chunk], verbalizers, pmat).data

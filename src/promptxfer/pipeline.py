@@ -1,15 +1,35 @@
 """Config-driven orchestration of the distill/tune/transfer workflow.
 
-One ordered plan, `STAGE_PLAN`, runs every seed: pretrain, distill, tune,
-transfer, the control baselines, eval and the membership attack.  Each entry
-runs when a requested baseline (or the enabled attack) needs it, and
-`run_pipeline(config, through=name)` stops after the named entry, so every
-CLI subcommand runs a prefix of the same plan.  Every dataset hand-off is
-recorded in a data-access ledger keyed by (seed, stage, role);
-`tests/test_pipeline.py` asserts that the teacher-side stages never receive
-the private train split.
-"""
+One plan, `STAGE_PLAN`, runs every seed.  It is a tuple of `Row`s; each row
+names its stage, a function `fn(run, *inputs) -> output`, the names of the
+values it reads and the name of the value it builds.  The rows are, in
+order: pretrain, distillation, the student prompt tunings (plain and DP),
+`alpha`, the transfers, the control baselines, one `eval` row per baseline
+(its inputs are the baseline's (model, prompt) pair, `BASELINE_INPUTS`, and
+its output is named after the baseline) and the membership attack.
 
+A seed's run loads its data (`stage_data`), then walks back from what the
+config asks for, the requested baselines and "attacks" when the attack is
+enabled, through the rows' declared inputs, and runs, in plan order, exactly
+the rows that build something on that walk.  Each runs in its own timed
+call; no stage runs inside another.  `run_pipeline(config, through=name)`
+stops after the last row of that name, so every CLI subcommand runs a
+prefix of the same plan.
+
+The `alpha` row computes the heuristic transfer weight from the teacher,
+the student and the student's plain prompt.  When `transfer_alpha` is a
+float, that value is put in the run's outputs before the walk, so the row
+never runs.
+
+Row functions look up every program function they call (`tune_prompt`,
+`transfer_prompt`, `make_dp_params`, `lira_attack`, ...) through this
+module's globals at call time, and the runner calls `SeedRun.timed` through
+the class, so a wrapper installed on either after import takes effect.
+
+Every dataset hand-off is recorded in a data-access ledger keyed by
+(seed, stage, role); `tests/test_pipeline.py` asserts that the teacher-side
+stages never receive the private train split.
+"""
 from __future__ import annotations
 
 import csv
@@ -47,7 +67,7 @@ from .distill import (
     write_loss_history,
 )
 from .model import ModelConfig, SoftPrompt, TransformerLM, classify_batch, init_model, init_prompt
-from .transfer import HeuristicInputs, TransferConfig, alpha_heuristic, direct_transfer, transfer_prompt
+from .transfer import HeuristicInputs, TransferConfig, alpha_heuristic, transfer_prompt
 from .tuning import TuneConfig, make_dp_params, tune_prompt
 
 log = logging.getLogger(__name__)
@@ -230,12 +250,13 @@ FIXED_KEYS: dict[tuple[str | None, str], tuple[tuple | None, str]] = {
     ("transfer", "init_from"): (("initial",), "the transfer starts from the regenerated initial rows"),
     ("kd", "freeze_embedding"): ((False,), "distillation trains every student parameter"),
     ("kd", "freeze_lm_head"): ((False,), "distillation trains every student parameter"),
-    # set per stage from other keys
-    ("task", "seed"): ((0,), "the task seed is derived from `seeds`"),
+    # fields that became arguments of `tune_prompt` and `transfer_prompt`
     ("tune", "seed"): ((0,), "the tuning seed is derived from `seeds`"),
     ("transfer", "seed"): ((0,), "the transfer seed is derived from `seeds`"),
-    ("tune", "dp"): ((None,), "DP-SGD is set by `dp`"),
     ("transfer", "alpha"): ((0.5,), "the transfer's alpha is set by `transfer_alpha`"),
+    # set per stage from other keys
+    ("task", "seed"): ((0,), "the task seed is derived from `seeds`"),
+    ("tune", "dp"): ((None,), "DP-SGD is set by `dp`"),
 }
 
 
@@ -373,19 +394,8 @@ class SeedRun:
     ledger: DataAccessLedger
     out_dir: str
     data: TaskData | None = None
-    teacher: TransformerLM | None = None
-    student: TransformerLM | None = None
-    control_student: TransformerLM | None = None
-    p_s: SoftPrompt | None = None
-    p_s_dp: SoftPrompt | None = None
-    p_t: SoftPrompt | None = None
-    p_t_dp: SoftPrompt | None = None
-    p_full: SoftPrompt | None = None
-    p_control: SoftPrompt | None = None
-    p_control_t: SoftPrompt | None = None
-    resolved_alpha: float | None = None
+    outputs: dict = field(default_factory=dict)  # STAGE_PLAN output name -> value
     timings: list[dict] = field(default_factory=list)
-    accuracies: dict = field(default_factory=dict)
     artifact_paths: dict = field(default_factory=dict)
 
     def path(self, name: str) -> str:
@@ -461,57 +471,41 @@ def stage_data(run: SeedRun) -> None:
         )
 
 
-def stage_pretrain(run: SeedRun) -> None:
+def stage_pretrain(run: SeedRun) -> TransformerLM:
     cfg = run.config
     run.ledger.log(run.seed, "pretrain", "kd_corpus", "corpus")
-
-    def build() -> TransformerLM:
-        model_cfg = cfg.teacher.to_model_config(run.data.vocab.size)
-        teacher = init_model(model_cfg, seed_stream(run.seed, "teacher_init"))
-        pt = cfg.pretrain
-        history = train_lm(
-            teacher, run.data.corpus_ids, pt.steps, pt.batch_size, pt.learning_rate,
-            seed_stream(run.seed, "pretrain"),
-        )
-        write_loss_history(run.path("pretrain_loss.csv"), history)
-        teacher.provenance = {"stage": "pretrain", "seed": run.seed}
-        art.save_model(run.path("teacher.pstl"), teacher)
-        return teacher
-
-    run.teacher = run.timed("pretrain", build, amortizable=True)
+    teacher = init_model(cfg.teacher.to_model_config(run.data.vocab.size), seed_stream(run.seed, "teacher_init"))
+    pt = cfg.pretrain
+    history = train_lm(
+        teacher, run.data.corpus_ids, pt.steps, pt.batch_size, pt.learning_rate, seed_stream(run.seed, "pretrain")
+    )
+    write_loss_history(run.path("pretrain_loss.csv"), history)
+    teacher.provenance = {"stage": "pretrain", "seed": run.seed}
+    art.save_model(run.path("teacher.pstl"), teacher)
+    return teacher
 
 
-def stage_distill(run: SeedRun) -> None:
+def stage_distill(run: SeedRun, teacher: TransformerLM) -> TransformerLM:
     run.ledger.log(run.seed, "kd", "kd_corpus", "corpus")
-
-    def build() -> TransformerLM:
-        student, history = distill(
-            run.teacher, run.data.corpus_ids, run.config.kd_config(), seed_stream(run.seed, "kd")
-        )
-        write_loss_history(run.path("kd_loss.csv"), history)
-        art.save_model(run.path("student.pstl"), student)
-        return student
-
-    run.student = run.timed("kd", build, amortizable=True)
+    student, history = distill(teacher, run.data.corpus_ids, run.config.kd_config(), seed_stream(run.seed, "kd"))
+    write_loss_history(run.path("kd_loss.csv"), history)
+    art.save_model(run.path("student.pstl"), student)
+    return student
 
 
-def stage_control_student(run: SeedRun) -> None:
+def stage_control_student(run: SeedRun, teacher: TransformerLM) -> TransformerLM:
     """Same init as the distilled student, but plain LM training instead."""
     run.ledger.log(run.seed, "control_lm", "kd_corpus", "corpus")
-
-    def build() -> TransformerLM:
-        kd_cfg = run.config.kd_config()
-        control = init_student_from_teacher(run.teacher, kd_cfg)
-        history = train_lm(
-            control, run.data.corpus_ids, kd_cfg.max_steps, kd_cfg.batch_size,
-            run.config.pretrain.learning_rate, seed_stream(run.seed, "control_lm"),
-        )
-        control.provenance["trained_by"] = "plain_lm"
-        write_loss_history(run.path("control_lm_loss.csv"), history)
-        art.save_model(run.path("control_student.pstl"), control)
-        return control
-
-    run.control_student = run.timed("control_lm", build, amortizable=True)
+    kd_cfg = run.config.kd_config()
+    control = init_student_from_teacher(teacher, kd_cfg)
+    history = train_lm(
+        control, run.data.corpus_ids, kd_cfg.max_steps, kd_cfg.batch_size,
+        run.config.pretrain.learning_rate, seed_stream(run.seed, "control_lm"),
+    )
+    control.provenance["trained_by"] = "plain_lm"
+    write_loss_history(run.path("control_lm_loss.csv"), history)
+    art.save_model(run.path("control_student.pstl"), control)
+    return control
 
 
 def _under_dp(tune_cfg: TuneConfig, dataset_size: int, dp: DpSpec) -> TuneConfig:
@@ -528,60 +522,19 @@ def _under_dp(tune_cfg: TuneConfig, dataset_size: int, dp: DpSpec) -> TuneConfig
     return replace(tune_cfg, dp=params)
 
 
-def _tune_on(run: SeedRun, model: TransformerLM, stage: str, dp: bool, artifact: str) -> SoftPrompt:
-    run.ledger.log(run.seed, stage, "private_train", run.data.private_train.name)
-    cfg = run.config
-
-    def build() -> SoftPrompt:
-        prompt = init_prompt(model, cfg.prompt.length, seed_stream(run.seed, "prompt_init"))
-        tune_cfg = replace(cfg.tune, seed=seed_stream(run.seed, stage))
-        if dp:
-            tune_cfg = _under_dp(tune_cfg, len(run.data.private_train), cfg.dp)
-        tuned, history = tune_prompt(model, prompt, run.data.private_train, tune_cfg)
-        write_loss_history(run.path(artifact.replace(".pspa", "_history.csv")), history)
-        art.save_prompt(run.path(artifact), tuned, tuning_config_digest=tune_cfg.digest())
-        return tuned
-
-    return run.timed(stage, build)
-
-
-def stage_tune_student(run: SeedRun) -> None:
-    run.p_s = _tune_on(run, run.student, "tune_student", dp=False, artifact="prompt_student.pspa")
-
-
-def stage_tune_student_dp(run: SeedRun) -> None:
-    run.p_s_dp = _tune_on(run, run.student, "tune_student_dp", dp=True, artifact="prompt_student_dp.pspa")
-
-
-def stage_full_pt(run: SeedRun) -> None:
-    # upper-bound control; explicitly confidentiality-violating (private data
-    # reaches the teacher side)
-    run.p_full = _tune_on(run, run.teacher, "full_pt", dp=False, artifact="prompt_full.pspa")
-
-
-def stage_control_tune(run: SeedRun) -> None:
-    run.p_control = _tune_on(run, run.control_student, "control_tune", dp=False, artifact="prompt_control.pspa")
-
-
 def _accuracy(model: TransformerLM, dataset: LabeledDataset, prompt=None) -> float:
     preds = classify_batch(model, dataset.sequences, dataset.verbalizers, prompt=prompt)
     return float(np.mean(preds == dataset.labels))
 
 
-def resolve_alpha(run: SeedRun) -> float:
+def stage_alpha(run: SeedRun, teacher: TransformerLM, student: TransformerLM, p_s: SoftPrompt) -> float:
     """Heuristic alpha from measured teacher zero-shot and prompted-student
     accuracy (both on the private test split, an eval-side measurement)."""
-    cfg = run.config
-    if not isinstance(cfg.transfer_alpha, str):
-        return float(cfg.transfer_alpha)
-    if run.resolved_alpha is not None:
-        return run.resolved_alpha
-    if run.p_s is None:  # heuristic needs the prompted-student accuracy
-        stage_tune_student(run)
-    run.ledger.log(run.seed, "eval", "private_test", run.data.private_test.name)
-    zs = _accuracy(run.teacher, run.data.private_test)
-    compressed = _accuracy(run.student, run.data.private_test, prompt=run.p_s)
-    rg = 1.0 / run.data.private_test.n_classes
+    test = run.data.private_test
+    run.ledger.log(run.seed, "eval", "private_test", test.name)
+    zs = _accuracy(teacher, test)
+    compressed = _accuracy(student, test, prompt=p_s)
+    rg = 1.0 / test.n_classes
     try:
         alpha = alpha_heuristic(
             HeuristicInputs(zero_shot=100 * zs, compressed=100 * compressed, random_guess=100 * rg)
@@ -589,7 +542,6 @@ def resolve_alpha(run: SeedRun) -> float:
     except ValueError:
         log.warning("alpha heuristic undefined (compressed == random guess); falling back to 0.5")
         alpha = 0.5
-    run.resolved_alpha = alpha
     log.info("seed %d: resolved alpha = %.3f (ZS %.3f, compressed %.3f)", run.seed, alpha, zs, compressed)
     return alpha
 
@@ -601,65 +553,14 @@ def _public_view(run: SeedRun) -> LabeledDataset:
     return public
 
 
-def _transfer_from(run: SeedRun, p_s: SoftPrompt, stage: str, artifact: str) -> SoftPrompt:
-    public = _public_view(run)
-    run.ledger.log(run.seed, stage, "public", public.name)
-    cfg = run.config
-
-    def build() -> SoftPrompt:
-        tr_cfg = replace(
-            cfg.transfer, alpha=resolve_alpha(run), seed=seed_stream(run.seed, stage)
-        )
-        source_model = run.control_student if stage == "control_transfer" else run.student
-        p_t, history = transfer_prompt(run.teacher, source_model, p_s, public, tr_cfg)
-        write_loss_history(run.path(artifact.replace(".pspa", "_loss.csv")), history)
-        art.save_prompt(run.path(artifact), p_t)
-        return p_t
-
-    return run.timed(stage, build)
-
-
-def stage_transfer(run: SeedRun) -> None:
-    run.p_t = _transfer_from(run, run.p_s, "transfer", "prompt_transferred.pspa")
-
-
-def stage_transfer_dp(run: SeedRun) -> None:
-    run.p_t_dp = _transfer_from(run, run.p_s_dp, "transfer_dp", "prompt_transferred_dp.pspa")
-
-
-def stage_control_transfer(run: SeedRun) -> None:
-    run.p_control_t = _transfer_from(run, run.p_control, "control_transfer", "prompt_control_transferred.pspa")
-
-
-def eval_baseline(run: SeedRun, kind: str) -> float:
-    """Test accuracy of one baseline from the artifacts built so far."""
+def eval_baseline(run: SeedRun, model: TransformerLM, prompt: SoftPrompt | None = None) -> float:
+    """Test accuracy of `model`, prompted by `prompt` unless it is None."""
     test = run.data.private_test
     run.ledger.log(run.seed, "eval", "private_test", test.name)
-    # baseline -> (model, prompt); full_zs is the one without a prompt
-    sources: dict[str, tuple] = {
-        "full_zs": (run.teacher, None),
-        "full_pt": (run.teacher, run.p_full),
-        "compressed_pt": (run.student, run.p_s),
-        "direct_transfer": (run.teacher, direct_transfer(run.p_s, run.teacher) if run.p_s else None),
-        "post": (run.teacher, run.p_t),
-        "post_dp": (run.teacher, run.p_t_dp),
-        "finetuned_control": (run.teacher, run.p_control_t),
-    }
-    if kind not in sources:
-        raise StageError("eval", f"unknown baseline {kind!r}")
-    model, prompt = sources[kind]
-    if model is None or (prompt is None and kind != "full_zs"):
-        raise StageError("eval", f"baseline {kind!r} is missing a required artifact")
     return _accuracy(model, test, prompt=prompt)
 
 
-def stage_eval(run: SeedRun) -> None:
-    """Test accuracy of every requested baseline, one timed row each."""
-    for kind in run.config.baselines:
-        run.accuracies[kind] = run.timed("eval", lambda k=kind: eval_baseline(run, k))
-
-
-def stage_attack(run: SeedRun) -> dict:
+def stage_attack(run: SeedRun, student: TransformerLM) -> dict:
     """LiRA on the student's prompt-tuning set, non-DP and (optionally) DP."""
     cfg = run.config
     atk = cfg.attack
@@ -667,80 +568,148 @@ def stage_attack(run: SeedRun) -> dict:
     pool = run.data.private_train.subset(range(pool_size), name="candidate_pool")
     pool = with_label_noise(pool, atk.label_noise, seed_stream(run.seed, "attack_noise"))
     run.ledger.log(run.seed, "attacks", "private_train", pool.name)
+    rng = np.random.default_rng(seed_stream(run.seed, "attack_members"))
+    members = np.sort(rng.choice(len(pool), size=len(pool) // 2, replace=False))
+    # the attack reads only the tuned prompts, so no history is recorded
+    tune_cfg = TuneConfig(epochs=atk.epochs, learning_rate=atk.learning_rate, batch_size=atk.batch_size, eval_every=0)
+    results: dict[str, AttackResult] = {}
 
-    def build() -> dict:
-        model = run.student
-        rng = np.random.default_rng(seed_stream(run.seed, "attack_members"))
-        members = np.sort(rng.choice(len(pool), size=len(pool) // 2, replace=False))
-        results: dict[str, AttackResult] = {}
+    def train_fn_factory(use_dp: bool):
+        def train_fn(dataset: LabeledDataset, seed: int) -> SoftPrompt:
+            prompt = init_prompt(student, atk.prompt_length, seed)
+            config = _under_dp(tune_cfg, len(dataset), cfg.dp) if use_dp else tune_cfg
+            tuned, _ = tune_prompt(student, prompt, dataset, config, seed)
+            return tuned
 
-        def train_fn_factory(use_dp: bool):
-            def train_fn(dataset: LabeledDataset, seed: int) -> SoftPrompt:
-                prompt = init_prompt(model, atk.prompt_length, seed)
-                # the attack reads only the tuned prompt, so no history is recorded
-                tune_cfg = TuneConfig(
-                    epochs=atk.epochs,
-                    learning_rate=atk.learning_rate,
-                    batch_size=atk.batch_size,
-                    seed=seed,
-                    eval_every=0,
-                )
-                if use_dp:
-                    tune_cfg = _under_dp(tune_cfg, len(dataset), cfg.dp)
-                tuned, _ = tune_prompt(model, prompt, dataset, tune_cfg)
-                return tuned
+        return train_fn
 
-            return train_fn
-
-        variants = [("nondp", False)] + ([("dp", True)] if atk.with_dp else [])
-        for tag, use_dp in variants:
-            train_fn = train_fn_factory(use_dp)
-            target = train_fn(pool.subset(members), seed_stream(run.seed, f"attack_target_{tag}"))
-            res = lira_attack(
-                model,
-                pool,
-                train_fn,
-                target,
-                members,
-                n_shadows=atk.n_shadows,
-                seed=seed_stream(run.seed, f"attack_{tag}"),
-            )
-            results[tag] = res
-            write_attack_csv(res, run.path(f"attack_{tag}.csv"))
-            write_attack_summary(res, run.path(f"attack_{tag}.json"), seeds=[run.seed])
-        out = {tag: {"auc": r.auc, "tpr_at_1pct_fpr": r.tpr_at_1pct_fpr} for tag, r in results.items()}
-        run.accuracies.update({f"attack_{tag}_auc": v["auc"] for tag, v in out.items()})
-        return out
-
-    return run.timed("attacks", build)
+    variants = [("nondp", False)] + ([("dp", True)] if atk.with_dp else [])
+    for tag, use_dp in variants:
+        train_fn = train_fn_factory(use_dp)
+        target = train_fn(pool.subset(members), seed_stream(run.seed, f"attack_target_{tag}"))
+        res = lira_attack(
+            student,
+            pool,
+            train_fn,
+            target,
+            members,
+            n_shadows=atk.n_shadows,
+            seed=seed_stream(run.seed, f"attack_{tag}"),
+        )
+        results[tag] = res
+        write_attack_csv(res, run.path(f"attack_{tag}.csv"))
+        write_attack_summary(res, run.path(f"attack_{tag}.json"), seeds=[run.seed])
+    return {tag: {"auc": r.auc, "tpr_at_1pct_fpr": r.tpr_at_1pct_fpr} for tag, r in results.items()}
 
 
-# Each entry runs when the config requests something it serves: a baseline,
-# or "attacks" when config.attack is enabled.
-STAGE_PLAN: tuple[tuple[str, Callable[[SeedRun], object], frozenset], ...] = (
-    ("pretrain", stage_pretrain, frozenset(ALL_BASELINES) | {"attacks"}),
-    ("kd", stage_distill, frozenset(ALL_BASELINES) - {"full_zs", "full_pt"} | {"attacks"}),
-    ("tune_student", stage_tune_student, frozenset({"compressed_pt", "direct_transfer", "post"})),
-    ("tune_student_dp", stage_tune_student_dp, frozenset({"post_dp"})),
-    ("transfer", stage_transfer, frozenset({"post"})),
-    ("transfer_dp", stage_transfer_dp, frozenset({"post_dp"})),
-    ("full_pt", stage_full_pt, frozenset({"full_pt"})),
-    ("control_lm", stage_control_student, frozenset({"finetuned_control"})),
-    ("control_tune", stage_control_tune, frozenset({"finetuned_control"})),
-    ("control_transfer", stage_control_transfer, frozenset({"finetuned_control"})),
-    ("eval", stage_eval, frozenset(ALL_BASELINES)),
-    ("attacks", stage_attack, frozenset({"attacks"})),
+# -- the stage plan -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Row:
+    """One STAGE_PLAN entry: `fn(run, *inputs)` builds the value named
+    `output` from the values named `inputs`."""
+
+    name: str
+    fn: Callable
+    inputs: tuple[str, ...]
+    output: str
+    amortizable: bool = False
+
+
+def _tuning_row(name: str, model: str, output: str, artifact: str, dp: bool = False) -> Row:
+    """A row that tunes a prompt on `model` over the private train split,
+    under DP-SGD when `dp`, and writes it to `artifact`."""
+
+    def tune(run: SeedRun, lm: TransformerLM) -> SoftPrompt:
+        train = run.data.private_train
+        run.ledger.log(run.seed, name, "private_train", train.name)
+        prompt = init_prompt(lm, run.config.prompt.length, seed_stream(run.seed, "prompt_init"))
+        tune_cfg = _under_dp(run.config.tune, len(train), run.config.dp) if dp else run.config.tune
+        seed = seed_stream(run.seed, name)
+        tuned, history = tune_prompt(lm, prompt, train, tune_cfg, seed)
+        write_loss_history(run.path(artifact.replace(".pspa", "_history.csv")), history)
+        art.save_prompt(run.path(artifact), tuned, tuning_config_digest=tune_cfg.digest(seed))
+        return tuned
+
+    return Row(name, tune, (model,), output)
+
+
+def _transfer_row(name: str, source: str, prompt: str, output: str, artifact: str) -> Row:
+    """A row that transfers `prompt`, tuned on the `source` model, to the
+    teacher on the public set, and writes it to `artifact`."""
+
+    def transfer(run: SeedRun, teacher: TransformerLM, lm: TransformerLM, p_s: SoftPrompt, alpha: float):
+        public = _public_view(run)
+        run.ledger.log(run.seed, name, "public", public.name)
+        seed = seed_stream(run.seed, name)
+        p_t, history = transfer_prompt(teacher, lm, p_s, public, run.config.transfer, alpha, seed)
+        write_loss_history(run.path(artifact.replace(".pspa", "_loss.csv")), history)
+        art.save_prompt(run.path(artifact), p_t)
+        return p_t
+
+    return Row(name, transfer, ("teacher", source, prompt, "alpha"), output)
+
+
+# baseline -> the outputs it is evaluated with: (model,) or (model, prompt)
+BASELINE_INPUTS: dict[str, tuple[str, ...]] = {
+    "full_zs": ("teacher",),
+    # upper-bound control; explicitly confidentiality-violating (private
+    # data reaches the teacher side)
+    "full_pt": ("teacher", "p_full"),
+    "compressed_pt": ("student", "p_s"),
+    "direct_transfer": ("teacher", "p_s"),
+    "post": ("teacher", "p_t"),
+    "post_dp": ("teacher", "p_t_dp"),
+    "finetuned_control": ("teacher", "p_control_t"),
+}
+
+STAGE_PLAN: tuple[Row, ...] = (
+    Row("pretrain", stage_pretrain, (), "teacher", amortizable=True),
+    Row("kd", stage_distill, ("teacher",), "student", amortizable=True),
+    _tuning_row("tune_student", "student", "p_s", "prompt_student.pspa"),
+    _tuning_row("tune_student_dp", "student", "p_s_dp", "prompt_student_dp.pspa", dp=True),
+    Row("alpha", stage_alpha, ("teacher", "student", "p_s"), "alpha"),
+    _transfer_row("transfer", "student", "p_s", "p_t", "prompt_transferred.pspa"),
+    _transfer_row("transfer_dp", "student", "p_s_dp", "p_t_dp", "prompt_transferred_dp.pspa"),
+    _tuning_row("full_pt", "teacher", "p_full", "prompt_full.pspa"),
+    Row("control_lm", stage_control_student, ("teacher",), "control_student", amortizable=True),
+    _tuning_row("control_tune", "control_student", "p_control", "prompt_control.pspa"),
+    _transfer_row(
+        "control_transfer", "control_student", "p_control", "p_control_t", "prompt_control_transferred.pspa"
+    ),
+    *(Row("eval", eval_baseline, inputs, kind) for kind, inputs in BASELINE_INPUTS.items()),
+    Row("attacks", stage_attack, ("student",), "attacks"),
 )
 
 
+def _outputs_needed(wanted, have) -> set[str]:
+    """The outputs to build for `wanted`: every output reached by walking
+    back through STAGE_PLAN's inputs, stopping at those in `have`."""
+    by_output = {row.output: row for row in STAGE_PLAN}
+    needed: set[str] = set()
+    stack = list(wanted)
+    while stack:
+        name = stack.pop()
+        if name not in needed and name not in have:
+            needed.add(name)
+            stack.extend(by_output[name].inputs)
+    return needed
+
+
 def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str, plan: tuple) -> SeedRun:
-    """Run the entries of `plan` (a prefix of STAGE_PLAN) that the config requests."""
+    """Run the rows of `plan` (a prefix of STAGE_PLAN) that build what the
+    config asks for: its baselines, and the attack when it is enabled."""
     run = SeedRun(config=config, seed=seed, ledger=ledger, out_dir=out_dir)
-    requested = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
+    if not isinstance(config.transfer_alpha, str):
+        run.outputs["alpha"] = float(config.transfer_alpha)
+    wanted = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
+    needed = _outputs_needed(wanted, run.outputs)
     stage_data(run)
-    for _, fn, serves in plan:
-        if requested & serves:
-            fn(run)
+    for row in plan:
+        if row.output in needed:
+            args = [run.outputs[name] for name in row.inputs]
+            run.outputs[row.output] = run.timed(row.name, lambda: row.fn(run, *args), row.amortizable)
     return run
 
 
@@ -772,12 +741,14 @@ class RunReport:
 
 
 def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunReport:
-    """Run STAGE_PLAN, up to and including the entry named `through` (the
-    whole plan for None), over all seeds and aggregate what was evaluated."""
-    names = [name for name, _, _ in STAGE_PLAN]
+    """Run STAGE_PLAN, up to and including its last row named `through`
+    (the whole plan for None), over all seeds and aggregate what was
+    evaluated."""
+    names = [row.name for row in STAGE_PLAN]
     if through is not None and through not in names:
-        raise ConfigError(f"unknown stage {through!r}; the plan is {names}")
-    plan = STAGE_PLAN if through is None else STAGE_PLAN[: names.index(through) + 1]
+        raise ConfigError(f"unknown stage {through!r}; the plan is {list(dict.fromkeys(names))}")
+    end = len(names) if through is None else max(i for i, name in enumerate(names) if name == through) + 1
+    plan = STAGE_PLAN[:end]
     ledger = DataAccessLedger()
     out_root = config.output_dir
     os.makedirs(out_root, exist_ok=True)
@@ -795,18 +766,19 @@ def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunRep
     if not runs:
         raise StageError("pipeline", f"every seed failed: {errors}")
 
-    def per_seed(key: str) -> dict:
-        return {str(s): runs[s].accuracies[key] for s in sorted(runs) if key in runs[s].accuracies}
+    def per_seed(value: Callable[[dict], object]) -> dict:
+        found = {str(s): value(runs[s].outputs) for s in sorted(runs)}
+        return {s: v for s, v in found.items() if v is not None}
 
     baselines: dict[str, dict] = {}
     for kind in config.baselines:
-        accs = per_seed(kind)
+        accs = per_seed(lambda out: out.get(kind))
         if accs:
             values = list(accs.values())
             baselines[kind] = {"mean": float(np.mean(values)), "std": float(np.std(values)), "per_seed": accs}
     attack_metrics: dict[str, dict] = {}
     for tag in ("nondp", "dp"):
-        aucs = per_seed(f"attack_{tag}_auc")
+        aucs = per_seed(lambda out: out.get("attacks", {}).get(tag, {}).get("auc"))
         if aucs:
             attack_metrics[tag] = {"auc_mean": float(np.mean(list(aucs.values()))), "auc_per_seed": aucs}
 
@@ -818,7 +790,7 @@ def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunRep
         artifacts=artifacts,
         config_digest=config.digest(),
         data_access=ledger.to_list(),
-        resolved_alphas={str(s): runs[s].resolved_alpha for s in sorted(runs)},
+        resolved_alphas={str(s): runs[s].outputs.get("alpha") for s in sorted(runs)},
         seed_errors={str(s): msg for s, msg in errors.items()},
         attack_metrics=attack_metrics,
     )

@@ -78,15 +78,11 @@ def alpha_heuristic(h: HeuristicInputs) -> float:
 
 @dataclass
 class TransferConfig:
-    alpha: float = 0.5
     steps: int = 1000
     learning_rate: float = 0.001
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.alpha <= 1:
-            raise ValueError("alpha must lie in [0, 1]")
         if self.steps < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("steps must be >= 0; batch_size and learning_rate positive")
 
@@ -137,12 +133,20 @@ def transfer_prompt(
     p_s: SoftPrompt,
     public_data: LabeledDataset,
     config: TransferConfig,
+    alpha: float,
+    seed: int,
 ) -> tuple[SoftPrompt, list[dict]]:
     """Derive the teacher-side prompt from p_s using public data only.
 
-    Private data is deliberately not an argument; dp_meta rides along
-    unchanged (post-processing).  Returns (p_t, per-step loss history).
+    `alpha` in [0, 1] weights the shift term l2 against the imitation term
+    l1 (`transfer_loss`); `seed` seeds the order in which the public rows
+    are batched.  Private data is deliberately not an argument; dp_meta
+    rides along unchanged (post-processing).  Returns (p_t, per-step loss
+    history).
     """
+    alpha = float(alpha)
+    if not 0 <= alpha <= 1:
+        raise ValueError("alpha must lie in [0, 1]")
     d = teacher.config.d_model
     if student.config.d_model != d or p_s.width != d:
         raise ValueError("prompt/model dimension mismatch")
@@ -163,9 +167,8 @@ def transfer_prompt(
 
         p_t = Tensor(start, requires_grad=True)
         opt = Optimizer([p_t], learning_rate=config.learning_rate)
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         n = len(public_data)
-        alpha = float(config.alpha)
         history: list[dict] = []
 
         order = rng.permutation(n)
@@ -200,14 +203,3 @@ def _float64_copy(model: TransformerLM) -> TransformerLM:
     """A float64 copy of `model`, frozen: no parameter requires a gradient."""
     return TransformerLM(model.config, {name: ag._new(p.data.astype(np.float64)) for name, p in model.params.items()})
 
-
-def direct_transfer(p_s: SoftPrompt, teacher: TransformerLM) -> SoftPrompt:
-    """Rebadge the tuned source rows for the teacher; no optimization."""
-    if p_s.width != teacher.config.d_model:
-        raise ValueError("prompt/model dimension mismatch")
-    return SoftPrompt(
-        matrix=p_s.matrix.copy(),
-        init_seed=p_s.init_seed,
-        source_fingerprint=teacher.fingerprint(),
-        dp_meta=p_s.dp_meta,
-    )

@@ -88,7 +88,6 @@ class TuneConfig:
     learning_rate: float = 0.001
     batch_size: int = 32
     dp: DpParams | None = None
-    seed: int = 0
     eval_every: int = 1  # epochs (or epoch-equivalents under DP) between history rows; 0: none
 
     def __post_init__(self):
@@ -97,13 +96,14 @@ class TuneConfig:
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0 (0 records no history)")
 
-    def digest(self) -> str:
+    def digest(self, seed: int) -> str:
+        """Hash of the settings a tuning run with `seed` used."""
         blob = {
             "epochs": self.epochs,
             "learning_rate": self.learning_rate,
             "batch_size": self.batch_size,
             "dp": self.dp.to_dict() if self.dp else None,
-            "seed": self.seed,
+            "seed": seed,
         }
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -201,8 +201,12 @@ def tune_prompt(
     prompt: SoftPrompt,
     dataset: LabeledDataset,
     config: TuneConfig,
+    seed: int,
 ) -> tuple[SoftPrompt, list[dict]]:
-    """Minimize classification cross-entropy over the prompt matrix only."""
+    """Minimize classification cross-entropy over the prompt matrix only.
+
+    `seed` seeds the run's one RNG: the epoch orders of plain tuning, or the
+    Poisson batches and the noise of DP-SGD (`config.dp`)."""
     if prompt.width != model.config.d_model:
         raise ValueError("prompt/model dimension mismatch")
     if len(dataset) == 0:
@@ -211,7 +215,7 @@ def tune_prompt(
     model.set_trainable(False)
     prompt_var = Tensor(prompt.matrix.copy(), requires_grad=True)
     opt = Optimizer([prompt_var], learning_rate=config.learning_rate)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     history: list[dict] = []
 
     def record(step: int, loss: float, preds: np.ndarray) -> None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,32 @@ def test_rdp_epsilon_matches_quadrature_oracle(sigma, q, steps, delta):
     ours = rdp_epsilon(sigma, q, steps, delta)
     ref, _ = rdp_oracle.epsilon(sigma, q, steps, delta)
     assert abs(ours - ref) / ref < 0.01, f"ours={ours} oracle={ref}"
+
+
+def _scalar_epsilon(sigma, q, steps, delta):
+    """The binomial series one order and one term at a time, in plain floats."""
+    best = math.inf
+    for a in accountant.DEFAULT_ORDERS:
+        terms = [
+            math.lgamma(a + 1) - math.lgamma(i + 1) - math.lgamma(a - i + 1)
+            + i * math.log(q) + (a - i) * math.log1p(-q) + (i * i - i) / (2.0 * sigma**2)
+            for i in range(a + 1)
+        ]
+        top = max(terms)
+        log_moment = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        best = min(best, steps * log_moment / (a - 1) + math.log(1 / delta) / (a - 1))
+    return best
+
+
+@pytest.mark.parametrize(
+    "sigma,q,steps,delta",
+    # near lira's and post_dp's calibrated settings, then the ends of the sigma range
+    [(0.82, 1 / 3, 6, 2e-3), (0.7, 1 / 16, 48, 4e-4), (0.3, 0.5, 20, 1e-6), (12.0, 0.002, 3000, 1e-7)],
+)
+def test_rdp_epsilon_matches_the_series_term_by_term(sigma, q, steps, delta):
+    """Every order's series is one masked row of one array; each row must
+    hold exactly its own order's terms."""
+    assert rdp_epsilon(sigma, q, steps, delta) == pytest.approx(_scalar_epsilon(sigma, q, steps, delta), rel=1e-12)
 
 
 def test_zero_steps_spends_nothing():
@@ -123,5 +151,7 @@ def test_integer_orders_only():
     assert accountant.DEFAULT_ORDERS == tuple(range(2, 65))
     for alpha in (1.5, 1, 2.5):
         with pytest.raises(ValueError, match="integers"):
-            accountant.rdp_step(1.0, 0.05, alpha)
-    assert accountant.rdp_step(1.0, 0.05, 4.0) == accountant.rdp_step(1.0, 0.05, 4)
+            rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(alpha,))
+    with pytest.raises(ValueError, match="integers"):
+        rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(2, 3, 4.5))
+    assert rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(4.0,)) == rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(4,))

@@ -61,10 +61,10 @@ def test_training_and_tuning_stay_float32(trained_models, monkeypatch, dp):
         return out
 
     monkeypatch.setattr(tuning, "answer_log_probs", recording)
-    cfg = TuneConfig(epochs=1, learning_rate=1e-2, batch_size=8, seed=0)
+    cfg = TuneConfig(epochs=1, learning_rate=1e-2, batch_size=8)
     if dp:
         cfg.dp = make_dp_params(dataset_size=len(train), batch_size=8, epochs=1, epsilon=8.0)
-    tune_prompt(student, init_prompt(student, length=2, seed=3), train, cfg)
+    tune_prompt(student, init_prompt(student, length=2, seed=3), train, cfg, 0)
     assert seen == {np.dtype(np.float32)}
 
 

@@ -130,7 +130,8 @@ def make_train_fn(model, epochs=25):
             model,
             prompt,
             dataset,
-            TuneConfig(epochs=epochs, learning_rate=3e-2, batch_size=16, seed=seed),
+            TuneConfig(epochs=epochs, learning_rate=3e-2, batch_size=16),
+            seed,
         )
         return tuned
 

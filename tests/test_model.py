@@ -480,6 +480,18 @@ def test_class_log_probs_batch_chunks_rows():
     assert class_log_probs_batch(model, [], [[4], [5]]).shape == (0, 2)
 
 
+def test_class_log_probs_batch_rejects_per_row_prompts():
+    """Its rows are sorted by length into chunks, so one prompt copy per row
+    would score rows with another row's copy; such a prompt is refused."""
+    model = init_model(small_config(), 15)
+    seqs = [np.array([1, 2, 3, 4, 5]), np.array([6, 7]), np.array([8, 9, 10])]  # sorting moves every row
+    own = np.stack([init_prompt(model, length=2, seed=s).matrix for s in range(len(seqs))])
+    with pytest.raises(ValueError, match="answer_log_probs"):
+        class_log_probs_batch(model, seqs, [[4], [5]], prompt=own)
+    shared = class_log_probs_batch(model, seqs, [[4], [5]], prompt=own[0])
+    np.testing.assert_allclose(shared, answer_log_probs(model, seqs, [[4], [5]], own[0]).data, rtol=0, atol=1e-6)
+
+
 def test_prompt_gradient_path_finite_diff():
     """The pipeline's prompt objective (class cross-entropy at the answer
     positions of a ragged batch) through the prefix layout, in float64, for

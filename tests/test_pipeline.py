@@ -60,7 +60,7 @@ def test_pipeline_runs_the_whole_plan(full_run):
     assert set(report["attack_metrics"]) == {"nondp", "dp"}
     stages = [row["stage"] for row in report["timings"]]
     assert stages == [
-        "data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp",
+        "data", "pretrain", "kd", "tune_student", "tune_student_dp", "alpha", "transfer", "transfer_dp",
         "full_pt", "control_lm", "control_tune", "control_transfer",
         *["eval"] * len(BASELINES), "attacks",
     ]
@@ -84,7 +84,7 @@ def test_lm_training_runs_every_configured_step(full_run, name, rows):
          ["data", "pretrain", "kd", "tune_student", "tune_student_dp"]),
         ("transfer", {"prompt_transferred.pspa", "prompt_transferred_loss.csv",
                       "prompt_transferred_dp.pspa", "prompt_transferred_dp_loss.csv"},
-         ["data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp"]),
+         ["data", "pretrain", "kd", "tune_student", "tune_student_dp", "alpha", "transfer", "transfer_dp"]),
         ("attack", {"attack_nondp.csv", "attack_nondp.json", "attack_dp.csv", "attack_dp.json"},
          ["data", "pretrain", "kd", "attacks"]),
     ],
@@ -103,6 +103,75 @@ def test_subcommand_runs_a_prefix_of_the_plan_and_writes_what_the_pipeline_write
     assert [row["stage"] for row in report["timings"]] == stages
     assert report["baselines"] == {}  # nothing was evaluated
     assert bool(report["attack_metrics"]) == (command == "attack")
+
+
+@pytest.fixture(scope="module")
+def full_run_fixed_alpha(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipeline_fixed_alpha")
+    config = write_config(out / "config_in.json", tiny_config(out / "run", transfer_alpha=0.5))
+    assert main(["pipeline", "--config", config]) == EXIT_OK
+    return out / "run"
+
+
+# what one requested baseline (or the attack alone) runs, between the data
+# stage and its eval row: with the heuristic alpha, then with a fixed one
+ROWS_FOR = {
+    "full_zs": (["pretrain"], ["pretrain"]),
+    "full_pt": (["pretrain", "full_pt"], ["pretrain", "full_pt"]),
+    "compressed_pt": (["pretrain", "kd", "tune_student"], ["pretrain", "kd", "tune_student"]),
+    "direct_transfer": (["pretrain", "kd", "tune_student"], ["pretrain", "kd", "tune_student"]),
+    "post": (["pretrain", "kd", "tune_student", "alpha", "transfer"], ["pretrain", "kd", "tune_student", "transfer"]),
+    "post_dp": (
+        ["pretrain", "kd", "tune_student", "tune_student_dp", "alpha", "transfer_dp"],
+        ["pretrain", "kd", "tune_student_dp", "transfer_dp"],
+    ),
+    # the control student starts from the teacher, so a fixed alpha needs no KD
+    "finetuned_control": (
+        ["pretrain", "kd", "tune_student", "alpha", "control_lm", "control_tune", "control_transfer"],
+        ["pretrain", "control_lm", "control_tune", "control_transfer"],
+    ),
+    "attacks": (["pretrain", "kd"], ["pretrain", "kd"]),
+}
+
+
+@pytest.mark.parametrize("fixed_alpha", [False, True], ids=["heuristic", "fixed"])
+@pytest.mark.parametrize("wanted", list(ROWS_FOR))
+def test_a_run_builds_only_what_its_request_reads(
+    full_run, full_run_fixed_alpha, tmp_path, monkeypatch, wanted, fixed_alpha
+):
+    """Each baseline alone (or the attack alone) runs exactly the rows its
+    inputs reach, each in its own timed call, and writes what the whole
+    plan writes."""
+    blob = tiny_config(tmp_path / "run", baselines=[] if wanted == "attacks" else [wanted])
+    blob["attack"]["enabled"] = wanted == "attacks"
+    if fixed_alpha:
+        blob["transfer_alpha"] = 0.5
+    depth, deepest = [0], [0]
+    timed = pl.SeedRun.timed
+
+    def spy(run, stage, fn, *args, **kwargs):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return timed(run, stage, fn, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(pl.SeedRun, "timed", spy)
+    report = pl.run_pipeline(pl.config_from_dict(blob)).to_dict()
+
+    rows = ROWS_FOR[wanted][fixed_alpha]
+    assert [row["stage"] for row in report["timings"]] == ["data", *rows, "attacks" if wanted == "attacks" else "eval"]
+    assert deepest[0] == 1  # no stage runs inside another
+    whole = full_run_fixed_alpha if fixed_alpha else full_run
+    written, expected = seed_files(tmp_path / "run"), seed_files(whole)
+    for name, data in written.items():
+        assert data == expected[name], name
+    whole_report = json.loads((whole / "report.json").read_text())
+    assert report["baselines"] == {k: v for k, v in whole_report["baselines"].items() if k == wanted}
+    # a fixed alpha is reported as it is; a heuristic one when it was computed
+    alpha = whole_report["resolved_alphas"]["0"] if fixed_alpha or "alpha" in rows else None
+    assert report["resolved_alphas"] == {"0": alpha}
 
 
 def test_tuning_without_history_writes_no_history_and_the_same_prompts(full_run, tmp_path):

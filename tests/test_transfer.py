@@ -9,7 +9,6 @@ from promptxfer.transfer import (
     HeuristicInputs,
     TransferConfig,
     alpha_heuristic,
-    direct_transfer,
     transfer_loss,
     transfer_prompt,
 )
@@ -154,8 +153,8 @@ def test_transfer_zero_steps_returns_regenerated_init(model_pair):
     teacher, student, public = model_pair
     p_s = init_prompt(student, length=3, seed=17)
     p_s.matrix += 0.25  # pretend it was tuned away from init
-    cfg = TransferConfig(alpha=0.5, steps=0, seed=0)
-    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg)
+    cfg = TransferConfig(steps=0)
+    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg, 0.5, 0)
     expected = initial_prompt_matrix(16, 3, 17)
     np.testing.assert_array_equal(p_t.matrix, expected)
     assert history == []
@@ -167,14 +166,14 @@ def test_transfer_runs_exact_steps_and_freezes_models(model_pair):
     tf_before, sf_before = teacher.fingerprint(), student.fingerprint()
     p_s = init_prompt(student, length=3, seed=4)
     p_s.matrix += 1.5  # a strongly skewed source prompt gives the loss signal
-    cfg = TransferConfig(alpha=0.4, steps=25, batch_size=8, learning_rate=3e-3, seed=5)
-    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg)
+    cfg = TransferConfig(steps=25, batch_size=8, learning_rate=3e-3)
+    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
     assert len(history) == 25
     assert teacher.fingerprint() == tf_before
     assert student.fingerprint() == sf_before
     assert np.mean([h["total"] for h in history[-5:]]) < history[0]["total"]
 
-    p_t2, history2 = transfer_prompt(teacher, student, p_s, public, cfg)
+    p_t2, history2 = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
     np.testing.assert_array_equal(p_t.matrix, p_t2.matrix)
     assert history == history2
 
@@ -190,7 +189,7 @@ def test_transfer_step_frees_each_chunk_graph(model_pair):
     p_s = init_prompt(student, length=3, seed=4)
     batch = min(len(public), 2 * ROWS_PER_FORWARD)
     assert batch > ROWS_PER_FORWARD
-    cfg = TransferConfig(alpha=0.4, steps=2, batch_size=batch, seed=5)
+    cfg = TransferConfig(steps=2, batch_size=batch)
     live = []
     forward = TransformerLM._forward_batch
 
@@ -204,7 +203,7 @@ def test_transfer_step_frees_each_chunk_graph(model_pair):
     gc.disable()
     TransformerLM._forward_batch = counting
     try:
-        transfer_prompt(teacher, student, p_s, public, cfg)
+        transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
     finally:
         TransformerLM._forward_batch = forward
         if was_enabled:
@@ -225,8 +224,8 @@ def test_transfer_objective_is_float64_on_float32_models(model_pair):
     before = {m: {k: p.data.copy() for k, p in m.params.items()} for m in (teacher, student)}
     p_s = init_prompt(student, length=3, seed=4)
     p_s.matrix += 1.5
-    cfg = TransferConfig(alpha=0.4, steps=2, batch_size=len(public), seed=5)  # every step sees the whole set
-    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg)
+    cfg = TransferConfig(steps=2, batch_size=len(public))  # every step sees the whole set
+    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
 
     for model, params in before.items():
         for k, p in model.params.items():
@@ -257,39 +256,27 @@ def test_transfer_carries_dp_meta_unchanged(model_pair):
     teacher, student, public = model_pair
     p_s = init_prompt(student, length=3, seed=4)
     p_s.dp_meta = DpMeta(epsilon=8.0, delta=1e-4, sigma=1.1, clip_norm=1.0)
-    cfg = TransferConfig(alpha=0.4, steps=2, batch_size=8, seed=5)
-    p_t, _ = transfer_prompt(teacher, student, p_s, public, cfg)
+    cfg = TransferConfig(steps=2, batch_size=8)
+    p_t, _ = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
     assert p_t.dp_meta == p_s.dp_meta
-
-    direct = direct_transfer(p_s, teacher)
-    assert direct.dp_meta == p_s.dp_meta
 
 
 def test_transfer_rejects_bad_inputs(model_pair):
     teacher, student, public = model_pair
     p_s = init_prompt(student, length=3, seed=4)
     with pytest.raises(ValueError, match="empty"):
-        transfer_prompt(teacher, student, p_s, public.subset([]), TransferConfig(steps=1))
+        transfer_prompt(teacher, student, p_s, public.subset([]), TransferConfig(steps=1), 0.5, 0)
     wide = init_model(ModelConfig(n_layers=1, d_model=32, n_heads=4, vocab_size=16, max_seq_len=16), 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        transfer_prompt(teacher, wide, p_s, public, TransferConfig(steps=1))
+        transfer_prompt(teacher, wide, p_s, public, TransferConfig(steps=1), 0.5, 0)
 
 
-def test_direct_transfer_is_bitwise_rebadge(model_pair):
-    teacher, student, _ = model_pair
-    p_s = init_prompt(student, length=3, seed=8)
-    p_s.matrix += 1.0
-    moved = direct_transfer(p_s, teacher)
-    np.testing.assert_array_equal(moved.matrix, p_s.matrix)
-    assert moved.source_fingerprint == teacher.fingerprint()
-    with pytest.raises(ValueError):
-        wide = init_model(ModelConfig(n_layers=1, d_model=32, n_heads=4, vocab_size=16, max_seq_len=16), 2)
-        direct_transfer(p_s, wide)
-
-
-def test_transfer_config_validation():
-    with pytest.raises(ValueError):
-        TransferConfig(alpha=1.5)
+def test_transfer_config_validation(model_pair):
+    teacher, student, public = model_pair
+    p_s = init_prompt(student, length=3, seed=4)
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            transfer_prompt(teacher, student, p_s, public, TransferConfig(steps=1), alpha, 0)
     with pytest.raises(ValueError):
         TransferConfig(steps=-1)
     with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ def tiny_task():
 def test_tune_prompt_zero_epochs_is_identity(tiny_task):
     model, private, _ = tiny_task
     prompt = init_prompt(model, length=4, seed=5)
-    tuned, history = tune_prompt(model, prompt, private.split("train"), TuneConfig(epochs=0, seed=0))
+    tuned, history = tune_prompt(model, prompt, private.split("train"), TuneConfig(epochs=0), 0)
     np.testing.assert_array_equal(tuned.matrix, prompt.matrix)
     assert history == []
     assert tuned.source_fingerprint == model.fingerprint()
@@ -118,15 +118,15 @@ def test_eval_every_zero_records_no_history_and_runs_no_scoring_pass(tiny_task, 
     model, private, _ = tiny_task
     train = private.split("train").subset(range(24))
     prompt = init_prompt(model, length=4, seed=8)
-    cfg = TuneConfig(epochs=2, learning_rate=1e-2, batch_size=8, seed=4)
+    cfg = TuneConfig(epochs=2, learning_rate=1e-2, batch_size=8)
     if dp:
         cfg = replace(cfg, dp=make_dp_params(dataset_size=len(train), batch_size=8, epochs=2, epsilon=8.0))
-    with_history, history = tune_prompt(model, prompt, train, cfg)
+    with_history, history = tune_prompt(model, prompt, train, cfg, 4)
     assert len(history) == 2
     scored = []
     for name in ("classify_batch", "class_log_probs_batch"):
         monkeypatch.setattr(tuning, name, lambda *a, name=name, **k: scored.append(name))
-    tuned, history = tune_prompt(model, prompt, train, replace(cfg, eval_every=0))
+    tuned, history = tune_prompt(model, prompt, train, replace(cfg, eval_every=0), 4)
     assert history == [] and scored == []
     # the scoring pass draws nothing from the tuning RNG
     np.testing.assert_array_equal(tuned.matrix, with_history.matrix)
@@ -147,7 +147,7 @@ def test_tune_prompt_dimension_mismatch(tiny_task):
         source_fingerprint=prompt.source_fingerprint,
     )
     with pytest.raises(ValueError, match="dimension mismatch"):
-        tune_prompt(model, bad, private.split("train"), TuneConfig(epochs=1))
+        tune_prompt(model, bad, private.split("train"), TuneConfig(epochs=1), 0)
 
 
 def test_tune_prompt_learns_and_freezes_model(tiny_task):
@@ -159,15 +159,15 @@ def test_tune_prompt_learns_and_freezes_model(tiny_task):
     zs_preds = classify_batch(model, train.sequences, train.verbalizers)
     zs_acc = float(np.mean(zs_preds == train.labels))
 
-    cfg = TuneConfig(epochs=20, learning_rate=1e-2, batch_size=16, seed=3)
-    tuned, history = tune_prompt(model, prompt, train, cfg)
+    cfg = TuneConfig(epochs=20, learning_rate=1e-2, batch_size=16)
+    tuned, history = tune_prompt(model, prompt, train, cfg, 3)
     assert model.fingerprint() == before
     assert history[-1]["train_accuracy"] > 0.9
     assert history[-1]["train_accuracy"] > zs_acc
     assert tuned.dp_meta is None
 
     # determinism: same seed, same result
-    tuned2, _ = tune_prompt(model, prompt, train, cfg)
+    tuned2, _ = tune_prompt(model, prompt, train, cfg, 3)
     np.testing.assert_array_equal(tuned.matrix, tuned2.matrix)
 
 
@@ -176,7 +176,7 @@ def test_tune_prompt_dp_records_meta_and_respects_budget(tiny_task):
     train = private.split("train")
     prompt = init_prompt(model, length=4, seed=9)
     dp = make_dp_params(dataset_size=len(train), batch_size=16, epochs=4, epsilon=8.0)
-    tuned, _ = tune_prompt(model, prompt, train, TuneConfig(epochs=4, batch_size=16, dp=dp, seed=1))
+    tuned, _ = tune_prompt(model, prompt, train, TuneConfig(epochs=4, batch_size=16, dp=dp), 1)
     assert tuned.dp_meta is not None
     spent = rdp_epsilon(dp.noise_multiplier, dp.sample_rate, dp.steps, dp.delta)
     assert tuned.dp_meta.epsilon >= spent
@@ -201,8 +201,8 @@ def test_dp_history_scores_the_set_once_per_row(tiny_task, monkeypatch):
     monkeypatch.setattr(tuning, "class_log_probs_batch", counting_score)
     monkeypatch.setattr(tuning, "classify_batch", second_pass)
     dp = make_dp_params(dataset_size=len(train), batch_size=16, epochs=3, epsilon=8.0)
-    cfg = TuneConfig(epochs=3, batch_size=16, dp=dp, seed=1)
-    _, history = tune_prompt(model, init_prompt(model, length=4, seed=9), train, cfg)
+    cfg = TuneConfig(epochs=3, batch_size=16, dp=dp)
+    _, history = tune_prompt(model, init_prompt(model, length=4, seed=9), train, cfg, 1)
 
     assert len(history) == len(scored_prompts) == 3
     for row, matrix in zip(history, scored_prompts):
@@ -221,7 +221,7 @@ def test_tune_prompt_rejects_infeasible_budget(tiny_task):
         clip_norm=1.0, noise_multiplier=0.31, sample_rate=0.25, steps=80, epsilon=1.0, delta=1e-4
     )
     with pytest.raises(ValueError, match="infeasible"):
-        tune_prompt(model, prompt, train, TuneConfig(epochs=4, batch_size=16, dp=dp))
+        tune_prompt(model, prompt, train, TuneConfig(epochs=4, batch_size=16, dp=dp), 0)
 
 
 # ---------------------------------------------------------------------------
