@@ -20,14 +20,20 @@ near-equal log-probabilities need double-accurate arithmetic throughout.
 Graphs are acyclic.  Each op's output holds its parents and a backward
 function ``bw(g)`` that receives the upstream gradient as its argument and
 captures only its inputs and the numpy arrays it needs, never the output
-tensor.  A graph is therefore freed by reference counting the moment its
-output is dropped, with no work left for the cyclic garbage collector.
-``backward()`` keeps leaf gradients only: once an interior node's backward
-has run, its gradient is released.  A graph must be driven by a single
-thread; independent graphs may run in parallel.
+tensor.  Reference counting alone frees a graph, with no work left for the
+cyclic garbage collector, and it does so as ``backward()`` walks it, not
+when its root is dropped: once a node's backward has run, the node gives up
+its gradient, its backward function (with the arrays that function kept)
+and its parents.  A training loop's previous loss therefore holds nothing
+but its own value into the next step's forward.  Leaf gradients stay.  Any
+node of a consumed graph keeps a backward that raises ``RuntimeError``, and
+a later ``backward()`` that reaches one raises before it accumulates any
+gradient; nothing here runs backward twice through one graph.  A graph must
+be driven by a single thread; independent graphs may run in parallel.
 
 A transformer block is three fused nodes, each with a hand-written
-backward.  What each backward keeps alive, besides its input tensors:
+backward.  What each backward keeps alive until it runs, besides its input
+tensors:
 
 - ``layer_norm``: the normalised input and the reciprocal standard
   deviation per row.
@@ -43,10 +49,11 @@ backward.  What each backward keeps alive, besides its input tensors:
   its own.  The softmax gradient is formed from the saved probabilities P
   as P * (dP - rowsum(dP * P)), the form the FlashAttention backward uses
   (Dao et al. 2022).
-- ``gelu_mlp``: the pre-activation and the Gaussian CDF at it
+- ``gelu_mlp``: the GELU's slope at the pre-activation when the input,
+  ``w1`` or ``b1`` needs a gradient, and the GELU output when ``w2`` does
   (``[rows x 4d]`` each, float32 in training and scoring, float64 in the
-  transfer); the GELU output is recomputed for the ``w2`` gradient, and the
-  GELU's slope is formed in one ``[rows x 4d]`` scratch buffer.
+  transfer).  Both are formed in the forward, so a frozen-weight graph
+  (tuning, DP-SGD, the transfer) keeps one such array per MLP.
 
 The output projection and the LM head are ``matmul``, whose right operand
 is always a 2-D weight, so it also runs as one GEMM over the flattened rows.
@@ -175,6 +182,10 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(leaf) into every leaf's ``grad``, freeing
+        each node's backward function and parents once it has run (see the
+        module docstring).  Reaching a node of a consumed graph raises
+        ``RuntimeError`` before any gradient is accumulated."""
         if self.data.size != 1:
             raise ValueError("backward() is defined for scalar outputs only")
         order: list[Tensor] = []
@@ -187,6 +198,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)  # raises
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -197,6 +210,8 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
                 node.grad = None
+                node._backward = _consumed
+                node._parents = ()
 
     # Operator sugar; all routing goes through the module-level ops.
     def __add__(self, other):
@@ -252,6 +267,11 @@ def _new(data: np.ndarray) -> Tensor:
     t._backward = None
     t._parents = ()
     return t
+
+
+def _consumed(g) -> None:
+    """The backward function of a node whose backward has already run."""
+    raise RuntimeError("backward already ran through this graph; build it again")
 
 
 def _lift(x) -> Tensor:
@@ -757,21 +777,22 @@ def gaussian_cdf(x: np.ndarray) -> np.ndarray:
 
 def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
     """GELU(x @ w1 + b1) @ w2 + b2 over the last axis, with the GELU
-    x * Phi(x) (Hendrycks & Gimpel 2016; Phi from `gaussian_cdf`)."""
-    x, w1, b1, w2, b2 = (_lift(t) for t in (x, w1, b1, w2, b2))
+    x * Phi(x) (Hendrycks & Gimpel 2016; Phi from `gaussian_cdf`).
+
+    The backward keeps the GELU's slope only when x, w1 or b1 needs a
+    gradient, and the GELU output only when w2 does."""
+    parents = x, w1, b1, w2, b2 = tuple(_lift(t) for t in (x, w1, b1, w2, b2))
     x2 = x.data.reshape(-1, x.data.shape[-1])
     pre = x2 @ w1.data + b1.data
     cdf = gaussian_cdf(pre)
-    out = _new(((pre * cdf) @ w2.data + b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:]))
-
-    def bw(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        if w2.requires_grad:
-            w2._acc((pre * cdf).T @ g2)
-        if b2.requires_grad:
-            b2._acc(g2.sum(axis=0))
-        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
-            return
+    h = pre * cdf
+    out = _new((h @ w2.data + b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:]))
+    if not any(t.requires_grad or t._parents for t in parents):
+        return out  # `_graph` would attach nothing
+    if not w2.requires_grad:
+        h = None
+    slope = None
+    if x.requires_grad or w1.requires_grad or b1.requires_grad:
         # GELU'(pre) = Phi(pre) + pre * phi(pre), formed in one buffer
         slope = pre * pre
         slope *= -0.5
@@ -779,9 +800,18 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
         slope *= _INV_SQRT2PI
         slope *= pre
         slope += cdf
+    del pre, cdf
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if w2.requires_grad:
+            w2._acc(h.T @ g2)
+        if b2.requires_grad:
+            b2._acc(g2.sum(axis=0))
+        if slope is None:
+            return
         dpre = g2 @ w2.data.T
         dpre *= slope
-        del slope
         if w1.requires_grad:
             w1._acc(x2.T @ dpre)
         if b1.requires_grad:
@@ -789,7 +819,7 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
         if x.requires_grad:
             x._acc((dpre @ w1.data.T).reshape(x.data.shape))
 
-    _graph(out, (x, w1, b1, w2, b2), bw)
+    _graph(out, parents, bw)
     return out
 
 

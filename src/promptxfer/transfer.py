@@ -20,13 +20,14 @@ The transfer is the one computation that runs in float64.  The models are
 trained in float32; `transfer_prompt` makes float64 copies of the frozen
 teacher and student once per call and computes the three constant sides,
 the prompted-teacher forward, the target prompt and its Adam state on
-them.  The shift term compares s_p - s_0 with t_p - t_0, differences of
-near-equal log-probabilities, and float32 forwards lose most of their
-digits to that cancellation.  On the benchmark's plain POST workload
-(perfbench `post`, seeds 0-5) a float32 transfer logged a first objective
-4.7e-6 to 7.1e-4 (relative) off a float64 reference; with the float64
-copies it is at most 3.2e-11 off (`post` seeds 0-9, `post_dp` seeds 0-4).
-The caller's models are left untouched, and the returned prompt is float32
+them.  The student copy lives only until the constant sides are computed;
+the teacher copy lasts the whole transfer.  The shift term compares
+s_p - s_0 with t_p - t_0, differences of near-equal log-probabilities, and
+float32 forwards lose most of their digits to that cancellation.  On the
+benchmark's plain POST workload (perfbench `post`, seeds 0-5) a float32
+transfer logged a first objective 4.7e-6 to 7.1e-4 (relative) off a
+float64 reference; with the float64 copies it is at most 3.2e-11 off
+(`post` seeds 0-9, `post_dp` seeds 0-4).  The caller's models are left untouched, and the returned prompt is float32
 with the float32 teacher's fingerprint.
 """
 
@@ -164,6 +165,7 @@ def transfer_prompt(
             class_log_probs_batch(student64, seqs, verbalizers),
             class_log_probs_batch(teacher64, seqs, verbalizers),
         )
+        del student64  # read by the constant sides only
 
         p_t = Tensor(start, requires_grad=True)
         opt = Optimizer([p_t], learning_rate=config.learning_rate)

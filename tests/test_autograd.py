@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from promptxfer.autograd import (
     transpose,
 )
 from promptxfer.model import ModelConfig, init_model, lm_loss
+from promptxfer.optim import Optimizer
 
 
 def rand(rng, *shape):
@@ -506,7 +508,7 @@ def test_graph_freed_by_reference_count():
         before = _live_tensors()
         loss = lm_loss(model, ids)
         loss.backward()
-        assert _live_tensors() > before
+        assert _live_tensors() == before + 1  # the graph went with its backward; the root stays
         del loss
         assert _live_tensors() == before
     finally:
@@ -523,13 +525,124 @@ def test_backward_keeps_leaf_grads_only():
         if id(node) not in nodes:
             nodes[id(node)] = node
             stack.extend(node._parents)
-    loss.backward()
+    # classified before the backward, which drops every interior node's parents
     leaves = [n for n in nodes.values() if not n._parents]
     interior = [n for n in nodes.values() if n._parents]
+    loss.backward()
     assert leaves and interior
     assert all(n.requires_grad and n.grad is not None for n in leaves)
     assert all(n.grad is None for n in interior)
     assert all(p.grad is not None for p in model.parameters())
+
+
+def test_training_loop_holds_one_graph_at_a_time():
+    """A loop's previous loss must not keep its graph alive into the next
+    step's forward: three Adam steps of `lm_loss` on the longest pretraining
+    batch (16 x 21 tokens, the default 4-layer teacher) peak about where one
+    step does."""
+    cfg = ModelConfig(vocab_size=100, d_model=64, n_heads=4, n_layers=4, max_seq_len=64)
+    model = init_model(cfg, 0)
+    model.set_trainable(True)
+    opt = Optimizer(model.parameters(), learning_rate=1e-3)
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(16, 21))
+
+    def step():
+        opt.zero_grad()
+        loss = lm_loss(model, ids)
+        loss.backward()
+        opt.step()
+        return loss
+
+    def peak_above_start(steps):
+        """Peak bytes allocated above what was live when the steps began;
+        like `train_lm`, the loop holds each step's loss into the next."""
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(steps):
+            loss = step()
+        del loss
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        step()  # the mask cache, the Adam moments, traced parameters and gradients
+        one = peak_above_start(1)
+        three = peak_above_start(3)
+    finally:
+        tracemalloc.stop()
+    assert three <= 1.15 * one, (three, one)
+
+
+def test_second_backward_raises():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    loss = (x * x).sum()
+    loss.backward()
+    with pytest.raises(RuntimeError, match="backward already ran"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * np.arange(3.0))
+
+
+def test_consumed_graph_feeding_a_new_loss_raises_before_any_gradient():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    y = x * 2.0
+    y.sum().backward()
+    first = x.grad.copy()
+    # x gets a gradient straight from the new loss too, so a walk that
+    # failed only on reaching y would leave a half-accumulated x.grad
+    loss = (y * 3.0 + x).sum()
+    with pytest.raises(RuntimeError, match="backward already ran"):
+        loss.backward()
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def _gelu_mlp_arrays(dtype, rows=64, d=16):
+    rng = np.random.default_rng(5)
+    shapes = {"x": (rows, d), "w1": (d, 4 * d), "b1": (4 * d,), "w2": (4 * d, d), "b2": (d,)}
+    return {k: (rng.normal(size=shape) * 0.5).astype(dtype) for k, shape in shapes.items()}
+
+
+GELU_KEPT = {(): 0, ("b2",): 0, ("x",): 1, ("x", "w2"): 2, ("w1", "w2"): 2}
+
+
+@pytest.mark.parametrize("trained,kept", GELU_KEPT.items(), ids=["-".join(t) or "none" for t in GELU_KEPT])
+def test_gelu_mlp_graph_holds_what_its_backward_reads(trained, kept):
+    """Frozen weights keep one [rows x 4d] array (the GELU's slope); a
+    trained w2 adds the GELU output; nothing to train keeps nothing."""
+    arrays = _gelu_mlp_arrays(np.float32)
+    hidden = arrays["x"].shape[0] * arrays["w1"].shape[1] * 4
+    args = {k: Tensor(v, requires_grad=k in trained) for k, v in arrays.items()}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = gelu_mlp(*args.values())
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert abs(held - kept * hidden) < hidden // 4, (held, hidden)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_mlp_input_gradient_is_the_recomputed_slope_formula(dtype):
+    """The slope formed in the forward gives, bit for bit, the input
+    gradient of a backward that recomputes it from the pre-activation."""
+    a = _gelu_mlp_arrays(dtype)
+    g = np.random.default_rng(6).normal(size=a["x"].shape).astype(dtype)
+    with precision(dtype):
+        args = {k: Tensor(v, requires_grad=k == "x") for k, v in a.items()}
+        (gelu_mlp(*args.values()) * Tensor(g)).sum().backward()
+    pre = a["x"] @ a["w1"] + a["b1"]
+    cdf = ag.gaussian_cdf(pre)
+    slope = pre * pre
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= ag._INV_SQRT2PI
+    slope *= pre
+    slope += cdf
+    dpre = g @ a["w2"].T
+    dpre *= slope
+    want = dpre @ a["w1"].T
+    assert args["x"].grad.dtype == dtype
+    np.testing.assert_array_equal(args["x"].grad, want)
 
 
 def test_repeated_steps_reuse_freed_heap():
