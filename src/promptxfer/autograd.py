@@ -787,8 +787,6 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
     cdf = gaussian_cdf(pre)
     h = pre * cdf
     out = _new((h @ w2.data + b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:]))
-    if not any(t.requires_grad or t._parents for t in parents):
-        return out  # `_graph` would attach nothing
     if not w2.requires_grad:
         h = None
     slope = None

@@ -4,7 +4,8 @@
 
 For each seed in the inclusive range, runs
 `python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` once
-in each checkout, one process at a time; the side that runs first
+in each checkout, with N the `run_seconds` of the change's
+`BENCHMARK.json`, one process at a time; the side that runs first
 alternates from pair to pair.  A run that does not read `correct`, or a
 pair whose two sides fail different numbers of operations, stops the
 script.  It then prints, for each end-to-end metric in the change's
@@ -83,14 +84,13 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="inclusive range A-B")
-    parser.add_argument("--seconds", type=int, default=35, help="passed on to perfbench/run.py")
     args = parser.parse_args(argv)
 
-    end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {side: run_once(getattr(args, side), args.workload, seed, args.seconds) for side in order}
+        pair = {side: run_once(getattr(args, side), args.workload, seed, benchmark["run_seconds"]) for side in order}
         if pair["parent"]["failed"] != pair["change"]["failed"]:
             counts = ", ".join(f"{side} {pair[side]['failed']}" for side in SIDES)
             raise SystemExit(f"seed {seed}: the two sides fail different numbers of operations ({counts})")
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
 
     first = runs["change"][0]
     print(f"{args.workload}: {len(args.seeds)} pairs, attempted {first['attempted']}, failed {first['failed']}")
-    for metric in end_to_end:
+    for metric in benchmark["end_to_end"]:
         name = metric["name"]
         s = summarize(*([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES), metric["better"])
         sides = "  ".join(
