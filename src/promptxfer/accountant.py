@@ -20,6 +20,7 @@ import numpy as np
 from scipy import special
 
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 65))
+_ALPHAS = np.asarray(DEFAULT_ORDERS, dtype=np.float64)
 
 
 def _log_moments(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
@@ -36,13 +37,6 @@ def _log_moments(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
 
 
-def _integer_orders(orders) -> np.ndarray:
-    arr = np.asarray(orders, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0 or np.any(arr < 2) or np.any(arr != np.floor(arr)):
-        raise ValueError(f"RDP orders must be integers >= 2, got {orders}")
-    return arr
-
-
 def _validate(noise_multiplier: float, sample_rate: float, steps: int, delta: float) -> None:
     if noise_multiplier <= 0:
         raise ValueError("noise multiplier must be positive")
@@ -54,36 +48,23 @@ def _validate(noise_multiplier: float, sample_rate: float, steps: int, delta: fl
         raise ValueError("delta must lie in (0, 1)")
 
 
-def rdp_epsilon(
-    noise_multiplier: float,
-    sample_rate: float,
-    steps: int,
-    delta: float,
-    orders: tuple[int, ...] = DEFAULT_ORDERS,
-) -> float:
+def rdp_epsilon(noise_multiplier: float, sample_rate: float, steps: int, delta: float) -> float:
     """Spent epsilon after `steps` compositions at failure probability delta."""
     _validate(noise_multiplier, sample_rate, steps, delta)
-    alphas = _integer_orders(orders)
     if steps == 0:
         return 0.0
     if sample_rate == 1.0:
-        per_step = alphas / (2.0 * noise_multiplier**2)
+        per_step = _ALPHAS / (2.0 * noise_multiplier**2)
     else:
-        per_step = _log_moments(sample_rate, noise_multiplier, alphas) / (alphas - 1.0)
-    return float(np.min(steps * per_step + math.log(1.0 / delta) / (alphas - 1.0)))
+        per_step = _log_moments(sample_rate, noise_multiplier, _ALPHAS) / (_ALPHAS - 1.0)
+    return float(np.min(steps * per_step + math.log(1.0 / delta) / (_ALPHAS - 1.0)))
 
 
 SIGMA_SEARCH_RANGE = (0.3, 100.0)
 
 
 @functools.lru_cache(maxsize=None)
-def calibrate_sigma(
-    target_epsilon: float,
-    delta: float,
-    sample_rate: float,
-    steps: int,
-    orders: tuple[int, ...] = DEFAULT_ORDERS,
-) -> float:
+def calibrate_sigma(target_epsilon: float, delta: float, sample_rate: float, steps: int) -> float:
     """Smallest noise multiplier (within ~1%) that stays within target_epsilon.
 
     Binary search over sigma in [0.3, 100]; the returned sigma never
@@ -98,7 +79,7 @@ def calibrate_sigma(
         return lo
 
     def spent(sigma: float) -> float:
-        return rdp_epsilon(sigma, sample_rate, steps, delta, orders=orders)
+        return rdp_epsilon(sigma, sample_rate, steps, delta)
 
     if spent(hi) > target_epsilon:
         raise ValueError(

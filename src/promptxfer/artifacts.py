@@ -113,18 +113,17 @@ def _read_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
     return name, arr
 
 
-def save_model(path, model: TransformerLM, provenance: dict | None = None) -> None:
-    """Write a PSTL checkpoint.  Every parameter must be float32, the dtype
-    the file stores, or the fingerprint would not match on reload."""
+def save_model(path, model: TransformerLM) -> None:
+    """Write a PSTL checkpoint with `model.provenance`.  Every parameter
+    must be float32, the dtype the file stores, or the fingerprint would not
+    match on reload."""
     for name, p in model.params.items():
         if p.data.dtype != np.float32:
             raise ArtifactError(f"cannot save {path}: parameter {name} is {p.data.dtype}, not float32")
-    if provenance is None:
-        provenance = getattr(model, "provenance", {})
     meta = {
         "config": model.config.to_dict(),
         "fingerprint": model.fingerprint(),
-        "provenance": provenance,
+        "provenance": model.provenance,
     }
     with open(path, "wb") as fh:
         _write_header(fh, MODEL_MAGIC, meta)

@@ -39,16 +39,16 @@ tensors:
   deviation per row.
 - ``causal_attention``: the concatenated Q/K/V weight, the fused Q/K/V
   projection (``[positions x 3d]``), each row's keys and values with its
-  prefix copy in front (``[b x heads x (l + T) x dh]``) and the attention
-  probabilities: ``[b x heads x T x (l + T)]`` plus the shared prefix's own
-  ``[heads x l x l]``, or ``[b x heads x (l + T) x (l + T)]`` with one
-  prefix copy per row.  With ``query_at`` (one query per row) it keeps the
-  K/V weight and projection (``[positions x 2d]``), the same keys and
-  values, the queries (``[b x heads x 1 x dh]``) and
-  ``[b x heads x 1 x (l + T)]`` probabilities, and no prefix attention of
-  its own.  The softmax gradient is formed from the saved probabilities P
-  as P * (dP - rowsum(dP * P)), the form the FlashAttention backward uses
-  (Dao et al. 2022).
+  prefix copy in front (``[b x heads x (l + T) x dh]``) and the token
+  queries' attention probabilities (``[b x heads x T x (l + T)]``); with a
+  prefix, also the probabilities of each copy's own attention
+  (``[m x heads x l x l]``, m = 1 or b copies).  With ``query_at`` (one
+  query per row) it keeps the K/V weight and projection
+  (``[positions x 2d]``), the same keys and values, the queries
+  (``[b x heads x 1 x dh]``) and ``[b x heads x 1 x (l + T)]``
+  probabilities, and no prefix attention of its own.  The softmax gradient
+  is formed from the saved probabilities P as P * (dP - rowsum(dP * P)),
+  the form the FlashAttention backward uses (Dao et al. 2022).
 - ``gelu_mlp``: the GELU's slope at the pre-activation when the input,
   ``w1`` or ``b1`` needs a gradient, and the GELU output when ``w2`` does
   (``[rows x 4d]`` each, float32 in training and scoring, float64 in the
@@ -615,13 +615,13 @@ def causal_attention(
     (one copy per row); m*l = 0 is a batch without a prefix.
 
     Prefix queries attend causally within their copy: they never see a
-    token, so one copy serves all its rows.  Token queries attend to their
-    row's prefix copy, then causally to their own row.  Per head this is
-    softmax(Q K^T / sqrt(dh) + mask) V, with heads concatenated back to
+    token (prefix-tuning, Li & Liang 2021), so each copy runs one l x l
+    attention of its own, for m = 1 and m = `rows` alike.  Token queries
+    attend to their row's copy of the prefix keys and values, placed in
+    front of the row's own, then causally to their own row.  Per head this
+    is softmax(Q K^T / sqrt(dh) + mask) V, with heads concatenated back to
     [m*l + rows*T x d], exactly what each row would get with its prefix
-    prepended.  Q, K and V come from one GEMM over all positions.  With one
-    copy per row, a copy's queries join its row's, so each row is one
-    [l + T]-query attention; a shared prefix attends once on its own.
+    prepended.  Q, K and V come from one GEMM over all positions.
 
     With `query_at` (one token index per row) only the query at token
     query_at[r] of each row r runs, and the result is [rows x d]: K and V
@@ -651,32 +651,26 @@ def causal_attention(
     *q, k, v = proj[n_pre:].reshape(rows, n, c, h, dh).transpose(2, 0, 3, 1, 4)  # each [rows x h x T x dh]
     if at is None:
         q = q[0]
+        mask = _causal_mask(l + n, proj.dtype)[l:]
     else:
         q = (x2[at] @ weights[0].data + biases[0].data).reshape(rows, h, 1, dh)
         future = np.arange(l + n) > l + query_at[:, None]
         mask = np.where(future, MASK_FILL, 0.0).astype(proj.dtype)[:, None, None, :]
-    shared = None  # q, k, v and probabilities of a shared prefix's own attention
+    own = None  # q, k, v and probabilities of the prefix copies' own attention
     if n_pre:
         *qp, kp, vp = proj[:n_pre].reshape(m, l, c, h, dh).transpose(2, 0, 3, 1, 4)  # each [m x h x l x dh]
         k = np.concatenate([np.broadcast_to(kp, (rows, h, l, dh)), k], axis=2)
         v = np.concatenate([np.broadcast_to(vp, (rows, h, l, dh)), v], axis=2)
-        if at is None and m == rows:
-            q = np.concatenate([qp[0], q], axis=2)
-        elif at is None:
+        if at is None:
             ctx_pre, pp = _attend(qp[0], kp, vp, _causal_mask(l, proj.dtype), scale)
-            shared = (qp[0], kp, vp, pp)
-    n_q = q.shape[2]  # queries per row: T, l + T when the prefix joins the row, or 1
-    if at is None:
-        mask = _causal_mask(l + n, proj.dtype)[l + n - n_q :]
+            own = (qp[0], kp, vp, pp)
     ctx, p = _attend(q, k, v, mask, scale)
     if at is not None:
         out = ctx.reshape(rows, d)
     else:
         out = np.empty((n_pos, d), dtype=ctx.dtype)
-        out[n_pre:].reshape(rows, n, h, dh)[...] = ctx[:, :, n_q - n :].transpose(0, 2, 1, 3)
+        out[n_pre:].reshape(rows, n, h, dh)[...] = ctx.transpose(0, 2, 1, 3)
         if n_pre:
-            if shared is None:
-                ctx_pre = ctx[:, :, :l]
             out[:n_pre].reshape(m, l, h, dh)[...] = ctx_pre.transpose(0, 2, 1, 3)
     out = _new(out)
 
@@ -686,20 +680,18 @@ def causal_attention(
             gh = g.reshape(rows, h, 1, dh)
         else:
             gh = g[n_pre:].reshape(rows, n, h, dh).transpose(0, 2, 1, 3)
-            gh_pre = g[:n_pre].reshape(m, l, h, dh).transpose(0, 2, 1, 3)
-            if n_q > n:
-                gh = np.concatenate([gh_pre, gh], axis=2)
         dq, dk, dv = _attend_backward(gh, q, k, v, p, scale)
         tok = dproj[n_pre:].reshape(rows, n, c, h, dh)
-        for i, grad in enumerate((dq[:, :, n_q - n :], dk[:, :, l:], dv[:, :, l:])[first:]):
+        for i, grad in enumerate((dq, dk[:, :, l:], dv[:, :, l:])[first:]):
             tok[:, :, i] = grad.transpose(0, 2, 1, 3)
         if n_pre:
-            dqp, dkp, dvp = dq[:, :, :l], dk[:, :, :l], dv[:, :, :l]
+            dqp, dkp, dvp = None, dk[:, :, :l], dv[:, :, :l]
             if m != rows:
                 # every row's reads of the shared keys and values add up
                 dkp, dvp = dkp.sum(axis=0, keepdims=True), dvp.sum(axis=0, keepdims=True)
-            if shared is not None:
-                dqp, dk_own, dv_own = _attend_backward(gh_pre, *shared, scale)
+            if own is not None:
+                gh_pre = g[:n_pre].reshape(m, l, h, dh).transpose(0, 2, 1, 3)
+                dqp, dk_own, dv_own = _attend_backward(gh_pre, *own, scale)
                 dkp += dk_own
                 dvp += dv_own
             pre = dproj[:n_pre].reshape(m, l, c, h, dh)

@@ -125,10 +125,9 @@ def distill_loss(
     n_pos = int(np.prod(t_log.shape[:-1]))
 
     # softened KL, teacher as the fixed reference
-    logp_t = ag._np_log_softmax(t_log / tau, axis=-1)
-    p_t = np.exp(logp_t)
-    ls_s = ag.log_softmax(student_logits * (1.0 / tau), axis=-1)
-    kl = ag.tsum(ag.mul(ag._new(p_t), ag.sub(ag._new(logp_t), ls_s)))
+    kl = ag.kl_divergence(
+        (t_log / tau).reshape(n_pos, vocab), (student_logits * (1.0 / tau)).reshape((n_pos, vocab))
+    )
     l_ce = kl * (tau * tau / n_pos)
 
     # plain next-token cross-entropy on the student

@@ -14,8 +14,10 @@ attention the prompt positions never see a token, so their activations
 depend on the prompt alone and one copy serves every row that reads it, as
 in prefix-tuning (Li & Liang 2021).  Layer norm, the MLP, the projections
 and the residual adds work row by row on that matrix; only
-`autograd.causal_attention` knows the layout: token queries attend to
-their row's prompt copy, then causally to their own row.
+`autograd.causal_attention` knows the layout: each prompt copy attends
+causally within itself and never to a token, whether there is one copy or
+b, and token queries attend to their row's prompt copy, then causally to
+their own row.
 
 Classification, tuning, transfer and the attacks all read one thing: the
 class log-probabilities at each sequence's answer (last) position, computed

@@ -138,12 +138,22 @@ class PretrainConfig:
 class PromptSpec:
     length: int = 8
 
+    def __post_init__(self):
+        if self.length < 1:
+            raise ConfigError("prompt.length must be positive")
+
 
 @dataclass
 class DpSpec:
     epsilon: float = 8.0
     delta: float | None = None
     clip_norm: float = 1.0
+
+    def __post_init__(self):
+        if self.epsilon <= 0 or self.clip_norm <= 0:
+            raise ConfigError("dp.epsilon and dp.clip_norm must be positive")
+        if self.delta is not None and not 0 < self.delta < 1:
+            raise ConfigError("dp.delta must lie in (0, 1)")
 
 
 @dataclass
@@ -157,6 +167,12 @@ class AttackConfig:
     batch_size: int = 16
     prompt_length: int = 4
     with_dp: bool = True
+
+    def __post_init__(self):
+        if self.n_shadows < 2:
+            raise ConfigError("attack.n_shadows must be at least 2")
+        if not 0 <= self.label_noise < 1:
+            raise ConfigError("attack.label_noise must lie in [0, 1)")
 
 
 @dataclass
@@ -205,6 +221,10 @@ class ExperimentConfig:
             raise ConfigError(f"invalid kd config: {e}") from e
         if kd.student_layer_indices[-1] >= self.teacher.n_layers:
             raise ConfigError("kd.student_layer_indices must lie in [0, teacher.n_layers)")
+        if len(kd.student_layer_indices) != self.student_layers:
+            raise ConfigError("kd.student_layer_indices must name student_layers teacher layers")
+        if self.public_subset is not None and self.public_subset < 1:
+            raise ConfigError("public_subset must be positive")
         if isinstance(self.task, CsvTask):
             for attr in ("train", "test", "public", "corpus"):
                 path = getattr(self.task, attr)

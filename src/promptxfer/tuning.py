@@ -9,7 +9,9 @@ Per-example gradients come from one backward: each row of a chunk reads its
 own copy of the prompt (a [k x l x d] leaf, whose k*l prompt positions the
 forward runs once each), so the gradient of the summed loss with respect to
 copy r is exactly row r's gradient.  Plain tuning passes the shared [l x d]
-prompt, whose l positions the forward runs once per chunk.
+prompt, whose l positions the forward runs once per chunk.  Attention treats
+both alike: each copy attends within itself, and each row's tokens read
+their copy's keys and values.
 
 Every step runs the length-sorted `model.row_chunks` of its batch, at most
 `model.ROWS_PER_FORWARD` rows each, each forward and backward inside its

@@ -133,25 +133,14 @@ def test_calibrate_unattainable_rejected():
 
 
 def test_calibrate_memoised_on_all_arguments(monkeypatch):
-    orders = (2.0, 4.0, 8.0, 16.0, 32.0)
     calibrate_sigma.cache_clear()
-    first = calibrate_sigma(4.0, 1e-5, 0.05, 100, orders)
+    first = calibrate_sigma(4.0, 1e-5, 0.05, 100)
     calls = []
     real = accountant.rdp_epsilon
     monkeypatch.setattr(
         accountant, "rdp_epsilon", lambda *a, **k: calls.append(a) or real(*a, **k)
     )
-    assert calibrate_sigma(4.0, 1e-5, 0.05, 100, orders) is first
+    assert calibrate_sigma(4.0, 1e-5, 0.05, 100) is first
     assert calls == []
-    calibrate_sigma(4.0, 1e-5, 0.05, 100, orders[1:])
-    assert calls  # different orders: a new search
-
-
-def test_integer_orders_only():
-    assert accountant.DEFAULT_ORDERS == tuple(range(2, 65))
-    for alpha in (1.5, 1, 2.5):
-        with pytest.raises(ValueError, match="integers"):
-            rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(alpha,))
-    with pytest.raises(ValueError, match="integers"):
-        rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(2, 3, 4.5))
-    assert rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(4.0,)) == rdp_epsilon(1.0, 0.05, 10, 1e-5, orders=(4,))
+    calibrate_sigma(4.0, 1e-5, 0.05, 120)
+    assert calls  # different step count: a new search

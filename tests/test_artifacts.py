@@ -24,7 +24,8 @@ def test_model_round_trip_bit_exact(tmp_path):
     model = init_model(ModelConfig(n_layers=2, d_model=16, n_heads=2, vocab_size=23, max_seq_len=16), 3)
     p1 = tmp_path / "m.pstl"
     p2 = tmp_path / "m2.pstl"
-    save_model(p1, model, provenance={"stage": "unit-test"})
+    model.provenance = {"stage": "unit-test"}
+    save_model(p1, model)
     loaded = load_model(p1)
     assert loaded.fingerprint() == model.fingerprint()
     save_model(p2, loaded)

@@ -47,6 +47,20 @@ def test_auc_antisymmetry():
     assert auc(scores, labels) + auc(-scores, labels) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_auc_is_the_pairwise_win_rate_with_ties_halved():
+    """Tie-averaged ranks count a tied (positive, negative) pair as half a
+    win, exactly: every count here is a small half-integer."""
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        scores = rng.integers(0, 4, size=n).astype(float)  # many ties
+        labels = rng.random(n) < 0.5
+        labels[0], labels[1] = True, False
+        pos, neg = scores[labels], scores[~labels]
+        wins = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
+        assert auc(scores, labels) == wins / (pos.size * neg.size)
+
+
 def test_tpr_at_fpr_examples():
     assert tpr_at_fpr([3.0, 2.0, 1.0, 0.0], [True, True, False, False], 0.01) == 1.0
     assert tpr_at_fpr([0.9, 0.4, 0.6, 0.2], [True, True, False, False], 0.01) == 0.5

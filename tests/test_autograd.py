@@ -170,6 +170,33 @@ def test_attention_query_at_is_the_full_node_at_those_queries(node):
             np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15, err_msg=k)
 
 
+def _closure_arrays(fn):
+    """The numpy arrays a backward function captures, inside tuples and
+    lists too."""
+    found, todo = [], [c.cell_contents for c in fn.__closure__ or ()]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+    return found
+
+
+def test_per_row_prefix_attends_apart_like_a_shared_one():
+    """With one prefix copy per row, the token queries' probabilities are
+    [rows x h x T x (l + T)], as with a shared prefix, and no
+    [rows x h x (l + T) x (l + T)] array is kept: the copies' own queries
+    never join their rows'."""
+    rng = np.random.default_rng(25)
+    args = {k: Tensor(v, requires_grad=True) for k, v in _fused_args("causal_attention_per_row", rng).items()}
+    shapes = {a.shape for a in _closure_arrays(_call_fused("causal_attention_per_row", args)._backward)}
+    keys = PREFIX_LEN + T
+    assert (ROWS, HEADS, T, keys) in shapes
+    assert (ROWS, HEADS, PREFIX_LEN, PREFIX_LEN) in shapes
+    assert (ROWS, HEADS, keys, keys) not in shapes
+
+
 def test_fused_nodes_skip_frozen_and_keep_inputs_only():
     """Only what requires a gradient gets one, and no backward captures its
     own output (the graph stays acyclic)."""

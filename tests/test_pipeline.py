@@ -244,6 +244,15 @@ def test_teacher_side_stages_never_read_private_train(full_run):
         {"kd": {"max_steps": 10, "freeze_lm_head": True}},
         {"task": {"kind": "synthetic", "n_classes": 2}},  # the rest of the task missing
         {"tune": {"epochs": 2, "eval_every": -1}},
+        # values that a stage would reject only after the stages before it ran
+        {"public_subset": 0},
+        {"prompt": {"length": 0}},
+        {"dp": {"epsilon": 0}},
+        {"dp": {"delta": 2}},
+        {"dp": {"clip_norm": 0}},
+        {"attack": {"enabled": True, "n_shadows": 1}},
+        {"attack": {"enabled": True, "label_noise": 1.5}},
+        {"student_layers": 1, "kd": {"student_layer_indices": [0, 1]}},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
