@@ -17,43 +17,61 @@ CDF, which is float32 rounding level.  A float64 array keeps scipy's erf,
 exact to double rounding, because the transfer objective's differences of
 near-equal log-probabilities need double-accurate arithmetic throughout.
 
-Graphs are acyclic.  Each op's output holds its parents and a backward
-function ``bw(g)`` that receives the upstream gradient as its argument and
-captures only its inputs and the numpy arrays it needs, never the output
-tensor.  Reference counting alone frees a graph, with no work left for the
-cyclic garbage collector, and it does so as ``backward()`` walks it, not
-when its root is dropped: once a node's backward has run, the node gives up
-its gradient, its backward function (with the arrays that function kept)
-and its parents.  A training loop's previous loss therefore holds nothing
-but its own value into the next step's forward.  Leaf gradients stay.  Any
+Graphs are acyclic and link nodes that hold no forward data, as PyTorch's
+autograd does (Paszke et al. 2019).  An op with an input that needs a
+gradient gives its output a ``Node``: a slot for the gradient that reaches
+it, a backward function ``bw(g)`` that receives that gradient, and the
+sinks it passes gradients to (``_parents``): the nodes of its inputs, and
+the input itself for a leaf that requires a gradient.  ``bw`` captures
+those sinks, the shapes and dtypes it needs and only the arrays it reads,
+never a tensor other than such a leaf.  A forward's intermediate tensors
+therefore die as it returns, and their arrays with them unless some
+backward reads them: ``add``, ``sub`` and the reshaping and indexing ops
+keep shapes alone; ``mul`` and ``div`` keep an operand only to form the
+other's gradient; ``matmul`` keeps its left operand only when the weight
+needs a gradient and the weight only when the left operand does;
+``log_softmax`` keeps its output and ``logsumexp`` its input and result.
+Reference counting alone frees a graph, with no work left for the cyclic
+garbage collector, and it does so as ``backward()`` walks it, not when its
+root is dropped: once a node's backward has run, the node gives up its
+gradient, its backward function (with the arrays that function kept) and
+its parents.  A training loop's previous loss therefore holds nothing but
+its own value into the next step's forward.  Leaf gradients stay.  Any
 node of a consumed graph keeps a backward that raises ``RuntimeError``, and
 a later ``backward()`` that reaches one raises before it accumulates any
 gradient; nothing here runs backward twice through one graph.  A graph must
 be driven by a single thread; independent graphs may run in parallel.
 
 A transformer block is three fused nodes, each with a hand-written
-backward.  What each backward keeps alive until it runs, besides its input
-tensors:
+backward.  Besides the weights a backward multiplies by, what each keeps
+alive until it runs:
 
-- ``layer_norm``: the normalised input and the reciprocal standard
-  deviation per row.
-- ``causal_attention``: the concatenated Q/K/V weight, the fused Q/K/V
-  projection (``[positions x 3d]``), each row's keys and values with its
-  prefix copy in front (``[b x heads x (l + T) x dh]``) and the token
-  queries' attention probabilities (``[b x heads x T x (l + T)]``); with a
-  prefix, also the probabilities of each copy's own attention
-  (``[m x heads x l x l]``, m = 1 or b copies).  With ``query_at`` (one
-  query per row) it keeps the K/V weight and projection
-  (``[positions x 2d]``), the same keys and values, the queries
-  (``[b x heads x 1 x dh]``) and ``[b x heads x 1 x (l + T)]``
+- ``layer_norm``: the normalised input, when the input or the gain needs a
+  gradient, and the reciprocal standard deviation per row.
+- ``causal_attention``: each row's keys and values with its prefix copy in
+  front (``[b x heads x (l + T) x dh]``), the token queries
+  (``[b x heads x T x dh]``) and their attention probabilities
+  (``[b x heads x T x (l + T)]``); with a prefix, also each copy's own
+  queries, keys and values (``[m x heads x l x dh]`` each, m = 1 or b
+  copies) and the probabilities of its own attention
+  (``[m x heads x l x l]``); the input rows only when a weight needs a
+  gradient, and the concatenated Q/K/V weight only when the input does.
+  Q, K and V come from one fused ``[positions x 3d]`` projection.  With a
+  prefix the keys and values are new arrays, and the queries and the
+  copies' own q/k/v are kept as compact copies, so nothing pins that
+  projection; without one, the queries, keys and values kept are views that
+  fill it.  With ``query_at`` (one query per row) it keeps the same keys and
+  values (views of a ``[positions x 2d]`` K/V projection without a prefix),
+  the queries (``[b x heads x 1 x dh]``) and ``[b x heads x 1 x (l + T)]``
   probabilities, and no prefix attention of its own.  The softmax gradient
   is formed from the saved probabilities P as P * (dP - rowsum(dP * P)),
   the form the FlashAttention backward uses (Dao et al. 2022).
 - ``gelu_mlp``: the GELU's slope at the pre-activation when the input,
-  ``w1`` or ``b1`` needs a gradient, and the GELU output when ``w2`` does
+  ``w1`` or ``b1`` needs a gradient, the GELU output when ``w2`` does
   (``[rows x 4d]`` each, float32 in training and scoring, float64 in the
-  transfer).  Both are formed in the forward, so a frozen-weight graph
-  (tuning, DP-SGD, the transfer) keeps one such array per MLP.
+  transfer), and the input rows when ``w1`` does.  The slope and the output
+  are formed in the forward, so a frozen-weight graph (tuning, DP-SGD, the
+  transfer) keeps one such array per MLP.
 
 The output projection and the LM head are ``matmul``, whose right operand
 is always a 2-D weight, so it also runs as one GEMM over the flattened rows.
@@ -141,16 +159,19 @@ def precision(dtype):
 
 
 class Tensor:
-    """Dense real tensor with an optional gradient of identical shape."""
+    """Dense real tensor with an optional gradient of identical shape.
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    An op's output that needs a gradient holds the graph `Node` of that op
+    in ``_node``; a leaf that requires a gradient is its own gradient sink
+    and has no node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -163,6 +184,12 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    @property
+    def _parents(self) -> tuple:
+        """The gradient sinks this tensor's node passes its gradient to:
+        nodes, and leaves that require a gradient; () for a leaf."""
+        return () if self._node is None else self._node._parents
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -188,9 +215,13 @@ class Tensor:
         ``RuntimeError`` before any gradient is accumulated."""
         if self.data.size != 1:
             raise ValueError("backward() is defined for scalar outputs only")
-        order: list[Tensor] = []
+        root = self._node
+        if root is None:
+            self._acc(np.ones_like(self.data))
+            return
+        order: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -203,15 +234,14 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if isinstance(p, Node) and id(p) not in seen:
                     stack.append((p, False))
-        self._acc(np.ones_like(self.data))
+        root._acc(np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad = None
-                node._backward = _consumed
-                node._parents = ()
+            node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     # Operator sugar; all routing goes through the module-level ops.
     def __add__(self, other):
@@ -259,13 +289,27 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
+class Node:
+    """One op's vertex of the graph, holding no forward data: the gradient
+    that reaches it, the backward function that passes it on, and the sinks
+    it passes it to (``_parents``: nodes, and leaf tensors)."""
+
+    __slots__ = ("grad", "_backward", "_parents")
+
+    def __init__(self, backward: Callable[[np.ndarray], None], parents: tuple):
+        self.grad: np.ndarray | None = None
+        self._backward = backward
+        self._parents = parents
+
+    _acc = Tensor._acc
+
+
 def _new(data: np.ndarray) -> Tensor:
     t = object.__new__(Tensor)
     t.data = data
     t.grad = None
     t.requires_grad = False
-    t._backward = None
-    t._parents = ()
+    t._node = None
     return t
 
 
@@ -278,12 +322,22 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _graph(out: Tensor, parents: Iterable[Tensor], backward: Callable[[np.ndarray], None]) -> None:
-    live = tuple(p for p in parents if p.requires_grad or p._parents)
+def _sink(t: Tensor) -> Node | Tensor | None:
+    """Where a consumer of t accumulates t's gradient: t's node, t itself
+    for a leaf that requires a gradient, None when t needs none."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _graph(out: Tensor, sinks: Iterable, backward: Callable[[np.ndarray], None]) -> None:
+    """Give `out` a node when any of its inputs' `sinks` is live.  The
+    backward function captures sinks, not the input tensors behind them,
+    and only the arrays it reads."""
+    live = tuple(s for s in sinks if s is not None)
     if live:
         out.requires_grad = True
-        out._parents = live
-        out._backward = backward
+        out._node = Node(backward, live)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -301,68 +355,77 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data + b.data)
+    na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
 
     def bw(g):
-        if a.requires_grad:
-            a._acc(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._acc(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na._acc(_unbroadcast(g, sa))
+        if nb is not None:
+            nb._acc(_unbroadcast(g, sb))
 
-    _graph(out, (a, b), bw)
+    _graph(out, (na, nb), bw)
     return out
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data - b.data)
+    na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
 
     def bw(g):
-        if a.requires_grad:
-            a._acc(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._acc(_unbroadcast(-g, b.data.shape))
+        if na is not None:
+            na._acc(_unbroadcast(g, sa))
+        if nb is not None:
+            nb._acc(_unbroadcast(-g, sb))
 
-    _graph(out, (a, b), bw)
+    _graph(out, (na, nb), bw)
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data * b.data)
+    na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            a._acc(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._acc(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na._acc(_unbroadcast(g * bd, sa))
+        if nb is not None:
+            nb._acc(_unbroadcast(g * ad, sb))
 
-    _graph(out, (a, b), bw)
+    _graph(out, (na, nb), bw)
     return out
 
 
 def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data / b.data)
+    na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
+    ad, bd = a.data if nb is not None else None, b.data
 
     def bw(g):
-        if a.requires_grad:
-            a._acc(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._acc(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        if na is not None:
+            na._acc(_unbroadcast(g / bd, sa))
+        if nb is not None:
+            nb._acc(_unbroadcast(-g * ad / (bd * bd), sb))
 
-    _graph(out, (a, b), bw)
+    _graph(out, (na, nb), bw)
     return out
 
 
 def power(a, k: float) -> Tensor:
     a = _lift(a)
     k = float(k)
-    out = _new(a.data**k)
+    ad = a.data
+    out = _new(ad**k)
+    na = _sink(a)
 
     def bw(g):
-        a._acc(g * (k * a.data ** (k - 1)))
+        na._acc(g * (k * ad ** (k - 1)))
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
@@ -374,28 +437,32 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul takes a left operand of rank >= 2 and a 2-D right operand")
     a2 = a.data.reshape(-1, a.data.shape[-1])
     out = _new((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:]))
+    na, nb, sa = _sink(a), _sink(b), a.data.shape
+    a2 = a2 if nb is not None else None
+    bd = b.data if na is not None else None
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if a.requires_grad:
-            a._acc((g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            b._acc(a2.T @ g2)
+        if na is not None:
+            na._acc((g2 @ bd.T).reshape(sa))
+        if nb is not None:
+            nb._acc(a2.T @ g2)
 
-    _graph(out, (a, b), bw)
+    _graph(out, (na, nb), bw)
     return out
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
     out = _new(np.sum(a.data, axis=axis, keepdims=keepdims))
+    na, sa = _sink(a), a.data.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._acc(np.broadcast_to(g, a.data.shape))
+        na._acc(np.broadcast_to(g, sa))
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
@@ -403,24 +470,26 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = _lift(a)
     out = _new(np.mean(a.data, axis=axis, keepdims=keepdims))
     count = a.data.size if axis is None else math.prod(a.data.shape[i] for i in np.atleast_1d(axis))
+    na, sa = _sink(a), a.data.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._acc(np.broadcast_to(g, a.data.shape) / count)
+        na._acc(np.broadcast_to(g, sa) / count)
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
     out = _new(a.data.reshape(shape))
+    na, sa = _sink(a), a.data.shape
 
     def bw(g):
-        a._acc(g.reshape(a.data.shape))
+        na._acc(g.reshape(sa))
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
@@ -429,11 +498,12 @@ def transpose(a, axes) -> Tensor:
     axes = tuple(axes)
     out = _new(np.transpose(a.data, axes))
     inv = tuple(np.argsort(axes))
+    na = _sink(a)
 
     def bw(g):
-        a._acc(np.transpose(g, inv))
+        na._acc(np.transpose(g, inv))
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
@@ -447,9 +517,10 @@ def take(a, indices, axis: int = 0) -> Tensor:
     out = _new(np.take(a.data, idx, axis=axis))
     idx = idx % a.data.shape[axis]  # np.take has checked the range
     unique = bool(np.all(idx[1:] > idx[:-1]))
+    na, sa, dtype = _sink(a), a.data.shape, a.data.dtype
 
     def bw(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(sa, dtype=dtype)
         dst, src = np.moveaxis(buf, axis, 0), np.moveaxis(g, axis, 0)
         if unique:
             dst[idx] = src
@@ -460,9 +531,9 @@ def take(a, indices, axis: int = 0) -> Tensor:
             sorted_idx = idx[order]
             starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
             dst[sorted_idx[starts]] = np.add.reduceat(src[order], starts, axis=0)
-        a._acc(buf)
+        na._acc(buf)
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
@@ -473,14 +544,15 @@ def take_along_last(a, indices) -> Tensor:
     if idx.shape != a.data.shape[:-1]:
         raise ValueError("index shape must match the tensor shape minus the last axis")
     out = _new(np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0])
+    na, sa, dtype = _sink(a), a.data.shape, a.data.dtype
 
     def bw(g):
-        buf = np.zeros_like(a.data)
-        flat = buf.reshape(-1, a.data.shape[-1])
+        buf = np.zeros(sa, dtype=dtype)
+        flat = buf.reshape(-1, sa[-1])
         flat[np.arange(flat.shape[0]), idx.reshape(-1)] += g.reshape(-1)
-        a._acc(buf)
+        na._acc(buf)
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
@@ -490,31 +562,33 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
     out = _new(a.data[sl])
+    na, sa, dtype = _sink(a), a.data.shape, a.data.dtype
 
     def bw(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(sa, dtype=dtype)
         buf[sl] = g
-        a._acc(buf)
+        na._acc(buf)
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [_lift(t) for t in tensors]
     out = _new(np.concatenate([t.data for t in ts], axis=axis))
+    sinks = [_sink(t) for t in ts]
     sizes = [t.data.shape[axis] for t in ts]
 
     def bw(g):
         offset = 0
-        for t, size in zip(ts, sizes):
-            if t.requires_grad:
+        for s, size in zip(sinks, sizes):
+            if s is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(offset, offset + size)
-                t._acc(g[tuple(sl)])
+                s._acc(g[tuple(sl)])
             offset += size
 
-    _graph(out, ts, bw)
+    _graph(out, sinks, bw)
     return out
 
 
@@ -549,19 +623,23 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     xhat = xc * rstd
     del xc
     out = _new(xhat * gain.data + bias.data)
+    nx, ng, nb = _sink(x), _sink(gain), _sink(bias)
+    gd = gain.data if nx is not None else None
+    if nx is None and ng is None:
+        xhat = None
 
     def bw(g):
-        if gain.requires_grad:
-            gain._acc((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias._acc(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gy = g * gain.data
+        if ng is not None:
+            ng._acc((g * xhat).reshape(-1, d).sum(axis=0))
+        if nb is not None:
+            nb._acc(g.reshape(-1, d).sum(axis=0))
+        if nx is not None:
+            gy = g * gd
             mean_gy = _row_sum(gy) / d
             mean_gyx = _row_dot(gy, xhat) / d
-            x._acc(rstd * (gy - mean_gy - xhat * mean_gyx))
+            nx._acc(rstd * (gy - mean_gy - xhat * mean_gyx))
 
-    _graph(out, (x, gain, bias), bw)
+    _graph(out, (nx, ng, nb), bw)
     return out
 
 
@@ -663,8 +741,12 @@ def causal_attention(
         v = np.concatenate([np.broadcast_to(vp, (rows, h, l, dh)), v], axis=2)
         if at is None:
             ctx_pre, pp = _attend(qp[0], kp, vp, _causal_mask(l, proj.dtype), scale)
-            own = (qp[0], kp, vp, pp)
+            own = (qp[0].copy(), kp.copy(), vp.copy(), pp)
     ctx, p = _attend(q, k, v, mask, scale)
+    if n_pre and at is None:
+        # k and v are new arrays here; with compact copies of the views,
+        # nothing the backward keeps pins the [positions x 3d] projection
+        q = q.copy()
     if at is not None:
         out = ctx.reshape(rows, d)
     else:
@@ -673,9 +755,16 @@ def causal_attention(
         if n_pre:
             out[:n_pre].reshape(m, l, h, dh)[...] = ctx_pre.transpose(0, 2, 1, 3)
     out = _new(out)
+    nx, nw, nb = _sink(x), [_sink(t) for t in weights], [_sink(t) for t in biases]
+    dtype = proj.dtype
+    # the backward reads the input rows for weight gradients only, and the
+    # weights for x's gradient only
+    x2 = x2 if any(t is not None for t in nw) else None
+    w = w if nx is not None else None
+    wq = weights[0].data if nx is not None and at is not None else None
 
     def bw(g):
-        dproj = np.empty((n_pos, c * d), dtype=np.result_type(g, proj))
+        dproj = np.empty((n_pos, c * d), dtype=np.result_type(g, dtype))
         if at is not None:
             gh = g.reshape(rows, h, 1, dh)
         else:
@@ -697,29 +786,29 @@ def causal_attention(
             pre = dproj[:n_pre].reshape(m, l, c, h, dh)
             for i, grad in enumerate((dqp, dkp, dvp)[first:]):
                 pre[:, :, i] = grad.transpose(0, 2, 1, 3)
-        # (input rows, gradient of their projection, its weights and biases)
-        groups = [(x2, dproj, weights[first:], biases[first:])]
+        # (input rows, gradient of their projection, its weight and bias sinks)
+        groups = [(slice(None), dproj, nw[first:], nb[first:])]
         if at is not None:
             dq = dq.reshape(rows, d)
-            groups.append((x2[at], dq, weights[:1], biases[:1]))
-        if x.requires_grad:
+            groups.append((at, dq, nw[:1], nb[:1]))
+        if nx is not None:
             dx = dproj @ w.T
             if at is not None:
-                dx[at] += dq @ weights[0].data.T
-            x._acc(dx)
-        for rows_in, grad, ws, bs in groups:
-            if any(t.requires_grad for t in ws):
-                dw = rows_in.T @ grad
+                dx[at] += dq @ wq.T
+            nx._acc(dx)
+        for sel, grad, ws, bs in groups:
+            if any(t is not None for t in ws):
+                dw = x2[sel].T @ grad
                 for i, t in enumerate(ws):
-                    if t.requires_grad:
+                    if t is not None:
                         t._acc(dw[:, i * d : (i + 1) * d])
-            if any(t.requires_grad for t in bs):
+            if any(t is not None for t in bs):
                 db = grad.sum(axis=0)
                 for i, t in enumerate(bs):
-                    if t.requires_grad:
+                    if t is not None:
                         t._acc(db[i * d : (i + 1) * d])
 
-    _graph(out, (x, *weights, *biases), bw)
+    _graph(out, (nx, *nw, *nb), bw)
     return out
 
 
@@ -773,16 +862,20 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
 
     The backward keeps the GELU's slope only when x, w1 or b1 needs a
     gradient, and the GELU output only when w2 does."""
-    parents = x, w1, b1, w2, b2 = tuple(_lift(t) for t in (x, w1, b1, w2, b2))
+    x, w1, b1, w2, b2 = (_lift(t) for t in (x, w1, b1, w2, b2))
     x2 = x.data.reshape(-1, x.data.shape[-1])
     pre = x2 @ w1.data + b1.data
     cdf = gaussian_cdf(pre)
     h = pre * cdf
     out = _new((h @ w2.data + b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:]))
-    if not w2.requires_grad:
+    sinks = nx, nw1, nb1, nw2, nb2 = tuple(_sink(t) for t in (x, w1, b1, w2, b2))
+    sx, w1d, w2d = x.data.shape, w1.data if nx is not None else None, w2.data
+    if nw1 is None:
+        x2 = None
+    if nw2 is None:
         h = None
     slope = None
-    if x.requires_grad or w1.requires_grad or b1.requires_grad:
+    if nx is not None or nw1 is not None or nb1 is not None:
         # GELU'(pre) = Phi(pre) + pre * phi(pre), formed in one buffer
         slope = pre * pre
         slope *= -0.5
@@ -794,22 +887,22 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if w2.requires_grad:
-            w2._acc(h.T @ g2)
-        if b2.requires_grad:
-            b2._acc(g2.sum(axis=0))
+        if nw2 is not None:
+            nw2._acc(h.T @ g2)
+        if nb2 is not None:
+            nb2._acc(g2.sum(axis=0))
         if slope is None:
             return
-        dpre = g2 @ w2.data.T
+        dpre = g2 @ w2d.T
         dpre *= slope
-        if w1.requires_grad:
-            w1._acc(x2.T @ dpre)
-        if b1.requires_grad:
-            b1._acc(dpre.sum(axis=0))
-        if x.requires_grad:
-            x._acc((dpre @ w1.data.T).reshape(x.data.shape))
+        if nw1 is not None:
+            nw1._acc(x2.T @ dpre)
+        if nb1 is not None:
+            nb1._acc(dpre.sum(axis=0))
+        if nx is not None:
+            nx._acc((dpre @ w1d.T).reshape(sx))
 
-    _graph(out, parents, bw)
+    _graph(out, sinks, bw)
     return out
 
 
@@ -823,11 +916,12 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     a = _lift(a)
     y = _np_log_softmax(a.data, axis=axis)
     out = _new(y)
+    na = _sink(a)
 
     def bw(g):
-        a._acc(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        na._acc(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 
@@ -836,13 +930,14 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     lse = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
     out = _new(lse if keepdims else np.squeeze(lse, axis=axis))
+    na, ad = _sink(a), a.data
 
     def bw(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        a._acc(g * np.exp(a.data - lse))
+        na._acc(g * np.exp(ad - lse))
 
-    _graph(out, (a,), bw)
+    _graph(out, (na,), bw)
     return out
 
 

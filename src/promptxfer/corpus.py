@@ -403,11 +403,3 @@ def load_csv(
         split_tags=(split_tag,) * len(texts),
         name=name or str(path),
     )
-
-
-def write_csv(dataset: LabeledDataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["text", "label"])
-        for text, label in zip(dataset.texts, dataset.labels):
-            writer.writerow([text, int(label)])

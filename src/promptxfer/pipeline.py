@@ -173,6 +173,14 @@ class AttackConfig:
             raise ConfigError("attack.n_shadows must be at least 2")
         if not 0 <= self.label_noise < 1:
             raise ConfigError("attack.label_noise must lie in [0, 1)")
+        if self.pool_size < 2:
+            raise ConfigError("attack.pool_size must be at least 2")
+        if self.prompt_length < 1 or self.batch_size < 1:
+            raise ConfigError("attack.prompt_length and attack.batch_size must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigError("attack.learning_rate must be positive")
+        if self.epochs < 0:
+            raise ConfigError("attack.epochs must be >= 0")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from promptxfer.autograd import (
     take_along_last,
     transpose,
 )
-from promptxfer.model import ModelConfig, init_model, lm_loss
+from promptxfer.model import ModelConfig, answer_log_probs, init_model, init_prompt, lm_loss
 from promptxfer.optim import Optimizer
 
 
@@ -170,17 +170,20 @@ def test_attention_query_at_is_the_full_node_at_those_queries(node):
             np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15, err_msg=k)
 
 
-def _closure_arrays(fn):
-    """The numpy arrays a backward function captures, inside tuples and
-    lists too."""
+def _closure_items(fn):
+    """What a backward function captures, inside tuples and lists too."""
     found, todo = [], [c.cell_contents for c in fn.__closure__ or ()]
     while todo:
         item = todo.pop()
-        if isinstance(item, np.ndarray):
-            found.append(item)
-        elif isinstance(item, (tuple, list)):
+        if isinstance(item, (tuple, list)):
             todo.extend(item)
+        else:
+            found.append(item)
     return found
+
+
+def _closure_arrays(fn):
+    return [a for a in _closure_items(fn) if isinstance(a, np.ndarray)]
 
 
 def test_per_row_prefix_attends_apart_like_a_shared_one():
@@ -190,24 +193,43 @@ def test_per_row_prefix_attends_apart_like_a_shared_one():
     never join their rows'."""
     rng = np.random.default_rng(25)
     args = {k: Tensor(v, requires_grad=True) for k, v in _fused_args("causal_attention_per_row", rng).items()}
-    shapes = {a.shape for a in _closure_arrays(_call_fused("causal_attention_per_row", args)._backward)}
+    shapes = {a.shape for a in _closure_arrays(_call_fused("causal_attention_per_row", args)._node._backward)}
     keys = PREFIX_LEN + T
     assert (ROWS, HEADS, T, keys) in shapes
     assert (ROWS, HEADS, PREFIX_LEN, PREFIX_LEN) in shapes
     assert (ROWS, HEADS, keys, keys) not in shapes
 
 
+@pytest.mark.parametrize("node", [n for n, m in PREFIX_COPIES.items() if m])
+def test_prefixed_attention_keeps_no_view_of_the_projection(node):
+    """With a prefix, the keys and values are new arrays, so the backward
+    keeps compact copies of the queries and of the prefix's own q, k and v
+    rather than views that pin the whole [positions x 3d] projection (2d
+    with one query per row).  Frozen weights keep no input rows either."""
+    rng = np.random.default_rng(26)
+    args = {k: Tensor(v, requires_grad=k == "prefix") for k, v in _fused_args(node, rng).items()}
+    n_pos = args["prefix"].shape[0] + args["tokens"].shape[0]
+    proj_shape = (n_pos, (2 if node.endswith("_query") else 3) * D)
+    for a in _closure_arrays(_call_fused(node, args)._node._backward):
+        while a.base is not None:
+            a = a.base
+        assert a.shape != proj_shape
+        assert a.shape != (n_pos, D)
+
+
 def test_fused_nodes_skip_frozen_and_keep_inputs_only():
-    """Only what requires a gradient gets one, and no backward captures its
-    own output (the graph stays acyclic)."""
+    """Only what requires a gradient gets one, and no backward captures a
+    tensor: not its own output (the graph stays acyclic), and no input but
+    a leaf it accumulates into."""
     rng = np.random.default_rng(1)
     for node in ("layer_norm", "causal_attention", "causal_attention_query", "gelu_mlp"):
         args = {k: Tensor(v) for k, v in _fused_args(node, rng).items()}
         args["x"].requires_grad = True
         out = _call_fused(node, args)
         assert out._parents == (args["x"],)
-        cells = [c.cell_contents for c in out._backward.__closure__ or ()]
-        assert not any(c is out for c in cells)
+        items = _closure_items(out._node._backward)
+        assert not any(c is out or c is out._node for c in items)
+        assert [c for c in items if isinstance(c, Tensor)] == [args["x"]]
         out.sum().backward()
         assert args["x"].grad is not None and args["x"].grad.shape == args["x"].shape
         assert all(t.grad is None for k, t in args.items() if k != "x")
@@ -534,6 +556,7 @@ def test_graph_freed_by_reference_count():
     try:
         before = _live_tensors()
         loss = lm_loss(model, ids)
+        assert _live_tensors() == before + 1  # the graph links nodes, not the forward's tensors
         loss.backward()
         assert _live_tensors() == before + 1  # the graph went with its backward; the root stays
         del loss
@@ -546,20 +569,52 @@ def test_graph_freed_by_reference_count():
 def test_backward_keeps_leaf_grads_only():
     model, ids = _tiny_lm()
     loss = lm_loss(model, ids)
-    nodes, stack = {}, [loss]
+    sinks, stack = {}, [loss._node]
     while stack:
-        node = stack.pop()
-        if id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node._parents)
-    # classified before the backward, which drops every interior node's parents
-    leaves = [n for n in nodes.values() if not n._parents]
-    interior = [n for n in nodes.values() if n._parents]
+        sink = stack.pop()
+        if id(sink) not in sinks:
+            sinks[id(sink)] = sink
+            stack.extend(sink._parents)
+    # the graph links op nodes and leaf tensors, and only leaves have no parents
+    leaves = [s for s in sinks.values() if isinstance(s, Tensor)]
+    interior = [s for s in sinks.values() if isinstance(s, ag.Node)]
+    assert len(leaves) + len(interior) == len(sinks)
+    assert not any(n._parents for n in leaves) and all(n._parents for n in interior)
     loss.backward()
     assert leaves and interior
     assert all(n.requires_grad and n.grad is not None for n in leaves)
-    assert all(n.grad is None for n in interior)
+    assert all(n.grad is None and not n._parents for n in interior)
+    assert loss.grad is None
     assert all(p.grad is not None for p in model.parameters())
+
+
+# A float64 frozen-teacher answer-position graph over 16 prompted rows of
+# 14-20 tokens (8 prompt rows, d = 64, 4 layers): the graph that linked
+# tensors, each backward capturing its inputs, kept this many bytes.
+TENSOR_PARENT_TRANSFER_GRAPH_BYTES = 12_894_000
+
+
+def test_transfer_graph_keeps_what_its_backward_reads():
+    """A frozen teacher's graph keeps no weight-gradient inputs, no residual
+    operands and no fused projection: at most 60% of what the graph that
+    linked tensors kept (about 54% when measured)."""
+    cfg = ModelConfig(n_layers=4, d_model=64, n_heads=4, vocab_size=120, max_seq_len=64)
+    rng = np.random.default_rng(1)
+    seqs = [rng.integers(0, 120, size=rng.integers(14, 21)) for _ in range(16)]
+    with precision(np.float64):
+        teacher = init_model(cfg, 0)
+        prompt = Tensor(init_prompt(teacher, 8, 0).matrix, requires_grad=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = answer_log_probs(teacher, seqs, [[3, 4], [5, 6]], prompt).sum()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        loss.backward()
+    assert prompt.grad is not None
+    assert held <= 0.6 * TENSOR_PARENT_TRANSFER_GRAPH_BYTES, held
 
 
 def test_training_loop_holds_one_graph_at_a_time():

@@ -14,8 +14,8 @@ from promptxfer.corpus import (
     load_csv,
     tokenize_corpus,
     word_tokenize,
-    write_csv,
 )
+from task_csv import write_csv
 
 
 def test_specials_fixed():

@@ -109,3 +109,19 @@ def test_prompted_forward_reads_head_useful_ratio_one(monkeypatch):
         patches.restore()
     assert tracer.calls["forward"] == 2
     assert metrics["model.head_useful_ratio"] == 1.0
+
+
+def test_graph_node_count_is_one_per_tensor_needing_a_gradient(monkeypatch):
+    """perfbench's `autograd.nodes_per_backward` walks `_parents` from the
+    root tensor.  A graph of nodes must count what the graph of tensors
+    counted: the root, one per op output that needs a gradient and one per
+    leaf that requires one (66 for this loss when tensors were linked)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    model = importlib.import_module("promptxfer.model")
+    lm = model.init_model(model.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, max_seq_len=12), 0)
+    lm.set_trainable(True)
+    loss = model.lm_loss(lm, np.array([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]))
+    assert tracing._graph_nodes(loss) == 66
+    loss.backward()
+    assert tracing._graph_nodes(loss) == 1

@@ -11,7 +11,8 @@ import pytest
 from promptxfer import artifacts as art
 from promptxfer import pipeline as pl
 from promptxfer.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from promptxfer.corpus import default_task_spec, gen_synth_pair, write_csv
+from promptxfer.corpus import default_task_spec, gen_synth_pair
+from task_csv import write_csv
 
 BASELINES = list(pl.ALL_BASELINES)
 PRETRAIN_STEPS, KD_STEPS = 20, 10
@@ -252,6 +253,11 @@ def test_teacher_side_stages_never_read_private_train(full_run):
         {"dp": {"clip_norm": 0}},
         {"attack": {"enabled": True, "n_shadows": 1}},
         {"attack": {"enabled": True, "label_noise": 1.5}},
+        {"attack": {"enabled": True, "prompt_length": 0}},
+        {"attack": {"enabled": True, "pool_size": 1}},
+        {"attack": {"enabled": True, "learning_rate": -1}},
+        {"attack": {"enabled": True, "epochs": -1}},
+        {"attack": {"enabled": True, "batch_size": 0}},
         {"student_layers": 1, "kd": {"student_layer_indices": [0, 1]}},
     ],
 )
