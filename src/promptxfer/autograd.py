@@ -403,7 +403,8 @@ def div(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     out = _new(a.data / b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
-    ad, bd = a.data if nb is not None else None, b.data
+    ad = a.data if nb is not None else None
+    bd = b.data
 
     def bw(g):
         if na is not None:
@@ -869,7 +870,8 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
     h = pre * cdf
     out = _new((h @ w2.data + b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:]))
     sinks = nx, nw1, nb1, nw2, nb2 = tuple(_sink(t) for t in (x, w1, b1, w2, b2))
-    sx, w1d, w2d = x.data.shape, w1.data if nx is not None else None, w2.data
+    sx, w2d = x.data.shape, w2.data
+    w1d = w1.data if nx is not None else None
     if nw1 is None:
         x2 = None
     if nw2 is None:
