@@ -89,6 +89,19 @@ def shadow_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
+def _gaussian_fit(conf: np.ndarray, in_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-candidate IN and OUT means of the [shadows x candidates] `conf`
+    (NaN where a side is empty) and the variance of every confidence about
+    its side's mean, pooled over all candidates and floored at _VAR_FLOOR."""
+    n = conf.shape[1]
+    mu_in, mu_out = (
+        np.divide(np.where(m, conf, 0.0).sum(axis=0), m.sum(axis=0), out=np.full(n, np.nan), where=m.any(axis=0))
+        for m in (in_mask, ~in_mask)
+    )
+    residuals = conf - np.where(in_mask, mu_in, mu_out)
+    return mu_in, mu_out, max(float(np.mean(np.square(residuals))), _VAR_FLOOR)
+
+
 def lira_attack(
     model: TransformerLM,
     candidate_pool: LabeledDataset,
@@ -110,34 +123,15 @@ def lira_attack(
     member_mask = np.zeros(n, dtype=bool)
     member_mask[np.asarray(list(target_members), dtype=np.int64)] = True
 
-    half = n // 2
-    picks = []
-    for i in range(n_shadows):
-        rng = np.random.default_rng(shadow_seed(seed, i))
-        picks.append(np.sort(rng.choice(n, size=half, replace=False)))
-
+    in_mask = np.zeros((n_shadows, n), dtype=bool)
     shadow_conf = []
-    for i, rows in enumerate(picks):
+    for i in range(n_shadows):
+        rows = np.sort(np.random.default_rng(shadow_seed(seed, i)).choice(n, size=n // 2, replace=False))
+        in_mask[i, rows] = True
         prompt = train_fn(candidate_pool.subset(rows), shadow_seed(seed, i))
         shadow_conf.append(true_class_confidences(model, candidate_pool, prompt))
     conf = np.stack(shadow_conf)
-
-    in_mask = np.zeros((n_shadows, n), dtype=bool)
-    for i, rows in enumerate(picks):
-        in_mask[i, rows] = True
-
-    # per-example means, globally pooled variance
-    residuals: list[float] = []
-    mu_in = np.full(n, np.nan)
-    mu_out = np.full(n, np.nan)
-    for z in range(n):
-        for mask, mu in ((in_mask[:, z], mu_in), (~in_mask[:, z], mu_out)):
-            vals = conf[mask, z]
-            if vals.size:
-                mu[z] = vals.mean()
-                residuals.extend(vals - vals.mean())
-    var = max(float(np.mean(np.square(residuals))), _VAR_FLOOR)
-
+    mu_in, mu_out, var = _gaussian_fit(conf, in_mask)
     global_in = float(conf[in_mask].mean())
     global_out = float(conf[~in_mask].mean())
     n_fallback = int(np.isnan(mu_in).sum() + np.isnan(mu_out).sum())

@@ -4,9 +4,9 @@ One plan, `STAGE_PLAN`, runs every seed.  It is a tuple of `Row`s; each row
 names its stage, a function `fn(run, *inputs) -> output`, the names of the
 values it reads and the name of the value it builds.  The rows are, in
 order: pretrain, distillation, the student prompt tunings (plain and DP),
-`alpha`, the transfers, the control baselines, one `eval` row per baseline
-(its inputs are the baseline's (model, prompt) pair, `BASELINE_INPUTS`, and
-its output is named after the baseline) and the membership attack.
+the transfers, the control baselines, one `eval` row per baseline (its
+inputs are the baseline's (model, prompt) pair, `BASELINE_INPUTS`, and its
+output is named after the baseline) and the membership attack.
 
 A seed's run loads its data (`stage_data`), then walks back from what the
 config asks for, the requested baselines and "attacks" when the attack is
@@ -16,10 +16,11 @@ call; no stage runs inside another.  `run_pipeline(config, through=name)`
 stops after the last row of that name, so every CLI subcommand runs a
 prefix of the same plan.
 
-The `alpha` row computes the heuristic transfer weight from the teacher,
-the student and the student's plain prompt.  When `transfer_alpha` is a
-float, that value is put in the run's outputs before the walk, so the row
-never runs.
+Each transfer row passes `transfer_alpha` to `transfer_prompt`: a float as
+it is, "heuristic" as None, for which the transfer computes the heuristic
+alpha from the public rows it reads.  The report's `resolved_alphas` gives,
+per seed, the alpha of its one transfer, {row: alpha} when it ran several,
+and None when it ran none.
 
 Row functions look up every program function they call (`tune_prompt`,
 `transfer_prompt`, `make_dp_params`, `lira_attack`, ...) through this
@@ -28,7 +29,9 @@ the class, so a wrapper installed on either after import takes effect.
 
 Every dataset hand-off is recorded in a data-access ledger keyed by
 (seed, stage, role); `tests/test_pipeline.py` asserts that the teacher-side
-stages never receive the private train split.
+stages never receive the private train split, that only the prompt tunings
+and the attack read it, and that only the `eval` rows read the private test
+split.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -67,7 +70,7 @@ from .distill import (
     write_loss_history,
 )
 from .model import ModelConfig, SoftPrompt, TransformerLM, classify_batch, init_model, init_prompt
-from .transfer import HeuristicInputs, TransferConfig, alpha_heuristic, transfer_prompt
+from .transfer import TransferConfig, transfer_prompt
 from .tuning import TuneConfig, make_dp_params, tune_prompt
 
 log = logging.getLogger(__name__)
@@ -423,6 +426,7 @@ class SeedRun:
     out_dir: str
     data: TaskData | None = None
     outputs: dict = field(default_factory=dict)  # STAGE_PLAN output name -> value
+    alphas: dict = field(default_factory=dict)  # transfer row name -> the alpha it used
     timings: list[dict] = field(default_factory=list)
     artifact_paths: dict = field(default_factory=dict)
 
@@ -550,30 +554,6 @@ def _under_dp(tune_cfg: TuneConfig, dataset_size: int, dp: DpSpec) -> TuneConfig
     return replace(tune_cfg, dp=params)
 
 
-def _accuracy(model: TransformerLM, dataset: LabeledDataset, prompt=None) -> float:
-    preds = classify_batch(model, dataset.sequences, dataset.verbalizers, prompt=prompt)
-    return float(np.mean(preds == dataset.labels))
-
-
-def stage_alpha(run: SeedRun, teacher: TransformerLM, student: TransformerLM, p_s: SoftPrompt) -> float:
-    """Heuristic alpha from measured teacher zero-shot and prompted-student
-    accuracy (both on the private test split, an eval-side measurement)."""
-    test = run.data.private_test
-    run.ledger.log(run.seed, "eval", "private_test", test.name)
-    zs = _accuracy(teacher, test)
-    compressed = _accuracy(student, test, prompt=p_s)
-    rg = 1.0 / test.n_classes
-    try:
-        alpha = alpha_heuristic(
-            HeuristicInputs(zero_shot=100 * zs, compressed=100 * compressed, random_guess=100 * rg)
-        )
-    except ValueError:
-        log.warning("alpha heuristic undefined (compressed == random guess); falling back to 0.5")
-        alpha = 0.5
-    log.info("seed %d: resolved alpha = %.3f (ZS %.3f, compressed %.3f)", run.seed, alpha, zs, compressed)
-    return alpha
-
-
 def _public_view(run: SeedRun) -> LabeledDataset:
     public = run.data.public
     if run.config.public_subset is not None and run.config.public_subset < len(public):
@@ -585,7 +565,8 @@ def eval_baseline(run: SeedRun, model: TransformerLM, prompt: SoftPrompt | None 
     """Test accuracy of `model`, prompted by `prompt` unless it is None."""
     test = run.data.private_test
     run.ledger.log(run.seed, "eval", "private_test", test.name)
-    return _accuracy(model, test, prompt=prompt)
+    preds = classify_batch(model, test.sequences, test.verbalizers, prompt=prompt)
+    return float(np.mean(preds == test.labels))
 
 
 def stage_attack(run: SeedRun, student: TransformerLM) -> dict:
@@ -667,16 +648,17 @@ def _transfer_row(name: str, source: str, prompt: str, output: str, artifact: st
     """A row that transfers `prompt`, tuned on the `source` model, to the
     teacher on the public set, and writes it to `artifact`."""
 
-    def transfer(run: SeedRun, teacher: TransformerLM, lm: TransformerLM, p_s: SoftPrompt, alpha: float):
+    def transfer(run: SeedRun, teacher: TransformerLM, lm: TransformerLM, p_s: SoftPrompt):
         public = _public_view(run)
         run.ledger.log(run.seed, name, "public", public.name)
         seed = seed_stream(run.seed, name)
-        p_t, history = transfer_prompt(teacher, lm, p_s, public, run.config.transfer, alpha, seed)
+        alpha = None if isinstance(run.config.transfer_alpha, str) else float(run.config.transfer_alpha)
+        p_t, history, run.alphas[name] = transfer_prompt(teacher, lm, p_s, public, run.config.transfer, alpha, seed)
         write_loss_history(run.path(artifact.replace(".pspa", "_loss.csv")), history)
         art.save_prompt(run.path(artifact), p_t)
         return p_t
 
-    return Row(name, transfer, ("teacher", source, prompt, "alpha"), output)
+    return Row(name, transfer, ("teacher", source, prompt), output)
 
 
 # baseline -> the outputs it is evaluated with: (model,) or (model, prompt)
@@ -697,7 +679,6 @@ STAGE_PLAN: tuple[Row, ...] = (
     Row("kd", stage_distill, ("teacher",), "student", amortizable=True),
     _tuning_row("tune_student", "student", "p_s", "prompt_student.pspa"),
     _tuning_row("tune_student_dp", "student", "p_s_dp", "prompt_student_dp.pspa", dp=True),
-    Row("alpha", stage_alpha, ("teacher", "student", "p_s"), "alpha"),
     _transfer_row("transfer", "student", "p_s", "p_t", "prompt_transferred.pspa"),
     _transfer_row("transfer_dp", "student", "p_s_dp", "p_t_dp", "prompt_transferred_dp.pspa"),
     _tuning_row("full_pt", "teacher", "p_full", "prompt_full.pspa"),
@@ -711,15 +692,15 @@ STAGE_PLAN: tuple[Row, ...] = (
 )
 
 
-def _outputs_needed(wanted, have) -> set[str]:
+def _outputs_needed(wanted) -> set[str]:
     """The outputs to build for `wanted`: every output reached by walking
-    back through STAGE_PLAN's inputs, stopping at those in `have`."""
+    back through STAGE_PLAN's inputs."""
     by_output = {row.output: row for row in STAGE_PLAN}
     needed: set[str] = set()
     stack = list(wanted)
     while stack:
         name = stack.pop()
-        if name not in needed and name not in have:
+        if name not in needed:
             needed.add(name)
             stack.extend(by_output[name].inputs)
     return needed
@@ -729,10 +710,8 @@ def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_
     """Run the rows of `plan` (a prefix of STAGE_PLAN) that build what the
     config asks for: its baselines, and the attack when it is enabled."""
     run = SeedRun(config=config, seed=seed, ledger=ledger, out_dir=out_dir)
-    if not isinstance(config.transfer_alpha, str):
-        run.outputs["alpha"] = float(config.transfer_alpha)
     wanted = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
-    needed = _outputs_needed(wanted, run.outputs)
+    needed = _outputs_needed(wanted)
     stage_data(run)
     for row in plan:
         if row.output in needed:
@@ -756,16 +735,7 @@ class RunReport:
     attack_metrics: dict
 
     def to_dict(self) -> dict:
-        return {
-            "baselines": self.baselines,
-            "timings": self.timings,
-            "artifacts": self.artifacts,
-            "config_digest": self.config_digest,
-            "data_access": self.data_access,
-            "resolved_alphas": self.resolved_alphas,
-            "seed_errors": self.seed_errors,
-            "attack_metrics": self.attack_metrics,
-        }
+        return asdict(self)
 
 
 def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunReport:
@@ -818,12 +788,17 @@ def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunRep
         artifacts=artifacts,
         config_digest=config.digest(),
         data_access=ledger.to_list(),
-        resolved_alphas={str(s): runs[s].outputs.get("alpha") for s in sorted(runs)},
+        resolved_alphas={str(s): _resolved_alpha(runs[s].alphas) for s in sorted(runs)},
         seed_errors={str(s): msg for s, msg in errors.items()},
         attack_metrics=attack_metrics,
     )
     write_report(report, out_root)
     return report
+
+
+def _resolved_alpha(alphas: dict):
+    """A seed's `resolved_alphas` entry (module docstring)."""
+    return dict(alphas) if len(alphas) > 1 else next(iter(alphas.values()), None)
 
 
 def write_report(report: RunReport, out_dir: str) -> None:

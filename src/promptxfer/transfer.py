@@ -27,12 +27,21 @@ float32 forwards lose most of their digits to that cancellation.  On the
 benchmark's plain POST workload (perfbench `post`, seeds 0-5) a float32
 transfer logged a first objective 4.7e-6 to 7.1e-4 (relative) off a
 float64 reference; with the float64 copies it is at most 3.2e-11 off
-(`post` seeds 0-9, `post_dp` seeds 0-4).  The caller's models are left untouched, and the returned prompt is float32
-with the float32 teacher's fingerprint.
+(`post` seeds 0-9, `post_dp` seeds 0-4).  The caller's models are left
+untouched, and the returned prompt is float32 with the float32 teacher's
+fingerprint.
+
+With `alpha` None the transfer takes the heuristic (`alpha_heuristic`)
+from its constant sides at no extra forward: the plain teacher's and the
+prompted student's argmax accuracy on the public rows, random guess 1/C.
+Where it is undefined (the student at exactly 1/C) a warning is logged and
+alpha is 0.5.  No private data is read, so a DP source prompt's guarantee
+carries over to p_t.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,6 +60,8 @@ from .model import (
     row_chunks,
 )
 from .optim import Optimizer
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,16 @@ def alpha_heuristic(h: HeuristicInputs) -> float:
     the target model is already strong relative to the compressed one."""
     raw = (h.zero_shot - h.random_guess) / (h.compressed - h.random_guess)
     return min(max(raw, 0.0), 1.0)
+
+
+def _heuristic_alpha(student_prompted: np.ndarray, teacher_plain: np.ndarray, data: LabeledDataset) -> float:
+    """`alpha_heuristic` from two sides' argmax accuracy on `data`; 0.5 where it is undefined."""
+    zs, compressed = (float(np.mean(np.argmax(s, axis=1) == data.labels)) for s in (teacher_plain, student_prompted))
+    try:  # 100 * (1/C), not 100/C: it equals 100 * compressed when compressed is exactly 1/C
+        return alpha_heuristic(HeuristicInputs(100 * zs, 100 * compressed, 100 * (1.0 / data.n_classes)))
+    except ValueError:
+        log.warning("alpha heuristic undefined (compressed == random guess); falling back to 0.5")
+        return 0.5
 
 
 @dataclass
@@ -134,19 +155,19 @@ def transfer_prompt(
     p_s: SoftPrompt,
     public_data: LabeledDataset,
     config: TransferConfig,
-    alpha: float,
+    alpha: float | None,
     seed: int,
-) -> tuple[SoftPrompt, list[dict]]:
+) -> tuple[SoftPrompt, list[dict], float]:
     """Derive the teacher-side prompt from p_s using public data only.
 
     `alpha` in [0, 1] weights the shift term l2 against the imitation term
-    l1 (`transfer_loss`); `seed` seeds the order in which the public rows
+    l1 (`transfer_loss`); None takes the heuristic alpha on `public_data`
+    (module docstring).  `seed` seeds the order in which the public rows
     are batched.  Private data is deliberately not an argument; dp_meta
     rides along unchanged (post-processing).  Returns (p_t, per-step loss
-    history).
+    history, the alpha used).
     """
-    alpha = float(alpha)
-    if not 0 <= alpha <= 1:
+    if alpha is not None and not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
     d = teacher.config.d_model
     if student.config.d_model != d or p_s.width != d:
@@ -166,6 +187,7 @@ def transfer_prompt(
             class_log_probs_batch(teacher64, seqs, verbalizers),
         )
         del student64  # read by the constant sides only
+        alpha = _heuristic_alpha(sides[0], sides[2], public_data) if alpha is None else float(alpha)
 
         p_t = Tensor(start, requires_grad=True)
         opt = Optimizer([p_t], learning_rate=config.learning_rate)
@@ -198,7 +220,7 @@ def transfer_prompt(
         source_fingerprint=teacher.fingerprint(),
         dp_meta=p_s.dp_meta,
     )
-    return p_t_prompt, history
+    return p_t_prompt, history, alpha
 
 
 def _float64_copy(model: TransformerLM) -> TransformerLM:

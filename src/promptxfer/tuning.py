@@ -18,11 +18,14 @@ Every step runs the length-sorted `model.row_chunks` of its batch, at most
 own function call, so a chunk's graph is freed before the next chunk's
 forward; leaf gradients accumulate across chunks.
 
-The history (`TuneConfig.eval_every`) costs one scoring pass over the
-whole tuning set per row.  `eval_every` 0 records no row and runs no such
-pass, for callers that read only the tuned prompt, such as LiRA's shadow
-prompts; it draws nothing from the tuning RNG either way, so the prompt is
-the same.
+Plain and DP tuning record the same history row every `eval_every`
+epochs (1/q steps make an epoch under DP) and after the last step: the
+steps so far, the mean per-example loss the training forwards computed
+since the previous row (NaN if they drew no row), and the train accuracy
+from one `classify_batch` pass at the row's prompt.  `eval_every` 0
+records no row and runs no such pass, for callers that read only the
+tuned prompt, such as LiRA's shadow prompts; it draws nothing from the
+tuning RNG either way, so the prompt is the same.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .model import (
     SoftPrompt,
     TransformerLM,
     answer_log_probs,
-    class_log_probs_batch,
     classify_batch,
     row_chunks,
 )
@@ -155,10 +157,10 @@ def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
 
 def _class_nll_backward(model: TransformerLM, prompt: Tensor, dataset: LabeledDataset, rows, scale: float) -> float:
     """Back-propagate scale * (summed class cross-entropy over `rows`) into the
-    prompt leaf; returns the loss.  The graph is freed on return."""
+    prompt leaf; returns the unscaled sum.  The graph is freed on return."""
     lp = answer_log_probs(model, [dataset.templated(i) for i in rows], dataset.verbalizers, prompt)
-    loss = -ag.take_along_last(lp, dataset.labels[rows]).sum() * scale
-    loss.backward()
+    loss = -ag.take_along_last(lp, dataset.labels[rows]).sum()
+    (loss * scale).backward()
     return loss.item()
 
 
@@ -171,21 +173,23 @@ def promptdpsgd_step(
     dataset_size: int,
     rng: np.random.Generator,
     optimizer: Optimizer,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """One DP step: clip per-example prompt gradients, sum, add N(0, (sigma c)^2),
     divide by the expected batch size q*N, then apply the optimizer.
 
-    Returns the noisy gradient estimate (the optimizer input).  An empty
+    Returns the noisy gradient estimate (the optimizer input) and the
+    sampled rows' summed class cross-entropy before the step.  An empty
     sampled batch yields a pure-noise update, which is valid under Poisson
     subsampling.
     """
     shape = prompt_var.data.shape
     acc = np.zeros(shape, dtype=np.float64)
+    loss = 0.0
     sampled = np.asarray(sampled_indices, dtype=np.int64)
     for pos in row_chunks([len(dataset.templated(i)) for i in sampled]):
         rows = sampled[pos]
         copies = Tensor(np.broadcast_to(prompt_var.data, (len(rows),) + shape), requires_grad=True)
-        _class_nll_backward(model, copies, dataset, rows, 1.0)
+        loss += _class_nll_backward(model, copies, dataset, rows, 1.0)
         clipped = clip_gradient(copies.grad.astype(np.float64).reshape(len(rows), -1), dp.clip_norm)
         post_norm = float(np.linalg.norm(clipped, axis=1).max())
         if post_norm > dp.clip_norm * (1.0 + 1e-6):
@@ -195,7 +199,7 @@ def promptdpsgd_step(
     grad_estimate = (acc + noise) / (dp.sample_rate * dataset_size)
     grad_estimate = grad_estimate.astype(prompt_var.data.dtype)
     optimizer.step([grad_estimate])
-    return grad_estimate
+    return grad_estimate, loss
 
 
 def tune_prompt(
@@ -219,30 +223,32 @@ def tune_prompt(
     opt = Optimizer([prompt_var], learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
     history: list[dict] = []
+    loss_sum, rows_seen = 0.0, 0  # since the previous history row
 
-    def record(step: int, loss: float, preds: np.ndarray) -> None:
+    def record(step: int) -> None:
+        nonlocal loss_sum, rows_seen
+        preds = classify_batch(model, dataset.sequences, dataset.verbalizers, prompt=prompt_var.detach())
+        loss = loss_sum / rows_seen if rows_seen else math.nan
         history.append({"step": step, "loss": loss, "train_accuracy": float(np.mean(preds == dataset.labels))})
+        loss_sum, rows_seen = 0.0, 0
 
     if config.dp is None:
         steps_done = 0
         for epoch in range(config.epochs):
             order = rng.permutation(n)
-            losses = []
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 opt.zero_grad()
                 scale = 1.0 / len(idx)
-                losses.append(
-                    sum(
-                        _class_nll_backward(model, prompt_var, dataset, idx[pos], scale)
-                        for pos in row_chunks([len(dataset.templated(i)) for i in idx])
-                    )
+                loss_sum += sum(
+                    _class_nll_backward(model, prompt_var, dataset, idx[pos], scale)
+                    for pos in row_chunks([len(dataset.templated(i)) for i in idx])
                 )
+                rows_seen += len(idx)
                 opt.step()
                 steps_done += 1
             if config.eval_every and ((epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1):
-                preds = classify_batch(model, dataset.sequences, dataset.verbalizers, prompt=prompt_var.detach())
-                record(steps_done, float(np.mean(losses)), preds)
+                record(steps_done)
         dp_meta = None
     else:
         dp = config.dp
@@ -256,11 +262,11 @@ def tune_prompt(
         for step in range(dp.steps):
             mask = rng.random(n) < dp.sample_rate
             idx = np.flatnonzero(mask)
-            promptdpsgd_step(model, prompt_var, dataset, idx, dp, n, rng, opt)
+            _, loss = promptdpsgd_step(model, prompt_var, dataset, idx, dp, n, rng, opt)
+            loss_sum += loss
+            rows_seen += len(idx)
             if config.eval_every and ((step + 1) % (steps_per_epoch * config.eval_every) == 0 or step == dp.steps - 1):
-                # one scoring pass gives both the history loss and the accuracy
-                lp = class_log_probs_batch(model, dataset.sequences, dataset.verbalizers, prompt_var.detach())
-                record(step + 1, -float(np.mean(lp[np.arange(n), dataset.labels])), np.argmax(lp, axis=1))
+                record(step + 1)
         dp_meta = DpMeta(
             epsilon=dp.epsilon, delta=dp.delta, sigma=dp.noise_multiplier, clip_norm=dp.clip_norm
         )

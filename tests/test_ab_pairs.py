@@ -55,3 +55,17 @@ def test_summary_and_seed_range_reject_bad_input():
     for text in ("7", "5-3", "a-b"):
         with pytest.raises(argparse.ArgumentTypeError):
             ab_pairs.parse_seeds(text)
+
+
+def test_a_pair_stops_only_when_the_change_fails_a_larger_share():
+    def run(attempted, failed):
+        return {"attempted": attempted, "failed": failed}
+
+    # fewer operations attempted, none failed on either side: no stop
+    assert not ab_pairs.fails_larger_share(run(13, 0), run(10, 0))
+    # the same failures over fewer operations is a larger share
+    assert ab_pairs.fails_larger_share(run(12, 2), run(10, 2))
+    # fewer failures over fewer operations can be an equal or smaller share
+    assert not ab_pairs.fails_larger_share(run(12, 2), run(6, 1))
+    assert not ab_pairs.fails_larger_share(run(14, 2), run(13, 1))
+    assert ab_pairs.fails_larger_share(run(14, 0), run(14, 1))

@@ -187,3 +187,34 @@ def test_lira_rejects_too_few_shadows(attack_setup):
     model, pool = attack_setup
     with pytest.raises(ValueError):
         lira_attack(model, pool, make_train_fn(model, 1), init_prompt(model, 4, 0), [0, 1], n_shadows=1)
+
+
+def _loop_gaussian_fit(conf, in_mask):
+    """The per-candidate loop the masked sums replaced: each side's mean,
+    and every confidence's residual about it, pooled."""
+    n = conf.shape[1]
+    mu_in, mu_out = np.full(n, np.nan), np.full(n, np.nan)
+    residuals = []
+    for z in range(n):
+        for mask, mu in ((in_mask[:, z], mu_in), (~in_mask[:, z], mu_out)):
+            vals = conf[mask, z]
+            if vals.size:
+                mu[z] = vals.mean()
+                residuals.extend(vals - vals.mean())
+    return mu_in, mu_out, max(float(np.mean(np.square(residuals))), 1e-12)
+
+
+def test_gaussian_fit_matches_the_per_candidate_loop():
+    from promptxfer.attacks import _gaussian_fit
+
+    rng = np.random.default_rng(3)
+    conf = rng.normal(0.0, 4.0, size=(6, 40))
+    in_mask = rng.random((6, 40)) < 0.5
+    in_mask[:, 0] = False  # no IN side
+    in_mask[:, 1] = True  # no OUT side
+    mu_in, mu_out, var = _gaussian_fit(conf, in_mask)
+    ref_in, ref_out, ref_var = _loop_gaussian_fit(conf, in_mask)
+    assert np.isnan(mu_in[0]) and np.isnan(mu_out[1])
+    np.testing.assert_allclose(mu_in, ref_in, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mu_out, ref_out, rtol=1e-12, atol=1e-12)
+    assert var == pytest.approx(ref_var, rel=1e-12)

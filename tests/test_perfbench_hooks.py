@@ -5,9 +5,13 @@ benchmark run."""
 import gc
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from test_pipeline import tiny_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("pipeline", "model", "autograd", "optim", "tuning", "accountant", "attacks", "artifacts", "corpus")
@@ -59,6 +63,47 @@ def test_perfbench_workload_configs_load_unchanged(monkeypatch, tmp_path):
             output_dir=out,
         )
         assert pl.config_from_dict(wl.config(0, out)) == expected, name
+
+
+def _workload_cases():
+    """(workload name, seed): every benchmark workload, post_dp at two seeds."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        names = list(importlib.import_module("workloads").WORKLOADS)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [(name, seed) for name in names for seed in ((0, 1) if name == "post_dp" else (0,))]
+
+
+@pytest.mark.parametrize("name, seed", _workload_cases())
+def test_traced_workload_fires_every_expected_hook(monkeypatch, tmp_path, name, seed):
+    """A workload's baselines and attack flag, on the tiny pipeline config,
+    run under the benchmark's boundary, save log and tracer and reload what
+    they wrote, as a traced benchmark run does; every hook the benchmark
+    requires of that workload must fire."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    run = importlib.import_module("run")
+    wl = importlib.import_module("workloads").WORKLOADS[name]
+    px = {m: importlib.import_module(f"promptxfer.{m}") for m in MODULES}
+    pipeline = px["pipeline"]
+    blob = tiny_config(tmp_path / "run", baselines=list(wl.baselines), seeds=[seed])
+    blob["attack"]["enabled"] = wl.attack
+
+    patches = tracing.Patches()
+    try:
+        boundary = tracing.Boundary()
+        saves = tracing.SaveLog()
+        boundary.install(patches, pipeline)
+        saves.install(patches, px["artifacts"])
+        tracer = tracing.Tracer(boundary)
+        tracer.install(patches, px)
+        report = pipeline.run_pipeline(pipeline.config_from_dict(blob))
+        failures = run.reload_artifacts(px, saves)
+    finally:
+        patches.restore()
+    assert report.seed_errors == {} and failures == []
+    tracer.require(run.expected_hooks(wl))
 
 
 def test_perfbench_hooks_install_on_the_program_and_restore(monkeypatch):

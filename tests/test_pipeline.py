@@ -61,7 +61,7 @@ def test_pipeline_runs_the_whole_plan(full_run):
     assert set(report["attack_metrics"]) == {"nondp", "dp"}
     stages = [row["stage"] for row in report["timings"]]
     assert stages == [
-        "data", "pretrain", "kd", "tune_student", "tune_student_dp", "alpha", "transfer", "transfer_dp",
+        "data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp",
         "full_pt", "control_lm", "control_tune", "control_transfer",
         *["eval"] * len(BASELINES), "attacks",
     ]
@@ -85,7 +85,7 @@ def test_lm_training_runs_every_configured_step(full_run, name, rows):
          ["data", "pretrain", "kd", "tune_student", "tune_student_dp"]),
         ("transfer", {"prompt_transferred.pspa", "prompt_transferred_loss.csv",
                       "prompt_transferred_dp.pspa", "prompt_transferred_dp_loss.csv"},
-         ["data", "pretrain", "kd", "tune_student", "tune_student_dp", "alpha", "transfer", "transfer_dp"]),
+         ["data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp"]),
         ("attack", {"attack_nondp.csv", "attack_nondp.json", "attack_dp.csv", "attack_dp.json"},
          ["data", "pretrain", "kd", "attacks"]),
     ],
@@ -115,24 +115,20 @@ def full_run_fixed_alpha(tmp_path_factory):
 
 
 # what one requested baseline (or the attack alone) runs, between the data
-# stage and its eval row: with the heuristic alpha, then with a fixed one
+# stage and its eval row, with the heuristic alpha and with a fixed one alike:
+# each transfer takes its alpha from the public rows it reads
 ROWS_FOR = {
-    "full_zs": (["pretrain"], ["pretrain"]),
-    "full_pt": (["pretrain", "full_pt"], ["pretrain", "full_pt"]),
-    "compressed_pt": (["pretrain", "kd", "tune_student"], ["pretrain", "kd", "tune_student"]),
-    "direct_transfer": (["pretrain", "kd", "tune_student"], ["pretrain", "kd", "tune_student"]),
-    "post": (["pretrain", "kd", "tune_student", "alpha", "transfer"], ["pretrain", "kd", "tune_student", "transfer"]),
-    "post_dp": (
-        ["pretrain", "kd", "tune_student", "tune_student_dp", "alpha", "transfer_dp"],
-        ["pretrain", "kd", "tune_student_dp", "transfer_dp"],
-    ),
-    # the control student starts from the teacher, so a fixed alpha needs no KD
-    "finetuned_control": (
-        ["pretrain", "kd", "tune_student", "alpha", "control_lm", "control_tune", "control_transfer"],
-        ["pretrain", "control_lm", "control_tune", "control_transfer"],
-    ),
-    "attacks": (["pretrain", "kd"], ["pretrain", "kd"]),
+    "full_zs": ["pretrain"],
+    "full_pt": ["pretrain", "full_pt"],
+    "compressed_pt": ["pretrain", "kd", "tune_student"],
+    "direct_transfer": ["pretrain", "kd", "tune_student"],
+    "post": ["pretrain", "kd", "tune_student", "transfer"],
+    "post_dp": ["pretrain", "kd", "tune_student_dp", "transfer_dp"],
+    # the control student starts from the teacher, so it needs no KD
+    "finetuned_control": ["pretrain", "control_lm", "control_tune", "control_transfer"],
+    "attacks": ["pretrain", "kd"],
 }
+TRANSFER_ROWS = ("transfer", "transfer_dp", "control_transfer")
 
 
 @pytest.mark.parametrize("fixed_alpha", [False, True], ids=["heuristic", "fixed"])
@@ -161,7 +157,7 @@ def test_a_run_builds_only_what_its_request_reads(
     monkeypatch.setattr(pl.SeedRun, "timed", spy)
     report = pl.run_pipeline(pl.config_from_dict(blob)).to_dict()
 
-    rows = ROWS_FOR[wanted][fixed_alpha]
+    rows = ROWS_FOR[wanted]
     assert [row["stage"] for row in report["timings"]] == ["data", *rows, "attacks" if wanted == "attacks" else "eval"]
     assert deepest[0] == 1  # no stage runs inside another
     whole = full_run_fixed_alpha if fixed_alpha else full_run
@@ -170,8 +166,9 @@ def test_a_run_builds_only_what_its_request_reads(
         assert data == expected[name], name
     whole_report = json.loads((whole / "report.json").read_text())
     assert report["baselines"] == {k: v for k, v in whole_report["baselines"].items() if k == wanted}
-    # a fixed alpha is reported as it is; a heuristic one when it was computed
-    alpha = whole_report["resolved_alphas"]["0"] if fixed_alpha or "alpha" in rows else None
+    # the alpha of the one transfer the request ran, as the whole plan used it
+    transfers = [row for row in rows if row in TRANSFER_ROWS]
+    alpha = whole_report["resolved_alphas"]["0"][transfers[0]] if transfers else None
     assert report["resolved_alphas"] == {"0": alpha}
 
 
@@ -204,7 +201,7 @@ def test_written_checkpoints_load_and_reproduce_the_report(full_run, tmp_path):
         ("compressed_pt", "student.pstl", "prompt_student.pspa"),
         ("post", "teacher.pstl", "prompt_transferred.pspa"),
     ):
-        accuracy = pl._accuracy(models[model], run.data.private_test, prompt=art.load_prompt(seed_dir / prompt))
+        accuracy = pl.eval_baseline(run, models[model], art.load_prompt(seed_dir / prompt))
         assert accuracy == report["baselines"][baseline]["per_seed"]["0"], baseline
 
 
@@ -220,6 +217,38 @@ def test_teacher_side_stages_never_read_private_train(full_run):
     for stage in ("pretrain", "kd", "transfer", "transfer_dp", "control_lm", "control_transfer"):
         assert {r["role"] for r in records if r["stage"] == stage} <= {"kd_corpus", "public"}, stage
     assert stages_reading("private_test") == {"eval"}
+
+
+@pytest.fixture(scope="module")
+def post_dp_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipeline_post_dp")
+    blob = tiny_config(out / "run", baselines=["post_dp"])
+    blob["attack"]["enabled"] = False
+    return pl.run_pipeline(pl.config_from_dict(blob)).to_dict()
+
+
+def test_post_dp_reads_private_train_only_in_its_dp_tuning(post_dp_run):
+    """The transfer's alpha comes from public rows, so a post_dp run reads
+    the private train split once, under DP, and the private test split only
+    to evaluate."""
+    records = post_dp_run["data_access"]
+    assert [r["stage"] for r in records if r["role"] == "private_train"] == ["tune_student_dp"]
+    assert {r["stage"] for r in records if r["role"] == "private_test"} == {"eval"}
+    assert [row["stage"] for row in post_dp_run["timings"]] == ["data", *ROWS_FOR["post_dp"], "eval"]
+
+
+def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixed_alpha, post_dp_run, tmp_path):
+    whole = json.loads((full_run / "report.json").read_text())["resolved_alphas"]["0"]
+    assert set(whole) == set(TRANSFER_ROWS)
+    assert all(0.0 <= alpha <= 1.0 for alpha in whole.values())
+    fixed = json.loads((full_run_fixed_alpha / "report.json").read_text())["resolved_alphas"]["0"]
+    assert fixed == {row: 0.5 for row in TRANSFER_ROWS}
+    # one transfer: its float, the alpha the whole plan's transfer_dp used
+    assert post_dp_run["resolved_alphas"] == {"0": whole["transfer_dp"]}
+    # no transfer: None, under a fixed alpha too
+    blob = tiny_config(tmp_path / "run", baselines=["full_zs"], transfer_alpha=0.5)
+    blob["attack"]["enabled"] = False
+    assert pl.run_pipeline(pl.config_from_dict(blob)).resolved_alphas == {"0": None}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,10 +155,10 @@ def test_transfer_zero_steps_returns_regenerated_init(model_pair):
     p_s = init_prompt(student, length=3, seed=17)
     p_s.matrix += 0.25  # pretend it was tuned away from init
     cfg = TransferConfig(steps=0)
-    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg, 0.5, 0)
+    p_t, history, alpha = transfer_prompt(teacher, student, p_s, public, cfg, 0.5, 0)
     expected = initial_prompt_matrix(16, 3, 17)
     np.testing.assert_array_equal(p_t.matrix, expected)
-    assert history == []
+    assert history == [] and alpha == 0.5
     assert p_t.source_fingerprint == teacher.fingerprint()
 
 
@@ -167,13 +168,13 @@ def test_transfer_runs_exact_steps_and_freezes_models(model_pair):
     p_s = init_prompt(student, length=3, seed=4)
     p_s.matrix += 1.5  # a strongly skewed source prompt gives the loss signal
     cfg = TransferConfig(steps=25, batch_size=8, learning_rate=3e-3)
-    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
+    p_t, history, _ = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
     assert len(history) == 25
     assert teacher.fingerprint() == tf_before
     assert student.fingerprint() == sf_before
     assert np.mean([h["total"] for h in history[-5:]]) < history[0]["total"]
 
-    p_t2, history2 = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
+    p_t2, history2, _ = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
     np.testing.assert_array_equal(p_t.matrix, p_t2.matrix)
     assert history == history2
 
@@ -225,7 +226,7 @@ def test_transfer_objective_is_float64_on_float32_models(model_pair):
     p_s = init_prompt(student, length=3, seed=4)
     p_s.matrix += 1.5
     cfg = TransferConfig(steps=2, batch_size=len(public))  # every step sees the whole set
-    p_t, history = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
+    p_t, history, _ = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
 
     for model, params in before.items():
         for k, p in model.params.items():
@@ -257,8 +258,60 @@ def test_transfer_carries_dp_meta_unchanged(model_pair):
     p_s = init_prompt(student, length=3, seed=4)
     p_s.dp_meta = DpMeta(epsilon=8.0, delta=1e-4, sigma=1.1, clip_norm=1.0)
     cfg = TransferConfig(steps=2, batch_size=8)
-    p_t, _ = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
+    p_t, _, _ = transfer_prompt(teacher, student, p_s, public, cfg, 0.4, 5)
     assert p_t.dp_meta == p_s.dp_meta
+
+
+def _public_sides(teacher, student, p_s, public):
+    """The float64 argmax of the prompted student and of the plain teacher
+    on `public`, as the transfer computes its constant sides."""
+    from promptxfer.autograd import precision
+    from promptxfer.model import TransformerLM, class_log_probs_batch
+
+    with precision(np.float64):
+        teacher64, student64 = (
+            TransformerLM(m.config, {k: Tensor(p.data.astype(np.float64)) for k, p in m.params.items()})
+            for m in (teacher, student)
+        )
+        seqs, verbs = public.sequences, public.verbalizers
+        compressed = np.argmax(class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix), axis=1)
+        zero_shot = np.argmax(class_log_probs_batch(teacher64, seqs, verbs), axis=1)
+    return compressed, zero_shot
+
+
+def test_heuristic_alpha_comes_from_the_public_sides(model_pair):
+    teacher, student, public = model_pair
+    p_s = init_prompt(student, length=3, seed=4)
+    p_s.matrix += 1.5
+    compressed, zero_shot = _public_sides(teacher, student, p_s, public)
+    # labels that put the prompted student at 3/4 and the teacher wherever it falls
+    labels = np.where(np.arange(len(public)) % 4 == 3, (compressed + 1) % public.n_classes, compressed)
+    relabelled = replace(public, labels=labels)
+    cfg = TransferConfig(steps=1, batch_size=8)
+    _, _, alpha = transfer_prompt(teacher, student, p_s, relabelled, cfg, None, 5)
+    rg = 100.0 / public.n_classes
+    expected = alpha_heuristic(HeuristicInputs(100 * float(np.mean(zero_shot == labels)), 75.0, rg))
+    assert alpha == expected
+    # a fixed alpha is used as it is
+    assert transfer_prompt(teacher, student, p_s, relabelled, cfg, 0.3, 5)[2] == 0.3
+
+
+def test_heuristic_alpha_falls_back_to_one_half_at_chance(model_pair, caplog):
+    """A prompted student at exactly 1/C on the public rows leaves the
+    heuristic undefined: the transfer logs it and runs with alpha 0.5."""
+    teacher, student, public = model_pair
+    assert public.n_classes == 2
+    p_s = init_prompt(student, length=3, seed=4)
+    compressed, _ = _public_sides(teacher, student, p_s, public)
+    labels = np.where(np.arange(len(public)) % 2 == 0, compressed, (compressed + 1) % 2)
+    cfg = TransferConfig(steps=2, batch_size=8)
+    with caplog.at_level("WARNING", logger="promptxfer.transfer"):
+        p_t, history, alpha = transfer_prompt(teacher, student, p_s, replace(public, labels=labels), cfg, None, 5)
+    assert alpha == 0.5
+    assert "falling back to 0.5" in caplog.text
+    fixed, fixed_history, _ = transfer_prompt(teacher, student, p_s, public, cfg, 0.5, 5)
+    np.testing.assert_array_equal(p_t.matrix, fixed.matrix)
+    assert history == fixed_history
 
 
 def test_transfer_rejects_bad_inputs(model_pair):

@@ -124,8 +124,7 @@ def test_eval_every_zero_records_no_history_and_runs_no_scoring_pass(tiny_task, 
     with_history, history = tune_prompt(model, prompt, train, cfg, 4)
     assert len(history) == 2
     scored = []
-    for name in ("classify_batch", "class_log_probs_batch"):
-        monkeypatch.setattr(tuning, name, lambda *a, name=name, **k: scored.append(name))
+    monkeypatch.setattr(tuning, "classify_batch", lambda *a, **k: scored.append(a))
     tuned, history = tune_prompt(model, prompt, train, replace(cfg, eval_every=0), 4)
     assert history == [] and scored == []
     # the scoring pass draws nothing from the tuning RNG
@@ -184,32 +183,65 @@ def test_tune_prompt_dp_records_meta_and_respects_budget(tiny_task):
 
 
 def test_dp_history_scores_the_set_once_per_row(tiny_task, monkeypatch):
-    """Each DP history row takes its loss and its accuracy from one scoring
-    pass, and both agree with classify_batch on that row's prompt."""
+    """Each DP history row runs one scoring pass, `classify_batch`, for its
+    accuracy; its loss is the mean per-example loss the DP steps since the
+    previous row computed on the rows they drew."""
     model, private, _ = tiny_task
     train = private.split("train")
-    score = tuning.class_log_probs_batch
-    scored_prompts = []
+    classify, dp_step = tuning.classify_batch, tuning.promptdpsgd_step
+    scored_prompts, steps = [], []
 
-    def counting_score(model_, sequences, verbalizers, prompt=None):
-        scored_prompts.append(prompt.data.copy())
-        return score(model_, sequences, verbalizers, prompt)
+    def counting_classify(model_, sequences, verbalizers, prompt=None):
+        scored_prompts.append((prompt.data.copy(), len(steps)))
+        return classify(model_, sequences, verbalizers, prompt=prompt)
 
-    def second_pass(*args, **kwargs):
-        raise AssertionError("a DP history row scored the tuning set twice")
+    def logged_step(model_, prompt_var, dataset, sampled, *args):
+        before = prompt_var.data.copy()
+        estimate, loss = dp_step(model_, prompt_var, dataset, sampled, *args)
+        steps.append((len(sampled), loss, before, np.asarray(sampled)))
+        return estimate, loss
 
-    monkeypatch.setattr(tuning, "class_log_probs_batch", counting_score)
-    monkeypatch.setattr(tuning, "classify_batch", second_pass)
+    monkeypatch.setattr(tuning, "classify_batch", counting_classify)
+    monkeypatch.setattr(tuning, "promptdpsgd_step", logged_step)
     dp = make_dp_params(dataset_size=len(train), batch_size=16, epochs=3, epsilon=8.0)
     cfg = TuneConfig(epochs=3, batch_size=16, dp=dp)
     _, history = tune_prompt(model, init_prompt(model, length=4, seed=9), train, cfg, 1)
 
     assert len(history) == len(scored_prompts) == 3
-    for row, matrix in zip(history, scored_prompts):
-        lp = score(model, train.sequences, train.verbalizers, matrix)
-        preds = classify_batch(model, train.sequences, train.verbalizers, prompt=matrix)
+    previous = 0
+    for row, (matrix, done) in zip(history, scored_prompts):
+        assert row["step"] == done
+        preds = classify(model, train.sequences, train.verbalizers, prompt=matrix)
         assert row["train_accuracy"] == float(np.mean(preds == train.labels))
-        assert row["loss"] == -float(np.mean(lp[np.arange(len(train)), train.labels]))
+        window = steps[previous:done]
+        assert row["loss"] == pytest.approx(sum(s[1] for s in window) / sum(s[0] for s in window), rel=1e-12)
+        previous = done
+    # each step's loss is its drawn rows' summed cross-entropy at the prompt it started from
+    count, loss, before, rows = steps[0]
+    lp = answer_log_probs(model, [train.templated(i) for i in rows], train.verbalizers, before)
+    assert loss == pytest.approx(-float(np.sum(lp.data[np.arange(count), train.labels[rows]])), rel=1e-5)
+
+
+def test_plain_history_loss_is_the_mean_over_the_rows_trained_on(tiny_task, monkeypatch):
+    """Plain tuning records the same row as DP tuning: with two epochs per
+    row, the loss averages every row of both epochs, not the batch means."""
+    model, private, _ = tiny_task
+    train = private.split("train").subset(range(20))  # batches of 8, 8 and 4
+    losses = []
+    backward = tuning._class_nll_backward
+
+    def logged(model_, prompt, dataset, rows, scale):
+        losses.append((len(rows), backward(model_, prompt, dataset, rows, scale)))
+        return losses[-1][1]
+
+    monkeypatch.setattr(tuning, "_class_nll_backward", logged)
+    cfg = TuneConfig(epochs=4, learning_rate=1e-2, batch_size=8, eval_every=2)
+    _, history = tune_prompt(model, init_prompt(model, length=4, seed=8), train, cfg, 4)
+    assert [row["step"] for row in history] == [6, 12]
+    per_row = len(losses) // 2
+    for row, window in zip(history, (losses[:per_row], losses[per_row:])):
+        assert sum(k for k, _ in window) == 2 * len(train)
+        assert row["loss"] == pytest.approx(sum(v for _, v in window) / (2 * len(train)), rel=1e-12)
 
 
 def test_tune_prompt_rejects_infeasible_budget(tiny_task):
@@ -253,7 +285,7 @@ def test_dpsgd_step_sigma_to_zero_matches_clipped_batch_sum(tiny_task):
 
         pv2 = Tensor(pv.data.copy(), requires_grad=True)
         opt = Optimizer([pv2], learning_rate=1.0)
-        estimate = promptdpsgd_step(
+        estimate, _ = promptdpsgd_step(
             model, pv2, train, idx, dp, n, np.random.default_rng(0), opt
         )
         np.testing.assert_allclose(estimate, expected, rtol=1e-4, atol=1e-7)
@@ -276,7 +308,7 @@ def test_dpsgd_step_clips_each_example(tiny_task):
 
     pv = Tensor(matrix.copy(), requires_grad=True)
     opt = Optimizer([pv], learning_rate=1.0)
-    estimate = promptdpsgd_step(model, pv, train, idx, dp, n, np.random.default_rng(0), opt)
+    estimate, _ = promptdpsgd_step(model, pv, train, idx, dp, n, np.random.default_rng(0), opt)
     np.testing.assert_allclose(estimate.ravel(), expected, rtol=1e-4, atol=1e-7)
 
 
@@ -292,7 +324,7 @@ def test_dpsgd_step_noise_std_monte_carlo(tiny_task):
     opt = Optimizer([pv], learning_rate=1e-30)  # keep params still
     draws = []
     for _ in range(10_000):
-        draws.append(promptdpsgd_step(model, pv, train, [], dp, n, rng, opt))
+        draws.append(promptdpsgd_step(model, pv, train, [], dp, n, rng, opt)[0])
     draws = np.asarray(draws, dtype=np.float64)
     target = dp.noise_multiplier * dp.clip_norm / (dp.sample_rate * n)
     measured = draws.std()
