@@ -190,22 +190,6 @@ class TransformerLM:
             )
         return mat
 
-    def forward(self, token_ids, prompt=None, return_hidden: bool = False):
-        """Logits over every position: [(l + n_tokens) x vocab]."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        squeeze = ids.ndim == 1
-        if squeeze:
-            ids = ids[None, :]
-        out = self._forward_batch(ids, self._resolve_prompt(prompt), return_hidden)
-        if not squeeze:
-            return out
-        if return_hidden:
-            logits, hidden = out
-            return ag.narrow(logits, 0, 0, 1).reshape(logits.shape[1:]), ag.narrow(
-                hidden, 0, 0, 1
-            ).reshape(hidden.shape[1:])
-        return ag.narrow(out, 0, 0, 1).reshape(out.shape[1:])
-
     def _forward_batch(
         self, ids: np.ndarray, pmat: Tensor | None, return_hidden: bool, answer_at: np.ndarray | None = None
     ):

@@ -5,8 +5,9 @@ names its stage, a function `fn(run, *inputs) -> output`, the names of the
 values it reads and the name of the value it builds.  The rows are, in
 order: pretrain, distillation, the student prompt tunings (plain and DP),
 the transfers, the control baselines, one `eval` row per baseline (its
-inputs are the baseline's (model, prompt) pair, `BASELINE_INPUTS`, and its
-output is named after the baseline) and the membership attack.
+inputs are the private test split and the baseline's (model, prompt) pair,
+`BASELINE_INPUTS`, and its output is named after the baseline) and the
+membership attack.
 
 A seed's run loads its data (`stage_data`), then walks back from what the
 config asks for, the requested baselines and "attacks" when the attack is
@@ -27,11 +28,18 @@ Row functions look up every program function they call (`tune_prompt`,
 module's globals at call time, and the runner calls `SeedRun.timed` through
 the class, so a wrapper installed on either after import takes effect.
 
-Every dataset hand-off is recorded in a data-access ledger keyed by
-(seed, stage, role); `tests/test_pipeline.py` asserts that the teacher-side
-stages never receive the private train split, that only the prompt tunings
-and the attack read it, and that only the `eval` rows read the private test
-split.
+The four data roles, `DATA_ROLES`, are plan values like any other:
+`stage_data` puts the LM corpus (`kd_corpus`), the private train and test
+splits and the public set (its first `public_subset` rows when that is
+set) among the run's outputs, and a row that reads one names it among its
+inputs and receives it as an argument.  Before a row runs, the runner
+writes one data-access ledger row (seed, stage, role, dataset) for each
+role among its inputs, so a row reads no data it does not declare and the
+ledger is the plan's own account.  `tests/test_pipeline.py` checks from
+the plan alone which rows each output's data reaches it through: the DP
+prompt reads the private train split only in its DP-SGD tuning, nothing
+that feeds a model, prompt or transfer reads the private test split, and
+no model reads the private train split.
 """
 from __future__ import annotations
 
@@ -51,7 +59,6 @@ from .attacks import AttackResult, lira_attack, write_attack_csv, write_attack_s
 from .corpus import (
     LabeledDataset,
     SynthTaskSpec,
-    Vocab,
     build_vocab,
     default_task_spec,
     gen_synth_pair,
@@ -410,22 +417,12 @@ class DataAccessLedger:
 
 
 @dataclass
-class TaskData:
-    private_train: LabeledDataset
-    private_test: LabeledDataset
-    public: LabeledDataset
-    corpus_ids: list[np.ndarray]
-    vocab: Vocab
-
-
-@dataclass
 class SeedRun:
     config: ExperimentConfig
     seed: int
-    ledger: DataAccessLedger
     out_dir: str
-    data: TaskData | None = None
-    outputs: dict = field(default_factory=dict)  # STAGE_PLAN output name -> value
+    vocab_size: int = 0  # set by stage_data
+    outputs: dict = field(default_factory=dict)  # data role or STAGE_PLAN output name -> value
     alphas: dict = field(default_factory=dict)  # transfer row name -> the alpha it used
     timings: list[dict] = field(default_factory=list)
     artifact_paths: dict = field(default_factory=dict)
@@ -459,15 +456,16 @@ class SeedRun:
 
 
 def stage_data(run: SeedRun) -> None:
+    """Load the task and put each of `DATA_ROLES` among `run.outputs`."""
     cfg = run.config
 
-    def build() -> TaskData:
+    def build() -> tuple:
         if isinstance(cfg.task, SynthTaskSpec):
             spec = replace(cfg.task, seed=seed_stream(run.seed, "task"))
             private, public, corpus = gen_synth_pair(spec)
             vocab = private.vocab
             write_manifest(run.path("task_manifest.json"), spec, vocab)
-            corpus_ids = tokenize_corpus(corpus, vocab)
+            private_train, private_test = private.split("train"), private.split("test")
         else:
             with open(cfg.task.corpus, "r", encoding="utf-8") as fh:
                 corpus = [line.strip() for line in fh if line.strip()]
@@ -488,28 +486,29 @@ def stage_data(run: SeedRun) -> None:
                 cfg.task.public, cfg.task.template_suffix, cfg.task.verbalizer_words, vocab,
                 split_tag="train", name="public",
             )
-            corpus_ids = tokenize_corpus(corpus, vocab)
-            return TaskData(private_train, private_test, public, corpus_ids, vocab)
-        return TaskData(private.split("train"), private.split("test"), public, corpus_ids, vocab)
+        return vocab.size, tokenize_corpus(corpus, vocab), private_train, private_test, public
 
-    run.data = run.timed("data", build)
-    max_len = max(len(s) for s in run.data.corpus_ids)
-    for ds in (run.data.private_train, run.data.private_test, run.data.public):
+    run.vocab_size, corpus_ids, private_train, private_test, public = run.timed("data", build)
+    max_len = max(len(s) for s in corpus_ids)
+    for ds in (private_train, private_test, public):
         max_len = max(max_len, max(len(s) for s in ds.sequences))
     if cfg.prompt.length + max_len > cfg.teacher.max_seq_len:
         raise ConfigError(
             f"max_seq_len {cfg.teacher.max_seq_len} is too small for prompt length "
             f"{cfg.prompt.length} plus the longest templated input ({max_len})"
         )
+    n = cfg.public_subset
+    if n is not None and n < len(public):
+        public = public.subset(range(n), name=f"{public.name}[:{n}]")
+    run.outputs.update(kd_corpus=corpus_ids, private_train=private_train, private_test=private_test, public=public)
 
 
-def stage_pretrain(run: SeedRun) -> TransformerLM:
+def stage_pretrain(run: SeedRun, corpus_ids: list[np.ndarray]) -> TransformerLM:
     cfg = run.config
-    run.ledger.log(run.seed, "pretrain", "kd_corpus", "corpus")
-    teacher = init_model(cfg.teacher.to_model_config(run.data.vocab.size), seed_stream(run.seed, "teacher_init"))
+    teacher = init_model(cfg.teacher.to_model_config(run.vocab_size), seed_stream(run.seed, "teacher_init"))
     pt = cfg.pretrain
     history = train_lm(
-        teacher, run.data.corpus_ids, pt.steps, pt.batch_size, pt.learning_rate, seed_stream(run.seed, "pretrain")
+        teacher, corpus_ids, pt.steps, pt.batch_size, pt.learning_rate, seed_stream(run.seed, "pretrain")
     )
     write_loss_history(run.path("pretrain_loss.csv"), history)
     teacher.provenance = {"stage": "pretrain", "seed": run.seed}
@@ -517,21 +516,19 @@ def stage_pretrain(run: SeedRun) -> TransformerLM:
     return teacher
 
 
-def stage_distill(run: SeedRun, teacher: TransformerLM) -> TransformerLM:
-    run.ledger.log(run.seed, "kd", "kd_corpus", "corpus")
-    student, history = distill(teacher, run.data.corpus_ids, run.config.kd_config(), seed_stream(run.seed, "kd"))
+def stage_distill(run: SeedRun, teacher: TransformerLM, corpus_ids: list[np.ndarray]) -> TransformerLM:
+    student, history = distill(teacher, corpus_ids, run.config.kd_config(), seed_stream(run.seed, "kd"))
     write_loss_history(run.path("kd_loss.csv"), history)
     art.save_model(run.path("student.pstl"), student)
     return student
 
 
-def stage_control_student(run: SeedRun, teacher: TransformerLM) -> TransformerLM:
+def stage_control_student(run: SeedRun, teacher: TransformerLM, corpus_ids: list[np.ndarray]) -> TransformerLM:
     """Same init as the distilled student, but plain LM training instead."""
-    run.ledger.log(run.seed, "control_lm", "kd_corpus", "corpus")
     kd_cfg = run.config.kd_config()
     control = init_student_from_teacher(teacher, kd_cfg)
     history = train_lm(
-        control, run.data.corpus_ids, kd_cfg.max_steps, kd_cfg.batch_size,
+        control, corpus_ids, kd_cfg.max_steps, kd_cfg.batch_size,
         run.config.pretrain.learning_rate, seed_stream(run.seed, "control_lm"),
     )
     control.provenance["trained_by"] = "plain_lm"
@@ -554,29 +551,21 @@ def _under_dp(tune_cfg: TuneConfig, dataset_size: int, dp: DpSpec) -> TuneConfig
     return replace(tune_cfg, dp=params)
 
 
-def _public_view(run: SeedRun) -> LabeledDataset:
-    public = run.data.public
-    if run.config.public_subset is not None and run.config.public_subset < len(public):
-        public = public.subset(range(run.config.public_subset), name=f"{public.name}[:{run.config.public_subset}]")
-    return public
-
-
-def eval_baseline(run: SeedRun, model: TransformerLM, prompt: SoftPrompt | None = None) -> float:
-    """Test accuracy of `model`, prompted by `prompt` unless it is None."""
-    test = run.data.private_test
-    run.ledger.log(run.seed, "eval", "private_test", test.name)
+def eval_baseline(
+    run: SeedRun, test: LabeledDataset, model: TransformerLM, prompt: SoftPrompt | None = None
+) -> float:
+    """Accuracy of `model` on `test`, prompted by `prompt` unless it is None."""
     preds = classify_batch(model, test.sequences, test.verbalizers, prompt=prompt)
     return float(np.mean(preds == test.labels))
 
 
-def stage_attack(run: SeedRun, student: TransformerLM) -> dict:
+def stage_attack(run: SeedRun, student: TransformerLM, train: LabeledDataset) -> dict:
     """LiRA on the student's prompt-tuning set, non-DP and (optionally) DP."""
     cfg = run.config
     atk = cfg.attack
-    pool_size = min(atk.pool_size, len(run.data.private_train))
-    pool = run.data.private_train.subset(range(pool_size), name="candidate_pool")
+    pool_size = min(atk.pool_size, len(train))
+    pool = train.subset(range(pool_size), name="candidate_pool")
     pool = with_label_noise(pool, atk.label_noise, seed_stream(run.seed, "attack_noise"))
-    run.ledger.log(run.seed, "attacks", "private_train", pool.name)
     rng = np.random.default_rng(seed_stream(run.seed, "attack_members"))
     members = np.sort(rng.choice(len(pool), size=len(pool) // 2, replace=False))
     # the attack reads only the tuned prompts, so no history is recorded
@@ -613,6 +602,9 @@ def stage_attack(run: SeedRun, student: TransformerLM) -> dict:
 
 # -- the stage plan -------------------------------------------------------------
 
+# the values `stage_data` puts among a run's outputs
+DATA_ROLES = ("kd_corpus", "private_train", "private_test", "public")
+
 
 @dataclass(frozen=True)
 class Row:
@@ -630,9 +622,7 @@ def _tuning_row(name: str, model: str, output: str, artifact: str, dp: bool = Fa
     """A row that tunes a prompt on `model` over the private train split,
     under DP-SGD when `dp`, and writes it to `artifact`."""
 
-    def tune(run: SeedRun, lm: TransformerLM) -> SoftPrompt:
-        train = run.data.private_train
-        run.ledger.log(run.seed, name, "private_train", train.name)
+    def tune(run: SeedRun, lm: TransformerLM, train: LabeledDataset) -> SoftPrompt:
         prompt = init_prompt(lm, run.config.prompt.length, seed_stream(run.seed, "prompt_init"))
         tune_cfg = _under_dp(run.config.tune, len(train), run.config.dp) if dp else run.config.tune
         seed = seed_stream(run.seed, name)
@@ -641,16 +631,14 @@ def _tuning_row(name: str, model: str, output: str, artifact: str, dp: bool = Fa
         art.save_prompt(run.path(artifact), tuned, tuning_config_digest=tune_cfg.digest(seed))
         return tuned
 
-    return Row(name, tune, (model,), output)
+    return Row(name, tune, (model, "private_train"), output)
 
 
 def _transfer_row(name: str, source: str, prompt: str, output: str, artifact: str) -> Row:
     """A row that transfers `prompt`, tuned on the `source` model, to the
     teacher on the public set, and writes it to `artifact`."""
 
-    def transfer(run: SeedRun, teacher: TransformerLM, lm: TransformerLM, p_s: SoftPrompt):
-        public = _public_view(run)
-        run.ledger.log(run.seed, name, "public", public.name)
+    def transfer(run: SeedRun, teacher: TransformerLM, lm: TransformerLM, p_s: SoftPrompt, public: LabeledDataset):
         seed = seed_stream(run.seed, name)
         alpha = None if isinstance(run.config.transfer_alpha, str) else float(run.config.transfer_alpha)
         p_t, history, run.alphas[name] = transfer_prompt(teacher, lm, p_s, public, run.config.transfer, alpha, seed)
@@ -658,7 +646,7 @@ def _transfer_row(name: str, source: str, prompt: str, output: str, artifact: st
         art.save_prompt(run.path(artifact), p_t)
         return p_t
 
-    return Row(name, transfer, ("teacher", source, prompt), output)
+    return Row(name, transfer, ("teacher", source, prompt, "public"), output)
 
 
 # baseline -> the outputs it is evaluated with: (model,) or (model, prompt)
@@ -675,32 +663,32 @@ BASELINE_INPUTS: dict[str, tuple[str, ...]] = {
 }
 
 STAGE_PLAN: tuple[Row, ...] = (
-    Row("pretrain", stage_pretrain, (), "teacher", amortizable=True),
-    Row("kd", stage_distill, ("teacher",), "student", amortizable=True),
+    Row("pretrain", stage_pretrain, ("kd_corpus",), "teacher", amortizable=True),
+    Row("kd", stage_distill, ("teacher", "kd_corpus"), "student", amortizable=True),
     _tuning_row("tune_student", "student", "p_s", "prompt_student.pspa"),
     _tuning_row("tune_student_dp", "student", "p_s_dp", "prompt_student_dp.pspa", dp=True),
     _transfer_row("transfer", "student", "p_s", "p_t", "prompt_transferred.pspa"),
     _transfer_row("transfer_dp", "student", "p_s_dp", "p_t_dp", "prompt_transferred_dp.pspa"),
     _tuning_row("full_pt", "teacher", "p_full", "prompt_full.pspa"),
-    Row("control_lm", stage_control_student, ("teacher",), "control_student", amortizable=True),
+    Row("control_lm", stage_control_student, ("teacher", "kd_corpus"), "control_student", amortizable=True),
     _tuning_row("control_tune", "control_student", "p_control", "prompt_control.pspa"),
     _transfer_row(
         "control_transfer", "control_student", "p_control", "p_control_t", "prompt_control_transferred.pspa"
     ),
-    *(Row("eval", eval_baseline, inputs, kind) for kind, inputs in BASELINE_INPUTS.items()),
-    Row("attacks", stage_attack, ("student",), "attacks"),
+    *(Row("eval", eval_baseline, ("private_test", *inputs), kind) for kind, inputs in BASELINE_INPUTS.items()),
+    Row("attacks", stage_attack, ("student", "private_train"), "attacks"),
 )
 
 
 def _outputs_needed(wanted) -> set[str]:
     """The outputs to build for `wanted`: every output reached by walking
-    back through STAGE_PLAN's inputs."""
+    back through STAGE_PLAN's inputs.  A data role is a leaf."""
     by_output = {row.output: row for row in STAGE_PLAN}
     needed: set[str] = set()
     stack = list(wanted)
     while stack:
         name = stack.pop()
-        if name not in needed:
+        if name not in needed and name not in DATA_ROLES:
             needed.add(name)
             stack.extend(by_output[name].inputs)
     return needed
@@ -708,13 +696,17 @@ def _outputs_needed(wanted) -> set[str]:
 
 def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str, plan: tuple) -> SeedRun:
     """Run the rows of `plan` (a prefix of STAGE_PLAN) that build what the
-    config asks for: its baselines, and the attack when it is enabled."""
-    run = SeedRun(config=config, seed=seed, ledger=ledger, out_dir=out_dir)
+    config asks for: its baselines, and the attack when it is enabled.
+    Each row's data-role inputs go to `ledger` before the row runs."""
+    run = SeedRun(config=config, seed=seed, out_dir=out_dir)
     wanted = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
     needed = _outputs_needed(wanted)
     stage_data(run)
     for row in plan:
         if row.output in needed:
+            for name in row.inputs:
+                if name in DATA_ROLES:  # a dataset by its name; the LM corpus (token-id arrays) as "corpus"
+                    ledger.log(seed, row.name, name, getattr(run.outputs[name], "name", "corpus"))
             args = [run.outputs[name] for name in row.inputs]
             run.outputs[row.output] = run.timed(row.name, lambda: row.fn(run, *args), row.amortizable)
     return run

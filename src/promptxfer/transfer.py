@@ -31,7 +31,7 @@ float64 reference; with the float64 copies it is at most 3.2e-11 off
 untouched, and the returned prompt is float32 with the float32 teacher's
 fingerprint.
 
-With `alpha` None the transfer takes the heuristic (`alpha_heuristic`)
+With `alpha` None the transfer takes the heuristic (`heuristic_alpha`)
 from its constant sides at no extra forward: the plain teacher's and the
 prompted student's argmax accuracy on the public rows, random guess 1/C.
 Where it is undefined (the student at exactly 1/C) a warning is logged and
@@ -64,38 +64,15 @@ from .optim import Optimizer
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class HeuristicInputs:
-    zero_shot: float
-    compressed: float
-    random_guess: float
-
-    def __post_init__(self):
-        for name in ("zero_shot", "compressed"):
-            v = getattr(self, name)
-            if not 0 <= v <= 100:
-                raise ValueError(f"{name} must be a percentage in [0, 100]")
-        if not 0 < self.random_guess < 100:
-            raise ValueError("random_guess must lie in (0, 100)")
-        if self.compressed == self.random_guess:
-            raise ValueError("compressed accuracy equals random guess; mixing quotient undefined")
-
-
-def alpha_heuristic(h: HeuristicInputs) -> float:
-    """clamp((ZS - RG) / (C - RG), 0, 1): more weight on the shift term when
-    the target model is already strong relative to the compressed one."""
-    raw = (h.zero_shot - h.random_guess) / (h.compressed - h.random_guess)
-    return min(max(raw, 0.0), 1.0)
-
-
-def _heuristic_alpha(student_prompted: np.ndarray, teacher_plain: np.ndarray, data: LabeledDataset) -> float:
-    """`alpha_heuristic` from two sides' argmax accuracy on `data`; 0.5 where it is undefined."""
-    zs, compressed = (float(np.mean(np.argmax(s, axis=1) == data.labels)) for s in (teacher_plain, student_prompted))
-    try:  # 100 * (1/C), not 100/C: it equals 100 * compressed when compressed is exactly 1/C
-        return alpha_heuristic(HeuristicInputs(100 * zs, 100 * compressed, 100 * (1.0 / data.n_classes)))
-    except ValueError:
+def heuristic_alpha(zero_shot: float, compressed: float, random_guess: float) -> float:
+    """clamp((ZS - RG) / (C - RG), 0, 1) over accuracies as fractions in
+    [0, 1]: more weight on the shift term when the target model is already
+    strong relative to the compressed one.  0.5, with a warning, where the
+    compressed accuracy is the random guess and the quotient is undefined."""
+    if compressed == random_guess:
         log.warning("alpha heuristic undefined (compressed == random guess); falling back to 0.5")
         return 0.5
+    return min(max((zero_shot - random_guess) / (compressed - random_guess), 0.0), 1.0)
 
 
 @dataclass
@@ -187,7 +164,10 @@ def transfer_prompt(
             class_log_probs_batch(teacher64, seqs, verbalizers),
         )
         del student64  # read by the constant sides only
-        alpha = _heuristic_alpha(sides[0], sides[2], public_data) if alpha is None else float(alpha)
+        if alpha is None:  # from the plain teacher's and the prompted student's public accuracy
+            zs, compressed = (float(np.mean(np.argmax(s, axis=1) == public_data.labels)) for s in (sides[2], sides[0]))
+            alpha = heuristic_alpha(zs, compressed, 1.0 / public_data.n_classes)
+        alpha = float(alpha)
 
         p_t = Tensor(start, requires_grad=True)
         opt = Optimizer([p_t], learning_rate=config.learning_rate)

@@ -1,7 +1,9 @@
-"""The summary of `tools/ab_pairs.py` on synthetic pairs of runs."""
+"""The summary and the record of `tools/ab_pairs.py` on synthetic pairs of
+runs."""
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,47 @@ def test_a_pair_stops_only_when_the_change_fails_a_larger_share():
     assert not ab_pairs.fails_larger_share(run(12, 2), run(6, 1))
     assert not ab_pairs.fails_larger_share(run(14, 2), run(13, 1))
     assert ab_pairs.fails_larger_share(run(14, 0), run(14, 1))
+
+
+def test_a_comparison_records_its_summary_in_the_change_checkout(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    end_to_end = [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.2},
+    ]
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 35, "end_to_end": end_to_end}))
+    host = {"nproc": 2, "python": "3.11.7", "numpy": "2.0", "scipy": "1.14", "blas": None, "blas_threads": {}}
+
+    def environment(checkout):
+        return {**host, "git_sha": checkout.name + "-sha", "source_sha256": checkout.name + "-src"}
+
+    def run_once(checkout, workload, seed, seconds):
+        assert (workload, seconds) == ("lira", 35)
+        value = float(seed) + (0.5 if checkout == parent else 0.0)
+        metrics = {"setup_s": {"value": value}, "peak_rss_mb": {"value": 70.0}}
+        return {"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(ab_pairs, "environment", environment)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "lira", "--seeds", "1-4"]) == 0
+    written = json.loads((change / "BENCH_lira.json").read_text())
+    assert not (parent / "BENCH_lira.json").exists()
+    assert str(change / "BENCH_lira.json") in capsys.readouterr().out
+
+    assert written["workload"] == "lira" and written["seeds"] == [1, 2, 3, 4]
+    assert written["git_sha"] == {"parent": "parent-sha", "change": "change-sha"}
+    assert written["source_sha256"] == {"parent": "parent-src", "change": "change-src"}
+    assert written["host"] == host
+    assert written["operations"] == {side: {"attempted": 36, "failed": 0} for side in ab_pairs.SIDES}
+    assert set(written["metrics"]) == {"setup_s", "peak_rss_mb"}
+    for name, summary in written["metrics"].items():
+        assert set(summary) == {"unit", "better", "parent", "change", "pairs", "wins", "gain_holds"}, name
+        for side in ab_pairs.SIDES:
+            assert set(summary[side]) == {"median", "q1", "q3"}
+        assert summary["pairs"] == 4
+    setup = written["metrics"]["setup_s"]
+    assert (setup["unit"], setup["better"], setup["wins"]) == ("s", "lower", 4)
+    assert setup["change"]["median"] == pytest.approx(2.5) and setup["parent"]["median"] == pytest.approx(3.0)
+    assert written["metrics"]["peak_rss_mb"]["wins"] == 0

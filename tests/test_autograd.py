@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from gradcheck import finite_diff_check
 from promptxfer import autograd as ag
 from promptxfer.autograd import (
     Tensor,
     causal_attention,
     concat,
-    finite_diff_check,
     gelu_mlp,
     kl_divergence,
     layer_norm,
@@ -522,8 +522,10 @@ def test_precision_context():
     with precision(np.float64):
         assert Tensor([1.0]).data.dtype == np.float64
     assert Tensor([1.0]).data.dtype == np.float32
-    with pytest.raises(ValueError):
-        ag.set_default_dtype(np.int32)
+    with pytest.raises(ValueError, match="float32 or float64"):
+        with precision(np.int32):
+            pass
+    assert Tensor([1.0]).data.dtype == np.float32
 
 
 def test_backward_requires_scalar():

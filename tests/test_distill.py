@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from promptxfer.autograd import Tensor, finite_diff_check, precision
+from gradcheck import finite_diff_check
+from promptxfer.autograd import Tensor, precision
 from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
 from promptxfer.distill import (
     KdConfig,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+from gradcheck import finite_diff_check
 from promptxfer import autograd as ag
-from promptxfer.autograd import Tensor, finite_diff_check, precision
+from promptxfer.autograd import Tensor, precision
 from promptxfer.model import (
     ROWS_PER_FORWARD,
     ModelConfig,
@@ -36,6 +37,15 @@ EVERY_TOKEN = [[t] for t in range(29)]
 
 def class_probs(logits, verbalizers) -> np.ndarray:
     return np.exp(label_set_log_probability(logits, verbalizers).data)
+
+
+def full_logits(model, ids, prompt=None) -> np.ndarray:
+    """Logits at every position, the prompt's first, through the model's one
+    forward: [l + n x vocab] for one row of ids, [b x l + n x vocab] for b
+    rows of equal length."""
+    ids = np.asarray(ids, dtype=np.int64)
+    out = model._forward_batch(np.atleast_2d(ids), model._resolve_prompt(prompt), return_hidden=False).data
+    return out if ids.ndim == 2 else out[0]
 
 
 def test_config_validation():
@@ -73,29 +83,29 @@ def test_forward_shapes_with_and_without_prompt():
     cfg = small_config()
     model = init_model(cfg, 1)
     ids = np.array([1, 2, 3, 4, 5])
-    out = model.forward(ids)
+    out = full_logits(model, ids)
     assert out.shape == (5, cfg.vocab_size)
 
     prompt = init_prompt(model, length=3, seed=0)
-    out2 = model.forward(ids, prompt=prompt)
+    out2 = full_logits(model, ids, prompt=prompt)
     assert out2.shape == (8, cfg.vocab_size)
 
     for l in (1, 2, 6):
         p = init_prompt(model, length=l, seed=l)
         for n in (1, 4):
-            assert model.forward(ids[:n], prompt=p).shape == (l + n, cfg.vocab_size)
+            assert full_logits(model, ids[:n], prompt=p).shape == (l + n, cfg.vocab_size)
 
 
 def test_zero_prompt_differs_from_no_prompt():
     model = init_model(small_config(), 2)
     ids = np.array([3, 1, 4, 1, 5])
-    plain = model.forward(ids).data[-1]
+    plain = full_logits(model, ids)[-1]
     zero = SoftPrompt(
         matrix=np.zeros((1, model.config.d_model), dtype=np.float32),
         init_seed=0,
         source_fingerprint=model.fingerprint(),
     )
-    shifted = model.forward(ids, prompt=zero).data[-1]
+    shifted = full_logits(model, ids, prompt=zero)[-1]
     assert not np.allclose(plain, shifted)
 
 
@@ -103,16 +113,16 @@ def test_forward_rejects_mismatched_prompt():
     model = init_model(small_config(), 3)
     bad = np.zeros((2, model.config.d_model + 1), dtype=np.float32)
     with pytest.raises(ValueError, match="prompt/model dimension mismatch"):
-        model.forward(np.array([1, 2]), prompt=bad)
+        full_logits(model, np.array([1, 2]), prompt=bad)
 
 
 def test_forward_rejects_too_long_and_bad_ids():
     cfg = small_config(max_seq_len=6)
     model = init_model(cfg, 0)
     with pytest.raises(ValueError):
-        model.forward(np.arange(7) % cfg.vocab_size)
+        full_logits(model, np.arange(7) % cfg.vocab_size)
     with pytest.raises(ValueError):
-        model.forward(np.array([cfg.vocab_size]))
+        full_logits(model, np.array([cfg.vocab_size]))
 
 
 def test_lm_loss_near_uniform_for_random_model():
@@ -206,10 +216,10 @@ def test_classify_shift_invariance_and_rigged_head():
     model = init_model(small_config(), 8)
     # rig the LM head so token 4 (class 1) dominates at the answer position
     ids = np.array([1, 2, 3])
-    _, hidden = model.forward(ids, return_hidden=True)
-    h = hidden.data[-1]
+    _, hidden = model._forward_batch(ids[None], None, return_hidden=True)
+    h = hidden.data[0, -1]
     model.params["lm_head"].data[:, 4] = (100.0 * h / np.dot(h, h)).astype(np.float32)
-    dist = class_probs(model.forward(ids).data[-1], [[3], [4]])
+    dist = class_probs(full_logits(model, ids)[-1], [[3], [4]])
     assert np.argmax(dist) == 1 and dist[1] > 0.99
 
     # symmetric rigging: tie broken toward the lowest class id
@@ -237,7 +247,7 @@ def test_classify_batch_matches_single():
     prompt = init_prompt(model, length=2, seed=1)
     batched = classify_batch(model, seqs, verbs, prompt=prompt)
     singles = np.array(
-        [np.argmax(class_probs(model.forward(s, prompt=prompt).data[-1], verbs)) for s in seqs]
+        [np.argmax(class_probs(full_logits(model, s, prompt=prompt)[-1], verbs)) for s in seqs]
     )
     np.testing.assert_array_equal(batched, singles)
 
@@ -257,7 +267,7 @@ def test_answer_log_probs_ragged_batch_matches_rows_alone(with_prompt, verbs):
         prompt = {False: None, True: own[0], "per_row": np.stack(own)}[with_prompt]
         got = answer_log_probs(model, seqs, verbs, prompt).data
         for r, (row, seq) in enumerate(zip(got, seqs)):
-            last = model.forward(seq, prompt=own[r] if with_prompt == "per_row" else prompt).data[-1]
+            last = full_logits(model, seq, prompt=own[r] if with_prompt == "per_row" else prompt)[-1]
             alone = label_set_log_probability(last, verbs)
             np.testing.assert_allclose(row, alone.data, rtol=0, atol=1e-5)
         # a row's bits do not depend on its neighbours: the rows in order of
@@ -318,7 +328,7 @@ def test_forward_matches_numpy_reference(tie):
         full = answer_log_probs(model, seqs, EVERY_TOKEN, prompt).data
         for row, full_row, seq in zip(got, full, seqs):
             want = _numpy_forward(model, seq, prompt)
-            np.testing.assert_allclose(model.forward(seq, prompt=prompt).data, want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(full_logits(model, seq, prompt=prompt), want, rtol=1e-9, atol=1e-12)
             last = want[-1] - special.logsumexp(want[-1])
             np.testing.assert_allclose(full_row, last, rtol=1e-9, atol=1e-12)
             raw = np.array([special.logsumexp(last[ids]) - math.log(len(ids)) for ids in verbs])
@@ -352,15 +362,15 @@ def test_shared_prompt_matches_copies_and_rows_alone(verbs):
             copies = answer_log_probs(model, seqs, verbs, np.stack([prompt] * len(seqs))).data
             np.testing.assert_allclose(copies, shared, rtol=1e-9, atol=1e-12)
             for row, seq in zip(shared, seqs):
-                last = model.forward(seq, prompt=prompt).data[-1]
+                last = full_logits(model, seq, prompt=prompt)[-1]
                 alone = label_set_log_probability(last, verbs)
                 np.testing.assert_allclose(row, alone.data, rtol=1e-9, atol=1e-12)
             # every position of a batched prompted forward, prefix included
             ids = np.stack([seq[:1].repeat(5) if len(seq) < 5 else seq[:5] for seq in seqs])
-            full = model.forward(ids, prompt=prompt).data
+            full = full_logits(model, ids, prompt=prompt)
             assert full.shape == (len(seqs), 3 + 5, cfg.vocab_size)
             for row, seq in zip(full, ids):
-                np.testing.assert_allclose(row, model.forward(seq, prompt=prompt).data, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(row, full_logits(model, seq, prompt=prompt), rtol=1e-9, atol=1e-12)
 
 
 def test_shared_prompt_gradient_is_sum_of_copy_gradients():

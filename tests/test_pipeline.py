@@ -1,8 +1,14 @@
-"""The stage plan, its CLI subcommands, the data-access ledger, config
-loading and the CSV task, on a tiny config (2-layer d=16 teacher, 32-example
-task) that runs the whole plan in about a second."""
+"""The stage plan, its CLI subcommands, config loading and the CSV task,
+on a tiny config (2-layer d=16 teacher, 32-example task) that runs the
+whole plan in about a second.
+
+Where private data can reach each output is checked twice: from the plan
+alone, by walking `STAGE_PLAN` back from the output through the rows'
+declared inputs, data roles among them, and from the data-access ledger a
+run writes from those same declarations."""
 
 import json
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -194,15 +200,59 @@ def test_written_checkpoints_load_and_reproduce_the_report(full_run, tmp_path):
     seed_dir = full_run / "seed0"
     models = {p.name: art.load_model(p) for p in sorted(seed_dir.glob("*.pstl"))}
     assert set(models) == {"teacher.pstl", "student.pstl", "control_student.pstl"}
-    run = pl.SeedRun(pl.load_config(full_run / "config.json"), 0, pl.DataAccessLedger(), str(tmp_path))
+    run = pl.SeedRun(pl.load_config(full_run / "config.json"), 0, str(tmp_path))
     pl.stage_data(run)
+    test = run.outputs["private_test"]
     report = json.loads((full_run / "report.json").read_text())
     for baseline, model, prompt in (
         ("compressed_pt", "student.pstl", "prompt_student.pspa"),
         ("post", "teacher.pstl", "prompt_transferred.pspa"),
     ):
-        accuracy = pl.eval_baseline(run, models[model], art.load_prompt(seed_dir / prompt))
+        accuracy = pl.eval_baseline(run, test, models[model], art.load_prompt(seed_dir / prompt))
         assert accuracy == report["baselines"][baseline]["per_seed"]["0"], baseline
+
+
+def readers_of_roles(output: str) -> dict[str, set[str]]:
+    """Data role -> the rows that read it among those a run walks back
+    through STAGE_PLAN from `output` to build it, with no run."""
+    needed = pl._outputs_needed({output})
+    readers: dict[str, set[str]] = defaultdict(set)
+    for row in pl.STAGE_PLAN:
+        if row.output in needed:
+            for name in row.inputs:
+                if name in pl.DATA_ROLES:
+                    readers[name].add(row.name)
+    return readers
+
+
+# every output other than an evaluated baseline or the attack: the models,
+# prompts and transferred prompts
+BUILT = [row.output for row in pl.STAGE_PLAN if row.name not in ("eval", "attacks")]
+
+
+def test_the_dp_prompt_reads_private_train_only_through_its_dp_tuning():
+    assert readers_of_roles("p_t_dp")["private_train"] == {"tune_student_dp"}
+
+
+@pytest.mark.parametrize("output", BUILT)
+def test_nothing_that_feeds_a_model_or_prompt_reads_private_test(output):
+    assert "private_test" not in readers_of_roles(output)
+
+
+@pytest.mark.parametrize("model", ["teacher", "student", "control_student"])
+def test_no_model_reaches_private_train(model):
+    assert "private_train" not in readers_of_roles(model)
+
+
+def test_the_ledger_is_the_plans_declared_roles(full_run):
+    """Each row a run ran wrote one ledger row per data role it declares."""
+    records = json.loads((full_run / "data_access.json").read_text())
+    ran = [row["stage"] for row in json.loads((full_run / "report.json").read_text())["timings"]][1:]
+    declared = [
+        (row.name, name) for row in pl.STAGE_PLAN for name in row.inputs if name in pl.DATA_ROLES
+    ]
+    assert [row.name for row in pl.STAGE_PLAN] == ran
+    assert [(r["stage"], r["role"]) for r in records] == declared
 
 
 def test_teacher_side_stages_never_read_private_train(full_run):

@@ -16,8 +16,12 @@ wins over the pairs (ties count for neither) and whether the gain rule
 holds: the change wins at least nine tenths of the pairs and the medians
 differ by more than the parent's interquartile range.
 
-The script writes nothing but standard output; each benchmark run writes
-its own git-ignored `perfbench/out/` in its checkout.
+It records the same in `BENCH_<workload>.json` in the change checkout
+(`record`): the seeds, each side's operation counts, git SHA and source
+digest, the host (cores, Python, numpy, scipy and BLAS, as
+`perfbench/run.py` reports them on its `environment` line) and, per
+end-to-end metric, the summary above.  Each benchmark run writes its own
+git-ignored `perfbench/out/` in its checkout.
 """
 
 from __future__ import annotations
@@ -86,6 +90,41 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return result
 
 
+def environment(checkout: Path) -> dict:
+    """The `environment()` of `checkout`'s `perfbench/run.py`, the fields
+    a traced run prints on its `environment` line."""
+    code = "import json, run; print(json.dumps(run.environment()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=checkout / "perfbench", capture_output=True, text=True, check=False
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: environment: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def record(workload: str, seeds: list[int], runs: dict, envs: dict, end_to_end: list[dict]) -> dict:
+    """The `BENCH_<workload>.json` of a finished comparison: `runs` and
+    `envs` map each side to its result lines and its `environment`,
+    `end_to_end` is the change's `BENCHMARK.json` list of metrics."""
+    metrics = {}
+    for metric in end_to_end:
+        values = ([r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in SIDES)
+        metrics[metric["name"]] = {
+            "unit": metric["unit"], "better": metric["better"], **summarize(*values, metric["better"])
+        }
+    return {
+        "workload": workload,
+        "seeds": seeds,
+        "operations": {
+            side: {key: sum(r[key] for r in runs[side]) for key in ("attempted", "failed")} for side in SIDES
+        },
+        "git_sha": {side: envs[side]["git_sha"] for side in SIDES},
+        "source_sha256": {side: envs[side]["source_sha256"] for side in SIDES},
+        "host": {k: v for k, v in envs["change"].items() if k not in ("git_sha", "source_sha256")},
+        "metrics": metrics,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -95,6 +134,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    envs = {side: environment(getattr(args, side)) for side in SIDES}
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -107,18 +147,18 @@ def main(argv=None) -> int:
         for side in SIDES:
             runs[side].append(pair[side])
 
-    totals = "; ".join(
-        f"{side} attempted {sum(r['attempted'] for r in runs[side])}, failed {sum(r['failed'] for r in runs[side])}"
-        for side in SIDES
-    )
+    result = record(args.workload, args.seeds, runs, envs, benchmark["end_to_end"])
+    ops = result["operations"]
+    totals = "; ".join(f"{side} attempted {ops[side]['attempted']}, failed {ops[side]['failed']}" for side in SIDES)
     print(f"{args.workload}: {len(args.seeds)} pairs; over all runs, {totals}")
-    for metric in benchmark["end_to_end"]:
-        name = metric["name"]
-        s = summarize(*([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES), metric["better"])
+    for name, s in result["metrics"].items():
         sides = "  ".join(
             f"{side} {s[side]['median']:.4g} [{s[side]['q1']:.4g}, {s[side]['q3']:.4g}]" for side in SIDES
         )
-        print(f"  {name} ({metric['unit']}): {sides}  wins {s['wins']}/{s['pairs']}  gain rule holds: {s['gain_holds']}")
+        print(f"  {name} ({s['unit']}): {sides}  wins {s['wins']}/{s['pairs']}  gain rule holds: {s['gain_holds']}")
+    path = args.change / f"BENCH_{args.workload}.json"
+    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
     return 0
 
 
