@@ -184,6 +184,9 @@ class SynthTaskSpec:
         lo, hi = self.length_range
         if lo < 1 or hi < lo:
             raise ValueError("invalid sentence length range")
+        for size in ("n_private_train", "n_private_test", "n_public", "n_corpus_sentences"):
+            if getattr(self, size) < 1:
+                raise ValueError(f"{size} must be at least 1")
 
     def to_dict(self) -> dict:
         return {
@@ -392,6 +395,8 @@ def load_csv(
                 raise ValueError(f"{path}: row {row_no}: empty text")
             texts.append(row["text"])
             labels.append(label)
+    if not texts:
+        raise ValueError(f"{path}: no data rows")
 
     return LabeledDataset(
         texts=texts,

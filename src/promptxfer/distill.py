@@ -1,26 +1,28 @@
-"""LM training: teacher pretraining and teacher-to-student compression.
+"""LM training: teacher pretraining, distillation and the control student.
 
-`train_lm` runs plain next-token training (the teacher's pretraining and the
-control student).  `distill` compresses the teacher with a three-term
-objective: a temperature-softened KL term on the logits, the plain
-next-token cross-entropy, and a cosine-distance term on final hidden states,
-with configurable weights.  The student is carved out of the teacher: a
-subset of layers plus the teacher's embedding and LM head, all of which
-distillation trains.  Both run a fixed number of Adam steps over
-length-bucketed corpus batches.
+One loop trains every LM: `train_lm` runs a fixed number of Adam steps on
+all of a model's parameters over length-bucketed corpus batches, each
+step minimising the per-batch loss it is handed.  Pretraining and the
+control student hand it the next-token loss (`lm_objective`).
+Distillation (`distill`) is the student carved out of the teacher (a
+subset of its layers plus its embedding, norms and LM head) trained by
+`train_lm` on the triple loss of DistilBERT (Sanh et al. 2019): a
+temperature-softened KL term on the logits, the student's own next-token
+loss and a cosine-distance term on final hidden states, with configurable
+weights (`distill_loss`).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .model import ModelConfig, TransformerLM, lm_loss, param_names
+from .model import ModelConfig, TransformerLM, lm_loss, next_token_loss, param_names
 from .optim import Optimizer
 
 log = logging.getLogger(__name__)
@@ -99,16 +101,14 @@ def init_student_from_teacher(teacher: TransformerLM, config: KdConfig) -> Trans
 def distill_loss(
     teacher_logits,
     student_logits: Tensor,
-    lm_targets,
+    ids: np.ndarray,
     teacher_final_hidden,
     student_final_hidden: Tensor,
     weights: KdWeights,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """(total, l_ce, l_lm, l_cos); gradients flow into the student terms only.
-
-    `lm_targets` carries one target id per position, -1 where a position
-    emits no target (e.g. the final position).
-    """
+    """(total, l_ce, l_lm, l_cos) on the [b x T x V] logits and [b x T x d]
+    final hidden states of the [b x T] batch `ids`; gradients flow into the
+    student terms only.  l_lm is the student's `next_token_loss` on `ids`."""
     t_log = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
     t_hid = (
         teacher_final_hidden.data
@@ -119,6 +119,9 @@ def distill_loss(
         raise ValueError("teacher/student logit shapes must match")
     if t_hid.shape != student_final_hidden.shape:
         raise ValueError("teacher/student hidden shapes must match")
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.shape != t_log.shape[:-1]:
+        raise ValueError("ids must carry one token per logit position")
     tau = weights.temperature
     vocab = t_log.shape[-1]
     d = t_hid.shape[-1]
@@ -130,16 +133,7 @@ def distill_loss(
     )
     l_ce = kl * (tau * tau / n_pos)
 
-    # plain next-token cross-entropy on the student
-    targets = np.asarray(lm_targets, dtype=np.int64).reshape(-1)
-    if targets.size != n_pos:
-        raise ValueError("lm_targets must carry one entry per position")
-    lp = ag.log_softmax(student_logits, axis=-1).reshape((n_pos, vocab))
-    valid = np.flatnonzero(targets >= 0)
-    if valid.size == 0:
-        raise ValueError("lm_targets has no valid positions")
-    picked = ag.take_along_last(ag.take(lp, valid, axis=0), targets[valid])
-    l_lm = -picked.mean()
+    l_lm = next_token_loss(student_logits, ids)
 
     # cosine distance between final hidden states
     t_flat = t_hid.reshape(n_pos, d)
@@ -164,12 +158,6 @@ def distill_loss(
     return total, l_ce, l_lm, l_cos
 
 
-def _lm_targets(ids: np.ndarray) -> np.ndarray:
-    targets = np.full_like(ids, -1)
-    targets[:, :-1] = ids[:, 1:]
-    return targets
-
-
 def _length_buckets(sequences: Sequence[np.ndarray]) -> list[np.ndarray]:
     buckets: dict[int, list[int]] = {}
     for i, seq in enumerate(sequences):
@@ -191,6 +179,16 @@ def sample_length_bucketed_batch(
     return np.stack([sequences[i] for i in rows])
 
 
+def lm_objective(model: TransformerLM) -> Callable:
+    """`train_lm`'s loss for plain next-token training of `model`."""
+
+    def loss(ids: np.ndarray) -> tuple[Tensor, dict]:
+        total = lm_loss(model, ids)
+        return total, {"loss": total}
+
+    return loss
+
+
 def train_lm(
     model: TransformerLM,
     corpus_ids: Sequence[np.ndarray],
@@ -198,8 +196,13 @@ def train_lm(
     batch_size: int,
     learning_rate: float,
     seed: int,
+    loss: Callable,
 ) -> list[dict]:
-    """`steps` Adam steps of next-token loss over length-bucketed batches."""
+    """`steps` Adam steps on every parameter of `model`, each minimising
+    `loss(ids) -> (total, terms)` on one length-bucketed corpus batch; the
+    history row of a step is its number and its `terms` as floats."""
+    if not corpus_ids:
+        raise ValueError("the training corpus is empty")
     model.set_trainable(True)
     opt = Optimizer(model.parameters(), learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
@@ -208,10 +211,10 @@ def train_lm(
     for step in range(steps):
         ids = sample_length_bucketed_batch(corpus_ids, buckets, batch_size, rng)
         opt.zero_grad()
-        loss = lm_loss(model, ids)
-        loss.backward()
+        total, terms = loss(ids)
+        total.backward()
         opt.step()
-        history.append({"step": step, "loss": loss.item()})
+        history.append({"step": step, **{name: term.item() for name, term in terms.items()}})
     model.set_trainable(False)
     return history
 
@@ -222,47 +225,16 @@ def distill(
     config: KdConfig,
     seed: int,
 ) -> tuple[TransformerLM, list[dict]]:
-    """`config.max_steps` Adam steps of the distillation loss over
-    length-bucketed corpus batches."""
-    if not kd_corpus:
-        raise ValueError("distillation corpus is empty")
-    rng = np.random.default_rng(seed)
+    """The student carved from `teacher`, after `train_lm` with the
+    distillation loss."""
     student = init_student_from_teacher(teacher, config)
     teacher.set_trainable(False)
-    student.set_trainable(True)
-    opt = Optimizer(student.parameters(), learning_rate=config.learning_rate)
 
-    buckets = _length_buckets(kd_corpus)
-    history: list[dict] = []
-    for step in range(config.max_steps):
-        ids = sample_length_bucketed_batch(kd_corpus, buckets, config.batch_size, rng)
+    def loss(ids: np.ndarray) -> tuple[Tensor, dict]:
         t_logits, t_hidden = teacher._forward_batch(ids, None, return_hidden=True)
         s_logits, s_hidden = student._forward_batch(ids, None, return_hidden=True)
-        total, l_ce, l_lm, l_cos = distill_loss(
-            t_logits, s_logits, _lm_targets(ids), t_hidden, s_hidden, config.weights
-        )
-        opt.zero_grad()
-        total.backward()
-        opt.step()
-        row = {
-            "step": step,
-            "total": total.item(),
-            "l_ce": l_ce.item(),
-            "l_lm": l_lm.item(),
-            "l_cos": l_cos.item(),
-        }
-        history.append(row)
+        total, l_ce, l_lm, l_cos = distill_loss(t_logits, s_logits, ids, t_hidden, s_hidden, config.weights)
+        return total, {"total": total, "l_ce": l_ce, "l_lm": l_lm, "l_cos": l_cos}
 
-    student.set_trainable(False)
+    history = train_lm(student, kd_corpus, config.max_steps, config.batch_size, config.learning_rate, seed, loss)
     return student, history
-
-
-def write_loss_history(path, history: Sequence[dict]) -> None:
-    import csv as _csv
-
-    if not history:
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(history[0].keys()))
-        writer.writeheader()
-        writer.writerows(history)

@@ -339,18 +339,22 @@ def init_prompt(model: TransformerLM, length: int, seed: int) -> SoftPrompt:
 # -- losses and classification ---------------------------------------------
 
 
+def next_token_loss(logits: Tensor, ids: np.ndarray) -> Tensor:
+    """Mean cross-entropy of the [b x T x V] `logits` at each position
+    against the next of the [b x T] `ids`; the last position has no target."""
+    if ids.shape[1] < 2:
+        raise ValueError("the next-token loss needs at least 2 tokens")
+    pred = ag.narrow(logits, 1, 0, ids.shape[1] - 1)
+    lp = ag.log_softmax(pred, axis=-1)
+    return -ag.take_along_last(lp, ids[:, 1:]).mean()
+
+
 def lm_loss(model: TransformerLM, token_ids) -> Tensor:
-    """Mean next-token cross-entropy over real-token targets only."""
+    """`model`'s next-token loss on one row or a [b x T] batch of `token_ids`."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
-    if ids.shape[1] < 2:
-        raise ValueError("lm_loss needs at least 2 tokens")
-    logits = model._forward_batch(ids, None, return_hidden=False)
-    pred = ag.narrow(logits, 1, 0, ids.shape[1] - 1)
-    lp = ag.log_softmax(pred, axis=-1)
-    picked = ag.take_along_last(lp, ids[:, 1:])
-    return -picked.mean()
+    return next_token_loss(model._forward_batch(ids, None, return_hidden=False), ids)
 
 
 def label_set_log_probability(logits, verbalizers: Sequence[Sequence[int]]) -> Tensor:

@@ -73,8 +73,8 @@ from .distill import (
     default_layer_indices,
     distill,
     init_student_from_teacher,
+    lm_objective,
     train_lm,
-    write_loss_history,
 )
 from .model import ModelConfig, SoftPrompt, TransformerLM, classify_batch, init_model, init_prompt
 from .transfer import TransferConfig, transfer_prompt
@@ -455,6 +455,17 @@ class SeedRun:
 # -- stages ---------------------------------------------------------------------
 
 
+def write_loss_history(path: str, history: list[dict]) -> None:
+    """`history` as a CSV with one column per key of its first row; no file
+    when it is empty."""
+    if not history:
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))
+        writer.writeheader()
+        writer.writerows(history)
+
+
 def stage_data(run: SeedRun) -> None:
     """Load the task and put each of `DATA_ROLES` among `run.outputs`."""
     cfg = run.config
@@ -469,6 +480,8 @@ def stage_data(run: SeedRun) -> None:
         else:
             with open(cfg.task.corpus, "r", encoding="utf-8") as fh:
                 corpus = [line.strip() for line in fh if line.strip()]
+            if not corpus:
+                raise ValueError(f"{cfg.task.corpus}: no sentences")
             vocab = build_vocab(
                 corpus
                 + [cfg.task.template_suffix]
@@ -508,7 +521,8 @@ def stage_pretrain(run: SeedRun, corpus_ids: list[np.ndarray]) -> TransformerLM:
     teacher = init_model(cfg.teacher.to_model_config(run.vocab_size), seed_stream(run.seed, "teacher_init"))
     pt = cfg.pretrain
     history = train_lm(
-        teacher, corpus_ids, pt.steps, pt.batch_size, pt.learning_rate, seed_stream(run.seed, "pretrain")
+        teacher, corpus_ids, pt.steps, pt.batch_size, pt.learning_rate, seed_stream(run.seed, "pretrain"),
+        lm_objective(teacher),
     )
     write_loss_history(run.path("pretrain_loss.csv"), history)
     teacher.provenance = {"stage": "pretrain", "seed": run.seed}
@@ -529,7 +543,7 @@ def stage_control_student(run: SeedRun, teacher: TransformerLM, corpus_ids: list
     control = init_student_from_teacher(teacher, kd_cfg)
     history = train_lm(
         control, corpus_ids, kd_cfg.max_steps, kd_cfg.batch_size,
-        run.config.pretrain.learning_rate, seed_stream(run.seed, "control_lm"),
+        run.config.pretrain.learning_rate, seed_stream(run.seed, "control_lm"), lm_objective(control),
     )
     control.provenance["trained_by"] = "plain_lm"
     write_loss_history(run.path("control_lm_loss.csv"), history)

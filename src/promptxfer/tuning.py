@@ -18,14 +18,18 @@ Every step runs the length-sorted `model.row_chunks` of its batch, at most
 own function call, so a chunk's graph is freed before the next chunk's
 forward; leaf gradients accumulate across chunks.
 
-Plain and DP tuning record the same history row every `eval_every`
-epochs (1/q steps make an epoch under DP) and after the last step: the
-steps so far, the mean per-example loss the training forwards computed
-since the previous row (NaN if they drew no row), and the train accuracy
-from one `classify_batch` pass at the row's prompt.  `eval_every` 0
-records no row and runs no such pass, for callers that read only the
-tuned prompt, such as LiRA's shadow prompts; it draws nothing from the
-tuning RNG either way, so the prompt is the same.
+Plain and DP tuning run one step loop and differ only in how a step draws
+its rows: plain tuning walks a fresh permutation of the set each epoch in
+batches of `batch_size`, DP-SGD draws a Poisson lot at rate q each step
+(`promptdpsgd_step`).  An epoch is ceil(N / batch_size) steps for both,
+as `make_dp_params` counts T.  Both record the same history row every
+`eval_every` epochs and after the last step: the steps so far, the mean
+per-example loss the training forwards computed since the previous row
+(NaN if they drew no row), and the train accuracy from one
+`classify_batch` pass at the row's prompt.  `eval_every` 0 records no row
+and runs no such pass, for callers that read only the tuned prompt, such
+as LiRA's shadow prompts; it draws nothing from the tuning RNG either
+way, so the prompt is the same.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class TuneConfig:
     learning_rate: float = 0.001
     batch_size: int = 32
     dp: DpParams | None = None
-    eval_every: int = 1  # epochs (or epoch-equivalents under DP) between history rows; 0: none
+    eval_every: int = 1  # epochs of ceil(N / batch_size) steps between history rows; 0: none
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
@@ -232,47 +236,42 @@ def tune_prompt(
         history.append({"step": step, "loss": loss, "train_accuracy": float(np.mean(preds == dataset.labels))})
         loss_sum, rows_seen = 0.0, 0
 
-    if config.dp is None:
-        steps_done = 0
-        for epoch in range(config.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                opt.zero_grad()
-                scale = 1.0 / len(idx)
-                loss_sum += sum(
-                    _class_nll_backward(model, prompt_var, dataset, idx[pos], scale)
-                    for pos in row_chunks([len(dataset.templated(i)) for i in idx])
-                )
-                rows_seen += len(idx)
-                opt.step()
-                steps_done += 1
-            if config.eval_every and ((epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1):
-                record(steps_done)
-        dp_meta = None
-    else:
-        dp = config.dp
+    dp = config.dp
+    if dp is not None:
         spent = dp.spent_epsilon()
         if spent > dp.epsilon:
             raise ValueError(
                 f"DP budget infeasible: sigma={dp.noise_multiplier} spends epsilon={spent:.4f} "
                 f"> {dp.epsilon} at q={dp.sample_rate}, T={dp.steps}; recalibrate sigma"
             )
-        steps_per_epoch = max(1, round(1.0 / dp.sample_rate))
-        for step in range(dp.steps):
-            mask = rng.random(n) < dp.sample_rate
-            idx = np.flatnonzero(mask)
+    per_epoch = math.ceil(n / config.batch_size)
+    steps = config.epochs * per_epoch if dp is None else dp.steps
+    for step in range(steps):
+        if dp is None:
+            if step % per_epoch == 0:
+                order = rng.permutation(n)
+            start = (step % per_epoch) * config.batch_size
+            idx = order[start : start + config.batch_size]
+            opt.zero_grad()
+            scale = 1.0 / len(idx)
+            loss = sum(
+                _class_nll_backward(model, prompt_var, dataset, idx[pos], scale)
+                for pos in row_chunks([len(dataset.templated(i)) for i in idx])
+            )
+            opt.step()
+        else:
+            idx = np.flatnonzero(rng.random(n) < dp.sample_rate)
             _, loss = promptdpsgd_step(model, prompt_var, dataset, idx, dp, n, rng, opt)
-            loss_sum += loss
-            rows_seen += len(idx)
-            if config.eval_every and ((step + 1) % (steps_per_epoch * config.eval_every) == 0 or step == dp.steps - 1):
-                record(step + 1)
-        dp_meta = DpMeta(
-            epsilon=dp.epsilon, delta=dp.delta, sigma=dp.noise_multiplier, clip_norm=dp.clip_norm
-        )
+        loss_sum += loss
+        rows_seen += len(idx)
+        if config.eval_every and ((step + 1) % (per_epoch * config.eval_every) == 0 or step == steps - 1):
+            record(step + 1)
 
     # A plain tuning pass over private data voids any prior DP claim, so the
     # result carries dp_meta only when this pass itself ran under DP.
+    dp_meta = None
+    if dp is not None:
+        dp_meta = DpMeta(epsilon=dp.epsilon, delta=dp.delta, sigma=dp.noise_multiplier, clip_norm=dp.clip_norm)
     tuned = SoftPrompt(
         matrix=prompt_var.data.astype(np.float32),
         init_seed=prompt.init_seed,

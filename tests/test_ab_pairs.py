@@ -59,6 +59,25 @@ def test_summary_and_seed_range_reject_bad_input():
             ab_pairs.parse_seeds(text)
 
 
+def test_verdict_worse_beyond_the_bound_of_the_parents_median():
+    parent = [10.0, 10.1, 10.2, 10.3]
+    assert ab_pairs.verdict(parent, [p + 3.0 for p in parent], "lower", 0.25) == "worse"
+    assert ab_pairs.verdict(parent, [p + 2.0 for p in parent], "lower", 0.25) == "ok"
+    # higher is better: a fall of more than the bound is worse
+    assert ab_pairs.verdict(parent, [p - 3.0 for p in parent], "higher", 0.25) == "worse"
+    assert ab_pairs.verdict(parent, [p + 3.0 for p in parent], "higher", 0.25) == "ok"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    parent = [6.0, 10.0, 10.0, 14.0]  # quartiles 7 and 13: 6 apart, 2.5 allowed
+    assert ab_pairs.verdict(parent, [10.0, 10.0, 10.0, 10.0], "lower", 0.25) == "unresolved"
+    # unless every change run beats every parent run
+    assert ab_pairs.verdict(parent, [5.0, 5.5, 5.0, 5.5], "lower", 0.25) == "ok"
+    assert ab_pairs.verdict(parent, [5.0, 5.5, 5.0, 6.0], "lower", 0.25) == "unresolved"
+    # a worse median beyond the bound is worse whatever the spread
+    assert ab_pairs.verdict(parent, [13.0, 13.0, 13.0, 13.0], "lower", 0.25) == "worse"
+
+
 def test_a_pair_stops_only_when_the_change_fails_a_larger_share():
     def run(attempted, failed):
         return {"attempted": attempted, "failed": failed}
@@ -107,7 +126,9 @@ def test_a_comparison_records_its_summary_in_the_change_checkout(tmp_path, monke
     assert written["operations"] == {side: {"attempted": 36, "failed": 0} for side in ab_pairs.SIDES}
     assert set(written["metrics"]) == {"setup_s", "peak_rss_mb"}
     for name, summary in written["metrics"].items():
-        assert set(summary) == {"unit", "better", "parent", "change", "pairs", "wins", "gain_holds"}, name
+        assert set(summary) == {
+            "unit", "better", "bound", "verdict", "parent", "change", "pairs", "wins", "gain_holds"
+        }, name
         for side in ab_pairs.SIDES:
             assert set(summary[side]) == {"median", "q1", "q3"}
         assert summary["pairs"] == 4
@@ -115,3 +136,7 @@ def test_a_comparison_records_its_summary_in_the_change_checkout(tmp_path, monke
     assert (setup["unit"], setup["better"], setup["wins"]) == ("s", "lower", 4)
     assert setup["change"]["median"] == pytest.approx(2.5) and setup["parent"]["median"] == pytest.approx(3.0)
     assert written["metrics"]["peak_rss_mb"]["wins"] == 0
+    # setup_s: medians 3.0 -> 2.5, but the parent's quartiles 1.75 and 4.25
+    # lie further apart than 25% of 3.0, and change run 4 loses to parent run 1
+    assert (setup["bound"], setup["verdict"]) == (0.25, "unresolved")
+    assert written["metrics"]["peak_rss_mb"]["verdict"] == "ok"

@@ -14,7 +14,7 @@ from promptxfer.artifacts import (
     save_prompt,
 )
 from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
-from promptxfer.distill import KdConfig, distill, train_lm
+from promptxfer.distill import KdConfig, distill, lm_objective, train_lm
 from promptxfer.model import DpMeta, ModelConfig, SoftPrompt, init_model, init_prompt
 from promptxfer import tuning
 from promptxfer.tuning import TuneConfig, make_dp_params, tune_prompt
@@ -43,7 +43,7 @@ def trained_models():
     ids = tokenize_corpus(corpus, private.vocab)
     config = ModelConfig(n_layers=2, d_model=16, n_heads=2, vocab_size=private.vocab.size, max_seq_len=32)
     teacher = init_model(config, 0)
-    train_lm(teacher, ids, steps=3, batch_size=8, learning_rate=1e-2, seed=0)
+    train_lm(teacher, ids, steps=3, batch_size=8, learning_rate=1e-2, seed=0, loss=lm_objective(teacher))
     student, _ = distill(teacher, ids, KdConfig(student_layer_indices=(1,), max_steps=3), seed=1)
     return teacher, student, private.split("train")
 

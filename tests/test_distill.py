@@ -11,6 +11,7 @@ from promptxfer.distill import (
     distill,
     distill_loss,
     init_student_from_teacher,
+    lm_objective,
     train_lm,
 )
 from promptxfer.model import ModelConfig, init_model, lm_loss
@@ -62,24 +63,23 @@ def test_kd_weights_validation():
     assert (w.alpha_ce, w.alpha_lm, w.alpha_cos) == (5.0, 2.0, 1.0)
 
 
-def rand_loss_inputs(rng, n_pos=6, vocab=9, d=5):
-    t_log = rng.normal(size=(n_pos, vocab))
-    s_log = Tensor(rng.normal(size=(n_pos, vocab)), requires_grad=True)
-    t_hid = rng.normal(size=(n_pos, d))
-    s_hid = Tensor(rng.normal(size=(n_pos, d)), requires_grad=True)
-    targets = rng.integers(0, vocab, size=n_pos)
-    targets[-1] = -1
-    return t_log, s_log, t_hid, s_hid, targets
+def rand_loss_inputs(rng, rows=2, length=3, vocab=9, d=5):
+    t_log = rng.normal(size=(rows, length, vocab))
+    s_log = Tensor(rng.normal(size=(rows, length, vocab)), requires_grad=True)
+    t_hid = rng.normal(size=(rows, length, d))
+    s_hid = Tensor(rng.normal(size=(rows, length, d)), requires_grad=True)
+    ids = rng.integers(0, vocab, size=(rows, length))
+    return t_log, s_log, t_hid, s_hid, ids
 
 
 def test_distill_loss_identity_case():
     rng = np.random.default_rng(0)
-    logits = rng.normal(size=(5, 8)).astype(np.float32)
-    hidden = rng.normal(size=(5, 4)).astype(np.float32)
-    targets = np.array([1, 2, 3, 4, -1])
+    logits = rng.normal(size=(1, 5, 8)).astype(np.float32)
+    hidden = rng.normal(size=(1, 5, 4)).astype(np.float32)
+    ids = np.array([[0, 1, 2, 3, 4]])
     w = KdWeights()
     total, l_ce, l_lm, l_cos = distill_loss(
-        logits, Tensor(logits.copy()), targets, hidden, Tensor(hidden.copy()), w
+        logits, Tensor(logits.copy()), ids, hidden, Tensor(hidden.copy()), w
     )
     assert abs(l_ce.item()) < 1e-6
     assert abs(l_cos.item()) < 1e-6
@@ -88,9 +88,9 @@ def test_distill_loss_identity_case():
 
 def test_distill_loss_weighted_combination_and_linearity():
     rng = np.random.default_rng(1)
-    t_log, s_log, t_hid, s_hid, targets = rand_loss_inputs(rng)
+    t_log, s_log, t_hid, s_hid, ids = rand_loss_inputs(rng)
     w = KdWeights(alpha_ce=5.0, alpha_lm=2.0, alpha_cos=1.0)
-    total, l_ce, l_lm, l_cos = distill_loss(t_log, s_log, targets, t_hid, s_hid, w)
+    total, l_ce, l_lm, l_cos = distill_loss(t_log, s_log, ids, t_hid, s_hid, w)
     assert total.item() == pytest.approx(
         5.0 * l_ce.item() + 2.0 * l_lm.item() + 1.0 * l_cos.item(), rel=1e-6
     )
@@ -98,27 +98,25 @@ def test_distill_loss_weighted_combination_and_linearity():
     assert 5.0 * 0.1 + 2.0 * 0.5 + 1.0 * 0.2 == pytest.approx(1.7)
 
     w2 = KdWeights(alpha_ce=10.0, alpha_lm=4.0, alpha_cos=2.0)
-    total2, *_ = distill_loss(t_log, s_log, targets, t_hid, s_hid, w2)
+    total2, *_ = distill_loss(t_log, s_log, ids, t_hid, s_hid, w2)
     assert total2.item() == pytest.approx(2.0 * total.item(), rel=1e-6)
 
 
 def test_distill_loss_zero_norm_hidden_contract(caplog):
     rng = np.random.default_rng(2)
-    t_log, s_log, t_hid, _, targets = rand_loss_inputs(rng, n_pos=4, d=3)
-    s_hid_data = rng.normal(size=(4, 3))
-    s_hid_data[1] = 0.0  # zero-norm student row
+    t_log, s_log, t_hid, _, ids = rand_loss_inputs(rng, rows=2, length=2, d=3)
+    s_hid_data = rng.normal(size=(2, 2, 3))
+    s_hid_data[0, 1] = 0.0  # zero-norm student position: flat position 1
     with caplog.at_level("WARNING"):
         _, _, _, l_cos = distill_loss(
-            t_log, s_log, targets, t_hid, Tensor(s_hid_data, requires_grad=True), KdWeights()
+            t_log, s_log, ids, t_hid, Tensor(s_hid_data, requires_grad=True), KdWeights()
         )
     assert "zero-norm" in caplog.text
     # the bad position contributes exactly distance 1
-    good_rows = [0, 2, 3]
-    t_hid = np.asarray(t_hid)
+    t_flat, s_flat = t_hid.reshape(4, 3), s_hid_data.reshape(4, 3)
     coss = [
-        np.dot(t_hid[i], s_hid_data[i])
-        / (np.linalg.norm(t_hid[i]) * np.linalg.norm(s_hid_data[i]))
-        for i in good_rows
+        np.dot(t_flat[i], s_flat[i]) / (np.linalg.norm(t_flat[i]) * np.linalg.norm(s_flat[i]))
+        for i in (0, 2, 3)
     ]
     expected = (sum(1 - c for c in coss) + 1.0) / 4.0
     assert l_cos.item() == pytest.approx(expected, rel=1e-5)
@@ -126,25 +124,52 @@ def test_distill_loss_zero_norm_hidden_contract(caplog):
 
 def test_distill_loss_gradcheck():
     rng = np.random.default_rng(3)
-    n_pos, vocab, d = 4, 6, 3
-    t_log = rng.normal(size=(n_pos, vocab))
-    t_hid = rng.normal(size=(n_pos, d))
-    targets = rng.integers(0, vocab, size=n_pos)
+    rows, length, vocab, d = 2, 3, 6, 3
+    t_log = rng.normal(size=(rows, length, vocab))
+    t_hid = rng.normal(size=(rows, length, d))
+    ids = rng.integers(0, vocab, size=(rows, length))
     w = KdWeights()
 
     def f(x):
         from promptxfer import autograd as ag
 
-        flat = x.reshape((n_pos, vocab + d))
-        s_log = ag.narrow(flat, 1, 0, vocab)
-        s_hid = ag.narrow(flat, 1, vocab, d)
-        total, *_ = distill_loss(t_log, s_log, targets, t_hid, s_hid, w)
+        s_log = ag.narrow(x, 2, 0, vocab)
+        s_hid = ag.narrow(x, 2, vocab, d)
+        total, *_ = distill_loss(t_log, s_log, ids, t_hid, s_hid, w)
         return total
 
     for _ in range(20):
-        x = rng.normal(size=(n_pos, vocab + d))
+        x = rng.normal(size=(rows, length, vocab + d))
         ok, err = finite_diff_check(f, x, tolerance=1e-6)
         assert ok, err
+
+
+def test_distill_loss_lm_term_is_the_students_lm_loss():
+    """KD's LM term is the student's plain next-token loss on the same
+    batch, value and gradient, bit for bit."""
+    teacher = teacher_fixture(n_layers=2, vocab=19)
+    student = init_student_from_teacher(teacher, KdConfig(student_layer_indices=(1,)))
+    student.set_trainable(True)
+    ids = np.random.default_rng(4).integers(0, 19, size=(3, 7))
+    t_logits, t_hidden = teacher._forward_batch(ids, None, return_hidden=True)
+    s_logits, s_hidden = student._forward_batch(ids, None, return_hidden=True)
+    _, _, l_lm, _ = distill_loss(t_logits, s_logits, ids, t_hidden, s_hidden, KdWeights())
+    l_lm.backward()
+    kd_grads = [p.grad.copy() for p in student.parameters()]
+    for p in student.parameters():
+        p.grad = None
+    plain = lm_loss(student, ids)
+    plain.backward()
+    assert l_lm.data.dtype == plain.data.dtype == np.float32
+    assert l_lm.item() == plain.item()
+    for p, grad in zip(student.parameters(), kd_grads):
+        np.testing.assert_array_equal(p.grad, grad)
+
+
+def test_distill_loss_rejects_ids_of_another_shape():
+    t_log, s_log, t_hid, s_hid, ids = rand_loss_inputs(np.random.default_rng(5))
+    with pytest.raises(ValueError, match="one token per logit position"):
+        distill_loss(t_log, s_log, ids[:, :-1], t_hid, s_hid, KdWeights())
 
 
 def test_distill_trains_every_student_parameter_and_loss_falls():
@@ -200,12 +225,16 @@ def test_train_lm_runs_every_step_and_lowers_the_loss():
     model = init_model(cfg, 1)
     probe = np.stack([s for s in corpus_ids if len(s) == len(corpus_ids[0])][:8])
     before = lm_loss(model, probe).item()
-    history = train_lm(model, corpus_ids, steps=60, batch_size=8, learning_rate=3e-3, seed=4)
+    history = train_lm(
+        model, corpus_ids, steps=60, batch_size=8, learning_rate=3e-3, seed=4, loss=lm_objective(model)
+    )
     assert [row["step"] for row in history] == list(range(60))
     assert lm_loss(model, probe).item() < before
     assert not any(p.requires_grad for p in model.parameters())
 
     # determinism per seed
     again = init_model(cfg, 1)
-    assert train_lm(again, corpus_ids, steps=60, batch_size=8, learning_rate=3e-3, seed=4) == history
+    assert train_lm(
+        again, corpus_ids, steps=60, batch_size=8, learning_rate=3e-3, seed=4, loss=lm_objective(again)
+    ) == history
     assert again.fingerprint() == model.fingerprint()

@@ -338,6 +338,11 @@ def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixe
         {"attack": {"enabled": True, "epochs": -1}},
         {"attack": {"enabled": True, "batch_size": 0}},
         {"student_layers": 1, "kd": {"student_layer_indices": [0, 1]}},
+        # an empty synthetic set, which no stage could load
+        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_private_train": 0}},
+        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_private_test": 0}},
+        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_public": 0}},
+        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_corpus_sentences": 0}},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
@@ -500,6 +505,14 @@ def test_csv_label_outside_the_classes_exits_3(tmp_path, csv_task, caplog):
     Path(csv_task["train"]).write_text("\n".join(rows) + "\n", encoding="utf-8")
     assert main(["pipeline", "--config", csv_config(tmp_path, csv_task)]) == EXIT_STAGE
     assert f"{csv_task['train']}: row 4: label 2 out of range" in caplog.text
+
+
+@pytest.mark.parametrize("part", ["train", "test", "public", "corpus"])
+def test_a_csv_task_file_without_data_exits_3_naming_it(tmp_path, csv_task, caplog, part):
+    path = Path(csv_task[part])
+    path.write_text("" if part == "corpus" else "text,label\n", encoding="utf-8")
+    assert main(["pipeline", "--config", csv_config(tmp_path, csv_task)]) == EXIT_STAGE
+    assert f"{path}: no " in caplog.text
 
 
 def test_csv_task_without_its_train_file_exits_2(tmp_path, csv_task):

@@ -244,6 +244,20 @@ def test_plain_history_loss_is_the_mean_over_the_rows_trained_on(tiny_task, monk
         assert row["loss"] == pytest.approx(sum(v for _, v in window) / (2 * len(train)), rel=1e-12)
 
 
+@pytest.mark.parametrize("dp", [False, True])
+def test_an_epoch_is_ceil_n_over_batch_steps_plain_or_dp(tiny_task, dp):
+    """50 rows in batches of 16: four steps make an epoch, and a history
+    row falls after each, under DP as in plain tuning."""
+    model, private, _ = tiny_task
+    train = private.split("train").subset(range(50))
+    cfg = TuneConfig(epochs=3, learning_rate=1e-2, batch_size=16)
+    if dp:
+        cfg = replace(cfg, dp=make_dp_params(dataset_size=len(train), batch_size=16, epochs=3, epsilon=8.0))
+        assert cfg.dp.steps == 12
+    _, history = tune_prompt(model, init_prompt(model, length=4, seed=8), train, cfg, 4)
+    assert [row["step"] for row in history] == [4, 8, 12]
+
+
 def test_tune_prompt_rejects_infeasible_budget(tiny_task):
     model, private, _ = tiny_task
     train = private.split("train")

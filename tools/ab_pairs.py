@@ -14,7 +14,9 @@ failed operations over all runs and, for each end-to-end metric in the
 change's `BENCHMARK.json`, each side's median and quartiles, the change's
 wins over the pairs (ties count for neither) and whether the gain rule
 holds: the change wins at least nine tenths of the pairs and the medians
-differ by more than the parent's interquartile range.
+differ by more than the parent's interquartile range.  Beside it goes the
+no-regression verdict against the metric's `bound` (`verdict`): worse,
+unresolved or ok.
 
 It records the same in `BENCH_<workload>.json` in the change checkout
 (`record`): the seeds, each side's operation counts, git SHA and source
@@ -58,6 +60,23 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "wins": wins,
         "gain_holds": 10 * wins >= 9 * len(parent) and gap > parent_iqr,
     }
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The benchmark gate's no-regression verdict on one metric, with
+    `bound` the metric's relative bound in `BENCHMARK.json`: "worse" when
+    the change's median is worse than the parent's by more than `bound`
+    times the parent's median; "unresolved" when the parent's interquartile
+    range is wider than that, unless every change run beats every parent
+    run; "ok" otherwise."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median, q3 = statistics.quantiles(parent, n=4)
+    limit = bound * abs(median)
+    if sign * (statistics.median(change) - median) > limit:
+        return "worse"
+    if q3 - q1 > limit and not all(sign * (p - c) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "ok"
 
 
 def fails_larger_share(parent: dict, change: dict) -> bool:
@@ -108,9 +127,13 @@ def record(workload: str, seeds: list[int], runs: dict, envs: dict, end_to_end: 
     `end_to_end` is the change's `BENCHMARK.json` list of metrics."""
     metrics = {}
     for metric in end_to_end:
-        values = ([r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in SIDES)
+        parent, change = ([r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in SIDES)
         metrics[metric["name"]] = {
-            "unit": metric["unit"], "better": metric["better"], **summarize(*values, metric["better"])
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "verdict": verdict(parent, change, metric["better"], metric["bound"]),
+            **summarize(parent, change, metric["better"]),
         }
     return {
         "workload": workload,
@@ -155,7 +178,10 @@ def main(argv=None) -> int:
         sides = "  ".join(
             f"{side} {s[side]['median']:.4g} [{s[side]['q1']:.4g}, {s[side]['q3']:.4g}]" for side in SIDES
         )
-        print(f"  {name} ({s['unit']}): {sides}  wins {s['wins']}/{s['pairs']}  gain rule holds: {s['gain_holds']}")
+        print(
+            f"  {name} ({s['unit']}): {sides}  wins {s['wins']}/{s['pairs']}  gain rule holds: {s['gain_holds']}"
+            f"  verdict within {s['bound']:.0%}: {s['verdict']}"
+        )
     path = args.change / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
