@@ -13,8 +13,8 @@ from promptxfer.attacks import (
     write_attack_summary,
 )
 from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
-from promptxfer.model import ModelConfig, init_model, init_prompt, lm_loss
-from promptxfer.optim import Optimizer
+from promptxfer.distill import lm_objective, train_lm
+from promptxfer.model import ModelConfig, init_model, init_prompt
 from promptxfer.tuning import TuneConfig, tune_prompt
 
 
@@ -121,18 +121,7 @@ def attack_setup():
     ids = tokenize_corpus(corpus, private.vocab)
     cfg = ModelConfig(n_layers=2, d_model=32, n_heads=4, vocab_size=private.vocab.size, max_seq_len=32)
     model = init_model(cfg, 3)
-    model.set_trainable(True)
-    opt = Optimizer(model.parameters(), learning_rate=3e-3)
-    rng = np.random.default_rng(0)
-    from promptxfer.distill import _length_buckets, sample_length_bucketed_batch
-
-    buckets = _length_buckets(ids)
-    for _ in range(600):
-        batch = sample_length_bucketed_batch(ids, buckets, 16, rng)
-        opt.zero_grad()
-        lm_loss(model, batch).backward()
-        opt.step()
-    model.set_trainable(False)
+    train_lm(model, ids, 600, 16, 3e-3, 0, lm_objective(model))
     pool = private.split("train")
     return model, pool
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from promptxfer.accountant import rdp_epsilon
 from promptxfer.autograd import Tensor
 from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
-from promptxfer.distill import KdConfig, distill
+from promptxfer.distill import KdConfig, distill, lm_objective, train_lm
 from promptxfer import autograd as ag
 from promptxfer import tuning
 from promptxfer.model import (
@@ -88,19 +88,7 @@ def tiny_task():
         n_layers=2, d_model=32, n_heads=4, vocab_size=private.vocab.size, max_seq_len=32
     )
     model = init_model(cfg, 1)
-    model.set_trainable(True)
-    opt = Optimizer(model.parameters(), learning_rate=3e-3)
-    rng = np.random.default_rng(0)
-    from promptxfer.distill import _length_buckets, sample_length_bucketed_batch
-    from promptxfer.model import lm_loss
-
-    buckets = _length_buckets(corpus_ids)
-    for _ in range(800):
-        ids = sample_length_bucketed_batch(corpus_ids, buckets, 16, rng)
-        opt.zero_grad()
-        lm_loss(model, ids).backward()
-        opt.step()
-    model.set_trainable(False)
+    train_lm(model, corpus_ids, 800, 16, 3e-3, 0, lm_objective(model))
     return model, private, public
 
 
