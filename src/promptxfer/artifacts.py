@@ -20,6 +20,7 @@ import io
 import json
 import math
 import struct
+from dataclasses import asdict
 from typing import BinaryIO
 
 import numpy as np
@@ -121,7 +122,7 @@ def save_model(path, model: TransformerLM) -> None:
         if p.data.dtype != np.float32:
             raise ArtifactError(f"cannot save {path}: parameter {name} is {p.data.dtype}, not float32")
     meta = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "fingerprint": model.fingerprint(),
         "provenance": model.provenance,
     }
@@ -137,7 +138,7 @@ def load_model(path) -> TransformerLM:
     fh = _open(path)
     with _unreadable_as_artifact_error(path):
         meta = _read_header(fh, MODEL_MAGIC)
-        config = ModelConfig.from_dict(meta["config"])
+        config = ModelConfig(**meta["config"])
         (count,) = struct.unpack("<I", _read(fh, 4))
         params: dict[str, ag.Tensor] = {}
         for _ in range(count):
@@ -176,7 +177,7 @@ def load_prompt(path) -> SoftPrompt:
         _expect_end(fh)
         if meta["init_scheme"] != INIT_SCHEME:
             raise ArtifactError(f"{path}: prompt init scheme {meta['init_scheme']!r}, expected {INIT_SCHEME!r}")
-        dp = DpMeta.from_dict(meta["dp_meta"]) if meta.get("dp_meta") else None
+        dp = DpMeta(**meta["dp_meta"]) if meta.get("dp_meta") else None
         return SoftPrompt(
             matrix=mat,
             init_seed=int(meta["init_seed"]),

@@ -1,10 +1,12 @@
 """Command-line entry points: distill, tune, transfer, attack, eval, pipeline.
 
 Every subcommand is one `pipeline.run_pipeline` call over the same stage
-plan: `distill`, `tune` and `transfer` stop after the plan entry named in
-`THROUGH`, `attack` runs the membership attack with no baselines, and
-`eval` and `pipeline` run the whole plan.  Nothing is read back from earlier
-runs; each subcommand trains what it needs from scratch.
+plan.  `distill`, `tune` and `transfer` build every row of the plan up to
+the entry named in `THROUGH`, whatever the config's baselines; `attack`
+runs the membership attack with no baselines; `eval` and `pipeline` build
+the config's baselines (`eval` those given by `--baseline`, when any) and
+the attack when it is enabled.  Nothing is read back from earlier runs;
+each subcommand trains what it needs from scratch.
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure.
 """

@@ -13,7 +13,7 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -188,23 +188,6 @@ class SynthTaskSpec:
             if getattr(self, size) < 1:
                 raise ValueError(f"{size} must be at least 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "class_keyword_pools": [list(p) for p in self.class_keyword_pools],
-            "noise_vocab": list(self.noise_vocab),
-            "length_range": list(self.length_range),
-            "keyword_density": self.keyword_density,
-            "seed": self.seed,
-            "verbalizer_words": [list(v) for v in self.verbalizer_words],
-            "template_suffix": self.template_suffix,
-            "n_private_train": self.n_private_train,
-            "n_private_test": self.n_private_test,
-            "n_public": self.n_public,
-            "n_corpus_sentences": self.n_corpus_sentences,
-            "corpus_verbalizer_rate": self.corpus_verbalizer_rate,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SynthTaskSpec":
         d = dict(d)
@@ -339,7 +322,7 @@ def with_label_noise(dataset: LabeledDataset, fraction: float, seed: int) -> Lab
 
 def write_manifest(path, spec: SynthTaskSpec, vocab: Vocab) -> None:
     manifest = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "seed": spec.seed,
         "vocab_size": vocab.size,
         "sizes": {

@@ -69,7 +69,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -98,20 +98,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "vocab_size": self.vocab_size,
-            "max_seq_len": self.max_seq_len,
-            "tie_lm_head": self.tie_lm_head,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -163,7 +149,7 @@ class TransformerLM:
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
-        h.update(json.dumps(self.config.to_dict(), sort_keys=True).encode())
+        h.update(json.dumps(asdict(self.config), sort_keys=True).encode())
         for name in sorted(self.params):
             arr = self.params[name].data
             h.update(name.encode())
@@ -293,11 +279,7 @@ class DpMeta:
             raise ValueError("sigma and clip_norm must be positive")
 
     def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "delta": self.delta, "sigma": self.sigma, "clip_norm": self.clip_norm}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DpMeta":
-        return cls(**d)
+        return asdict(self)
 
 
 @dataclass

@@ -9,13 +9,16 @@ inputs are the private test split and the baseline's (model, prompt) pair,
 `BASELINE_INPUTS`, and its output is named after the baseline) and the
 membership attack.
 
-A seed's run loads its data (`stage_data`), then walks back from what the
-config asks for, the requested baselines and "attacks" when the attack is
-enabled, through the rows' declared inputs, and runs, in plan order, exactly
-the rows that build something on that walk.  Each runs in its own timed
-call; no stage runs inside another.  `run_pipeline(config, through=name)`
-stops after the last row of that name, so every CLI subcommand runs a
-prefix of the same plan.
+A run asks for some outputs, and one rule picks the rows: a seed's run
+loads its data (`stage_data`), then walks back from those outputs through
+the rows' declared inputs and runs, in plan order, exactly the rows that
+build something on that walk.  Each runs in its own timed call; no stage
+runs inside another.  A whole run, `run_pipeline(config)`, asks for the
+config's baselines, and "attacks" when the attack is enabled.  A prefix
+run, `run_pipeline(config, through=name)`, asks for every output of the
+plan up to and including its last row of that name, whatever the config's
+baselines, so it builds every row of that prefix; the CLI's `distill`,
+`tune` and `transfer` subcommands are such runs.
 
 Each transfer row passes `transfer_alpha` to `transfer_prompt`: a float as
 it is, "heuristic" as None, for which the transfer computes the heuristic
@@ -49,7 +52,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -82,16 +85,6 @@ from .tuning import TuneConfig, make_dp_params, tune_prompt
 
 log = logging.getLogger(__name__)
 
-ALL_BASELINES = (
-    "full_zs",
-    "full_pt",
-    "compressed_pt",
-    "direct_transfer",
-    "post",
-    "post_dp",
-    "finetuned_control",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
@@ -123,14 +116,7 @@ class ArchSpec:
     tie_lm_head: bool = False
 
     def to_model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            n_layers=self.n_layers,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            vocab_size=vocab_size,
-            max_seq_len=self.max_seq_len,
-            tie_lm_head=self.tie_lm_head,
-        )
+        return ModelConfig(vocab_size=vocab_size, **asdict(self))
 
 
 @dataclass
@@ -233,6 +219,8 @@ class ExperimentConfig:
             raise ConfigError("transfer_alpha must lie in [0, 1]")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         try:
             kd = self.kd_config()
         except (TypeError, ValueError) as e:
@@ -318,31 +306,22 @@ def _drop_fixed_keys(blob: dict) -> dict:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    def plain(obj):
-        if isinstance(obj, (SynthTaskSpec,)):
-            return {"kind": "synthetic", **obj.to_dict()}
-        if isinstance(obj, CsvTask):
-            return {
-                "kind": "csv",
-                "train": obj.train,
-                "test": obj.test,
-                "public": obj.public,
-                "corpus": obj.corpus,
-                "template_suffix": obj.template_suffix,
-                "verbalizer_words": [list(v) for v in obj.verbalizer_words],
-            }
-        if hasattr(obj, "__dataclass_fields__"):
-            return {k: plain(getattr(obj, k)) for k in obj.__dataclass_fields__}
-        if isinstance(obj, (list, tuple)):
-            return [plain(v) for v in obj]
-        if isinstance(obj, dict):
-            return {k: plain(v) for k, v in obj.items()}
-        return obj
-
-    out = plain(cfg)
+    out = asdict(cfg)
+    out["task"]["kind"] = "synthetic" if isinstance(cfg.task, SynthTaskSpec) else "csv"
     for section, key in FIXED_KEYS:
         (out if section is None else out.get(section, {})).pop(key, None)
     return out
+
+
+def _task_from_dict(task: dict) -> SynthTaskSpec | CsvTask:
+    task = dict(task)
+    kind = task.pop("kind", "synthetic")
+    if kind == "synthetic":
+        return SynthTaskSpec.from_dict({**task, "seed": 0})
+    if kind == "csv":
+        task["verbalizer_words"] = tuple(tuple(v) for v in task.get("verbalizer_words", ()))
+        return CsvTask(**task)
+    raise ConfigError(f"unknown task kind {kind!r}")
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
@@ -350,32 +329,25 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
     gives sets only the keys it names; the rest keep the default
     experiment's values (`ExperimentConfig()`), not their class defaults."""
     blob = _drop_fixed_keys(blob)
-    kwargs: dict = {}
-    defaults = ExperimentConfig()
-    for key in ("teacher", "pretrain", "prompt", "tune", "dp", "transfer", "attack"):
-        if key in blob:
-            kwargs[key] = replace(getattr(defaults, key), **blob.pop(key))
-    if "task" in blob:
-        task = dict(blob.pop("task"))
-        kind = task.pop("kind", "synthetic")
-        if kind == "synthetic":
-            kwargs["task"] = SynthTaskSpec.from_dict({**task, "seed": 0})
-        elif kind == "csv":
-            task["verbalizer_words"] = tuple(tuple(v) for v in task.get("verbalizer_words", ()))
-            kwargs["task"] = CsvTask(**task)
-        else:
-            raise ConfigError(f"unknown task kind {kind!r}")
-    for key in ("student_layers", "kd", "transfer_alpha", "baselines", "public_subset",
-                "seeds", "output_dir"):
-        if key in blob:
-            kwargs[key] = blob.pop(key)
     blob.pop("kind", None)
+    defaults = ExperimentConfig()
+    kwargs: dict = {}
+    for f in fields(ExperimentConfig):
+        if f.name not in blob:
+            continue
+        value = blob.pop(f.name)
+        default = getattr(defaults, f.name)
+        if f.name == "task":
+            value = _task_from_dict(value)
+        elif is_dataclass(default):
+            value = replace(default, **value)
+        elif f.name == "baselines":
+            value = tuple(value)
+        elif f.name == "seeds":
+            value = tuple(int(s) for s in value)
+        kwargs[f.name] = value
     if blob:
         raise ConfigError(f"unknown config keys: {sorted(blob)}")
-    if "baselines" in kwargs:
-        kwargs["baselines"] = tuple(kwargs["baselines"])
-    if "seeds" in kwargs:
-        kwargs["seeds"] = tuple(int(s) for s in kwargs["seeds"])
     return ExperimentConfig(**kwargs)
 
 
@@ -466,8 +438,10 @@ def write_loss_history(path: str, history: list[dict]) -> None:
         writer.writerows(history)
 
 
-def stage_data(run: SeedRun) -> None:
-    """Load the task and put each of `DATA_ROLES` among `run.outputs`."""
+def stage_data(run: SeedRun, with_attack: bool = False) -> None:
+    """Load the task and put each of `DATA_ROLES` among `run.outputs`;
+    ConfigError if the teacher cannot read the longest input behind the
+    prompt, or behind the attack's prompt when `with_attack`."""
     cfg = run.config
 
     def build() -> tuple:
@@ -505,11 +479,15 @@ def stage_data(run: SeedRun) -> None:
     max_len = max(len(s) for s in corpus_ids)
     for ds in (private_train, private_test, public):
         max_len = max(max_len, max(len(s) for s in ds.sequences))
-    if cfg.prompt.length + max_len > cfg.teacher.max_seq_len:
-        raise ConfigError(
-            f"max_seq_len {cfg.teacher.max_seq_len} is too small for prompt length "
-            f"{cfg.prompt.length} plus the longest templated input ({max_len})"
-        )
+    prompts = {"prompt.length": cfg.prompt.length}
+    if with_attack:
+        prompts["attack.prompt_length"] = cfg.attack.prompt_length
+    for key, length in prompts.items():
+        if length + max_len > cfg.teacher.max_seq_len:
+            raise ConfigError(
+                f"max_seq_len {cfg.teacher.max_seq_len} is too small for {key} "
+                f"{length} plus the longest templated input ({max_len})"
+            )
     n = cfg.public_subset
     if n is not None and n < len(public):
         public = public.subset(range(n), name=f"{public.name}[:{n}]")
@@ -675,6 +653,7 @@ BASELINE_INPUTS: dict[str, tuple[str, ...]] = {
     "post_dp": ("teacher", "p_t_dp"),
     "finetuned_control": ("teacher", "p_control_t"),
 }
+ALL_BASELINES = tuple(BASELINE_INPUTS)
 
 STAGE_PLAN: tuple[Row, ...] = (
     Row("pretrain", stage_pretrain, ("kd_corpus",), "teacher", amortizable=True),
@@ -708,15 +687,14 @@ def _outputs_needed(wanted) -> set[str]:
     return needed
 
 
-def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str, plan: tuple) -> SeedRun:
-    """Run the rows of `plan` (a prefix of STAGE_PLAN) that build what the
-    config asks for: its baselines, and the attack when it is enabled.
-    Each row's data-role inputs go to `ledger` before the row runs."""
+def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str, wanted: set[str]) -> SeedRun:
+    """Run, in plan order, the rows of STAGE_PLAN that build the outputs
+    named in `wanted`, and those their inputs reach.  Each row's data-role
+    inputs go to `ledger` before the row runs."""
     run = SeedRun(config=config, seed=seed, out_dir=out_dir)
-    wanted = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
     needed = _outputs_needed(wanted)
-    stage_data(run)
-    for row in plan:
+    stage_data(run, with_attack="attacks" in needed)
+    for row in STAGE_PLAN:
         if row.output in needed:
             for name in row.inputs:
                 if name in DATA_ROLES:  # a dataset by its name; the LM corpus (token-id arrays) as "corpus"
@@ -745,14 +723,18 @@ class RunReport:
 
 
 def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunReport:
-    """Run STAGE_PLAN, up to and including its last row named `through`
-    (the whole plan for None), over all seeds and aggregate what was
-    evaluated."""
+    """Build, over all seeds, what the config asks for (its baselines, and
+    the attack when it is enabled) or, for `through` a row name, every
+    output of STAGE_PLAN up to and including its last row of that name,
+    whatever the config asks for; then aggregate what was evaluated."""
     names = [row.name for row in STAGE_PLAN]
-    if through is not None and through not in names:
+    if through is None:
+        wanted = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
+    elif through in names:
+        end = max(i for i, name in enumerate(names) if name == through) + 1
+        wanted = {row.output for row in STAGE_PLAN[:end]}
+    else:
         raise ConfigError(f"unknown stage {through!r}; the plan is {list(dict.fromkeys(names))}")
-    end = len(names) if through is None else max(i for i, name in enumerate(names) if name == through) + 1
-    plan = STAGE_PLAN[:end]
     ledger = DataAccessLedger()
     out_root = config.output_dir
     os.makedirs(out_root, exist_ok=True)
@@ -763,7 +745,7 @@ def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunRep
     errors: dict[int, str] = {}
     for seed in config.seeds:
         try:
-            runs[seed] = run_seed(config, seed, ledger, os.path.join(out_root, f"seed{seed}"), plan)
+            runs[seed] = run_seed(config, seed, ledger, os.path.join(out_root, f"seed{seed}"), wanted)
         except StageError as e:
             errors[seed] = str(e)
             log.error("seed %d failed: %s", seed, e)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,16 +79,6 @@ class DpParams:
     def spent_epsilon(self) -> float:
         return rdp_epsilon(self.noise_multiplier, self.sample_rate, self.steps, self.delta)
 
-    def to_dict(self) -> dict:
-        return {
-            "clip_norm": self.clip_norm,
-            "noise_multiplier": self.noise_multiplier,
-            "sample_rate": self.sample_rate,
-            "steps": self.steps,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-        }
-
 
 @dataclass
 class TuneConfig:
@@ -110,7 +100,7 @@ class TuneConfig:
             "epochs": self.epochs,
             "learning_rate": self.learning_rate,
             "batch_size": self.batch_size,
-            "dp": self.dp.to_dict() if self.dp else None,
+            "dp": asdict(self.dp) if self.dp else None,
             "seed": seed,
         }
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]

@@ -140,3 +140,44 @@ def test_a_comparison_records_its_summary_in_the_change_checkout(tmp_path, monke
     # lie further apart than 25% of 3.0, and change run 4 loses to parent run 1
     assert (setup["bound"], setup["verdict"]) == (0.25, "unresolved")
     assert written["metrics"]["peak_rss_mb"]["verdict"] == "ok"
+
+
+def test_differing_outputs_names_files_missing_on_one_side_or_with_other_bytes(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, files in (
+        (parent, {"same.pspa": b"a", "bytes.csv": b"1", "only_parent.json": b"x", "sub/deep.pstl": b"d"}),
+        (change, {"same.pspa": b"a", "bytes.csv": b"2", "only_change.json": b"x", "sub/deep.pstl": b"d"}),
+    ):
+        for name, data in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+    assert ab_pairs.differing_outputs(parent, change) == ["bytes.csv", "only_change.json", "only_parent.json"]
+    assert ab_pairs.differing_outputs(parent, parent) == []
+    # a side that wrote nothing differs in every file the other wrote
+    assert ab_pairs.differing_outputs(tmp_path / "none", parent) == [
+        "bytes.csv", "only_parent.json", "same.pspa", "sub/deep.pstl"
+    ]
+
+
+def test_a_comparison_records_the_outputs_that_differ_per_seed(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir(parents=True)
+    end_to_end = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 35, "end_to_end": end_to_end}))
+
+    def run_once(checkout, workload, seed, seconds):
+        out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}" / "run" / f"seed{seed}"
+        out.mkdir(parents=True)
+        (out / "teacher.pstl").write_bytes(b"same")
+        # seed 2's change writes its prompt with other bytes
+        (out / "prompt_student.pspa").write_bytes(b"changed" if (checkout, seed) == (change, 2) else b"p")
+        return {"correct": True, "attempted": 9, "failed": 0, "metrics": {"setup_s": {"value": 1.0 + seed}}}
+
+    monkeypatch.setattr(ab_pairs, "environment", lambda checkout: {"git_sha": "", "source_sha256": ""})
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "post", "--seeds", "1-3"]) == 0
+    written = json.loads((change / "BENCH_post.json").read_text())
+    assert written["differing_outputs"] == {"1": [], "2": ["prompt_student.pspa"], "3": []}
+    out = capsys.readouterr().out
+    assert "seed 1: outputs that differ: none" in out
+    assert "seed 2: outputs that differ: ['prompt_student.pspa']" in out

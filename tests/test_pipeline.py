@@ -9,7 +9,7 @@ run writes from those same declarations."""
 
 import json
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -34,7 +34,7 @@ def tiny_config(out_dir, **overrides) -> dict:
         "prompt": {"length": 2},
         "tune": {"epochs": 2, "learning_rate": 1e-2, "batch_size": 8},
         "transfer": {"steps": 3, "batch_size": 8},
-        "task": {"kind": "synthetic", **TASK.to_dict()},
+        "task": {"kind": "synthetic", **asdict(TASK)},
         "baselines": BASELINES,
         "attack": {"enabled": True, "n_shadows": 2, "pool_size": 16, "epochs": 1, "batch_size": 8, "prompt_length": 2},
         "seeds": [0],
@@ -81,25 +81,46 @@ def test_lm_training_runs_every_configured_step(full_run, name, rows):
     assert len(lines) == 1 + rows  # header + one row per step
 
 
-@pytest.mark.parametrize(
-    "command, files, stages",
-    [
-        ("distill", {"task_manifest.json", "pretrain_loss.csv", "teacher.pstl", "kd_loss.csv", "student.pstl"},
-         ["data", "pretrain", "kd"]),
-        ("tune", {"prompt_student.pspa", "prompt_student_history.csv",
-                  "prompt_student_dp.pspa", "prompt_student_dp_history.csv"},
-         ["data", "pretrain", "kd", "tune_student", "tune_student_dp"]),
-        ("transfer", {"prompt_transferred.pspa", "prompt_transferred_loss.csv",
-                      "prompt_transferred_dp.pspa", "prompt_transferred_dp_loss.csv"},
-         ["data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp"]),
-        ("attack", {"attack_nondp.csv", "attack_nondp.json", "attack_dp.csv", "attack_dp.json"},
-         ["data", "pretrain", "kd", "attacks"]),
-    ],
-)
+# subcommand -> files it writes among others, and the stages it runs
+SUBCOMMAND_RUNS = [
+    ("distill", {"task_manifest.json", "pretrain_loss.csv", "teacher.pstl", "kd_loss.csv", "student.pstl"},
+     ["data", "pretrain", "kd"]),
+    ("tune", {"prompt_student.pspa", "prompt_student_history.csv",
+              "prompt_student_dp.pspa", "prompt_student_dp_history.csv"},
+     ["data", "pretrain", "kd", "tune_student", "tune_student_dp"]),
+    ("transfer", {"prompt_transferred.pspa", "prompt_transferred_loss.csv",
+                  "prompt_transferred_dp.pspa", "prompt_transferred_dp_loss.csv"},
+     ["data", "pretrain", "kd", "tune_student", "tune_student_dp", "transfer", "transfer_dp"]),
+    ("attack", {"attack_nondp.csv", "attack_nondp.json", "attack_dp.csv", "attack_dp.json"},
+     ["data", "pretrain", "kd", "attacks"]),
+]
+
+
+@pytest.mark.parametrize("command, files, stages", SUBCOMMAND_RUNS)
 def test_subcommand_runs_a_prefix_of_the_plan_and_writes_what_the_pipeline_writes(
     full_run, tmp_path, command, files, stages
 ):
-    config = write_config(tmp_path / "config_in.json", tiny_config(tmp_path / "run"))
+    check_subcommand(full_run, tmp_path, tiny_config(tmp_path / "run"), command, files, stages)
+
+
+# baselines that, with the attack off, reach only some of a prefix
+# subcommand's rows
+NARROW_BASELINES = {"distill": ["full_zs"], "tune": list(pl.ExperimentConfig().baselines), "transfer": ["post"]}
+
+
+@pytest.mark.parametrize("command, files, stages", [run for run in SUBCOMMAND_RUNS if run[0] in NARROW_BASELINES])
+def test_a_prefix_subcommand_builds_its_whole_prefix_whatever_the_baselines(
+    full_run, tmp_path, command, files, stages
+):
+    blob = tiny_config(tmp_path / "run", baselines=NARROW_BASELINES[command])
+    blob["attack"]["enabled"] = False
+    check_subcommand(full_run, tmp_path, blob, command, files, stages)
+
+
+def check_subcommand(full_run, tmp_path, blob, command, files, stages):
+    """`command` on `blob` runs `stages`, writes `files` among others, and
+    writes each file as the whole plan does."""
+    config = write_config(tmp_path / "config_in.json", blob)
     assert main([command, "--config", config]) == EXIT_OK
     written = seed_files(tmp_path / "run")
     expected = seed_files(full_run)
@@ -339,15 +360,26 @@ def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixe
         {"attack": {"enabled": True, "batch_size": 0}},
         {"student_layers": 1, "kd": {"student_layer_indices": [0, 1]}},
         # an empty synthetic set, which no stage could load
-        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_private_train": 0}},
-        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_private_test": 0}},
-        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_public": 0}},
-        {"task": {"kind": "synthetic", **TASK.to_dict(), "n_corpus_sentences": 0}},
+        {"task": {"kind": "synthetic", **asdict(TASK), "n_private_train": 0}},
+        {"task": {"kind": "synthetic", **asdict(TASK), "n_private_test": 0}},
+        {"task": {"kind": "synthetic", **asdict(TASK), "n_public": 0}},
+        {"task": {"kind": "synthetic", **asdict(TASK), "n_corpus_sentences": 0}},
+        # an attack prompt the teacher's max_seq_len (32) cannot hold beside
+        # the longest templated input (12 tokens)
+        {"attack": {"enabled": True, "n_shadows": 2, "pool_size": 16, "epochs": 1, "batch_size": 8,
+                    "prompt_length": 31}},
+        {"seeds": [0, 0]},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
     config = write_config(tmp_path / "c.json", tiny_config(tmp_path / "run", **change))
     assert main(["pipeline", "--config", config]) == EXIT_CONFIG
+
+
+def test_an_attack_prompt_length_binds_only_when_the_attack_runs(tmp_path):
+    blob = tiny_config(tmp_path / "run", baselines=["full_zs"])
+    blob["attack"].update(enabled=False, prompt_length=31)
+    assert main(["pipeline", "--config", write_config(tmp_path / "c.json", blob)]) == EXIT_OK
 
 
 def test_unreadable_config_exits_2(tmp_path):

@@ -18,11 +18,17 @@ differ by more than the parent's interquartile range.  Beside it goes the
 no-regression verdict against the metric's `bound` (`verdict`): worse,
 unresolved or ok.
 
+After each pair it compares what the two runs wrote under
+`perfbench/out/<workload>-seed<S>/run/seed<S>/` in their checkouts
+(`differing_outputs`) and prints the files whose names or bytes differ; a
+checkout that wrote no such directory counts as one that wrote no files.
+
 It records the same in `BENCH_<workload>.json` in the change checkout
 (`record`): the seeds, each side's operation counts, git SHA and source
 digest, the host (cores, Python, numpy, scipy and BLAS, as
 `perfbench/run.py` reports them on its `environment` line) and, per
-end-to-end metric, the summary above.  Each benchmark run writes its own
+end-to-end metric, the summary above, and per seed the differing files, an
+empty list where both sides wrote the same bytes.  Each benchmark run writes its own
 git-ignored `perfbench/out/` in its checkout.
 """
 
@@ -109,6 +115,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return result
 
 
+def seed_outputs(checkout: Path, workload: str, seed: int) -> Path:
+    """Where `checkout`'s benchmark run of `workload` at `seed` writes the
+    seed's artifacts."""
+    return checkout / "perfbench" / "out" / f"{workload}-seed{seed}" / "run" / f"seed{seed}"
+
+
+def differing_outputs(parent: Path, change: Path) -> list[str]:
+    """The sorted paths, relative to their directory, of the files under
+    `parent` or `change` that the other lacks or holds with other bytes; a
+    missing directory holds no files."""
+    files = [{p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()} for root in (parent, change)]
+    return sorted(
+        name for name in files[0].keys() | files[1].keys()
+        if name not in files[0] or name not in files[1] or files[0][name].read_bytes() != files[1][name].read_bytes()
+    )
+
+
 def environment(checkout: Path) -> dict:
     """The `environment()` of `checkout`'s `perfbench/run.py`, the fields
     a traced run prints on its `environment` line."""
@@ -121,10 +144,13 @@ def environment(checkout: Path) -> dict:
     return json.loads(proc.stdout)
 
 
-def record(workload: str, seeds: list[int], runs: dict, envs: dict, end_to_end: list[dict]) -> dict:
+def record(
+    workload: str, seeds: list[int], runs: dict, envs: dict, end_to_end: list[dict], differing: dict
+) -> dict:
     """The `BENCH_<workload>.json` of a finished comparison: `runs` and
     `envs` map each side to its result lines and its `environment`,
-    `end_to_end` is the change's `BENCHMARK.json` list of metrics."""
+    `end_to_end` is the change's `BENCHMARK.json` list of metrics and
+    `differing` maps each seed to its `differing_outputs`."""
     metrics = {}
     for metric in end_to_end:
         parent, change = ([r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in SIDES)
@@ -145,6 +171,7 @@ def record(workload: str, seeds: list[int], runs: dict, envs: dict, end_to_end: 
         "source_sha256": {side: envs[side]["source_sha256"] for side in SIDES},
         "host": {k: v for k, v in envs["change"].items() if k not in ("git_sha", "source_sha256")},
         "metrics": metrics,
+        "differing_outputs": {str(seed): differing[seed] for seed in seeds},
     }
 
 
@@ -159,6 +186,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     envs = {side: environment(getattr(args, side)) for side in SIDES}
     runs = {side: [] for side in SIDES}
+    differing = {}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {side: run_once(getattr(args, side), args.workload, seed, benchmark["run_seconds"]) for side in order}
@@ -167,10 +195,14 @@ def main(argv=None) -> int:
             raise SystemExit(f"seed {seed}: the change fails a larger share of operations ({counts} failed)")
         values = {side: {m: v["value"] for m, v in pair[side]["metrics"].items()} for side in SIDES}
         print(f"seed {seed} ({order[0]} first, {counts} failed): " + json.dumps(values, sort_keys=True), flush=True)
+        differing[seed] = differing_outputs(
+            *(seed_outputs(getattr(args, side), args.workload, seed) for side in SIDES)
+        )
+        print(f"seed {seed}: outputs that differ: {differing[seed] or 'none'}", flush=True)
         for side in SIDES:
             runs[side].append(pair[side])
 
-    result = record(args.workload, args.seeds, runs, envs, benchmark["end_to_end"])
+    result = record(args.workload, args.seeds, runs, envs, benchmark["end_to_end"], differing)
     ops = result["operations"]
     totals = "; ".join(f"{side} attempted {ops[side]['attempted']}, failed {ops[side]['failed']}" for side in SIDES)
     print(f"{args.workload}: {len(args.seeds)} pairs; over all runs, {totals}")
