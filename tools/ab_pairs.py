@@ -26,10 +26,10 @@ checkout that wrote no such directory counts as one that wrote no files.
 It records the same in `BENCH_<workload>.json` in the change checkout
 (`record`): the seeds, each side's operation counts, git SHA and source
 digest, the host (cores, Python, numpy, scipy and BLAS, as
-`perfbench/run.py` reports them on its `environment` line) and, per
-end-to-end metric, the summary above, and per seed the differing files, an
-empty list where both sides wrote the same bytes.  Each benchmark run writes its own
-git-ignored `perfbench/out/` in its checkout.
+`perfbench/run.py` reports them on its `environment` line), per
+end-to-end metric the summary above, and per seed the differing files (an
+empty list where both sides wrote the same bytes).  Each benchmark run
+writes its own git-ignored `perfbench/out/` in its checkout.
 """
 
 from __future__ import annotations
