@@ -60,9 +60,10 @@ alive until it runs:
   prefix the keys and values are new arrays, and the queries and the
   copies' own q/k/v are kept as compact copies, so nothing pins that
   projection; without one, the queries, keys and values kept are views that
-  fill it.  With ``query_at`` (one query per row) it keeps the same keys and
-  values (views of a ``[positions x 2d]`` K/V projection without a prefix),
-  the queries (``[b x heads x 1 x dh]``) and ``[b x heads x 1 x (l + T)]``
+  fill it.  With ``query_at`` (one query per row) each row's query is taken
+  from the Q columns of that same projection, and it keeps the same keys
+  and values (without a prefix, views that pin the projection), a copy of
+  the queries (``[b x heads x 1 x dh]``), ``[b x heads x 1 x (l + T)]``
   probabilities, and no prefix attention of its own.  The softmax gradient
   is formed from the saved probabilities P as P * (dP - rowsum(dP * P)),
   the form the FlashAttention backward uses (Dao et al. 2022).
@@ -697,9 +698,9 @@ def causal_attention(
     prepended.  Q, K and V come from one GEMM over all positions.
 
     With `query_at` (one token index per row) only the query at token
-    query_at[r] of each row r runs, and the result is [rows x d]: K and V
-    come from every position, Q from those positions alone, and the
-    prefix's own queries do not run."""
+    query_at[r] of each row r runs, and the result is [rows x d]: each row
+    takes that query from the same projection, K and V come from every
+    position, and the prefix's own queries do not run."""
     x = _lift(x)
     weights = tuple(_lift(t) for t in (wq, wk, wv))
     biases = tuple(_lift(t) for t in (bq, bk, bv))
@@ -712,39 +713,31 @@ def causal_attention(
     h, dh = n_heads, d // n_heads
     scale = dh**-0.5
     x2 = x.data
-    if query_at is None:
-        at, first = None, 0
-    else:
-        # flat positions of the queries; Q runs apart, at those rows only
+    w = np.concatenate([t.data for t in weights], axis=1)
+    proj = x2 @ w + np.concatenate([t.data for t in biases])  # [positions x 3d]
+    q, k, v = proj[n_pre:].reshape(rows, n, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [rows x h x T x dh]
+    mask = _causal_mask(l + n, proj.dtype)[l:]
+    if query_at is not None:
+        # each row's one query, and its row of the mask
         query_at = np.asarray(query_at, dtype=np.int64)
-        at, first = n_pre + np.arange(rows) * n + query_at, 1
-    w = np.concatenate([t.data for t in weights[first:]], axis=1)
-    proj = x2 @ w + np.concatenate([t.data for t in biases[first:]])  # [positions x 3d], or 2d without Q
-    c = proj.shape[1] // d
-    *q, k, v = proj[n_pre:].reshape(rows, n, c, h, dh).transpose(2, 0, 3, 1, 4)  # each [rows x h x T x dh]
-    if at is None:
-        q = q[0]
-        mask = _causal_mask(l + n, proj.dtype)[l:]
-    else:
-        q = (x2[at] @ weights[0].data + biases[0].data).reshape(rows, h, 1, dh)
-        future = np.arange(l + n) > l + query_at[:, None]
-        mask = np.where(future, MASK_FILL, 0.0).astype(proj.dtype)[:, None, None, :]
+        q = q[np.arange(rows), :, query_at][:, :, None]  # [rows x h x 1 x dh]
+        mask = mask[query_at][:, None, None, :]
     own = None  # q, k, v and probabilities of the prefix copies' own attention
     if n_pre:
-        *qp, kp, vp = proj[:n_pre].reshape(m, l, c, h, dh).transpose(2, 0, 3, 1, 4)  # each [m x h x l x dh]
+        qp, kp, vp = proj[:n_pre].reshape(m, l, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [m x h x l x dh]
         k = np.concatenate([np.broadcast_to(kp, (rows, h, l, dh)), k], axis=2)
         v = np.concatenate([np.broadcast_to(vp, (rows, h, l, dh)), v], axis=2)
-        if at is None:
-            ctx_pre, pp = _attend(qp[0], kp, vp, _causal_mask(l, proj.dtype), scale)
-            own = (qp[0].copy(), kp.copy(), vp.copy(), pp)
+        if query_at is None:
+            ctx_pre, pp = _attend(qp, kp, vp, _causal_mask(l, proj.dtype), scale)
+            own = (qp.copy(), kp.copy(), vp.copy(), pp)
     ctx, p = _attend(q, k, v, mask, scale)
-    if n_pre and at is None:
-        # k and v are new arrays here; with compact copies of the views,
-        # nothing the backward keeps pins the [positions x 3d] projection
-        q = q.copy()
-    if at is not None:
+    if query_at is not None:
         out = ctx.reshape(rows, d)
     else:
+        if n_pre:
+            # k and v are new arrays here; with compact copies of the views,
+            # nothing the backward keeps pins the [positions x 3d] projection
+            q = q.copy()
         out = np.empty((n_pos, d), dtype=ctx.dtype)
         out[n_pre:].reshape(rows, n, h, dh)[...] = ctx.transpose(0, 2, 1, 3)
         if n_pre:
@@ -756,52 +749,49 @@ def causal_attention(
     # weights for x's gradient only
     x2 = x2 if any(t is not None for t in nw) else None
     w = w if nx is not None else None
-    wq = weights[0].data if nx is not None and at is not None else None
 
     def bw(g):
-        dproj = np.empty((n_pos, c * d), dtype=np.result_type(g, dtype))
-        if at is not None:
+        dproj = np.empty((n_pos, 3 * d), dtype=np.result_type(g, dtype))
+        if query_at is not None:
             gh = g.reshape(rows, h, 1, dh)
         else:
             gh = g[n_pre:].reshape(rows, n, h, dh).transpose(0, 2, 1, 3)
         dq, dk, dv = _attend_backward(gh, q, k, v, p, scale)
-        tok = dproj[n_pre:].reshape(rows, n, c, h, dh)
-        for i, grad in enumerate((dq, dk[:, :, l:], dv[:, :, l:])[first:]):
-            tok[:, :, i] = grad.transpose(0, 2, 1, 3)
+        tok = dproj[n_pre:].reshape(rows, n, 3, h, dh)
+        if query_at is not None:
+            # only the queried positions' Q columns get a gradient
+            dproj[:, :d] = 0.0
+            tok[np.arange(rows), query_at, 0] = dq[:, :, 0]
+        else:
+            tok[:, :, 0] = dq.transpose(0, 2, 1, 3)
+        tok[:, :, 1] = dk[:, :, l:].transpose(0, 2, 1, 3)
+        tok[:, :, 2] = dv[:, :, l:].transpose(0, 2, 1, 3)
         if n_pre:
-            dqp, dkp, dvp = None, dk[:, :, :l], dv[:, :, :l]
+            dkp, dvp = dk[:, :, :l], dv[:, :, :l]
             if m != rows:
                 # every row's reads of the shared keys and values add up
                 dkp, dvp = dkp.sum(axis=0, keepdims=True), dvp.sum(axis=0, keepdims=True)
+            pre = dproj[:n_pre].reshape(m, l, 3, h, dh)
             if own is not None:
                 gh_pre = g[:n_pre].reshape(m, l, h, dh).transpose(0, 2, 1, 3)
                 dqp, dk_own, dv_own = _attend_backward(gh_pre, *own, scale)
                 dkp += dk_own
                 dvp += dv_own
-            pre = dproj[:n_pre].reshape(m, l, c, h, dh)
-            for i, grad in enumerate((dqp, dkp, dvp)[first:]):
-                pre[:, :, i] = grad.transpose(0, 2, 1, 3)
-        # (input rows, gradient of their projection, its weight and bias sinks)
-        groups = [(slice(None), dproj, nw[first:], nb[first:])]
-        if at is not None:
-            dq = dq.reshape(rows, d)
-            groups.append((at, dq, nw[:1], nb[:1]))
+                pre[:, :, 0] = dqp.transpose(0, 2, 1, 3)
+            pre[:, :, 1] = dkp.transpose(0, 2, 1, 3)
+            pre[:, :, 2] = dvp.transpose(0, 2, 1, 3)
         if nx is not None:
-            dx = dproj @ w.T
-            if at is not None:
-                dx[at] += dq @ wq.T
-            nx._acc(dx)
-        for sel, grad, ws, bs in groups:
-            if any(t is not None for t in ws):
-                dw = x2[sel].T @ grad
-                for i, t in enumerate(ws):
-                    if t is not None:
-                        t._acc(dw[:, i * d : (i + 1) * d])
-            if any(t is not None for t in bs):
-                db = grad.sum(axis=0)
-                for i, t in enumerate(bs):
-                    if t is not None:
-                        t._acc(db[i * d : (i + 1) * d])
+            nx._acc(dproj @ w.T)
+        if any(t is not None for t in nw):
+            dw = x2.T @ dproj
+            for i, t in enumerate(nw):
+                if t is not None:
+                    t._acc(dw[:, i * d : (i + 1) * d])
+        if any(t is not None for t in nb):
+            db = dproj.sum(axis=0)
+            for i, t in enumerate(nb):
+                if t is not None:
+                    t._acc(db[i * d : (i + 1) * d])
 
     _graph(out, (nx, *nw, *nb), bw)
     return out

@@ -27,9 +27,10 @@ sees only itself and earlier positions, and every pad token comes after the
 answer position of its row, so the answer position's value is the one the
 row would get alone.  Nothing after the last block's attention reads a
 position other than the answer, so that attention runs one query per row,
-at its answer position (`causal_attention`'s `query_at`); its keys and
-values still come from every position of the row and its prefix copy, and
-the prefix's own queries do not run there.  The residual stream is
+at its answer position (`causal_attention`'s `query_at`).  Q, K and V come
+from the one projection of every position of the row and its prefix copy,
+as in the other blocks; only the answer position's query attends, and the
+prefix's own queries do not run there.  The residual stream is
 gathered at the answer positions beside it, so the rest of that block, the
 final layer norm and the LM head run on one row per sequence.  Full-logit
 forwards (`lm_loss`, distillation) run every query in every block.

@@ -251,9 +251,11 @@ class ExperimentConfig:
         return cfg
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(config_to_dict(self), sort_keys=True).encode()
-        ).hexdigest()[:16]
+        """A hash of the experiment: the config without `output_dir`, which
+        says where a run goes, not what it computes."""
+        blob = config_to_dict(self)
+        del blob["output_dir"]
+        return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # Keys a config may carry that set nothing: retired options, and fields the
@@ -344,7 +346,9 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
         elif f.name == "baselines":
             value = tuple(value)
         elif f.name == "seeds":
-            value = tuple(int(s) for s in value)
+            if not isinstance(value, (list, tuple)) or not all(type(s) is int for s in value):
+                raise ConfigError(f"seeds must be a list of integers, got {json.dumps(value)}")
+            value = tuple(value)
         kwargs[f.name] = value
     if blob:
         raise ConfigError(f"unknown config keys: {sorted(blob)}")

@@ -140,6 +140,15 @@ def test_a_comparison_records_its_summary_in_the_change_checkout(tmp_path, monke
     # lie further apart than 25% of 3.0, and change run 4 loses to parent run 1
     assert (setup["bound"], setup["verdict"]) == (0.25, "unresolved")
     assert written["metrics"]["peak_rss_mb"]["verdict"] == "ok"
+    # each pair's end-to-end values per side, and the side that ran first
+    assert written["runs"] == {
+        str(seed): {
+            "first": "parent" if seed % 2 else "change",
+            "parent": {"setup_s": seed + 0.5, "peak_rss_mb": 70.0},
+            "change": {"setup_s": float(seed), "peak_rss_mb": 70.0},
+        }
+        for seed in (1, 2, 3, 4)
+    }
 
 
 def test_differing_outputs_names_files_missing_on_one_side_or_with_other_bytes(tmp_path):

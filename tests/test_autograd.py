@@ -204,12 +204,13 @@ def test_per_row_prefix_attends_apart_like_a_shared_one():
 def test_prefixed_attention_keeps_no_view_of_the_projection(node):
     """With a prefix, the keys and values are new arrays, so the backward
     keeps compact copies of the queries and of the prefix's own q, k and v
-    rather than views that pin the whole [positions x 3d] projection (2d
-    with one query per row).  Frozen weights keep no input rows either."""
+    rather than views that pin the whole [positions x 3d] projection, which
+    one query per row takes its query from too.  Frozen weights keep no
+    input rows either."""
     rng = np.random.default_rng(26)
     args = {k: Tensor(v, requires_grad=k == "prefix") for k, v in _fused_args(node, rng).items()}
     n_pos = args["prefix"].shape[0] + args["tokens"].shape[0]
-    proj_shape = (n_pos, (2 if node.endswith("_query") else 3) * D)
+    proj_shape = (n_pos, 3 * D)
     for a in _closure_arrays(_call_fused(node, args)._node._backward):
         while a.base is not None:
             a = a.base
@@ -230,6 +231,9 @@ def test_fused_nodes_skip_frozen_and_keep_inputs_only():
         items = _closure_items(out._node._backward)
         assert not any(c is out or c is out._node for c in items)
         assert [c for c in items if isinstance(c, Tensor)] == [args["x"]]
+        if node.startswith("causal_attention"):
+            # x's gradient multiplies by the one concatenated Q/K/V weight
+            assert [a.shape for a in _closure_arrays(out._node._backward) if a.ndim == 2] == [(D, 3 * D)]
         out.sum().backward()
         assert args["x"].grad is not None and args["x"].grad.shape == args["x"].shape
         assert all(t.grad is None for k, t in args.items() if k != "x")

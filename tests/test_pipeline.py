@@ -369,6 +369,10 @@ def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixe
         {"attack": {"enabled": True, "n_shadows": 2, "pool_size": 16, "epochs": 1, "batch_size": 8,
                     "prompt_length": 31}},
         {"seeds": [0, 0]},
+        # seeds that are not a list of integers
+        {"seeds": "12"},
+        {"seeds": [1.9]},
+        {"seeds": [True]},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
@@ -487,6 +491,13 @@ def test_config_json_round_trip(full_run, tmp_path):
     }
     assert pl.config_from_dict(retired) == config
     assert pl.config_to_dict(pl.config_from_dict(retired)) == pl.config_to_dict(config)
+
+
+def test_config_digest_names_the_experiment_not_its_directory(tmp_path):
+    config = pl.config_from_dict(tiny_config(tmp_path / "a"))
+    assert replace(config, output_dir=str(tmp_path / "b")).digest() == config.digest()
+    assert replace(config, seeds=(7,)).digest() != config.digest()
+    assert replace(config, tune=replace(config.tune, epochs=config.tune.epochs + 1)).digest() != config.digest()
 
 
 def test_partial_section_keeps_the_default_experiments_values(tmp_path):

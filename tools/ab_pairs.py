@@ -27,8 +27,9 @@ It records the same in `BENCH_<workload>.json` in the change checkout
 (`record`): the seeds, each side's operation counts, git SHA and source
 digest, the host (cores, Python, numpy, scipy and BLAS, as
 `perfbench/run.py` reports them on its `environment` line), per
-end-to-end metric the summary above, and per seed the differing files (an
-empty list where both sides wrote the same bytes).  Each benchmark run
+end-to-end metric the summary above, and per seed the side that ran first,
+each side's end-to-end values (`runs`) and the differing files (an empty
+list where both sides wrote the same bytes).  Each benchmark run
 writes its own git-ignored `perfbench/out/` in its checkout.
 """
 
@@ -145,15 +146,20 @@ def environment(checkout: Path) -> dict:
 
 
 def record(
-    workload: str, seeds: list[int], runs: dict, envs: dict, end_to_end: list[dict], differing: dict
+    workload: str, seeds: list[int], runs: dict, envs: dict, end_to_end: list[dict], differing: dict, first: dict
 ) -> dict:
     """The `BENCH_<workload>.json` of a finished comparison: `runs` and
     `envs` map each side to its result lines and its `environment`,
-    `end_to_end` is the change's `BENCHMARK.json` list of metrics and
-    `differing` maps each seed to its `differing_outputs`."""
+    `end_to_end` is the change's `BENCHMARK.json` list of metrics,
+    `differing` maps each seed to its `differing_outputs` and `first` maps
+    it to the side that ran first."""
+    values = {
+        side: [{m["name"]: r["metrics"][m["name"]]["value"] for m in end_to_end} for r in runs[side]]
+        for side in SIDES
+    }
     metrics = {}
     for metric in end_to_end:
-        parent, change = ([r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in SIDES)
+        parent, change = ([v[metric["name"]] for v in values[side]] for side in SIDES)
         metrics[metric["name"]] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -171,6 +177,10 @@ def record(
         "source_sha256": {side: envs[side]["source_sha256"] for side in SIDES},
         "host": {k: v for k, v in envs["change"].items() if k not in ("git_sha", "source_sha256")},
         "metrics": metrics,
+        "runs": {
+            str(seed): {"first": first[seed], **{side: values[side][i] for side in SIDES}}
+            for i, seed in enumerate(seeds)
+        },
         "differing_outputs": {str(seed): differing[seed] for seed in seeds},
     }
 
@@ -186,9 +196,10 @@ def main(argv=None) -> int:
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     envs = {side: environment(getattr(args, side)) for side in SIDES}
     runs = {side: [] for side in SIDES}
-    differing = {}
+    differing, first = {}, {}
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first[seed] = order[0]
         pair = {side: run_once(getattr(args, side), args.workload, seed, benchmark["run_seconds"]) for side in order}
         counts = ", ".join(f"{side} {pair[side]['failed']}/{pair[side]['attempted']}" for side in SIDES)
         if fails_larger_share(pair["parent"], pair["change"]):
@@ -202,7 +213,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             runs[side].append(pair[side])
 
-    result = record(args.workload, args.seeds, runs, envs, benchmark["end_to_end"], differing)
+    result = record(args.workload, args.seeds, runs, envs, benchmark["end_to_end"], differing, first)
     ops = result["operations"]
     totals = "; ".join(f"{side} attempted {ops[side]['attempted']}, failed {ops[side]['failed']}" for side in SIDES)
     print(f"{args.workload}: {len(args.seeds)} pairs; over all runs, {totals}")
