@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Training, tuning and scoring compute in float32: leaf tensors are created
-at the process-wide default dtype, float32, and every op keeps its inputs'
-dtype (its scalar constants are Python floats, which never widen a float32
-array).  ``precision("float64")`` and float64 arrays are used only for
-gradient checks and for the prompt transfer's objective
+Training, tuning and scoring compute in float32.  Precision belongs to the
+data, not to process state: a ``Tensor`` is float32 unless built with
+``dtype=np.float64``, every op keeps its inputs' dtype, and a non-tensor
+operand of ``add``, ``sub``, ``mul`` or ``div`` takes the dtype of the
+tensor it meets (NumPy's rule for Python scalars, NEP 50).  Float64 data is
+built only for gradient checks and for the prompt transfer's objective
 (``transfer.transfer_prompt``), which compares differences of near-equal
 log-probabilities.
 
@@ -100,7 +101,6 @@ process (``_keep_freed_heap``); the resident high-water mark is unchanged.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -109,9 +109,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import special as _special
-
-_DEFAULT_DTYPE = np.dtype(np.float32)
-_ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # glibc mallopt parameters and the values glibc's own dynamic threshold
 # reaches at most on 64-bit: blocks up to 32 MiB come from the heap, and the
@@ -139,20 +136,6 @@ def _keep_freed_heap() -> bool:
 _keep_freed_heap()
 
 
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype (e.g. ``precision("float64")``)."""
-    global _DEFAULT_DTYPE
-    old, dt = _DEFAULT_DTYPE, np.dtype(dtype)
-    if dt not in _ALLOWED_DTYPES:
-        raise ValueError(f"default dtype must be float32 or float64, got {dt}")
-    _DEFAULT_DTYPE = dt
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = old
-
-
 class Tensor:
     """Dense real tensor with an optional gradient of identical shape.
 
@@ -162,8 +145,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"a tensor is float32 or float64, got {dtype}")
+        self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node: Node | None = None
@@ -313,8 +299,12 @@ def _consumed(g) -> None:
     raise RuntimeError("backward already ran through this graph; build it again")
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _lift(x, like=None) -> Tensor:
+    """x as a tensor; one that is not takes the dtype of the tensor `like`
+    it meets (module docstring), float32 when it meets none."""
+    if isinstance(x, Tensor):
+        return x
+    return _new(np.asarray(x, dtype=like.data.dtype)) if isinstance(like, Tensor) else Tensor(x)
 
 
 def _sink(t: Tensor) -> Node | Tensor | None:
@@ -348,7 +338,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _lift(a, b), _lift(b, a)
     out = _new(a.data + b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
 
@@ -363,7 +353,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _lift(a, b), _lift(b, a)
     out = _new(a.data - b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
 
@@ -378,7 +368,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _lift(a, b), _lift(b, a)
     out = _new(a.data * b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
     ad = a.data if nb is not None else None
@@ -395,7 +385,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = _lift(a, b), _lift(b, a)
     out = _new(a.data / b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
     ad = a.data if nb is not None else None

@@ -181,6 +181,8 @@ class SynthTaskSpec:
             raise ValueError("keyword pools must be disjoint from the noise vocabulary")
         if not 0 < self.keyword_density <= 1:
             raise ValueError("keyword_density must lie in (0, 1]")
+        if not 0 <= self.corpus_verbalizer_rate <= 1:
+            raise ValueError("corpus_verbalizer_rate must lie in [0, 1]")
         lo, hi = self.length_range
         if lo < 1 or hi < lo:
             raise ValueError("invalid sentence length range")

@@ -229,8 +229,8 @@ class ExperimentConfig:
             raise ConfigError("kd.student_layer_indices must lie in [0, teacher.n_layers)")
         if len(kd.student_layer_indices) != self.student_layers:
             raise ConfigError("kd.student_layer_indices must name student_layers teacher layers")
-        if self.public_subset is not None and self.public_subset < 1:
-            raise ConfigError("public_subset must be positive")
+        if self.public_subset is not None and (type(self.public_subset) is not int or self.public_subset < 1):
+            raise ConfigError(f"public_subset must be a positive integer, got {self.public_subset!r}")
         if isinstance(self.task, CsvTask):
             for attr in ("train", "test", "public", "corpus"):
                 path = getattr(self.task, attr)
@@ -327,9 +327,12 @@ def _task_from_dict(task: dict) -> SynthTaskSpec | CsvTask:
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
-    """The ExperimentConfig that `blob` describes.  A section that `blob`
-    gives sets only the keys it names; the rest keep the default
-    experiment's values (`ExperimentConfig()`), not their class defaults."""
+    """The ExperimentConfig that `blob`, a JSON object, describes.  A section
+    that `blob` gives sets only the keys it names; the rest keep the default
+    experiment's values (`ExperimentConfig()`), not their class defaults.
+    The `task` section is the exception: it is taken whole."""
+    if not isinstance(blob, dict):
+        raise ConfigError(f"a config is a JSON object, not {type(blob).__name__}")
     blob = _drop_fixed_keys(blob)
     blob.pop("kind", None)
     defaults = ExperimentConfig()
@@ -343,11 +346,10 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
             value = _task_from_dict(value)
         elif is_dataclass(default):
             value = replace(default, **value)
-        elif f.name == "baselines":
-            value = tuple(value)
-        elif f.name == "seeds":
-            if not isinstance(value, (list, tuple)) or not all(type(s) is int for s in value):
-                raise ConfigError(f"seeds must be a list of integers, got {json.dumps(value)}")
+        elif f.name in ("baselines", "seeds"):
+            kind, what = (str, "names") if f.name == "baselines" else (int, "integers")
+            if not isinstance(value, (list, tuple)) or not all(type(v) is kind for v in value):
+                raise ConfigError(f"{f.name} must be a list of {what}, got {json.dumps(value)}")
             value = tuple(value)
         kwargs[f.name] = value
     if blob:

@@ -18,10 +18,11 @@ the accumulated gradient is that of the batch mean.
 
 The transfer is the one computation that runs in float64.  The models are
 trained in float32; `transfer_prompt` makes float64 copies of the frozen
-teacher and student once per call and computes the three constant sides,
-the prompted-teacher forward, the target prompt and its Adam state on
-them.  The student copy lives only until the constant sides are computed;
-the teacher copy lasts the whole transfer.  The shift term compares
+teacher and student once per call, builds the target prompt as float64
+data beside them, and computes the three constant sides, the
+prompted-teacher forward and the prompt's Adam state on them.  The student
+copy lives only until the constant sides are computed; the teacher copy
+lasts the whole transfer.  The shift term compares
 s_p - s_0 with t_p - t_0, differences of near-equal log-probabilities, and
 float32 forwards lose most of their digits to that cancellation.  On the
 benchmark's plain POST workload (perfbench `post`, seeds 0-5) a float32
@@ -153,46 +154,45 @@ def transfer_prompt(
         raise ValueError("public dataset is empty")
 
     start = initial_prompt_matrix(d, p_s.length, p_s.init_seed)
-    with ag.precision(np.float64):
-        teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
-        # static sides: prompted/plain student and plain teacher, all constants
-        verbalizers = public_data.verbalizers
-        seqs = public_data.sequences
-        sides = (
-            class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix),
-            class_log_probs_batch(student64, seqs, verbalizers),
-            class_log_probs_batch(teacher64, seqs, verbalizers),
+    teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
+    # static sides: prompted/plain student and plain teacher, all constants
+    verbalizers = public_data.verbalizers
+    seqs = public_data.sequences
+    sides = (
+        class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix),
+        class_log_probs_batch(student64, seqs, verbalizers),
+        class_log_probs_batch(teacher64, seqs, verbalizers),
+    )
+    del student64  # read by the constant sides only
+    if alpha is None:  # from the plain teacher's and the prompted student's public accuracy
+        zs, compressed = (float(np.mean(np.argmax(s, axis=1) == public_data.labels)) for s in (sides[2], sides[0]))
+        alpha = heuristic_alpha(zs, compressed, 1.0 / public_data.n_classes)
+    alpha = float(alpha)
+
+    p_t = Tensor(start, requires_grad=True, dtype=np.float64)
+    opt = Optimizer([p_t], learning_rate=config.learning_rate)
+    rng = np.random.default_rng(seed)
+    n = len(public_data)
+    history: list[dict] = []
+
+    order = rng.permutation(n)
+    cursor = 0
+    for step in range(config.steps):
+        if cursor + config.batch_size > n:
+            order = rng.permutation(n)
+            cursor = 0
+        idx = order[cursor : cursor + config.batch_size]
+        cursor += config.batch_size
+
+        opt.zero_grad()
+        scale = 1.0 / len(idx)
+        sums = sum(
+            _transfer_chunk_backward(teacher64, p_t, public_data, idx[pos], sides, alpha, verbalizers, scale)
+            for pos in row_chunks([len(public_data.templated(i)) for i in idx])
         )
-        del student64  # read by the constant sides only
-        if alpha is None:  # from the plain teacher's and the prompted student's public accuracy
-            zs, compressed = (float(np.mean(np.argmax(s, axis=1) == public_data.labels)) for s in (sides[2], sides[0]))
-            alpha = heuristic_alpha(zs, compressed, 1.0 / public_data.n_classes)
-        alpha = float(alpha)
-
-        p_t = Tensor(start, requires_grad=True)
-        opt = Optimizer([p_t], learning_rate=config.learning_rate)
-        rng = np.random.default_rng(seed)
-        n = len(public_data)
-        history: list[dict] = []
-
-        order = rng.permutation(n)
-        cursor = 0
-        for step in range(config.steps):
-            if cursor + config.batch_size > n:
-                order = rng.permutation(n)
-                cursor = 0
-            idx = order[cursor : cursor + config.batch_size]
-            cursor += config.batch_size
-
-            opt.zero_grad()
-            scale = 1.0 / len(idx)
-            sums = sum(
-                _transfer_chunk_backward(teacher64, p_t, public_data, idx[pos], sides, alpha, verbalizers, scale)
-                for pos in row_chunks([len(public_data.templated(i)) for i in idx])
-            )
-            opt.step()
-            total, l1, l2 = sums / len(idx)
-            history.append({"step": step, "total": float(total), "l1": float(l1), "l2": float(l2)})
+        opt.step()
+        total, l1, l2 = sums / len(idx)
+        history.append({"step": step, "total": float(total), "l1": float(l1), "l2": float(l2)})
 
     p_t_prompt = SoftPrompt(
         matrix=p_t.data.astype(np.float32),

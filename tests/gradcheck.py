@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from promptxfer.autograd import Tensor, precision
+from promptxfer.autograd import Tensor
 
 
 def finite_diff_check(
@@ -22,37 +22,39 @@ def finite_diff_check(
 ) -> tuple[bool, float]:
     """Compare the autodiff gradient of f at x against central differences.
 
-    Runs in float64; constants captured by `f` should be float64 too or the
-    quantization noise of float32 will dominate the difference quotients.
+    Runs in float64: x and every perturbed point are float64 tensors, and
+    the output must be float64 too, so no check quietly runs in float32.
+    Tensors and models that `f` captures should be float64 as well.
     Returns (max relative error < tolerance, max relative error).  When
     `max_coords` is set only a random subset of coordinates is probed.
     """
-    with precision(np.float64):
-        base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-        xt = Tensor(base.copy(), requires_grad=True)
-        out = f(xt)
-        if out.size != 1:
-            raise ValueError("finite_diff_check expects a scalar-valued function")
-        out.backward()
-        g = (xt.grad if xt.grad is not None else np.zeros_like(base)).ravel()
+    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    xt = Tensor(base.copy(), requires_grad=True, dtype=np.float64)
+    out = f(xt)
+    if out.size != 1:
+        raise ValueError("finite_diff_check expects a scalar-valued function")
+    if out.data.dtype != np.float64:
+        raise ValueError(f"finite_diff_check expects a float64 output, got {out.data.dtype}")
+    out.backward()
+    g = (xt.grad if xt.grad is not None else np.zeros_like(base)).ravel()
 
-        n = base.size
-        if max_coords is None or max_coords >= n:
-            coords = np.arange(n)
-        else:
-            gen = rng if rng is not None else np.random.default_rng(0)
-            coords = gen.choice(n, size=max_coords, replace=False)
+    n = base.size
+    if max_coords is None or max_coords >= n:
+        coords = np.arange(n)
+    else:
+        gen = rng if rng is not None else np.random.default_rng(0)
+        coords = gen.choice(n, size=max_coords, replace=False)
 
-        max_rel = 0.0
-        flat = base.ravel()
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = f(Tensor(flat.reshape(base.shape))).item()
-            flat[i] = orig - step
-            lo = f(Tensor(flat.reshape(base.shape))).item()
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * step)
-            rel = abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1.0)
-            max_rel = max(max_rel, rel)
+    max_rel = 0.0
+    flat = base.ravel()
+    for i in coords:
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = f(Tensor(flat.reshape(base.shape), dtype=np.float64)).item()
+        flat[i] = orig - step
+        lo = f(Tensor(flat.reshape(base.shape), dtype=np.float64)).item()
+        flat[i] = orig
+        fd = (hi - lo) / (2.0 * step)
+        rel = abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1.0)
+        max_rel = max(max_rel, rel)
     return max_rel < tolerance, max_rel

@@ -21,13 +21,13 @@ from promptxfer.autograd import (
     logsumexp,
     matmul,
     narrow,
-    precision,
     take,
     take_along_last,
     transpose,
 )
 from promptxfer.model import ModelConfig, answer_log_probs, init_model, init_prompt, lm_loss
 from promptxfer.optim import Optimizer
+from promptxfer.transfer import _float64_copy
 
 
 def rand(rng, *shape):
@@ -136,16 +136,15 @@ FUSED_CASES = [
 @pytest.mark.parametrize("node,arg", FUSED_CASES, ids=[f"{n}-{a}" for n, a in FUSED_CASES])
 def test_gradcheck_fused_nodes(node, arg):
     rng = np.random.default_rng(sum(map(ord, node + arg)))
-    with precision(np.float64):
-        for _ in range(3):
-            args = {k: Tensor(v) for k, v in _fused_args(node, rng).items()}
-            readout = rng.normal(size=_call_fused(node, args).shape)
+    for _ in range(3):
+        args = {k: Tensor(v, dtype=np.float64) for k, v in _fused_args(node, rng).items()}
+        readout = rng.normal(size=_call_fused(node, args).shape)
 
-            def f(t):
-                return (_call_fused(node, {**args, arg: t}) * readout).sum()
+        def f(t):
+            return (_call_fused(node, {**args, arg: t}) * readout).sum()
 
-            ok, err = finite_diff_check(f, args[arg].data, tolerance=1e-6)
-            assert ok, f"{node} d/d{arg}: max rel err {err:.3e}"
+        ok, err = finite_diff_check(f, args[arg].data, tolerance=1e-6)
+        assert ok, f"{node} d/d{arg}: max rel err {err:.3e}"
 
 
 @pytest.mark.parametrize("node", [n for n in PREFIX_COPIES if not n.endswith("_query")])
@@ -153,21 +152,20 @@ def test_attention_query_at_is_the_full_node_at_those_queries(node):
     """One query per row gives the full node's output rows at the queried
     positions, and the same gradients when only those rows are read."""
     rng = np.random.default_rng(21)
-    with precision(np.float64):
-        args = {k: Tensor(v, requires_grad=True) for k, v in _fused_args(node, rng).items()}
-        readout = rng.normal(size=(ROWS, D))
-        m = PREFIX_COPIES[node]
-        at = m * PREFIX_LEN + np.arange(ROWS) * T + QUERY_AT
-        full = take(_call_fused(node, args), at)
-        one = _call_fused(node + "_query", args)
-        np.testing.assert_allclose(one.data, full.data, rtol=1e-12, atol=0)
-        (full * readout).sum().backward()
-        want = {k: t.grad for k, t in args.items()}
-        for t in args.values():
-            t.zero_grad()
-        (one * readout).sum().backward()
-        for k, t in args.items():
-            np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15, err_msg=k)
+    args = {k: Tensor(v, requires_grad=True, dtype=np.float64) for k, v in _fused_args(node, rng).items()}
+    readout = rng.normal(size=(ROWS, D))
+    m = PREFIX_COPIES[node]
+    at = m * PREFIX_LEN + np.arange(ROWS) * T + QUERY_AT
+    full = take(_call_fused(node, args), at)
+    one = _call_fused(node + "_query", args)
+    np.testing.assert_allclose(one.data, full.data, rtol=1e-12, atol=0)
+    (full * readout).sum().backward()
+    want = {k: t.grad for k, t in args.items()}
+    for t in args.values():
+        t.zero_grad()
+    (one * readout).sum().backward()
+    for k, t in args.items():
+        np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15, err_msg=k)
 
 
 def _closure_items(fn):
@@ -346,10 +344,8 @@ def test_gelu_mlp_float32_input_gradient_matches_float64():
     readout = rng.normal(size=(6, d))
     grads = {}
     for dtype in (np.float32, np.float64):
-        with precision(dtype):
-            args = {k: Tensor(v) for k, v in arrays.items()}
-            args["x"].requires_grad = True
-            (gelu_mlp(*args.values()) * Tensor(readout)).sum().backward()
+        args = {k: Tensor(v, requires_grad=k == "x", dtype=dtype) for k, v in arrays.items()}
+        (gelu_mlp(*args.values()) * Tensor(readout, dtype=dtype)).sum().backward()
         grads[dtype] = args["x"].grad
         assert grads[dtype].dtype == dtype
     g64 = grads[np.float64]
@@ -362,10 +358,10 @@ def test_gradcheck_matmul_and_structure_ops():
     rows = rng.normal(size=(3, 5, 2))
 
     cases = [
-        lambda x: (matmul(x, Tensor(w)) ** 2.0).sum(),
+        lambda x: (matmul(x, Tensor(w, dtype=np.float64)) ** 2.0).sum(),
         # a 2-D right operand after a 3-D left one: both gradients
-        lambda x: (matmul(x.reshape((2, 2, 2)), Tensor(w[:2])) ** 2.0).sum(),
-        lambda x: (matmul(Tensor(rows), x) ** 2.0).sum(),
+        lambda x: (matmul(x.reshape((2, 2, 2)), Tensor(w[:2], dtype=np.float64)) ** 2.0).sum(),
+        lambda x: (matmul(Tensor(rows, dtype=np.float64), x) ** 2.0).sum(),
         lambda x: (transpose(x, (1, 0)) ** 2.0).mean(),
         lambda x: (take(x, [1, 1, 0], axis=0) ** 2.0).sum(),
         # strictly increasing indices scatter by assignment, the others by a
@@ -395,6 +391,10 @@ def test_finite_diff_check_examples():
 
     ok, err = finite_diff_check(lambda t: (t * 0.0).sum() + 3.0, x, tolerance=1e-6)
     assert ok and err == 0.0
+
+    # a function that rounds to float32 is refused, not checked
+    with pytest.raises(ValueError, match="float64 output"):
+        finite_diff_check(lambda t: ag._new(t.data.astype(np.float32)).sum(), x)
 
 
 def test_finite_diff_check_negative_control():
@@ -457,15 +457,14 @@ def test_kl_nonnegative_property(ref, data):
 
 
 def test_kl_gradient_flows_to_adjustable_only():
-    with precision(np.float64):
-        ref = Tensor([0.5, -1.0, 2.0], requires_grad=True)
-        adj = Tensor([0.1, 0.2, 0.3], requires_grad=True)
-        kl_divergence(ref, adj).backward()
-        assert ref.grad is None
-        assert adj.grad is not None and np.any(adj.grad != 0)
+    ref = Tensor([0.5, -1.0, 2.0], requires_grad=True, dtype=np.float64)
+    adj = Tensor([0.1, 0.2, 0.3], requires_grad=True, dtype=np.float64)
+    kl_divergence(ref, adj).backward()
+    assert ref.grad is None
+    assert adj.grad is not None and np.any(adj.grad != 0)
 
     def f(x):
-        return kl_divergence(Tensor([0.5, -1.0, 2.0]), x)
+        return kl_divergence(Tensor([0.5, -1.0, 2.0], dtype=np.float64), x)
 
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -475,10 +474,9 @@ def test_kl_gradient_flows_to_adjustable_only():
 
 def test_kl_rows_sum_over_rows():
     rng = np.random.default_rng(6)
-    with precision(np.float64):
-        ref, adj = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        rows = kl_divergence(ref, Tensor(adj))
-        singles = [kl_divergence(r, Tensor(a)).item() for r, a in zip(ref, adj)]
+    ref, adj = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    rows = kl_divergence(ref, Tensor(adj, dtype=np.float64))
+    singles = [kl_divergence(r, Tensor(a, dtype=np.float64)).item() for r, a in zip(ref, adj)]
     assert rows.item() == pytest.approx(sum(singles), rel=1e-12)
 
     x = Tensor(adj, requires_grad=True)
@@ -521,15 +519,33 @@ def test_determinism_bitwise():
     assert np.array_equal(g1, g2)
 
 
-def test_precision_context():
+def test_tensors_are_float32_unless_built_float64():
     assert Tensor([1.0]).data.dtype == np.float32
-    with precision(np.float64):
-        assert Tensor([1.0]).data.dtype == np.float64
-    assert Tensor([1.0]).data.dtype == np.float32
+    assert Tensor(np.array([1.0])).data.dtype == np.float32
+    assert Tensor([1.0], dtype=np.float64).data.dtype == np.float64
     with pytest.raises(ValueError, match="float32 or float64"):
-        with precision(np.int32):
-            pass
-    assert Tensor([1.0]).data.dtype == np.float32
+        Tensor([1.0], dtype=np.int32)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_python_number_takes_the_dtype_of_the_tensor_it_meets(dtype):
+    """As NumPy treats Python scalars (NEP 50): bit for bit NumPy's result in
+    the tensor's dtype, from either side of the operator."""
+    a = np.random.default_rng(8).normal(size=5).astype(dtype)
+    t = Tensor(a, dtype=dtype)
+    log2 = math.log(2)
+    cases = [
+        (t * 0.1, a * 0.1),
+        (0.1 * t, 0.1 * a),
+        (t - log2, a - log2),
+        (log2 - t, log2 - a),
+        (t + 1e-9, a + 1e-9),
+        (t / 3, a / 3),
+        (3.0 / t, 3.0 / a),
+    ]
+    for got, want in cases:
+        assert got.data.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got.data, want)
 
 
 def test_backward_requires_scalar():
@@ -607,18 +623,17 @@ def test_transfer_graph_keeps_what_its_backward_reads():
     cfg = ModelConfig(n_layers=4, d_model=64, n_heads=4, vocab_size=120, max_seq_len=64)
     rng = np.random.default_rng(1)
     seqs = [rng.integers(0, 120, size=rng.integers(14, 21)) for _ in range(16)]
-    with precision(np.float64):
-        teacher = init_model(cfg, 0)
-        prompt = Tensor(init_prompt(teacher, 8, 0).matrix, requires_grad=True)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loss = answer_log_probs(teacher, seqs, [[3, 4], [5, 6]], prompt).sum()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        loss.backward()
+    teacher = _float64_copy(init_model(cfg, 0))
+    prompt = Tensor(init_prompt(teacher, 8, 0).matrix, requires_grad=True, dtype=np.float64)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = answer_log_probs(teacher, seqs, [[3, 4], [5, 6]], prompt).sum()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    loss.backward()
     assert prompt.grad is not None
     assert held <= 0.6 * TENSOR_PARENT_TRANSFER_GRAPH_BYTES, held
 
@@ -715,9 +730,8 @@ def test_gelu_mlp_input_gradient_is_the_recomputed_slope_formula(dtype):
     gradient of a backward that recomputes it from the pre-activation."""
     a = _gelu_mlp_arrays(dtype)
     g = np.random.default_rng(6).normal(size=a["x"].shape).astype(dtype)
-    with precision(dtype):
-        args = {k: Tensor(v, requires_grad=k == "x") for k, v in a.items()}
-        (gelu_mlp(*args.values()) * Tensor(g)).sum().backward()
+    args = {k: Tensor(v, requires_grad=k == "x", dtype=dtype) for k, v in a.items()}
+    (gelu_mlp(*args.values()) * Tensor(g, dtype=dtype)).sum().backward()
     pre = a["x"] @ a["w1"] + a["b1"]
     cdf = ag.gaussian_cdf(pre)
     slope = pre * pre

@@ -101,6 +101,12 @@ def test_dataset_validation():
         )
 
 
+@pytest.mark.parametrize("rate", [1.5, -0.2, float("nan")])
+def test_corpus_verbalizer_rate_outside_zero_one_is_rejected(rate):
+    with pytest.raises(ValueError, match="corpus_verbalizer_rate"):
+        default_task_spec(corpus_verbalizer_rate=rate)
+
+
 def test_gen_synth_pair_cue_disjointness_and_determinism():
     spec = default_task_spec(seed=11)
     pri1, pub1, corpus1 = gen_synth_pair(spec)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_diff_check
-from promptxfer.autograd import Tensor, precision
+from promptxfer.autograd import Tensor
 from promptxfer.corpus import default_task_spec, gen_synth_pair, tokenize_corpus
 from promptxfer.distill import (
     KdConfig,

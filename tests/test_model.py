@@ -6,7 +6,7 @@ from scipy import special
 
 from gradcheck import finite_diff_check
 from promptxfer import autograd as ag
-from promptxfer.autograd import Tensor, precision
+from promptxfer.autograd import Tensor
 from promptxfer.model import (
     ROWS_PER_FORWARD,
     ModelConfig,
@@ -22,6 +22,7 @@ from promptxfer.model import (
     lm_loss,
 )
 from promptxfer.optim import Optimizer
+from promptxfer.transfer import _float64_copy
 
 
 def small_config(**kw):
@@ -316,23 +317,22 @@ def _numpy_forward(model, ids, prompt=None):
 
 @pytest.mark.parametrize("tie", [False, True])
 def test_forward_matches_numpy_reference(tie):
-    with precision(np.float64):
-        model = init_model(small_config(tie_lm_head=tie), 16)
-        for t in model.parameters():  # move every weight off its init value
-            t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
-        prompt = init_prompt(model, length=2, seed=4).matrix
-        rng = np.random.default_rng(8)
-        seqs = [rng.integers(0, 29, size=n) for n in (5, 1, 8, 3)]
-        verbs = [[2, 7], [3]]
-        got = answer_log_probs(model, seqs, verbs, prompt).data
-        full = answer_log_probs(model, seqs, EVERY_TOKEN, prompt).data
-        for row, full_row, seq in zip(got, full, seqs):
-            want = _numpy_forward(model, seq, prompt)
-            np.testing.assert_allclose(full_logits(model, seq, prompt=prompt), want, rtol=1e-9, atol=1e-12)
-            last = want[-1] - special.logsumexp(want[-1])
-            np.testing.assert_allclose(full_row, last, rtol=1e-9, atol=1e-12)
-            raw = np.array([special.logsumexp(last[ids]) - math.log(len(ids)) for ids in verbs])
-            np.testing.assert_allclose(row, raw - special.logsumexp(raw), rtol=1e-9, atol=1e-12)
+    model = _float64_copy(init_model(small_config(tie_lm_head=tie), 16))
+    for t in model.parameters():  # move every weight off its init value
+        t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
+    prompt = init_prompt(model, length=2, seed=4).matrix
+    rng = np.random.default_rng(8)
+    seqs = [rng.integers(0, 29, size=n) for n in (5, 1, 8, 3)]
+    verbs = [[2, 7], [3]]
+    got = answer_log_probs(model, seqs, verbs, prompt).data
+    full = answer_log_probs(model, seqs, EVERY_TOKEN, prompt).data
+    for row, full_row, seq in zip(got, full, seqs):
+        want = _numpy_forward(model, seq, prompt)
+        np.testing.assert_allclose(full_logits(model, seq, prompt=prompt), want, rtol=1e-9, atol=1e-12)
+        last = want[-1] - special.logsumexp(want[-1])
+        np.testing.assert_allclose(full_row, last, rtol=1e-9, atol=1e-12)
+        raw = np.array([special.logsumexp(last[ids]) - math.log(len(ids)) for ids in verbs])
+        np.testing.assert_allclose(row, raw - special.logsumexp(raw), rtol=1e-9, atol=1e-12)
 
 
 def test_answer_log_probs_per_row_prompt_copies():
@@ -349,53 +349,50 @@ def test_answer_log_probs_per_row_prompt_copies():
 def test_shared_prompt_matches_copies_and_rows_alone(verbs):
     """One shared [l x d] prompt, n copies of it and per-row forwards agree:
     the prefix positions never see a token, so one copy serves every row."""
-    with precision(np.float64):
-        for n_layers in (1, 3):
-            cfg = small_config(n_layers=n_layers)
-            model = init_model(cfg, 17)
-            for t in model.parameters():
-                t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
-            rng = np.random.default_rng(9)
-            seqs = [rng.integers(0, cfg.vocab_size, size=n) for n in (4, 9, 1, 6, 9, 2)]
-            prompt = rng.normal(0.0, 0.5, size=(3, cfg.d_model))
-            shared = answer_log_probs(model, seqs, verbs, prompt).data
-            copies = answer_log_probs(model, seqs, verbs, np.stack([prompt] * len(seqs))).data
-            np.testing.assert_allclose(copies, shared, rtol=1e-9, atol=1e-12)
-            for row, seq in zip(shared, seqs):
-                last = full_logits(model, seq, prompt=prompt)[-1]
-                alone = label_set_log_probability(last, verbs)
-                np.testing.assert_allclose(row, alone.data, rtol=1e-9, atol=1e-12)
-            # every position of a batched prompted forward, prefix included
-            ids = np.stack([seq[:1].repeat(5) if len(seq) < 5 else seq[:5] for seq in seqs])
-            full = full_logits(model, ids, prompt=prompt)
-            assert full.shape == (len(seqs), 3 + 5, cfg.vocab_size)
-            for row, seq in zip(full, ids):
-                np.testing.assert_allclose(row, full_logits(model, seq, prompt=prompt), rtol=1e-9, atol=1e-12)
+    for n_layers in (1, 3):
+        cfg = small_config(n_layers=n_layers)
+        model = _float64_copy(init_model(cfg, 17))
+        for t in model.parameters():
+            t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
+        rng = np.random.default_rng(9)
+        seqs = [rng.integers(0, cfg.vocab_size, size=n) for n in (4, 9, 1, 6, 9, 2)]
+        prompt = rng.normal(0.0, 0.5, size=(3, cfg.d_model))
+        shared = answer_log_probs(model, seqs, verbs, prompt).data
+        copies = answer_log_probs(model, seqs, verbs, np.stack([prompt] * len(seqs))).data
+        np.testing.assert_allclose(copies, shared, rtol=1e-9, atol=1e-12)
+        for row, seq in zip(shared, seqs):
+            last = full_logits(model, seq, prompt=prompt)[-1]
+            alone = label_set_log_probability(last, verbs)
+            np.testing.assert_allclose(row, alone.data, rtol=1e-9, atol=1e-12)
+        # every position of a batched prompted forward, prefix included
+        ids = np.stack([seq[:1].repeat(5) if len(seq) < 5 else seq[:5] for seq in seqs])
+        full = full_logits(model, ids, prompt=prompt)
+        assert full.shape == (len(seqs), 3 + 5, cfg.vocab_size)
+        for row, seq in zip(full, ids):
+            np.testing.assert_allclose(row, full_logits(model, seq, prompt=prompt), rtol=1e-9, atol=1e-12)
 
 
 def test_shared_prompt_gradient_is_sum_of_copy_gradients():
     """The gradient of a shared prompt is the sum of the per-copy gradients,
     and copy r's gradient is row r's alone, which is what DP-SGD clips."""
-    with precision(np.float64):
-        model = init_model(small_config(n_layers=3), 18)
-        model.set_trainable(False)
-        rng = np.random.default_rng(10)
-        seqs = [rng.integers(0, 29, size=n) for n in (5, 2, 8, 3)]
-        labels = np.array([1, 0, 0, 1])
-        verbs = [[4, 11], [5]]
-        mat = rng.normal(0.0, 0.5, size=(2, 16))
+    model = _float64_copy(init_model(small_config(n_layers=3), 18))
+    rng = np.random.default_rng(10)
+    seqs = [rng.integers(0, 29, size=n) for n in (5, 2, 8, 3)]
+    labels = np.array([1, 0, 0, 1])
+    verbs = [[4, 11], [5]]
+    mat = rng.normal(0.0, 0.5, size=(2, 16))
 
-        def nll_grad(prompt, rows):
-            lp = answer_log_probs(model, [seqs[r] for r in rows], verbs, prompt)
-            (-ag.take_along_last(lp, labels[rows]).sum()).backward()
-            return prompt.grad
+    def nll_grad(prompt, rows):
+        lp = answer_log_probs(model, [seqs[r] for r in rows], verbs, prompt)
+        (-ag.take_along_last(lp, labels[rows]).sum()).backward()
+        return prompt.grad
 
-        shared = nll_grad(Tensor(mat, requires_grad=True), list(range(4)))
-        per_copy = nll_grad(Tensor(np.stack([mat] * 4), requires_grad=True), list(range(4)))
-        np.testing.assert_allclose(per_copy.sum(axis=0), shared, rtol=1e-9, atol=1e-12)
-        for r in range(4):
-            alone = nll_grad(Tensor(mat, requires_grad=True), [r])
-            np.testing.assert_allclose(per_copy[r], alone, rtol=1e-9, atol=1e-12)
+    shared = nll_grad(Tensor(mat, requires_grad=True, dtype=np.float64), list(range(4)))
+    per_copy = nll_grad(Tensor(np.stack([mat] * 4), requires_grad=True, dtype=np.float64), list(range(4)))
+    np.testing.assert_allclose(per_copy.sum(axis=0), shared, rtol=1e-9, atol=1e-12)
+    for r in range(4):
+        alone = nll_grad(Tensor(mat, requires_grad=True, dtype=np.float64), [r])
+        np.testing.assert_allclose(per_copy[r], alone, rtol=1e-9, atol=1e-12)
 
 
 def test_prompted_forward_runs_the_prefix_once(monkeypatch):
@@ -453,19 +450,18 @@ def test_answer_position_forward_runs_one_query_per_row_in_the_last_block(monkey
 
 def test_class_log_probs_batch_returns_input_order():
     """Rows are chunked by length, but come back in the order given."""
-    with precision(np.float64):
-        model = init_model(small_config(), 20)
-        rng = np.random.default_rng(12)
-        seqs = [rng.integers(0, 29, size=n) for n in rng.integers(2, 14, size=2 * ROWS_PER_FORWARD + 5)]
-        prompt = init_prompt(model, length=2, seed=3)
-        perm = rng.permutation(len(seqs))
-        for verbs in ([[4], [5]], EVERY_TOKEN):
-            out = class_log_probs_batch(model, seqs, verbs, prompt=prompt)
-            shuffled = class_log_probs_batch(model, [seqs[i] for i in perm], verbs, prompt=prompt)
-            np.testing.assert_allclose(shuffled, out[perm], rtol=1e-9, atol=1e-12)
-            for i in (0, 17, len(seqs) - 1):
-                alone = answer_log_probs(model, [seqs[i]], verbs, prompt).data[0]
-                np.testing.assert_allclose(out[i], alone, rtol=1e-9, atol=1e-12)
+    model = _float64_copy(init_model(small_config(), 20))
+    rng = np.random.default_rng(12)
+    seqs = [rng.integers(0, 29, size=n) for n in rng.integers(2, 14, size=2 * ROWS_PER_FORWARD + 5)]
+    prompt = init_prompt(model, length=2, seed=3)
+    perm = rng.permutation(len(seqs))
+    for verbs in ([[4], [5]], EVERY_TOKEN):
+        out = class_log_probs_batch(model, seqs, verbs, prompt=prompt)
+        shuffled = class_log_probs_batch(model, [seqs[i] for i in perm], verbs, prompt=prompt)
+        np.testing.assert_allclose(shuffled, out[perm], rtol=1e-9, atol=1e-12)
+        for i in (0, 17, len(seqs) - 1):
+            alone = answer_log_probs(model, [seqs[i]], verbs, prompt).data[0]
+            np.testing.assert_allclose(out[i], alone, rtol=1e-9, atol=1e-12)
 
 
 def test_class_log_probs_batch_chunks_rows():
@@ -506,20 +502,18 @@ def test_prompt_gradient_path_finite_diff():
     """The pipeline's prompt objective (class cross-entropy at the answer
     positions of a ragged batch) through the prefix layout, in float64, for
     a shared prompt and for one copy per row."""
-    with precision(np.float64):
-        cfg = small_config(vocab_size=17, max_seq_len=12)
-        model = init_model(cfg, 11)
-        model.set_trainable(False)
-        seqs = [np.array([1, 5, 2, 9]), np.array([3, 8]), np.array([7, 1, 4])]
-        labels = np.array([0, 1, 1])
+    cfg = small_config(vocab_size=17, max_seq_len=12)
+    model = _float64_copy(init_model(cfg, 11))
+    seqs = [np.array([1, 5, 2, 9]), np.array([3, 8]), np.array([7, 1, 4])]
+    labels = np.array([0, 1, 1])
 
-        def f(pv):
-            lp = answer_log_probs(model, seqs, [[2, 6], [9]], pv)
-            return -ag.take_along_last(lp, labels).sum()
+    def f(pv):
+        lp = answer_log_probs(model, seqs, [[2, 6], [9]], pv)
+        return -ag.take_along_last(lp, labels).sum()
 
-        rng = np.random.default_rng(4)
-        for shape in [(2, cfg.d_model)] * 2 + [(len(seqs), 2, cfg.d_model)] * 2:
-            mat = rng.normal(0.0, 0.5, size=shape)
-            ok, err = finite_diff_check(f, mat, tolerance=1e-6, max_coords=12, rng=rng)
-            assert ok, err
+    rng = np.random.default_rng(4)
+    for shape in [(2, cfg.d_model)] * 2 + [(len(seqs), 2, cfg.d_model)] * 2:
+        mat = rng.normal(0.0, 0.5, size=shape)
+        ok, err = finite_diff_check(f, mat, tolerance=1e-6, max_coords=12, rng=rng)
+        assert ok, err
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptxfer.autograd import Tensor, precision
+from promptxfer.autograd import Tensor
 from promptxfer.optim import EPS, Optimizer
 
 
@@ -83,8 +83,7 @@ def test_flat_update_is_bit_identical_to_per_array_adam(shapes, dtype):
         [(rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s) * (rng.random(s) > 0.1)).astype(dtype) for s in shapes]
         for _ in range(4)
     ]
-    with precision(dtype):
-        params = [Tensor(a.copy()) for a in init]
+    params = [Tensor(a.copy(), dtype=dtype) for a in init]
     opt = Optimizer(params, learning_rate=3e-3)
     for grads, expected in zip(grad_seq, _per_array_adam(init, grad_seq, 3e-3)):
         opt.step(grads)
@@ -94,8 +93,7 @@ def test_flat_update_is_bit_identical_to_per_array_adam(shapes, dtype):
 
 
 def test_mixed_parameter_dtypes_rejected():
-    with precision(np.float64):
-        p = Tensor(np.zeros(2))
+    p = Tensor(np.zeros(2), dtype=np.float64)
     with pytest.raises(ValueError):
         Optimizer([Tensor(np.zeros(2)), p], learning_rate=0.1)
     # a gradient is cast to the parameters' dtype

@@ -373,6 +373,12 @@ def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixe
         {"seeds": "12"},
         {"seeds": [1.9]},
         {"seeds": [True]},
+        # a public_subset that is not a positive integer, baselines that are not a list of names
+        {"public_subset": 1.5},
+        {"public_subset": True},
+        {"baselines": "post"},
+        # the task section is taken whole: a partial one does not load
+        {"task": {"kind": "synthetic", "n_public": 8}},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
@@ -390,6 +396,8 @@ def test_unreadable_config_exits_2(tmp_path):
     assert main(["pipeline", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main(["pipeline", "--config", str(bad)]) == EXIT_CONFIG
+    bad.write_text("[]")  # valid JSON, but not an object
     assert main(["pipeline", "--config", str(bad)]) == EXIT_CONFIG
     assert main(["eval", "--config", write_config(tmp_path / "c.json", tiny_config(tmp_path)),
                  "--baseline", "nope"]) == EXIT_CONFIG

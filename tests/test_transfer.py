@@ -7,7 +7,7 @@ import pytest
 from gradcheck import finite_diff_check
 from promptxfer.autograd import Tensor
 from promptxfer.model import ModelConfig, init_model, init_prompt, initial_prompt_matrix
-from promptxfer.transfer import TransferConfig, heuristic_alpha, transfer_loss, transfer_prompt
+from promptxfer.transfer import TransferConfig, _float64_copy, heuristic_alpha, transfer_loss, transfer_prompt
 
 RG2, RG3 = 1.0 / 2.0, 1.0 / 3.0
 
@@ -31,8 +31,6 @@ def test_alpha_heuristic_falls_back_where_undefined(caplog):
 
 
 def test_transfer_loss_endpoints_and_identity():
-    from promptxfer.autograd import precision
-
     rng = np.random.default_rng(0)
     for _ in range(10):
         tp = Tensor(rng.normal(size=4), requires_grad=True)
@@ -45,24 +43,20 @@ def test_transfer_loss_endpoints_and_identity():
         assert total1.item() == l2.item()
 
     # teacher matches student on both raw and delta distributions -> 0
-    with precision(np.float64):
-        sp, s0 = rng.normal(size=5), rng.normal(size=5)
-        tp = Tensor(sp.copy(), requires_grad=True)
-        total, l1, l2 = transfer_loss(tp, s0.copy(), sp, s0, alpha=0.3)
+    sp, s0 = rng.normal(size=5), rng.normal(size=5)
+    tp = Tensor(sp.copy(), requires_grad=True, dtype=np.float64)
+    total, l1, l2 = transfer_loss(tp, s0.copy(), sp, s0, alpha=0.3)
     assert total.item() == 0.0 and l1.item() == 0.0 and l2.item() == 0.0
 
 
 def test_transfer_loss_hand_built_two_class_case():
-    from promptxfer.autograd import precision
-
     # student prompted [0.25, 0.75]; teacher prompted [0.5, 0.5];
     # identical deltas on both sides; alpha = 0.5
-    with precision(np.float64):
-        sp = np.log([0.25, 0.75])
-        tp = Tensor(np.array([0.0, 0.0]), requires_grad=True)
-        s0 = sp - np.array([0.3, -0.1])
-        t0 = tp.data - np.array([0.3, -0.1])
-        total, l1, l2 = transfer_loss(tp, t0, sp, s0, alpha=0.5)
+    sp = np.log([0.25, 0.75])
+    tp = Tensor(np.array([0.0, 0.0]), requires_grad=True, dtype=np.float64)
+    s0 = sp - np.array([0.3, -0.1])
+    t0 = tp.data - np.array([0.3, -0.1])
+    total, l1, l2 = transfer_loss(tp, t0, sp, s0, alpha=0.5)
     expected_l1 = 0.25 * math.log(0.25 / 0.5) + 0.75 * math.log(0.75 / 0.5)
     assert l2.item() == pytest.approx(0.0, abs=1e-12)
     assert total.item() == pytest.approx(0.5 * expected_l1, rel=1e-9)
@@ -108,21 +102,20 @@ def test_transfer_loss_gradcheck():
 
 
 def test_transfer_loss_rows_equal_sum_of_single_rows():
-    from promptxfer.autograd import precision
-
     rng = np.random.default_rng(4)
     tp, t0, sp, s0 = (rng.normal(size=(5, 3)) for _ in range(4))
-    with precision(np.float64):
-        x = Tensor(tp, requires_grad=True)
-        rows = transfer_loss(x, t0, sp, s0, alpha=0.3)
-        rows[0].backward()
-        for k in range(3):
-            singles = [transfer_loss(Tensor(tp[r]), t0[r], sp[r], s0[r], alpha=0.3)[k].item() for r in range(5)]
-            assert rows[k].item() == pytest.approx(sum(singles), rel=1e-12)
-        for r in range(5):
-            one = Tensor(tp[r], requires_grad=True)
-            transfer_loss(one, t0[r], sp[r], s0[r], alpha=0.3)[0].backward()
-            np.testing.assert_allclose(x.grad[r], one.grad, rtol=1e-12, atol=1e-15)
+    x = Tensor(tp, requires_grad=True, dtype=np.float64)
+    rows = transfer_loss(x, t0, sp, s0, alpha=0.3)
+    rows[0].backward()
+    for k in range(3):
+        singles = [
+            transfer_loss(Tensor(tp[r], dtype=np.float64), t0[r], sp[r], s0[r], alpha=0.3)[k].item() for r in range(5)
+        ]
+        assert rows[k].item() == pytest.approx(sum(singles), rel=1e-12)
+    for r in range(5):
+        one = Tensor(tp[r], requires_grad=True, dtype=np.float64)
+        transfer_loss(one, t0[r], sp[r], s0[r], alpha=0.3)[0].backward()
+        np.testing.assert_allclose(x.grad[r], one.grad, rtol=1e-12, atol=1e-15)
 
 
 def test_transfer_loss_rejects_nonfinite():
@@ -214,8 +207,7 @@ def test_transfer_objective_is_float64_on_float32_models(model_pair):
     # the shift term compares differences of near-equal log-probabilities,
     # so the logged objective must match a float64 recomputation far below
     # float32 rounding
-    from promptxfer.autograd import precision
-    from promptxfer.model import TransformerLM, class_log_probs_batch
+    from promptxfer.model import class_log_probs_batch
 
     teacher, student, public = model_pair
     before = {m: {k: p.data.copy() for k, p in m.params.items()} for m in (teacher, student)}
@@ -233,18 +225,52 @@ def test_transfer_objective_is_float64_on_float32_models(model_pair):
 
     start = initial_prompt_matrix(16, 3, 4)
     verbs, seqs = public.verbalizers, public.sequences
-    with precision(np.float64):
-        teacher64, student64 = (
-            TransformerLM(m.config, {k: Tensor(p.data) for k, p in m.params.items()}) for m in (teacher, student)
-        )
-        total, _, _ = transfer_loss(
-            Tensor(class_log_probs_batch(teacher64, seqs, verbs, prompt=start)),
-            class_log_probs_batch(teacher64, seqs, verbs),
-            class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix),
-            class_log_probs_batch(student64, seqs, verbs),
-            alpha=0.4,
-        )
+    teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
+    total, _, _ = transfer_loss(
+        Tensor(class_log_probs_batch(teacher64, seqs, verbs, prompt=start), dtype=np.float64),
+        class_log_probs_batch(teacher64, seqs, verbs),
+        class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix),
+        class_log_probs_batch(student64, seqs, verbs),
+        alpha=0.4,
+    )
     assert history[0]["total"] == pytest.approx(total.item() / len(public), rel=1e-9, abs=0)
+
+
+def test_a_float64_transfer_leaves_other_threads_float32(model_pair, monkeypatch):
+    """Precision belongs to the data, not to the process: while a transfer
+    computes in float64 in one thread, a tensor built in another is float32."""
+    import threading
+
+    from promptxfer import transfer
+
+    teacher, student, public = model_pair
+    p_s = init_prompt(student, length=3, seed=4)
+    inside, checked = threading.Event(), threading.Event()
+    prompt_dtypes, done = [], []
+    forward = transfer.answer_log_probs
+
+    def pausing(model, sequences, verbalizers, prompt):
+        # holds the transfer inside its prompted forward until this thread has looked
+        prompt_dtypes.append(prompt.data.dtype)
+        inside.set()
+        checked.wait(timeout=60)
+        return forward(model, sequences, verbalizers, prompt)
+
+    def run():
+        transfer_prompt(teacher, student, p_s, public, TransferConfig(steps=1, batch_size=8), 0.4, 5)
+        done.append(True)
+
+    monkeypatch.setattr(transfer, "answer_log_probs", pausing)
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        assert inside.wait(timeout=60)
+        here = Tensor([1.0]).data.dtype
+    finally:
+        checked.set()
+        worker.join(timeout=120)
+    assert not worker.is_alive() and done and prompt_dtypes[0] == np.float64
+    assert here == np.float32
 
 
 def test_transfer_carries_dp_meta_unchanged(model_pair):
@@ -261,17 +287,12 @@ def test_transfer_carries_dp_meta_unchanged(model_pair):
 def _public_sides(teacher, student, p_s, public):
     """The float64 argmax of the prompted student and of the plain teacher
     on `public`, as the transfer computes its constant sides."""
-    from promptxfer.autograd import precision
-    from promptxfer.model import TransformerLM, class_log_probs_batch
+    from promptxfer.model import class_log_probs_batch
 
-    with precision(np.float64):
-        teacher64, student64 = (
-            TransformerLM(m.config, {k: Tensor(p.data.astype(np.float64)) for k, p in m.params.items()})
-            for m in (teacher, student)
-        )
-        seqs, verbs = public.sequences, public.verbalizers
-        compressed = np.argmax(class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix), axis=1)
-        zero_shot = np.argmax(class_log_probs_batch(teacher64, seqs, verbs), axis=1)
+    teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
+    seqs, verbs = public.sequences, public.verbalizers
+    compressed = np.argmax(class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix), axis=1)
+    zero_shot = np.argmax(class_log_probs_batch(teacher64, seqs, verbs), axis=1)
     return compressed, zero_shot
 
 
