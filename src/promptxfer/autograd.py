@@ -3,11 +3,11 @@
 Training, tuning and scoring compute in float32.  Precision belongs to the
 data, not to process state: a ``Tensor`` is float32 unless built with
 ``dtype=np.float64``, every op keeps its inputs' dtype, and a non-tensor
-operand of ``add``, ``sub``, ``mul`` or ``div`` takes the dtype of the
-tensor it meets (NumPy's rule for Python scalars, NEP 50).  Float64 data is
-built only for gradient checks and for the prompt transfer's objective
-(``transfer.transfer_prompt``), which compares differences of near-equal
-log-probabilities.
+operand of ``add``, ``sub``, ``mul`` or ``div``, such as a Python number,
+takes the dtype of the tensor it meets, as NumPy treats Python scalars
+(NEP 50).  Float64 data is built only for gradient checks and for the
+prompt transfer's objective (``transfer.transfer_prompt``), which compares
+differences of near-equal log-probabilities.
 
 The GELU's Gaussian CDF (``gaussian_cdf``) is the one op whose kernel
 depends on the dtype.  scipy's erf runs a scalar loop, about 24 ns per
