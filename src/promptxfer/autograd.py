@@ -3,9 +3,9 @@
 Training, tuning and scoring compute in float32.  Precision belongs to the
 data, not to process state: a ``Tensor`` is float32 unless built with
 ``dtype=np.float64``, every op keeps its inputs' dtype, and a non-tensor
-operand of ``add``, ``sub``, ``mul`` or ``div``, such as a Python number,
-takes the dtype of the tensor it meets, as NumPy treats Python scalars
-(NEP 50).  Float64 data is built only for gradient checks and for the
+operand beside a tensor, such as a Python number or a raw array, takes the
+dtype of the first tensor operand of its op, as NumPy treats Python
+scalars (NEP 50).  Float64 data is built only for gradient checks and for the
 prompt transfer's objective (``transfer.transfer_prompt``), which compares
 differences of near-equal log-probabilities.
 
@@ -307,6 +307,12 @@ def _lift(x, like=None) -> Tensor:
     return _new(np.asarray(x, dtype=like.data.dtype)) if isinstance(like, Tensor) else Tensor(x)
 
 
+def _lift_all(*xs) -> tuple[Tensor, ...]:
+    """Each of xs as a tensor, taking the dtype of the first that is (`_lift`)."""
+    like = next((x for x in xs if isinstance(x, Tensor)), None)
+    return tuple(_lift(x, like) for x in xs)
+
+
 def _sink(t: Tensor) -> Node | Tensor | None:
     """Where a consumer of t accumulates t's gradient: t's node, t itself
     for a leaf that requires a gradient, None when t needs none."""
@@ -338,7 +344,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a, b), _lift(b, a)
+    a, b = _lift_all(a, b)
     out = _new(a.data + b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
 
@@ -353,7 +359,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _lift(a, b), _lift(b, a)
+    a, b = _lift_all(a, b)
     out = _new(a.data - b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
 
@@ -368,7 +374,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a, b), _lift(b, a)
+    a, b = _lift_all(a, b)
     out = _new(a.data * b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
     ad = a.data if nb is not None else None
@@ -385,7 +391,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _lift(a, b), _lift(b, a)
+    a, b = _lift_all(a, b)
     out = _new(a.data / b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
     ad = a.data if nb is not None else None
@@ -418,7 +424,7 @@ def power(a, k: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     """a @ b for a weight b ([k x n]) and a of any rank >= 2: one GEMM over
     a's flattened rows, forward and backward."""
-    a, b = _lift(a), _lift(b)
+    a, b = _lift_all(a, b)
     if a.ndim < 2 or b.ndim != 2:
         raise ValueError("matmul takes a left operand of rank >= 2 and a 2-D right operand")
     a2 = a.data.reshape(-1, a.data.shape[-1])
@@ -560,7 +566,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_lift(t) for t in tensors]
+    ts = _lift_all(*tensors)
     out = _new(np.concatenate([t.data for t in ts], axis=axis))
     sinks = [_sink(t) for t in ts]
     sizes = [t.data.shape[axis] for t in ts]
@@ -602,7 +608,7 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 def layer_norm(x, gain, bias, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    x, gain, bias = _lift_all(x, gain, bias)
     d = x.data.shape[-1]
     xc = x.data - _row_sum(x.data) / d
     rstd = (_row_dot(xc, xc) / d + eps) ** -0.5
@@ -691,9 +697,8 @@ def causal_attention(
     query_at[r] of each row r runs, and the result is [rows x d]: each row
     takes that query from the same projection, K and V come from every
     position, and the prefix's own queries do not run."""
-    x = _lift(x)
-    weights = tuple(_lift(t) for t in (wq, wk, wv))
-    biases = tuple(_lift(t) for t in (bq, bk, bv))
+    x, *params = _lift_all(x, wq, wk, wv, bq, bk, bv)
+    weights, biases = params[:3], params[3:]
     n_pos, d = x.data.shape
     m, l = prefix
     n_pre = m * l
@@ -837,7 +842,7 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
 
     The backward keeps the GELU's slope only when x, w1 or b1 needs a
     gradient, and the GELU output only when w2 does."""
-    x, w1, b1, w2, b2 = (_lift(t) for t in (x, w1, b1, w2, b2))
+    x, w1, b1, w2, b2 = _lift_all(x, w1, b1, w2, b2)
     x2 = x.data.reshape(-1, x.data.shape[-1])
     pre = x2 @ w1.data + b1.data
     cdf = gaussian_cdf(pre)

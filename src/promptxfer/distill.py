@@ -46,17 +46,17 @@ class KdWeights:
 
 @dataclass
 class KdConfig:
-    student_layer_indices: tuple[int, ...]
+    student_layer_indices: tuple[int, ...] | None = None  # None: `default_layer_indices`
     weights: KdWeights = field(default_factory=KdWeights)
     learning_rate: float = 0.00025
     batch_size: int = 5
     max_steps: int = 400
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.student_layer_indices)
-        if not idx or any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("student_layer_indices must be non-empty and strictly increasing")
-        self.student_layer_indices = idx
+        if self.student_layer_indices is not None:
+            idx = self.student_layer_indices = tuple(int(i) for i in self.student_layer_indices)
+            if not idx or idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:])):
+                raise ValueError("student_layer_indices must be non-empty, nonnegative and strictly increasing")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_steps <= 0:
             raise ValueError("learning_rate, batch_size and max_steps must be positive")
 

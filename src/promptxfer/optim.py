@@ -38,13 +38,9 @@ class Optimizer:
         self.m = np.zeros(size, dtype=dtype)
         self.v = np.zeros(size, dtype=dtype)
 
-    def step(self, grads: Sequence[np.ndarray] | None = None) -> None:
-        """One update from `grads`, or from each parameter's .grad (zero where
-        it has none)."""
-        if grads is None:
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        if len(grads) != len(self.params):
-            raise ValueError("params and grads must have the same length")
+    def step(self) -> None:
+        """One update from each parameter's .grad (zero where it has none)."""
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
         for p, g in zip(self.params, grads):
             if np.shape(g) != p.data.shape:
                 raise ValueError(f"gradient shape {np.shape(g)} does not match parameter shape {p.data.shape}")

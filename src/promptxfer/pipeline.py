@@ -43,6 +43,12 @@ the plan alone which rows each output's data reaches it through: the DP
 prompt reads the private train split only in its DP-SGD tuning, nothing
 that feeds a model, prompt or transfer reads the private test split, and
 no model reads the private train split.
+
+A config loads by one type rule: each JSON value is read against the
+annotation of the field it sets.  A dataclass section takes an object;
+`tuple[X, ...]` takes a list; `X | Y` takes the first type that fits;
+`float` takes an int, and a bool is never a number.  Any other value is a
+`ConfigError` naming its dotted key, before any stage runs.
 """
 from __future__ import annotations
 
@@ -53,7 +59,8 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Callable
+from types import UnionType
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -72,7 +79,6 @@ from .corpus import (
 )
 from .distill import (
     KdConfig,
-    KdWeights,
     default_layer_indices,
     distill,
     init_student_from_teacher,
@@ -194,7 +200,7 @@ class ExperimentConfig:
     teacher: ArchSpec = field(default_factory=ArchSpec)
     student_layers: int = 2
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
-    kd: dict = field(default_factory=dict)  # KdConfig overrides; indices default first/last
+    kd: KdConfig = field(default_factory=KdConfig)
     prompt: PromptSpec = field(default_factory=PromptSpec)
     tune: TuneConfig = field(default_factory=lambda: TuneConfig(epochs=20, learning_rate=1e-2, batch_size=16))
     dp: DpSpec = field(default_factory=DpSpec)
@@ -213,24 +219,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown baselines: {sorted(unknown)}")
         if self.student_layers < 1 or self.student_layers > self.teacher.n_layers:
             raise ConfigError("student_layers must lie in [1, teacher.n_layers]")
-        if isinstance(self.transfer_alpha, str) and self.transfer_alpha != "heuristic":
-            raise ConfigError("transfer_alpha must be a float in [0,1] or 'heuristic'")
-        if not isinstance(self.transfer_alpha, str) and not 0 <= float(self.transfer_alpha) <= 1:
-            raise ConfigError("transfer_alpha must lie in [0, 1]")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
-        try:
-            kd = self.kd_config()
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid kd config: {e}") from e
-        if kd.student_layer_indices[-1] >= self.teacher.n_layers:
-            raise ConfigError("kd.student_layer_indices must lie in [0, teacher.n_layers)")
-        if len(kd.student_layer_indices) != self.student_layers:
-            raise ConfigError("kd.student_layer_indices must name student_layers teacher layers")
-        if self.public_subset is not None and (type(self.public_subset) is not int or self.public_subset < 1):
-            raise ConfigError(f"public_subset must be a positive integer, got {self.public_subset!r}")
+        alpha = self.transfer_alpha
+        if alpha != "heuristic" and (isinstance(alpha, str) or not 0 <= alpha <= 1):
+            raise ConfigError(f"transfer_alpha must lie in [0, 1] or be 'heuristic', got {alpha!r}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be one or more distinct integers, got {list(self.seeds)}")
+        indices = self.kd_config().student_layer_indices
+        if indices[-1] >= self.teacher.n_layers or len(indices) != self.student_layers:
+            raise ConfigError("kd.student_layer_indices must name student_layers layers in [0, teacher.n_layers)")
+        if self.public_subset is not None and self.public_subset < 1:
+            raise ConfigError(f"public_subset must be positive, got {self.public_subset}")
         if isinstance(self.task, CsvTask):
             for attr in ("train", "test", "public", "corpus"):
                 path = getattr(self.task, attr)
@@ -240,15 +238,11 @@ class ExperimentConfig:
                 raise ConfigError("csv task requires verbalizer_words")
 
     def kd_config(self) -> KdConfig:
-        kw = dict(self.kd)
-        weights = kw.pop("weights", None)
-        indices = kw.pop("student_layer_indices", None)
-        if indices is None:
-            indices = default_layer_indices(self.teacher.n_layers, self.student_layers)
-        cfg = KdConfig(student_layer_indices=tuple(indices), **kw)
-        if weights is not None:
-            cfg.weights = weights if isinstance(weights, KdWeights) else KdWeights(**weights)
-        return cfg
+        """The kd section, its student layers the first and last teacher
+        layers where it names none."""
+        if self.kd.student_layer_indices is not None:
+            return self.kd
+        return replace(self.kd, student_layer_indices=default_layer_indices(self.teacher.n_layers, self.student_layers))
 
     def digest(self) -> str:
         """A hash of the experiment: the config without `output_dir`, which
@@ -315,46 +309,63 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _task_from_dict(task: dict) -> SynthTaskSpec | CsvTask:
-    task = dict(task)
+def _read(value, hint, key: str, default=None):
+    """`value`, the JSON value at dotted `key`, as the type `hint` declares,
+    by the module docstring's rule; a dataclass section over `default`."""
+    args, origin = get_args(hint), get_origin(hint)
+    if is_dataclass(hint) and isinstance(value, dict):
+        hints, given, kwargs = get_type_hints(hint), dict(value), {}
+        for f in fields(hint):
+            name = f"{key}.{f.name}" if key else f.name
+            if f.name in given:
+                kwargs[f.name] = _read(given.pop(f.name), hints[f.name], name, getattr(default, f.name, None))
+            elif default is not None:
+                kwargs[f.name] = getattr(default, f.name)
+        if given:
+            raise ConfigError(f"unknown config keys: {sorted(f'{key}.{k}' if key else k for k in given)}")
+        try:
+            return hint(**kwargs)
+        except (TypeError, ValueError) as e:  # a missing key, or a section's range check
+            raise ConfigError(f"{key or 'config'}: {e}") from e
+    if origin is UnionType:
+        for option in args:
+            try:
+                return _read(value, option, key, default)
+            except ConfigError:
+                pass
+    elif origin is tuple and isinstance(value, (list, tuple)):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(_read(v, t, f"{key}[{i}]") for i, (v, t) in enumerate(zip(value, items)))
+    elif isinstance(value, origin or hint) and isinstance(value, bool) == (hint is bool):
+        return value
+    elif hint is float and type(value) is int:
+        return float(value)
+    name = hint.__name__ if origin is None else hint
+    raise ConfigError(f"{key} must be {name}, got {json.dumps(value, default=str)}")
+
+
+def _task_from_dict(task) -> SynthTaskSpec | CsvTask:
+    """The task section, taken whole: `kind` picks its class."""
+    task = dict(_read(task, dict, "task"))
     kind = task.pop("kind", "synthetic")
     if kind == "synthetic":
-        return SynthTaskSpec.from_dict({**task, "seed": 0})
+        return _read({**task, "seed": 0}, SynthTaskSpec, "task")
     if kind == "csv":
-        task["verbalizer_words"] = tuple(tuple(v) for v in task.get("verbalizer_words", ()))
-        return CsvTask(**task)
+        return _read(task, CsvTask, "task")
     raise ConfigError(f"unknown task kind {kind!r}")
 
 
 def config_from_dict(blob: dict) -> ExperimentConfig:
-    """The ExperimentConfig that `blob`, a JSON object, describes.  A section
-    that `blob` gives sets only the keys it names; the rest keep the default
-    experiment's values (`ExperimentConfig()`), not their class defaults.
-    The `task` section is the exception: it is taken whole."""
-    if not isinstance(blob, dict):
-        raise ConfigError(f"a config is a JSON object, not {type(blob).__name__}")
-    blob = _drop_fixed_keys(blob)
+    """The ExperimentConfig that `blob`, a JSON object, describes, each value
+    read by the module docstring's type rule.  A section sets only the keys
+    it names; the rest keep the default experiment's values, not their class
+    defaults.  The `task` section is the exception: it is taken whole."""
+    blob = _drop_fixed_keys(_read(blob, dict, "config"))
     blob.pop("kind", None)
-    defaults = ExperimentConfig()
-    kwargs: dict = {}
-    for f in fields(ExperimentConfig):
-        if f.name not in blob:
-            continue
-        value = blob.pop(f.name)
-        default = getattr(defaults, f.name)
-        if f.name == "task":
-            value = _task_from_dict(value)
-        elif is_dataclass(default):
-            value = replace(default, **value)
-        elif f.name in ("baselines", "seeds"):
-            kind, what = (str, "names") if f.name == "baselines" else (int, "integers")
-            if not isinstance(value, (list, tuple)) or not all(type(v) is kind for v in value):
-                raise ConfigError(f"{f.name} must be a list of {what}, got {json.dumps(value)}")
-            value = tuple(value)
-        kwargs[f.name] = value
-    if blob:
-        raise ConfigError(f"unknown config keys: {sorted(blob)}")
-    return ExperimentConfig(**kwargs)
+    if "task" in blob:
+        blob["task"] = _task_from_dict(blob["task"])
+    return _read(blob, ExperimentConfig, "", ExperimentConfig())
 
 
 def load_config(path) -> ExperimentConfig:
@@ -365,14 +376,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    try:
-        return config_from_dict(blob)
-    except ConfigError:
-        raise
-    except KeyError as e:
-        raise ConfigError(f"invalid config: missing key {e}") from e
-    except (TypeError, ValueError) as e:  # a nested key or value the dataclasses reject
-        raise ConfigError(f"invalid config: {e}") from e
+    return config_from_dict(blob)
 
 
 # -- data-access ledger --------------------------------------------------------

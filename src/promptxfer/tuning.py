@@ -19,8 +19,9 @@ own function call, so a chunk's graph is freed before the next chunk's
 forward; leaf gradients accumulate across chunks.
 
 Plain and DP tuning run one step loop and differ only in how a step draws
-its rows: plain tuning walks a fresh permutation of the set each epoch in
-batches of `batch_size`, DP-SGD draws a Poisson lot at rate q each step
+its rows and forms the prompt's `.grad`, which one Adam step then reads:
+plain tuning walks a fresh permutation of the set each epoch in batches of
+`batch_size`, DP-SGD draws a Poisson lot at rate q each step
 (`promptdpsgd_step`).  An epoch is ceil(N / batch_size) steps for both,
 as `make_dp_params` counts T.  Both record the same history row every
 `eval_every` epochs and after the last step: the steps so far, the mean
@@ -164,18 +165,13 @@ def promptdpsgd_step(
     dataset: LabeledDataset,
     sampled_indices: Sequence[int],
     dp: DpParams,
-    dataset_size: int,
     rng: np.random.Generator,
-    optimizer: Optimizer,
-) -> tuple[np.ndarray, float]:
-    """One DP step: clip per-example prompt gradients, sum, add N(0, (sigma c)^2),
-    divide by the expected batch size q*N, then apply the optimizer.
-
-    Returns the noisy gradient estimate (the optimizer input) and the
-    sampled rows' summed class cross-entropy before the step.  An empty
-    sampled batch yields a pure-noise update, which is valid under Poisson
-    subsampling.
-    """
+) -> float:
+    """One DP gradient into `prompt_var.grad`: clip per-example prompt
+    gradients, sum, add N(0, (sigma c)^2) and divide by the expected batch
+    size q*N.  Returns the sampled rows' summed class cross-entropy.  An
+    empty sampled batch yields a pure-noise gradient, which is valid under
+    Poisson subsampling."""
     shape = prompt_var.data.shape
     acc = np.zeros(shape, dtype=np.float64)
     loss = 0.0
@@ -190,10 +186,8 @@ def promptdpsgd_step(
             raise AssertionError(f"clipped gradient norm {post_norm} exceeds clip bound {dp.clip_norm}")
         acc += clipped.sum(axis=0).reshape(shape)
     noise = rng.normal(0.0, dp.noise_multiplier * dp.clip_norm, size=shape)
-    grad_estimate = (acc + noise) / (dp.sample_rate * dataset_size)
-    grad_estimate = grad_estimate.astype(prompt_var.data.dtype)
-    optimizer.step([grad_estimate])
-    return grad_estimate, loss
+    prompt_var.grad = ((acc + noise) / (dp.sample_rate * len(dataset))).astype(prompt_var.data.dtype)
+    return loss
 
 
 def tune_prompt(
@@ -248,10 +242,10 @@ def tune_prompt(
                 _class_nll_backward(model, prompt_var, dataset, idx[pos], scale)
                 for pos in row_chunks([len(dataset.templated(i)) for i in idx])
             )
-            opt.step()
         else:
             idx = np.flatnonzero(rng.random(n) < dp.sample_rate)
-            _, loss = promptdpsgd_step(model, prompt_var, dataset, idx, dp, n, rng, opt)
+            loss = promptdpsgd_step(model, prompt_var, dataset, idx, dp, rng)
+        opt.step()
         loss_sum += loss
         rows_seen += len(idx)
         if config.eval_every and ((step + 1) % (per_epoch * config.eval_every) == 0 or step == steps - 1):

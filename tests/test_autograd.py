@@ -548,6 +548,30 @@ def test_a_python_number_takes_the_dtype_of_the_tensor_it_meets(dtype):
         np.testing.assert_array_equal(got.data, want)
 
 
+RAW_OPERAND_NODES = {
+    "matmul": (lambda rng: {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2))},
+               lambda a: matmul(a["x"], a["w"])),
+    # the tensor is the second operand here
+    "concat": (lambda rng: {"x": rng.normal(size=(2, 3)), "y": rng.normal(size=(1, 3))},
+               lambda a: concat([a["y"], a["x"]], axis=0)),
+    **{node: (lambda rng, node=node: _fused_args(node, rng), lambda a, node=node: _call_fused(node, a))
+       for node in ("layer_norm", "causal_attention", "gelu_mlp")},
+}
+
+
+@pytest.mark.parametrize("node", RAW_OPERAND_NODES)
+def test_a_raw_array_takes_the_dtype_of_the_tensor_it_meets(node):
+    """A raw float64 array beside a float64 tensor is not rounded to float32:
+    the output is bit for bit the one with every operand a float64 tensor."""
+    make, call = RAW_OPERAND_NODES[node]
+    arrays = make(np.random.default_rng(5))
+    tensors = {k: Tensor(v, dtype=np.float64) for k, v in arrays.items()}
+    x = next(iter(arrays))
+    got = call({**arrays, x: tensors[x]}).data
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, call(tensors).data)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):

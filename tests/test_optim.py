@@ -5,12 +5,19 @@ from promptxfer.autograd import Tensor
 from promptxfer.optim import EPS, Optimizer
 
 
+def step(opt: Optimizer, *grads) -> None:
+    """One update of `opt` from `grads`, set as its parameters' .grad."""
+    for p, g in zip(opt.params, grads, strict=True):
+        p.grad = g
+    opt.step()
+
+
 def test_adam_zero_grads_leave_params_unchanged():
     p = Tensor(np.array([1.0, -2.0, 3.0]))
     before = p.data.copy()
     opt = Optimizer([p], learning_rate=0.01)
     for _ in range(5):
-        opt.step([np.zeros(3)])
+        step(opt, np.zeros(3))
     np.testing.assert_array_equal(p.data, before)
     assert opt.step_count == 5
 
@@ -18,7 +25,7 @@ def test_adam_zero_grads_leave_params_unchanged():
 def test_adam_first_step_magnitude_is_lr():
     lr = 0.001
     p = Tensor(np.zeros(4))
-    Optimizer([p], learning_rate=lr).step([np.ones(4)])
+    step(Optimizer([p], learning_rate=lr), np.ones(4))
     # bias correction makes m_hat/sqrt(v_hat) = 1 exactly on the first step
     expected = -lr / (1.0 + EPS)
     np.testing.assert_allclose(p.data, np.full(4, expected), rtol=1e-7)
@@ -28,8 +35,8 @@ def test_adam_second_step_matches_closed_form():
     lr, g1, g2 = 0.1, 2.0, -1.0
     p = Tensor(np.array([0.5]))
     opt = Optimizer([p], learning_rate=lr)
-    opt.step([np.array([g1])])
-    opt.step([np.array([g2])])
+    step(opt, np.array([g1]))
+    step(opt, np.array([g2]))
     m = (0.9 * 0.1 * g1 + 0.1 * g2) / (1 - 0.9**2)
     v = (0.999 * 0.001 * g1**2 + 0.001 * g2**2) / (1 - 0.999**2)
     first = lr * g1 / (abs(g1) + EPS)
@@ -39,13 +46,13 @@ def test_adam_second_step_matches_closed_form():
 def test_step_count_increments_once_per_update():
     p1, p2 = Tensor(np.zeros(2)), Tensor(np.zeros((3, 1)))
     opt = Optimizer([p1, p2], learning_rate=0.1)
-    opt.step([np.ones(2, dtype=np.float32), -np.ones((3, 1), dtype=np.float32)])
+    step(opt, np.ones(2, dtype=np.float32), -np.ones((3, 1), dtype=np.float32))
     assert opt.step_count == 1
     # every parameter takes its own first step of size lr, in its own shape
     assert p1.data.shape == (2,) and p2.data.shape == (3, 1)
     np.testing.assert_allclose(p1.data, -0.1, rtol=1e-6)
     np.testing.assert_allclose(p2.data, 0.1, rtol=1e-6)
-    opt.step([np.ones(2, dtype=np.float32), -np.ones((3, 1), dtype=np.float32)])
+    step(opt, np.ones(2, dtype=np.float32), -np.ones((3, 1), dtype=np.float32))
     assert opt.step_count == 2
 
 
@@ -86,7 +93,7 @@ def test_flat_update_is_bit_identical_to_per_array_adam(shapes, dtype):
     params = [Tensor(a.copy(), dtype=dtype) for a in init]
     opt = Optimizer(params, learning_rate=3e-3)
     for grads, expected in zip(grad_seq, _per_array_adam(init, grad_seq, 3e-3)):
-        opt.step(grads)
+        step(opt, *grads)
         for p, e in zip(params, expected):
             assert p.data.dtype == dtype and p.data.shape == e.shape
             assert np.array_equal(p.data, e)
@@ -97,18 +104,19 @@ def test_mixed_parameter_dtypes_rejected():
     with pytest.raises(ValueError):
         Optimizer([Tensor(np.zeros(2)), p], learning_rate=0.1)
     # a gradient is cast to the parameters' dtype
-    Optimizer([p], learning_rate=0.1).step([np.ones(2, dtype=np.float32)])
+    step(Optimizer([p], learning_rate=0.1), np.ones(2, dtype=np.float32))
     assert p.data.dtype == np.float64
 
 
 def test_shape_mismatch_rejected():
-    p = Tensor(np.zeros(2))
-    opt = Optimizer([p], learning_rate=0.1)
+    """A .grad of another shape than its parameter's is rejected before any
+    parameter moves."""
+    p, q = Tensor(np.zeros(2)), Tensor(np.zeros(3))
+    opt = Optimizer([p, q], learning_rate=0.1)
     with pytest.raises(ValueError):
-        opt.step([np.ones(3)])
-    with pytest.raises(ValueError):
-        opt.step([np.ones(2), np.ones(2)])
+        step(opt, np.ones(2), np.ones(2))
     assert opt.step_count == 0
+    np.testing.assert_array_equal(p.data, 0.0)
 
 
 def test_invalid_config_rejected():

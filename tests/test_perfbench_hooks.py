@@ -44,12 +44,13 @@ def test_perfbench_workload_configs_load_unchanged(monkeypatch, tmp_path):
     pl = importlib.import_module("promptxfer.pipeline")
     TuneConfig = importlib.import_module("promptxfer.tuning").TuneConfig
     TransferConfig = importlib.import_module("promptxfer.transfer").TransferConfig
+    KdConfig = importlib.import_module("promptxfer.distill").KdConfig
     for name, wl in wls.WORKLOADS.items():
         out = str(tmp_path / name)
         expected = pl.ExperimentConfig(
             student_layers=2,
             pretrain=pl.PretrainConfig(steps=wls.PRETRAIN_STEPS, batch_size=16, learning_rate=3e-3),
-            kd={"max_steps": wls.KD_STEPS},
+            kd=KdConfig(max_steps=wls.KD_STEPS),
             tune=TuneConfig(epochs=wls.TUNE_EPOCHS, learning_rate=1e-2, batch_size=wls.TUNE_BATCH),
             transfer_alpha="heuristic",
             transfer=TransferConfig(steps=wls.TRANSFER_STEPS, learning_rate=1e-3, batch_size=wls.TRANSFER_BATCH),

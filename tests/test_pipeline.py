@@ -9,7 +9,7 @@ run writes from those same declarations."""
 
 import json
 from collections import defaultdict
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,10 @@ import pytest
 from promptxfer import artifacts as art
 from promptxfer import pipeline as pl
 from promptxfer.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from promptxfer.corpus import default_task_spec, gen_synth_pair
+from promptxfer.corpus import SynthTaskSpec, default_task_spec, gen_synth_pair
+from promptxfer.distill import KdConfig, KdWeights
+from promptxfer.transfer import TransferConfig
+from promptxfer.tuning import TuneConfig
 from task_csv import write_csv
 
 BASELINES = list(pl.ALL_BASELINES)
@@ -379,6 +382,20 @@ def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixe
         {"baselines": "post"},
         # the task section is taken whole: a partial one does not load
         {"task": {"kind": "synthetic", "n_public": 8}},
+        # values of another type than their field's, which loaded or failed
+        # only in the stage that read them
+        {"transfer": {"steps": 1.5}},
+        {"prompt": {"length": 2.5}},
+        {"tune": {"epochs": 2.5}},
+        {"attack": {"enabled": "yes"}},
+        {"transfer_alpha": True},
+        {"student_layers": True},
+        {"kd": []},
+        {"kd": {"max_steps": 1.5}},
+        {"kd": {"student_layer_indices": [0.5]}},
+        {"kd": {"weights": {"temperature": True}}},
+        # a negative teacher layer
+        {"kd": {"student_layer_indices": [-1]}},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
@@ -499,6 +516,67 @@ def test_config_json_round_trip(full_run, tmp_path):
     }
     assert pl.config_from_dict(retired) == config
     assert pl.config_to_dict(pl.config_from_dict(retired)) == pl.config_to_dict(config)
+
+
+def _leaves(section, prefix=""):
+    """(dotted key, value) for every field of `section`, through nested sections."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
+
+
+def test_a_config_with_every_key_set_survives_json(tmp_path):
+    """Every key of every section, nested ones included, at a value other
+    than the default experiment's comes back equal through config_to_dict,
+    JSON and config_from_dict."""
+    task = SynthTaskSpec(
+        n_classes=3,
+        class_keyword_pools=(("grim", "sour"), ("glad", "warm"), ("odd", "new")),
+        noise_vocab=("the", "a", "film"),
+        length_range=(5, 9),
+        keyword_density=0.3,
+        seed=0,  # set from `seeds`, so never written
+        verbalizer_words=(("bad",), ("good", "fine"), ("meh",)),
+        template_suffix=", so",
+        n_private_train=40,
+        n_private_test=30,
+        n_public=20,
+        n_corpus_sentences=50,
+        corpus_verbalizer_rate=0.25,
+    )
+    config = pl.ExperimentConfig(
+        teacher=pl.ArchSpec(n_layers=6, d_model=32, n_heads=2, max_seq_len=48, tie_lm_head=True),
+        student_layers=3,
+        pretrain=pl.PretrainConfig(steps=7, batch_size=3, learning_rate=0.5),
+        kd=KdConfig(
+            student_layer_indices=(0, 2, 5),
+            weights=KdWeights(alpha_ce=1.5, alpha_lm=0.5, alpha_cos=0.25, temperature=3.0),
+            learning_rate=0.01,
+            batch_size=2,
+            max_steps=9,
+        ),
+        prompt=pl.PromptSpec(length=3),
+        tune=TuneConfig(epochs=4, learning_rate=0.2, batch_size=5, eval_every=2),
+        dp=pl.DpSpec(epsilon=3.0, delta=1e-5, clip_norm=0.5),
+        transfer_alpha=0.25,
+        transfer=TransferConfig(steps=6, learning_rate=0.03, batch_size=4),
+        task=task,
+        baselines=("post", "post_dp"),
+        attack=pl.AttackConfig(
+            enabled=True, n_shadows=3, pool_size=20, label_noise=0.3, epochs=2,
+            learning_rate=0.1, batch_size=4, prompt_length=2, with_dp=False,
+        ),
+        public_subset=12,
+        seeds=(4, 9),
+        output_dir=str(tmp_path / "run"),
+    )
+    fixed = {f"{section}.{key}" if section else key for section, key in pl.FIXED_KEYS}
+    default = dict(_leaves(pl.ExperimentConfig()))
+    assert [key for key, value in _leaves(config) if key not in fixed and value == default[key]] == []
+    assert pl.config_from_dict(json.loads(json.dumps(pl.config_to_dict(config)))) == config
 
 
 def test_config_digest_names_the_experiment_not_its_directory(tmp_path):

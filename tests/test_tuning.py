@@ -185,9 +185,9 @@ def test_dp_history_scores_the_set_once_per_row(tiny_task, monkeypatch):
 
     def logged_step(model_, prompt_var, dataset, sampled, *args):
         before = prompt_var.data.copy()
-        estimate, loss = dp_step(model_, prompt_var, dataset, sampled, *args)
+        loss = dp_step(model_, prompt_var, dataset, sampled, *args)
         steps.append((len(sampled), loss, before, np.asarray(sampled)))
-        return estimate, loss
+        return loss
 
     monkeypatch.setattr(tuning, "classify_batch", counting_classify)
     monkeypatch.setattr(tuning, "promptdpsgd_step", logged_step)
@@ -286,12 +286,11 @@ def test_dpsgd_step_sigma_to_zero_matches_clipped_batch_sum(tiny_task):
         expected = sum(per_example) / (dp.sample_rate * n)  # all norms << clip bound
 
         pv2 = Tensor(pv.data.copy(), requires_grad=True)
-        opt = Optimizer([pv2], learning_rate=1.0)
-        estimate, _ = promptdpsgd_step(
-            model, pv2, train, idx, dp, n, np.random.default_rng(0), opt
-        )
+        promptdpsgd_step(model, pv2, train, idx, dp, np.random.default_rng(0))
+        estimate = pv2.grad
         np.testing.assert_allclose(estimate, expected, rtol=1e-4, atol=1e-7)
-        # the estimate is the optimizer's input: Adam's first step with it
+        # the estimate is left as the optimizer's input: Adam's first step with it
+        Optimizer([pv2], learning_rate=1.0).step()
         first_step = estimate.astype(np.float64) / (np.abs(estimate) + EPS)
         np.testing.assert_allclose(pv2.data, pv.data - first_step, rtol=1e-5)
 
@@ -309,9 +308,8 @@ def test_dpsgd_step_clips_each_example(tiny_task):
     expected = sum(g * min(1.0, c / norm) for g, norm in zip(per_example, norms)) / (dp.sample_rate * n)
 
     pv = Tensor(matrix.copy(), requires_grad=True)
-    opt = Optimizer([pv], learning_rate=1.0)
-    estimate, _ = promptdpsgd_step(model, pv, train, idx, dp, n, np.random.default_rng(0), opt)
-    np.testing.assert_allclose(estimate.ravel(), expected, rtol=1e-4, atol=1e-7)
+    promptdpsgd_step(model, pv, train, idx, dp, np.random.default_rng(0))
+    np.testing.assert_allclose(pv.grad.ravel(), expected, rtol=1e-4, atol=1e-7)
 
 
 def test_dpsgd_step_noise_std_monte_carlo(tiny_task):
@@ -323,10 +321,10 @@ def test_dpsgd_step_noise_std_monte_carlo(tiny_task):
     )
     rng = np.random.default_rng(42)
     pv = Tensor(np.zeros((2, 4), dtype=np.float32), requires_grad=True)
-    opt = Optimizer([pv], learning_rate=1e-30)  # keep params still
     draws = []
     for _ in range(10_000):
-        draws.append(promptdpsgd_step(model, pv, train, [], dp, n, rng, opt)[0])
+        promptdpsgd_step(model, pv, train, [], dp, rng)
+        draws.append(pv.grad)
     draws = np.asarray(draws, dtype=np.float64)
     target = dp.noise_multiplier * dp.clip_norm / (dp.sample_rate * n)
     measured = draws.std()
@@ -342,9 +340,8 @@ def test_dpsgd_step_deterministic_per_seed(tiny_task):
 
     def run():
         pv = Tensor(init_prompt(model, length=3, seed=2).matrix, requires_grad=True)
-        opt = Optimizer([pv], learning_rate=1e-3)
-        promptdpsgd_step(model, pv, train, [1, 2], dp, len(train), np.random.default_rng(7), opt)
-        return pv.data.copy()
+        promptdpsgd_step(model, pv, train, [1, 2], dp, np.random.default_rng(7))
+        return pv.grad
 
     np.testing.assert_array_equal(run(), run())
 
