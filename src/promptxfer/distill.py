@@ -53,10 +53,9 @@ class KdConfig:
     max_steps: int = 400
 
     def __post_init__(self):
-        if self.student_layer_indices is not None:
-            idx = self.student_layer_indices = tuple(int(i) for i in self.student_layer_indices)
-            if not idx or idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:])):
-                raise ValueError("student_layer_indices must be non-empty, nonnegative and strictly increasing")
+        idx = self.student_layer_indices
+        if idx is not None and (not idx or idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:]))):
+            raise ValueError("student_layer_indices must be non-empty, nonnegative and strictly increasing")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_steps <= 0:
             raise ValueError("learning_rate, batch_size and max_steps must be positive")
 

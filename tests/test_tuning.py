@@ -289,7 +289,7 @@ def test_dpsgd_step_sigma_to_zero_matches_clipped_batch_sum(tiny_task):
         promptdpsgd_step(model, pv2, train, idx, dp, np.random.default_rng(0))
         estimate = pv2.grad
         np.testing.assert_allclose(estimate, expected, rtol=1e-4, atol=1e-7)
-        # the estimate is left as the optimizer's input: Adam's first step with it
+        # Adam steps with the .grad the DP step left: its first step is sign-like
         Optimizer([pv2], learning_rate=1.0).step()
         first_step = estimate.astype(np.float64) / (np.abs(estimate) + EPS)
         np.testing.assert_allclose(pv2.data, pv.data - first_step, rtol=1e-5)
