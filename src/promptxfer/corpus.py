@@ -13,7 +13,7 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -74,22 +74,21 @@ def build_vocab(corpus_texts: Iterable[str]) -> Vocab:
 
 @dataclass
 class LabeledDataset:
-    """Templated, verbalized classification examples."""
+    """Verbalized classification examples: each text, its templated token
+    ids (`apply_template`) and its label."""
 
     texts: list[str]
+    sequences: list[np.ndarray]
     labels: np.ndarray
-    n_classes: int
-    template_suffix: str
     verbalizers: tuple[tuple[int, ...], ...]
     vocab: Vocab
     split_tags: tuple[str, ...]
     name: str = "dataset"
-    _templated: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.texts) != len(self.labels) or len(self.texts) != len(self.split_tags):
-            raise ValueError("texts, labels and split tags must align")
+        if not len(self.texts) == len(self.sequences) == len(self.labels) == len(self.split_tags):
+            raise ValueError("texts, sequences, labels and split tags must align")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ValueError("labels must lie in [0, n_classes)")
         seen: set[int] = set()
@@ -101,33 +100,24 @@ class LabeledDataset:
             if any(i >= self.vocab.size or i < 0 for i in ids):
                 raise ValueError("verbalizer token outside the vocabulary")
             seen.update(ids)
-        if len(self.verbalizers) != self.n_classes:
-            raise ValueError("one verbalizer set per class is required")
-        if not self._templated:
-            self._templated = [apply_template(t, self) for t in self.texts]
+
+    @property
+    def n_classes(self) -> int:
+        """One class per verbalizer set."""
+        return len(self.verbalizers)
 
     def __len__(self) -> int:
         return len(self.texts)
 
-    def templated(self, i: int) -> np.ndarray:
-        return self._templated[i]
-
-    @property
-    def sequences(self) -> list[np.ndarray]:
-        return self._templated
-
     def subset(self, indices: Sequence[int], name: str | None = None) -> "LabeledDataset":
         idx = list(int(i) for i in indices)
-        return LabeledDataset(
+        return replace(
+            self,
             texts=[self.texts[i] for i in idx],
+            sequences=[self.sequences[i] for i in idx],
             labels=self.labels[idx],
-            n_classes=self.n_classes,
-            template_suffix=self.template_suffix,
-            verbalizers=self.verbalizers,
-            vocab=self.vocab,
             split_tags=tuple(self.split_tags[i] for i in idx),
             name=name or self.name,
-            _templated=[self._templated[i] for i in idx],
         )
 
     def split(self, tag: str) -> "LabeledDataset":
@@ -136,12 +126,11 @@ class LabeledDataset:
         )
 
 
-def apply_template(text: str, dataset: "LabeledDataset") -> np.ndarray:
+def apply_template(text: str, suffix: str, vocab: Vocab) -> np.ndarray:
     """[bos] + tokens(text + suffix); the answer slot follows the last token."""
     if not text.strip():
         raise ValueError("cannot template an empty text")
-    ids = [BOS_ID] + dataset.vocab.encode_text(text + dataset.template_suffix)
-    return np.asarray(ids, dtype=np.int64)
+    return np.asarray([BOS_ID] + vocab.encode_text(text + suffix), dtype=np.int64)
 
 
 # -- synthetic task families --------------------------------------------------
@@ -254,9 +243,8 @@ def _labeled(spec: SynthTaskSpec, rng, cue_sets, n: int, tags, vocab, name) -> L
     verb_ids = tuple(tuple(vocab.id_of(w) for w in ws) for ws in spec.verbalizer_words)
     return LabeledDataset(
         texts=texts,
+        sequences=[apply_template(t, spec.template_suffix, vocab) for t in texts],
         labels=labels,
-        n_classes=spec.n_classes,
-        template_suffix=spec.template_suffix,
         verbalizers=verb_ids,
         vocab=vocab,
         split_tags=tags,
@@ -323,20 +311,10 @@ def with_label_noise(dataset: LabeledDataset, fraction: float, seed: int) -> Lab
 
 
 def write_manifest(path, spec: SynthTaskSpec, vocab: Vocab) -> None:
-    manifest = {
-        "spec": asdict(spec),
-        "seed": spec.seed,
-        "vocab_size": vocab.size,
-        "sizes": {
-            "private_train": spec.n_private_train,
-            "private_test": spec.n_private_test,
-            "public": spec.n_public,
-            "corpus_sentences": spec.n_corpus_sentences,
-        },
-        "class_names": [f"class_{i}" for i in range(spec.n_classes)],
-    }
+    """The task's generator spec and its vocabulary size, from which the
+    task's data is regenerated."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump({"spec": asdict(spec), "vocab_size": vocab.size}, fh, indent=2, sort_keys=True)
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -385,9 +363,8 @@ def load_csv(
 
     return LabeledDataset(
         texts=texts,
+        sequences=[apply_template(t, template_suffix, vocab) for t in texts],
         labels=np.asarray(labels, dtype=np.int64),
-        n_classes=n_classes,
-        template_suffix=template_suffix,
         verbalizers=tuple(verb_ids),
         vocab=vocab,
         split_tags=(split_tag,) * len(texts),

@@ -15,14 +15,14 @@ weights (`distill_loss`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .model import ModelConfig, TransformerLM, lm_loss, next_token_loss, param_names
+from .model import TransformerLM, lm_loss, next_token_loss, param_names
 from .optim import Optimizer
 
 log = logging.getLogger(__name__)
@@ -76,14 +76,7 @@ def init_student_from_teacher(teacher: TransformerLM, config: KdConfig) -> Trans
     idx = config.student_layer_indices
     if idx[-1] >= t_cfg.n_layers:
         raise ValueError(f"layer index {idx[-1]} out of range for a {t_cfg.n_layers}-layer teacher")
-    s_cfg = ModelConfig(
-        n_layers=len(idx),
-        d_model=t_cfg.d_model,
-        n_heads=t_cfg.n_heads,
-        vocab_size=t_cfg.vocab_size,
-        max_seq_len=t_cfg.max_seq_len,
-        tie_lm_head=t_cfg.tie_lm_head,
-    )
+    s_cfg = replace(t_cfg, n_layers=len(idx))
     params: dict[str, Tensor] = {}
     for name in param_names(s_cfg):
         if name.startswith("layers."):

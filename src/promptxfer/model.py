@@ -48,18 +48,9 @@ keeping only what its backward reads and freed as that backward runs), one
 32-row graph per transfer step peaked at 83.0-83.6 MB resident; chunks of
 16 rows, each freed before the next forward, peaked at 74.8-75.1 MB, and
 chunks of 8 at 71.0-71.2 MB, against the 69.7 MB that pretraining and
-distillation reach.  The float64 transfer sets the 16-row peak.
-
-Earlier measurements, with graphs that kept every activation of their rows
-(peaks of 93, 80.4 and 73.5-74 MB at 32, 16 and 8 rows), found no faster
-size.  Before graphs were freed during backward, over three traced runs per
-seed on one 2-core host, the transfer's median read 1.9 s (8 rows), 2.0 s
-(16) and 2.1 s (32), inside the runs' spread of 1.5-2.2 s, and the
-student's tuning 0.44, 0.36 and 0.33 s.  Chunks of 8 rows for the float64
-transfer alone peaked at 73.4-73.9 MB instead of 80.0-80.3 MB at seeds
-20-22, but its transfer stage took 1.98-2.30 s instead of 1.69-2.14 s,
-slower at every seed; timed in one process, the 50-step transfer's median
-went from 1.73 s to 1.92 s (slower in 5 of 6 alternations).
+distillation reach.  The float64 transfer sets the 16-row peak.  Chunks of
+8 made the transfer slower than chunks of 16 at every seed timed (seeds
+20-22, before graphs were freed during backward), so 16 is the size kept.
 `row_chunks` sorts a batch's rows by length before it slices them, so each
 chunk is padded to a length close to its own rows' rather than to the
 batch's longest.

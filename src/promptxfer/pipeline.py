@@ -121,6 +121,9 @@ class ArchSpec:
     max_seq_len: int = 64
     tie_lm_head: bool = False
 
+    def __post_init__(self):
+        self.to_model_config(1)  # ModelConfig's own checks, before any stage runs
+
     def to_model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(vocab_size=vocab_size, **asdict(self))
 
@@ -803,22 +806,3 @@ def write_report(report: RunReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["baseline", "seed", "accuracy"])
-        for kind, row in report.baselines.items():
-            for seed, acc in row["per_seed"].items():
-                writer.writerow([kind, seed, f"{acc:.10g}"])
-    write_timing_csv(report, os.path.join(out_dir, "timing.csv"))
-    with open(os.path.join(out_dir, "data_access.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.data_access, fh, indent=2, sort_keys=True)
-
-
-def write_timing_csv(report: RunReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "seconds", "seed", "amortizable"])
-        for row in report.timings:
-            writer.writerow(
-                [row["stage"], f"{row['seconds']:.6f}", row["seed"], int(row["amortizable"])]
-            )

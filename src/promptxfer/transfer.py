@@ -117,11 +117,11 @@ def _as_const(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def _transfer_chunk_backward(teacher, p_t, data, rows, sides, alpha, verbalizers, scale) -> np.ndarray:
+def _transfer_chunk_backward(teacher, p_t, seqs, rows, sides, alpha, verbalizers, scale) -> np.ndarray:
     """Back-propagate scale * transfer_loss over `rows` into p_t; returns the
     unscaled (total, l1, l2).  The graph is freed on return."""
     s_prompted, s_plain, t_plain = (side[rows] for side in sides)
-    t_prompted = answer_log_probs(teacher, [data.templated(i) for i in rows], verbalizers, p_t)
+    t_prompted = answer_log_probs(teacher, [seqs[i] for i in rows], verbalizers, p_t)
     total, l1, l2 = transfer_loss(t_prompted, t_plain, s_prompted, s_plain, alpha)
     (total * scale).backward()
     return np.array([total.item(), l1.item(), l2.item()])
@@ -187,8 +187,8 @@ def transfer_prompt(
         opt.zero_grad()
         scale = 1.0 / len(idx)
         sums = sum(
-            _transfer_chunk_backward(teacher64, p_t, public_data, idx[pos], sides, alpha, verbalizers, scale)
-            for pos in row_chunks([len(public_data.templated(i)) for i in idx])
+            _transfer_chunk_backward(teacher64, p_t, seqs, idx[pos], sides, alpha, verbalizers, scale)
+            for pos in row_chunks([len(seqs[i]) for i in idx])
         )
         opt.step()
         total, l1, l2 = sums / len(idx)

@@ -153,7 +153,7 @@ def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
 def _class_nll_backward(model: TransformerLM, prompt: Tensor, dataset: LabeledDataset, rows, scale: float) -> float:
     """Back-propagate scale * (summed class cross-entropy over `rows`) into the
     prompt leaf; returns the unscaled sum.  The graph is freed on return."""
-    lp = answer_log_probs(model, [dataset.templated(i) for i in rows], dataset.verbalizers, prompt)
+    lp = answer_log_probs(model, [dataset.sequences[i] for i in rows], dataset.verbalizers, prompt)
     loss = -ag.take_along_last(lp, dataset.labels[rows]).sum()
     (loss * scale).backward()
     return loss.item()
@@ -176,7 +176,7 @@ def promptdpsgd_step(
     acc = np.zeros(shape, dtype=np.float64)
     loss = 0.0
     sampled = np.asarray(sampled_indices, dtype=np.int64)
-    for pos in row_chunks([len(dataset.templated(i)) for i in sampled]):
+    for pos in row_chunks([len(dataset.sequences[i]) for i in sampled]):
         rows = sampled[pos]
         copies = Tensor(np.broadcast_to(prompt_var.data, (len(rows),) + shape), requires_grad=True)
         loss += _class_nll_backward(model, copies, dataset, rows, 1.0)
@@ -240,7 +240,7 @@ def tune_prompt(
             scale = 1.0 / len(idx)
             loss = sum(
                 _class_nll_backward(model, prompt_var, dataset, idx[pos], scale)
-                for pos in row_chunks([len(dataset.templated(i)) for i in idx])
+                for pos in row_chunks([len(dataset.sequences[i]) for i in idx])
             )
         else:
             idx = np.flatnonzero(rng.random(n) < dp.sample_rate)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from promptxfer.corpus import (
     gen_synth_pair,
     load_csv,
     tokenize_corpus,
+    with_label_noise,
     word_tokenize,
 )
 from task_csv import write_csv
@@ -53,13 +56,16 @@ def test_tokenize_encode_decode_identity_on_canonical_text():
     assert v.decode(v.encode(tokens)) == tokens
 
 
+SUFFIX = ", it was"
+
+
 def make_dataset():
     v = build_vocab(["great movie , it was good bad fine poor"])
+    texts = ["great movie", "bad movie"]
     return LabeledDataset(
-        texts=["great movie", "bad movie"],
+        texts=texts,
+        sequences=[apply_template(t, SUFFIX, v) for t in texts],
         labels=np.array([1, 0]),
-        n_classes=2,
-        template_suffix=", it was",
         verbalizers=((v.id_of("bad"),), (v.id_of("good"),)),
         vocab=v,
         split_tags=("train", "train"),
@@ -67,24 +73,24 @@ def make_dataset():
 
 
 def test_apply_template_example():
-    ds = make_dataset()
-    ids = apply_template("great movie", ds)
-    expected = [BOS_ID] + ds.vocab.encode(["great", "movie", ",", "it", "was"])
+    v = make_dataset().vocab
+    ids = apply_template("great movie", SUFFIX, v)
+    expected = [BOS_ID] + v.encode(["great", "movie", ",", "it", "was"])
     assert list(ids) == expected
     # templated length = 1 + len(text tokens) + len(suffix tokens)
     assert len(ids) == 1 + 2 + 3
     with pytest.raises(ValueError):
-        apply_template("   ", ds)
+        apply_template("   ", SUFFIX, v)
 
 
 def test_dataset_validation():
     v = build_vocab(["a b c"])
+    seqs = [apply_template("a", SUFFIX, v)]
     with pytest.raises(ValueError):
         LabeledDataset(
             texts=["a"],
+            sequences=seqs,
             labels=np.array([2]),
-            n_classes=2,
-            template_suffix=", it was",
             verbalizers=((3,), (4,)),
             vocab=v,
             split_tags=("train",),
@@ -92,9 +98,8 @@ def test_dataset_validation():
     with pytest.raises(ValueError, match="disjoint"):
         LabeledDataset(
             texts=["a"],
+            sequences=seqs,
             labels=np.array([0]),
-            n_classes=2,
-            template_suffix=", it was",
             verbalizers=((3,), (3,)),
             vocab=v,
             split_tags=("train",),
@@ -154,7 +159,7 @@ def test_split_tags_and_subset():
     assert len(pub) == 8
     sub = pri.subset([0, 1, 2])
     assert len(sub) == 3
-    np.testing.assert_array_equal(sub.templated(1), pri.templated(1))
+    np.testing.assert_array_equal(sub.sequences[1], pri.sequences[1])
 
 
 def test_tokenize_corpus_bos_prefixed():
@@ -170,7 +175,7 @@ def test_csv_round_trip(tmp_path):
     ds = make_dataset()
     path = tmp_path / "task.csv"
     write_csv(ds, path)
-    loaded = load_csv(path, ds.template_suffix, [["bad"], ["good"]], ds.vocab)
+    loaded = load_csv(path, SUFFIX, [["bad"], ["good"]], ds.vocab)
     assert loaded.texts == ds.texts
     np.testing.assert_array_equal(loaded.labels, ds.labels)
     assert loaded.verbalizers == ds.verbalizers
@@ -197,3 +202,47 @@ def test_csv_errors(tmp_path):
         p4 = tmp_path / "nonint.csv"
         p4.write_text("text,label\nsome words,zero\n")
         load_csv(p4, ", it was", [["bad"], ["good"]], v)
+
+
+BUILT_SPEC = default_task_spec(seed=4, n_private_train=12, n_private_test=6, n_public=8, n_corpus_sentences=20)
+
+
+@pytest.fixture(params=["synthetic", "csv"])
+def built(request, tmp_path) -> LabeledDataset:
+    """A dataset from each builder: `gen_synth_pair`'s private set, and
+    that set written as a CSV and read back by `load_csv`."""
+    private, _, _ = gen_synth_pair(BUILT_SPEC)
+    if request.param == "synthetic":
+        return private
+    path = tmp_path / "task.csv"
+    write_csv(private, path)
+    return load_csv(path, BUILT_SPEC.template_suffix, BUILT_SPEC.verbalizer_words, private.vocab)
+
+
+def assert_rows_of(derived: LabeledDataset, source: LabeledDataset, rows) -> None:
+    assert derived.texts == [source.texts[i] for i in rows]
+    assert len(derived.sequences) == len(rows)
+    for seq, i in zip(derived.sequences, rows):
+        np.testing.assert_array_equal(seq, source.sequences[i])
+
+
+def test_a_builder_templates_each_text_once(built):
+    assert len(built.sequences) == len(built.texts)
+    for text, seq in zip(built.texts, built.sequences):
+        np.testing.assert_array_equal(seq, apply_template(text, BUILT_SPEC.template_suffix, built.vocab))
+    assert built.n_classes == len(built.verbalizers) == BUILT_SPEC.n_classes
+
+
+def test_subset_split_and_label_noise_carry_the_same_rows(built):
+    rows = [5, 0, 3]
+    assert_rows_of(built.subset(rows), built, rows)
+    tag = built.split_tags[0]
+    assert_rows_of(built.split(tag), built, [i for i, t in enumerate(built.split_tags) if t == tag])
+    noisy = with_label_noise(built, 0.5, seed=1)
+    assert_rows_of(noisy, built, range(len(built)))
+    assert np.any(noisy.labels != built.labels)
+
+
+def test_a_dataset_whose_texts_and_sequences_differ_in_count_is_rejected(built):
+    with pytest.raises(ValueError, match="align"):
+        replace(built, sequences=built.sequences[:-1])

@@ -76,6 +76,15 @@ def test_pipeline_runs_the_whole_plan(full_run):
     ]
 
 
+def test_a_run_writes_its_summary_once(full_run):
+    """The run root holds the config, the report and one directory per
+    seed; the task manifest holds what regenerates the task."""
+    assert sorted(p.name for p in full_run.iterdir()) == ["config.json", "report.json", "seed0"]
+    manifest = json.loads((full_run / "seed0" / "task_manifest.json").read_text())
+    assert set(manifest) == {"spec", "vocab_size"}
+    assert SynthTaskSpec.from_dict(manifest["spec"]).n_public == TASK.n_public
+
+
 @pytest.mark.parametrize(
     "name, rows", [("pretrain_loss.csv", PRETRAIN_STEPS), ("kd_loss.csv", KD_STEPS), ("control_lm_loss.csv", KD_STEPS)]
 )
@@ -270,8 +279,8 @@ def test_no_model_reaches_private_train(model):
 
 def test_the_ledger_is_the_plans_declared_roles(full_run):
     """Each row a run ran wrote one ledger row per data role it declares."""
-    records = json.loads((full_run / "data_access.json").read_text())
-    ran = [row["stage"] for row in json.loads((full_run / "report.json").read_text())["timings"]][1:]
+    report = json.loads((full_run / "report.json").read_text())
+    records, ran = report["data_access"], [row["stage"] for row in report["timings"]][1:]
     declared = [
         (row.name, name) for row in pl.STAGE_PLAN for name in row.inputs if name in pl.DATA_ROLES
     ]
@@ -280,7 +289,7 @@ def test_the_ledger_is_the_plans_declared_roles(full_run):
 
 
 def test_teacher_side_stages_never_read_private_train(full_run):
-    records = json.loads((full_run / "data_access.json").read_text())
+    records = json.loads((full_run / "report.json").read_text())["data_access"]
 
     def stages_reading(role):
         return {r["stage"] for r in records if r["role"] == role}
@@ -396,6 +405,10 @@ def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixe
         {"kd": {"weights": {"temperature": True}}},
         # a negative teacher layer
         {"kd": {"student_layer_indices": [-1]}},
+        # teacher shapes that ModelConfig rejects, which failed only in pretraining
+        {"teacher": {"n_layers": 2, "d_model": 10, "n_heads": 4, "max_seq_len": 32}},
+        {"teacher": {"n_layers": 2, "d_model": 16, "n_heads": 0, "max_seq_len": 32}},
+        {"teacher": {"n_layers": 2, "d_model": -16, "n_heads": 2, "max_seq_len": 32}},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):

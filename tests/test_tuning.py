@@ -206,7 +206,7 @@ def test_dp_history_scores_the_set_once_per_row(tiny_task, monkeypatch):
         previous = done
     # each step's loss is its drawn rows' summed cross-entropy at the prompt it started from
     count, loss, before, rows = steps[0]
-    lp = answer_log_probs(model, [train.templated(i) for i in rows], train.verbalizers, before)
+    lp = answer_log_probs(model, [train.sequences[i] for i in rows], train.verbalizers, before)
     assert loss == pytest.approx(-float(np.sum(lp.data[np.arange(count), train.labels[rows]])), rel=1e-5)
 
 
@@ -266,7 +266,7 @@ def test_tune_prompt_rejects_infeasible_budget(tiny_task):
 def _one_row_grad(model, dataset, matrix, i):
     """Prompt gradient of example i's class cross-entropy, from a one-row call."""
     pv = Tensor(matrix.copy(), requires_grad=True)
-    lp = answer_log_probs(model, [dataset.templated(i)], dataset.verbalizers, pv)
+    lp = answer_log_probs(model, [dataset.sequences[i]], dataset.verbalizers, pv)
     (-ag.take_along_last(lp, dataset.labels[[i]]).sum()).backward()
     return pv.grad
 
