@@ -97,6 +97,10 @@ step would fault the same pages in again.  Whether the top is free depends on
 where long-lived blocks happened to land, so the cost changed from one seed
 to the next.  On import this module therefore keeps freed heap memory in the
 process (``_keep_freed_heap``); the resident high-water mark is unchanged.
+On perfbench's post and post_dp workloads (seeds 20-23, one 2-core host), a
+run made 16.5k-16.9k minor page faults with 0.04-0.07 s of system time;
+without the call it made 200k-311k with 0.34-0.56 s, and its ``prompt_s``
+was higher in 7 of the 8 pairs.
 """
 
 from __future__ import annotations
