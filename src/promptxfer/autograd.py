@@ -182,9 +182,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return _new(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _acc(self, g: np.ndarray) -> None:
         if self.grad is None:
             if not (g.flags.owndata and g.flags.writeable):
@@ -245,33 +242,20 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __pow__(self, k):
         return power(self, k)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return tmean(self)
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
 class Node:
@@ -448,13 +432,14 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def tsum(a, axis=None, keepdims=False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
+    """The sum over `axis`, which is dropped, or over every element."""
     a = _lift(a)
-    out = _new(np.sum(a.data, axis=axis, keepdims=keepdims))
+    out = _new(np.sum(a.data, axis=axis))
     na, sa = _sink(a), a.data.shape
 
     def bw(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         na._acc(np.broadcast_to(g, sa))
 
@@ -462,15 +447,13 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     return out
 
 
-def tmean(a, axis=None, keepdims=False) -> Tensor:
+def tmean(a) -> Tensor:
+    """The mean of every element."""
     a = _lift(a)
-    out = _new(np.mean(a.data, axis=axis, keepdims=keepdims))
-    count = a.data.size if axis is None else math.prod(a.data.shape[i] for i in np.atleast_1d(axis))
-    na, sa = _sink(a), a.data.shape
+    out = _new(np.mean(a.data))
+    na, sa, count = _sink(a), a.data.shape, a.data.size
 
     def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         na._acc(np.broadcast_to(g, sa) / count)
 
     _graph(out, (na,), bw)
@@ -910,16 +893,15 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return out
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+def logsumexp(a, axis: int = -1) -> Tensor:
+    """log(sum(exp(a))) over `axis`, which is kept with length 1."""
     a = _lift(a)
     m = a.data.max(axis=axis, keepdims=True)
     lse = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
-    out = _new(lse if keepdims else np.squeeze(lse, axis=axis))
+    out = _new(lse)
     na, ad = _sink(a), a.data
 
     def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         na._acc(g * np.exp(ad - lse))
 
     _graph(out, (na,), bw)
@@ -931,18 +913,17 @@ def _check_finite_vector(x: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite values")
 
 
-def kl_divergence(reference_logits, adjustable_logits) -> Tensor:
+def kl_divergence(reference_logits: np.ndarray, adjustable_logits: Tensor) -> Tensor:
     """KL(softmax(reference) || softmax(adjustable)) in nats, for two logit
     vectors, or summed over the rows of two [n x C] logit arrays.
 
-    The reference side is treated as a constant; gradient flows into the
-    adjustable logits only.
+    The reference is a constant array; gradient flows into the adjustable
+    logits, a tensor, only.
     """
-    adj = _lift(adjustable_logits)
+    adj = adjustable_logits
     # the reference follows the adjustable side's dtype so that identical
     # inputs produce an exact zero
-    ref = reference_logits.data if isinstance(reference_logits, Tensor) else np.asarray(reference_logits)
-    ref = np.asarray(ref, dtype=adj.data.dtype)
+    ref = np.asarray(reference_logits, dtype=adj.data.dtype)
     if ref.ndim not in (1, 2) or adj.ndim not in (1, 2):
         raise ValueError("kl_divergence expects logit vectors or [n x C] rows of logits")
     if ref.shape != adj.shape:

@@ -55,9 +55,6 @@ class Vocab:
     def encode_text(self, text: str) -> list[int]:
         return self.encode(word_tokenize(text))
 
-    def decode(self, ids: Iterable[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
 
 def build_vocab(corpus_texts: Iterable[str]) -> Vocab:
     """All observed words plus specials; ordered by frequency desc then lexicographic."""

@@ -91,22 +91,18 @@ def init_student_from_teacher(teacher: TransformerLM, config: KdConfig) -> Trans
 
 
 def distill_loss(
-    teacher_logits,
+    teacher_logits: np.ndarray,
     student_logits: Tensor,
     ids: np.ndarray,
-    teacher_final_hidden,
+    teacher_final_hidden: np.ndarray,
     student_final_hidden: Tensor,
     weights: KdWeights,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """(total, l_ce, l_lm, l_cos) on the [b x T x V] logits and [b x T x d]
-    final hidden states of the [b x T] batch `ids`; gradients flow into the
-    student terms only.  l_lm is the student's `next_token_loss` on `ids`."""
-    t_log = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
-    t_hid = (
-        teacher_final_hidden.data
-        if isinstance(teacher_final_hidden, Tensor)
-        else np.asarray(teacher_final_hidden)
-    )
+    final hidden states of the [b x T] batch `ids`: the teacher's as constant
+    arrays, the student's as tensors, into which the gradients flow.  l_lm is
+    the student's `next_token_loss` on `ids`."""
+    t_log, t_hid = teacher_logits, teacher_final_hidden
     if t_log.shape != student_logits.shape:
         raise ValueError("teacher/student logit shapes must match")
     if t_hid.shape != student_final_hidden.shape:
@@ -225,7 +221,7 @@ def distill(
     def loss(ids: np.ndarray) -> tuple[Tensor, dict]:
         t_logits, t_hidden = teacher._forward_batch(ids, None, return_hidden=True)
         s_logits, s_hidden = student._forward_batch(ids, None, return_hidden=True)
-        total, l_ce, l_lm, l_cos = distill_loss(t_logits, s_logits, ids, t_hidden, s_hidden, config.weights)
+        total, l_ce, l_lm, l_cos = distill_loss(t_logits.data, s_logits, ids, t_hidden.data, s_hidden, config.weights)
         return total, {"total": total, "l_ce": l_ce, "l_lm": l_lm, "l_cos": l_cos}
 
     history = train_lm(student, kd_corpus, config.max_steps, config.batch_size, config.learning_rate, seed, loss)

@@ -42,15 +42,16 @@ residual adds.
 `ROWS_PER_FORWARD` bounds the rows of one forward.  A training graph holds
 the arrays its backward reads for every row until that backward has run,
 and padding a 32-row transfer batch to its longest row adds about a fifth
-more positions.  In perfbench's plain POST workload (seeds 20 and 21,
-float32 training and a float64 transfer, answer-only last block, each graph
-keeping only what its backward reads and freed as that backward runs), one
-32-row graph per transfer step peaked at 83.0-83.6 MB resident; chunks of
-16 rows, each freed before the next forward, peaked at 74.8-75.1 MB, and
-chunks of 8 at 71.0-71.2 MB, against the 69.7 MB that pretraining and
-distillation reach.  The float64 transfer sets the 16-row peak.  Chunks of
-8 made the transfer slower than chunks of 16 at every seed timed (seeds
-20-22, before graphs were freed during backward), so 16 is the size kept.
+more positions.  In perfbench's plain POST workload (seeds 20 and 21), one
+32-row graph per transfer step peaked at 83.0-83.6 MB resident, against the
+69.7 MB that pretraining and distillation reach; the float64 transfer sets
+the peak.  Smaller chunks, each freed before the next forward, trade time
+for that memory.  With each graph freed as its backward runs (perfbench,
+one 2-core host), 16 rows peaked at 74.7-74.9 MB on post and post_dp and 8
+rows at 70.8-71.5 MB (untraced, seeds 730-733), while a traced transfer
+step on post took a median 28.2 ms with 16 rows and 32.1 ms with 8, slower
+in 7 of 8 pairs (seeds 740-747).  16 is the size kept: 8 rows saves about
+5% of the peak and costs about 14% of each transfer step.
 `row_chunks` sorts a batch's rows by length before it slices them, so each
 chunk is padded to a length close to its own rows' rather than to the
 batch's longest.
@@ -324,27 +325,24 @@ def next_token_loss(logits: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def lm_loss(model: TransformerLM, token_ids) -> Tensor:
-    """`model`'s next-token loss on one row or a [b x T] batch of `token_ids`."""
+    """`model`'s next-token loss on the [b x T] batch `token_ids`."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     return next_token_loss(model._forward_batch(ids, None, return_hidden=False), ids)
 
 
-def label_set_log_probability(logits, verbalizers: Sequence[Sequence[int]]) -> Tensor:
+def label_set_log_probability(logits: Tensor, verbalizers: Sequence[Sequence[int]]) -> Tensor:
     """Per-class log probability: average softmax mass over each class's
     verbalizer tokens, renormalized across classes.  Computed in log space."""
     _validate_verbalizers(verbalizers)
-    t = logits if isinstance(logits, Tensor) else ag._new(np.asarray(logits))
-    ls = ag.log_softmax(t, axis=-1)
+    ls = ag.log_softmax(logits, axis=-1)
     cols = []
     for ids in verbalizers:
         ids = list(ids)
         sel = ag.take(ls, ids, axis=-1)
-        avg = ag.logsumexp(sel, axis=-1, keepdims=True) - math.log(len(ids))
+        avg = ag.logsumexp(sel, axis=-1) - math.log(len(ids))
         cols.append(avg)
     raw = ag.concat(cols, axis=-1)
-    return raw - ag.logsumexp(raw, axis=-1, keepdims=True)
+    return raw - ag.logsumexp(raw, axis=-1)
 
 
 def _validate_verbalizers(verbalizers: Sequence[Sequence[int]]) -> None:

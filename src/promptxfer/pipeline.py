@@ -237,8 +237,8 @@ class ExperimentConfig:
                 path = getattr(self.task, attr)
                 if not os.path.exists(path):
                     raise ConfigError(f"task.{attr} path does not exist: {path}")
-            if not self.task.verbalizer_words:
-                raise ConfigError("csv task requires verbalizer_words")
+            if len(self.task.verbalizer_words) < 2:
+                raise ConfigError("csv task needs at least two verbalizer_words sets, one per class")
 
     def kd_config(self) -> KdConfig:
         """The kd section, its student layers the first and last teacher
@@ -758,10 +758,15 @@ def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunRep
     errors: dict[int, str] = {}
     for seed in config.seeds:
         try:
-            runs[seed] = run_seed(config, seed, ledger, os.path.join(out_root, f"seed{seed}"), wanted)
+            run = run_seed(config, seed, ledger, os.path.join(out_root, f"seed{seed}"), wanted)
         except StageError as e:
             errors[seed] = str(e)
             log.error("seed %d failed: %s", seed, e)
+            continue
+        # of a seed's outputs the report reads the accuracies and the attack
+        # metrics; its models, prompts and data go before the next seed runs
+        run.outputs = {name: run.outputs[name] for name in (*config.baselines, "attacks") if name in run.outputs}
+        runs[seed] = run
     if not runs:
         raise StageError("pipeline", f"every seed failed: {errors}")
 

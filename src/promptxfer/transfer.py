@@ -89,9 +89,9 @@ class TransferConfig:
 
 def transfer_loss(
     teacher_prompted_logits: Tensor,
-    teacher_plain_logits,
-    student_prompted_logits,
-    student_plain_logits,
+    teacher_plain_logits: np.ndarray,
+    student_prompted_logits: np.ndarray,
+    student_plain_logits: np.ndarray,
     alpha: float,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(total, l1, l2) over the class space, for one example ([C]
@@ -99,11 +99,10 @@ def transfer_loss(
 
     l1 imitates the prompted student's distribution; l2 aligns the
     prompt-induced shift (softmax-renormalized logit deltas).  Gradient
-    flows only into teacher_prompted_logits.
+    flows only into teacher_prompted_logits, a tensor; the other three
+    sides are constant arrays.
     """
-    s_p = _as_const(student_prompted_logits)
-    s_0 = _as_const(student_plain_logits)
-    t_0 = _as_const(teacher_plain_logits)
+    s_p, s_0, t_0 = student_prompted_logits, student_plain_logits, teacher_plain_logits
     for name, vec in (("teacher_plain", t_0), ("student_prompted", s_p), ("student_plain", s_0)):
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"{name} logits contain non-finite values")
@@ -111,10 +110,6 @@ def transfer_loss(
     l2 = ag.kl_divergence(s_p - s_0, teacher_prompted_logits - ag._new(t_0))
     total = l1 * (1.0 - alpha) + l2 * alpha
     return total, l1, l2
-
-
-def _as_const(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def _transfer_chunk_backward(teacher, p_t, seqs, rows, sides, alpha, verbalizers, scale) -> np.ndarray:

@@ -46,10 +46,9 @@ OP_CASES = {
     "add": lambda x: (x + 1.5 + x * 2.0).sum(),
     "sub": lambda x: (3.0 - x).sum(),
     "mul": lambda x: (x * x).sum(),
-    "div": lambda x: (x / 2.5 + 1.0 / (x * x + 1.0)).sum(),
+    "div": lambda x: (ag.div(x, 2.5) + ag.div(1.0, x * x + 1.0)).sum(),
     "power": lambda x: ((x * x + 1.0) ** 1.5).sum(),
     "sum_axis": lambda x: (x.sum(axis=0) ** 2.0).sum(),
-    "mean_axis": lambda x: (x.mean(axis=1) ** 2.0).sum(),
     "reshape": lambda x: (x.reshape((x.size,)) ** 2.0).mean(),
     "log_softmax": lambda x: (log_softmax(x, axis=-1) * 0.5).sum(),
     "logsumexp": lambda x: logsumexp(x, axis=-1).sum(),
@@ -162,7 +161,7 @@ def test_attention_query_at_is_the_full_node_at_those_queries(node):
     (full * readout).sum().backward()
     want = {k: t.grad for k, t in args.items()}
     for t in args.values():
-        t.zero_grad()
+        t.grad = None
     (one * readout).sum().backward()
     for k, t in args.items():
         np.testing.assert_allclose(t.grad, want[k], rtol=1e-12, atol=1e-15, err_msg=k)
@@ -429,13 +428,13 @@ def test_finite_diff_check_coordinate_sampling():
 
 def test_kl_identical_is_zero():
     v = [1.3, -0.2, 4.0]
-    out = kl_divergence(Tensor(v), Tensor(v))
+    out = kl_divergence(np.array(v), Tensor(v))
     assert out.item() == 0.0
 
 
 def test_kl_derived_value():
     # softmax(ref) = [1/2, 1/2]; softmax(adj) = [1/4, 3/4]
-    ref = Tensor([0.0, 0.0])
+    ref = np.array([0.0, 0.0])
     adj = Tensor([0.0, math.log(3.0)])
     expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
     assert math.isclose(kl_divergence(ref, adj).item(), expected, rel_tol=1e-6)
@@ -446,25 +445,27 @@ def test_kl_nonnegative_random():
     for _ in range(200):
         n = rng.integers(2, 12)
         a, b = rng.normal(size=n) * 3, rng.normal(size=n) * 3
-        assert kl_divergence(Tensor(a), Tensor(b)).item() >= 0.0
+        assert kl_divergence(a, Tensor(b)).item() >= 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=8), st.data())
 def test_kl_nonnegative_property(ref, data):
     adj = data.draw(st.lists(st.floats(-20, 20), min_size=len(ref), max_size=len(ref)))
-    assert kl_divergence(Tensor(ref), Tensor(adj)).item() >= 0.0
+    assert kl_divergence(np.array(ref), Tensor(adj)).item() >= 0.0
 
 
 def test_kl_gradient_flows_to_adjustable_only():
-    ref = Tensor([0.5, -1.0, 2.0], requires_grad=True, dtype=np.float64)
+    ref = np.array([0.5, -1.0, 2.0])
     adj = Tensor([0.1, 0.2, 0.3], requires_grad=True, dtype=np.float64)
     kl_divergence(ref, adj).backward()
-    assert ref.grad is None
     assert adj.grad is not None and np.any(adj.grad != 0)
+    # the reference is a constant array; a tensor there is refused
+    with pytest.raises(TypeError):
+        kl_divergence(Tensor(ref, requires_grad=True), adj)
 
     def f(x):
-        return kl_divergence(Tensor([0.5, -1.0, 2.0], dtype=np.float64), x)
+        return kl_divergence(ref, x)
 
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -489,11 +490,11 @@ def test_kl_rows_sum_over_rows():
 
 def test_kl_rejects_bad_input():
     with pytest.raises(ValueError):
-        kl_divergence(Tensor([1.0, np.inf]), Tensor([0.0, 0.0]))
+        kl_divergence(np.array([1.0, np.inf]), Tensor([0.0, 0.0]))
     with pytest.raises(ValueError):
-        kl_divergence(Tensor([1.0, 2.0, 3.0]), Tensor([0.0, 0.0]))
+        kl_divergence(np.array([1.0, 2.0, 3.0]), Tensor([0.0, 0.0]))
     with pytest.raises(ValueError):
-        kl_divergence(Tensor([1.0]), Tensor([1.0]))
+        kl_divergence(np.array([1.0]), Tensor([1.0]))
     with pytest.raises(ValueError):
         kl_divergence(np.zeros((2, 3)), Tensor(np.zeros((3, 2))))
     with pytest.raises(ValueError):
@@ -540,8 +541,8 @@ def test_a_python_number_takes_the_dtype_of_the_tensor_it_meets(dtype):
         (t - log2, a - log2),
         (log2 - t, log2 - a),
         (t + 1e-9, a + 1e-9),
-        (t / 3, a / 3),
-        (3.0 / t, 3.0 / a),
+        (ag.div(t, 3), a / 3),
+        (ag.div(3.0, t), 3.0 / a),
     ]
     for got, want in cases:
         assert got.data.dtype == want.dtype == dtype
@@ -785,7 +786,7 @@ def test_repeated_steps_reuse_freed_heap():
         for _ in range(8):
             y = log_softmax(y * 1.01)
         ag.tsum(y).backward()
-        x.zero_grad()  # as an optimizer loop does; nothing of the step survives it
+        x.grad = None  # as an optimizer loop does; nothing of the step survives it
 
     for _ in range(3):
         step()

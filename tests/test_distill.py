@@ -153,7 +153,7 @@ def test_distill_loss_lm_term_is_the_students_lm_loss():
     ids = np.random.default_rng(4).integers(0, 19, size=(3, 7))
     t_logits, t_hidden = teacher._forward_batch(ids, None, return_hidden=True)
     s_logits, s_hidden = student._forward_batch(ids, None, return_hidden=True)
-    _, _, l_lm, _ = distill_loss(t_logits, s_logits, ids, t_hidden, s_hidden, KdWeights())
+    _, _, l_lm, _ = distill_loss(t_logits.data, s_logits, ids, t_hidden.data, s_hidden, KdWeights())
     l_lm.backward()
     kd_grads = [p.grad.copy() for p in student.parameters()]
     for p in student.parameters():

@@ -3,6 +3,7 @@ module."""
 
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "linecov.py"
@@ -56,3 +57,19 @@ def test_the_recorder_reaches_what_an_import_and_a_call_run(tmp_path):
 def test_ranges_join_consecutive_lines():
     assert linecov.ranges({8, 1, 2, 3, 5, 7}) == [(1, 3), (5, 5), (7, 8)]
     assert linecov.ranges([]) == []
+
+
+def test_each_workload_runs_untraced_and_traced(monkeypatch):
+    """The benchmark's hooks read program names too, so every workload runs
+    once with `--trace 0` and once with `--trace 1`."""
+    calls = []
+
+    def main(argv):
+        calls.append((argv[argv.index("--workload") + 1], argv[argv.index("--trace") + 1]))
+        print('{"correct": true, "failed": 0, "attempted": 1}')
+        return 0
+
+    monkeypatch.setitem(sys.modules, "run", types.SimpleNamespace(main=main))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    linecov.run_workloads(["post", "lira"], 3, 35, linecov.LineRecorder([]))
+    assert calls == [("post", "0"), ("post", "1"), ("lira", "0"), ("lira", "1")]

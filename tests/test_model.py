@@ -37,7 +37,7 @@ EVERY_TOKEN = [[t] for t in range(29)]
 
 
 def class_probs(logits, verbalizers) -> np.ndarray:
-    return np.exp(label_set_log_probability(logits, verbalizers).data)
+    return np.exp(label_set_log_probability(ag._new(np.asarray(logits)), verbalizers).data)
 
 
 def full_logits(model, ids, prompt=None) -> np.ndarray:
@@ -131,7 +131,7 @@ def test_lm_loss_near_uniform_for_random_model():
     model = init_model(cfg, 4)
     rng = np.random.default_rng(0)
     losses = [
-        lm_loss(model, rng.integers(0, cfg.vocab_size, size=12)).item() for _ in range(20)
+        lm_loss(model, rng.integers(0, cfg.vocab_size, size=(1, 12))).item() for _ in range(20)
     ]
     assert abs(np.mean(losses) - math.log(cfg.vocab_size)) < 0.1 * math.log(cfg.vocab_size)
 
@@ -139,7 +139,7 @@ def test_lm_loss_near_uniform_for_random_model():
 def test_lm_loss_rejects_single_token():
     model = init_model(small_config(), 0)
     with pytest.raises(ValueError):
-        lm_loss(model, np.array([1]))
+        lm_loss(model, np.array([[1]]))
 
 
 def test_lm_loss_overfits_single_token_corpus():
@@ -147,7 +147,7 @@ def test_lm_loss_overfits_single_token_corpus():
     model = init_model(cfg, 5)
     model.set_trainable(True)
     opt = Optimizer(model.parameters(), learning_rate=3e-3)
-    seq = np.full(8, 7)
+    seq = np.full((1, 8), 7)
     history = []
     for _ in range(100):
         opt.zero_grad()
@@ -269,7 +269,7 @@ def test_answer_log_probs_ragged_batch_matches_rows_alone(with_prompt, verbs):
         got = answer_log_probs(model, seqs, verbs, prompt).data
         for r, (row, seq) in enumerate(zip(got, seqs)):
             last = full_logits(model, seq, prompt=own[r] if with_prompt == "per_row" else prompt)[-1]
-            alone = label_set_log_probability(last, verbs)
+            alone = label_set_log_probability(ag._new(last), verbs)
             np.testing.assert_allclose(row, alone.data, rtol=0, atol=1e-5)
         # a row's bits do not depend on its neighbours: the rows in order of
         # length, as `class_log_probs_batch` runs them, give the same bits
@@ -362,7 +362,7 @@ def test_shared_prompt_matches_copies_and_rows_alone(verbs):
         np.testing.assert_allclose(copies, shared, rtol=1e-9, atol=1e-12)
         for row, seq in zip(shared, seqs):
             last = full_logits(model, seq, prompt=prompt)[-1]
-            alone = label_set_log_probability(last, verbs)
+            alone = label_set_log_probability(ag._new(last), verbs)
             np.testing.assert_allclose(row, alone.data, rtol=1e-9, atol=1e-12)
         # every position of a batched prompted forward, prefix included
         ids = np.stack([seq[:1].repeat(5) if len(seq) < 5 else seq[:5] for seq in seqs])

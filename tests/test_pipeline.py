@@ -8,6 +8,7 @@ declared inputs, data roles among them, and from the data-access ledger a
 run writes from those same declarations."""
 
 import json
+import weakref
 from collections import defaultdict
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
@@ -466,6 +467,34 @@ def test_one_failed_seed_is_reported_and_exits_3(tmp_path, monkeypatch):
     assert set(report["baselines"]["post"]["per_seed"]) == {"1"}
 
 
+def test_a_finished_seed_keeps_only_what_the_report_reads(full_run, tmp_path, monkeypatch):
+    """Seed 0's teacher is freed before seed 1 pretrains its own, and the
+    two-seed report gives seed 0 what the one-seed run reported."""
+    teachers, alive = [], []
+    init_model = pl.init_model
+
+    def tracked(*args, **kwargs):
+        alive.append([ref() is not None for ref in teachers])
+        model = init_model(*args, **kwargs)
+        teachers.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(pl, "init_model", tracked)
+    blob = tiny_config(tmp_path / "run", seeds=[0, 1])
+    assert main(["pipeline", "--config", write_config(tmp_path / "c.json", blob)]) == EXIT_OK
+    assert alive == [[], [False]]
+    two, one = (json.loads((out / "report.json").read_text()) for out in (tmp_path / "run", full_run))
+    assert set(two["baselines"]) == set(one["baselines"]) and set(two["attack_metrics"]) == set(one["attack_metrics"])
+    for kind, entry in one["baselines"].items():
+        assert set(two["baselines"][kind]["per_seed"]) == {"0", "1"}
+        assert two["baselines"][kind]["per_seed"]["0"] == entry["per_seed"]["0"]
+    for tag, entry in one["attack_metrics"].items():
+        assert two["attack_metrics"][tag]["auc_per_seed"]["0"] == entry["auc_per_seed"]["0"]
+    assert two["resolved_alphas"]["0"] == one["resolved_alphas"]["0"]
+    assert [r["stage"] for r in two["timings"] if r["seed"] == 0] == [r["stage"] for r in one["timings"]]
+    assert set(two["artifacts"]["seed0"]) == set(one["artifacts"]["seed0"])
+
+
 @pytest.mark.parametrize(
     "section, key, value, controller",
     [
@@ -655,6 +684,12 @@ def test_a_csv_task_file_without_data_exits_3_naming_it(tmp_path, csv_task, capl
     path.write_text("" if part == "corpus" else "text,label\n", encoding="utf-8")
     assert main(["pipeline", "--config", csv_config(tmp_path, csv_task)]) == EXIT_STAGE
     assert f"{path}: no " in caplog.text
+
+
+@pytest.mark.parametrize("sets", [[], [["bad"]]])
+def test_a_csv_task_with_fewer_than_two_classes_exits_2_before_any_stage(tmp_path, csv_task, sets):
+    assert main(["pipeline", "--config", csv_config(tmp_path, {**csv_task, "verbalizer_words": sets})]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
 
 
 def test_csv_task_without_its_train_file_exits_2(tmp_path, csv_task):

@@ -79,11 +79,13 @@ def test_transfer_loss_kl_nonnegative_random():
 def test_transfer_loss_gradient_only_into_teacher_prompted():
     rng = np.random.default_rng(2)
     tp = Tensor(rng.normal(size=4), requires_grad=True)
-    t0 = Tensor(rng.normal(size=4), requires_grad=True)
-    total, _, _ = transfer_loss(tp, t0, rng.normal(size=4), rng.normal(size=4), alpha=0.4)
+    t0, sp, s0 = (rng.normal(size=4) for _ in range(3))
+    total, _, _ = transfer_loss(tp, t0, sp, s0, alpha=0.4)
     total.backward()
     assert tp.grad is not None and np.any(tp.grad != 0)
-    assert t0.grad is None
+    # the other sides are constant arrays; a tensor there is refused
+    with pytest.raises(TypeError):
+        transfer_loss(tp, Tensor(t0, requires_grad=True), sp, s0, alpha=0.4)
 
 
 def test_transfer_loss_gradcheck():

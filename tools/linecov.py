@@ -2,11 +2,13 @@
 
     python3 tools/linecov.py --workloads post post_dp lira --seed 3
 
-Runs `perfbench/run.py --workload W --seed S --trace 0` once per workload,
-one after another in this process, under a `sys.settrace` function that
-records the lines reached in the files under `src/promptxfer/`.  Tracing
-starts before the program is imported, so module-level lines count.  A run
-that does not read `correct` stops the script.  It then prints, per module,
+Runs `perfbench/run.py --workload W --seed S --trace T` twice per workload,
+untraced (T = 0) and traced (T = 1), one run after another in this process,
+under a `sys.settrace` function that records the lines reached in the files
+under `src/promptxfer/`.  The traced run counts the lines that only the
+benchmark's own hooks read, such as `Tensor._parents`.  Tracing starts
+before the program is imported, so module-level lines count.  A run that
+does not read `correct` stops the script.  It then prints, per module,
 the executable lines that no run reached, as ranges with the source of each
 range's first line.  A module's executable lines are the line numbers of
 its compiled code objects, nested ones included (`co_lines`).  It changes
@@ -78,21 +80,25 @@ def ranges(lines) -> list[tuple[int, int]]:
 
 
 def run_workloads(workloads: list[str], seed: int, seconds: int, recorder: LineRecorder) -> None:
-    """Each workload's benchmark run under `recorder`; SystemExit on a run
-    that is not correct."""
+    """Each workload's untraced and traced benchmark runs under `recorder`;
+    SystemExit on a run that is not correct."""
     sys.path.insert(0, str(BENCH))
     sys.settrace(recorder)
     try:
         bench = importlib.import_module("run")
         for workload in workloads:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                bench.main(["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"])
-            result = json.loads(out.getvalue().strip().splitlines()[-1])
-            print(f"{workload} seed {seed}: correct {result['correct']}, "
-                  f"{result['failed']} failed of {result['attempted']}", file=sys.stderr)
-            if not result["correct"]:
-                raise SystemExit(f"{workload} seed {seed}: run is not correct")
+            for trace in ("0", "1"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    bench.main(
+                        ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", trace]
+                    )
+                result = json.loads(out.getvalue().strip().splitlines()[-1])
+                name = f"{workload} seed {seed} trace {trace}"
+                print(f"{name}: correct {result['correct']}, {result['failed']} failed of {result['attempted']}",
+                      file=sys.stderr)
+                if not result["correct"]:
+                    raise SystemExit(f"{name}: run is not correct")
     finally:
         sys.settrace(None)
 
