@@ -1,13 +1,23 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Training, tuning and scoring compute in float32.  Precision belongs to the
-data, not to process state: a ``Tensor`` is float32 unless built with
-``dtype=np.float64``, every op keeps its inputs' dtype, and a non-tensor
-operand beside a tensor, such as a Python number or a raw array, takes the
-dtype of the first tensor operand of its op, as NumPy treats Python
-scalars (NEP 50).  Float64 data is built only for gradient checks and for the
-prompt transfer's objective (``transfer.transfer_prompt``), which compares
-differences of near-equal log-probabilities.
+data, not to process state: values are computed in the inputs' dtype and
+gradients in the leaves' dtype.  A ``Tensor`` is float32 unless built with
+``dtype=np.float64``; an op's output takes the promoted dtype of its
+inputs, and a non-tensor operand beside a tensor, such as a Python number
+or a raw array, takes the dtype of the first tensor operand of its op, as
+NumPy treats Python scalars (NEP 50).  A graph node has a dtype of its own:
+the promoted dtype of the sinks it passes its gradient to (a leaf's data
+dtype, or another node's).  The op keeps the arrays its backward reads in
+that dtype (activations, probabilities, the GELU's slope and the frozen
+weights an input gradient multiplies by) and runs its backward in it, and
+every sink casts the gradient that reaches it to its own dtype (``_acc``).
+In a graph of one dtype nothing is cast.  Float64 data is built only for
+gradient checks and for the prompt transfer (``transfer.transfer_prompt``),
+whose objective compares differences of near-equal log-probabilities.  Its
+float32 prompt leaf in front of a float64 teacher gives float64 values and
+a float32 graph, as mixed-precision training keeps high precision only
+where accuracy needs it (Micikevicius et al. 2018).
 
 The GELU's Gaussian CDF (``gaussian_cdf``) is the one op whose kernel
 depends on the dtype.  scipy's erf runs a scalar loop, about 24 ns per
@@ -16,7 +26,8 @@ it was the largest self time of a training step.  A float32 array
 therefore takes a vectorised polynomial-tanh kernel, within 1e-7 of the
 CDF, which is float32 rounding level.  A float64 array keeps scipy's erf,
 exact to double rounding, because the transfer objective's differences of
-near-equal log-probabilities need double-accurate arithmetic throughout.
+near-equal log-probabilities need double-accurate arithmetic throughout its
+forward.
 
 Graphs are acyclic and link nodes that hold no forward data, as PyTorch's
 autograd does (Paszke et al. 2019).  An op with an input that needs a
@@ -45,7 +56,10 @@ be driven by a single thread; independent graphs may run in parallel.
 
 A transformer block is three fused nodes, each with a hand-written
 backward.  Besides the weights a backward multiplies by, what each keeps
-alive until it runs:
+alive until it runs, in the node's dtype.  Where that differs from the
+data's, as in the transfer, each kept array is a compact cast copy made as
+the op returns, the frozen weights included (about 0.15 MB per d = 64
+block in float32):
 
 - ``layer_norm``: the normalised input, when the input or the gain needs a
   gradient, and the reciprocal standard deviation per row.
@@ -60,8 +74,9 @@ alive until it runs:
   Q, K and V come from one fused ``[positions x 3d]`` projection.  With a
   prefix the keys and values are new arrays, and the queries and the
   copies' own q/k/v are kept as compact copies, so nothing pins that
-  projection; without one, the queries, keys and values kept are views that
-  fill it.  With ``query_at`` (one query per row) each row's query is taken
+  projection, which goes before the token queries attend; without one, the
+  queries, keys and values kept are views that fill it, unless they are
+  cast.  With ``query_at`` (one query per row) each row's query is taken
   from the Q columns of that same projection, and it keeps the same keys
   and values (without a prefix, views that pin the projection), a copy of
   the queries (``[b x heads x 1 x dh]``), ``[b x heads x 1 x (l + T)]``
@@ -70,9 +85,11 @@ alive until it runs:
   the form the FlashAttention backward uses (Dao et al. 2022).
 - ``gelu_mlp``: the GELU's slope at the pre-activation when the input,
   ``w1`` or ``b1`` needs a gradient, the GELU output when ``w2`` does
-  (``[rows x 4d]`` each, float32 in training and scoring, float64 in the
-  transfer), and the input rows when ``w1`` does.  The slope and the output
-  are formed in the forward, so a frozen-weight graph (tuning, DP-SGD, the
+  (``[rows x 4d]`` each, float32 in training, scoring and the transfer),
+  and the input rows when ``w1`` does.  The slope is formed in the forward,
+  in the node's dtype, and the output in place of the Gaussian CDF, so the
+  forward holds at most two ``[rows x 4d]`` arrays of the data's dtype
+  besides the slope, and a frozen-weight graph (tuning, DP-SGD, the
   transfer) keeps one such array per MLP.
 
 The output projection and the LM head are ``matmul``, whose right operand
@@ -167,6 +184,10 @@ class Tensor:
         return self.data.ndim
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    @property
     def size(self) -> int:
         return self.data.size
 
@@ -183,6 +204,9 @@ class Tensor:
         return _new(self.data)
 
     def _acc(self, g: np.ndarray) -> None:
+        """Add g, cast to this sink's dtype, into its gradient."""
+        if g.dtype != self.dtype:
+            g = g.astype(self.dtype)
         if self.grad is None:
             if not (g.flags.owndata and g.flags.writeable):
                 g = g.copy()
@@ -260,15 +284,17 @@ class Tensor:
 
 class Node:
     """One op's vertex of the graph, holding no forward data: the gradient
-    that reaches it, the backward function that passes it on, and the sinks
-    it passes it to (``_parents``: nodes, and leaf tensors)."""
+    that reaches it, the backward function that passes it on, the sinks it
+    passes it to (``_parents``: nodes, and leaf tensors) and the dtype its
+    backward runs in, the promoted dtype of those sinks."""
 
-    __slots__ = ("grad", "_backward", "_parents")
+    __slots__ = ("grad", "_backward", "_parents", "dtype")
 
     def __init__(self, backward: Callable[[np.ndarray], None], parents: tuple):
         self.grad: np.ndarray | None = None
         self._backward = backward
         self._parents = parents
+        self.dtype = _grad_dtype(*parents)
 
     _acc = Tensor._acc
 
@@ -307,6 +333,23 @@ def _sink(t: Tensor) -> Node | Tensor | None:
     if t._node is not None:
         return t._node
     return t if t.requires_grad else None
+
+
+def _grad_dtype(*sinks) -> np.dtype | None:
+    """The dtype of a node over `sinks`: the promoted dtype of those that
+    are live (a leaf's data dtype, a node's own), None when none is."""
+    dtypes = {s.dtype for s in sinks if s is not None}
+    if len(dtypes) > 1:
+        return np.result_type(*dtypes)
+    return dtypes.pop() if dtypes else None
+
+
+def _keep(a: np.ndarray | None, dtype: np.dtype | None) -> np.ndarray | None:
+    """An array a backward reads, held in its node's dtype; None, and any
+    array of a node-less op (dtype None), as it is."""
+    if a is None or dtype is None or a.dtype == dtype:
+        return a
+    return a.astype(dtype, order="C")
 
 
 def _graph(out: Tensor, sinks: Iterable, backward: Callable[[np.ndarray], None]) -> None:
@@ -365,8 +408,9 @@ def mul(a, b) -> Tensor:
     a, b = _lift_all(a, b)
     out = _new(a.data * b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
-    ad = a.data if nb is not None else None
-    bd = b.data if na is not None else None
+    dt = _grad_dtype(na, nb)
+    ad = _keep(a.data, dt) if nb is not None else None
+    bd = _keep(b.data, dt) if na is not None else None
 
     def bw(g):
         if na is not None:
@@ -382,8 +426,9 @@ def div(a, b) -> Tensor:
     a, b = _lift_all(a, b)
     out = _new(a.data / b.data)
     na, nb, sa, sb = _sink(a), _sink(b), a.data.shape, b.data.shape
-    ad = a.data if nb is not None else None
-    bd = b.data
+    dt = _grad_dtype(na, nb)
+    ad = _keep(a.data, dt) if nb is not None else None
+    bd = _keep(b.data, dt)
 
     def bw(g):
         if na is not None:
@@ -398,9 +443,9 @@ def div(a, b) -> Tensor:
 def power(a, k: float) -> Tensor:
     a = _lift(a)
     k = float(k)
-    ad = a.data
-    out = _new(ad**k)
+    out = _new(a.data**k)
     na = _sink(a)
+    ad = _keep(a.data, _grad_dtype(na))
 
     def bw(g):
         na._acc(g * (k * ad ** (k - 1)))
@@ -418,8 +463,9 @@ def matmul(a, b) -> Tensor:
     a2 = a.data.reshape(-1, a.data.shape[-1])
     out = _new((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:]))
     na, nb, sa = _sink(a), _sink(b), a.data.shape
-    a2 = a2 if nb is not None else None
-    bd = b.data if na is not None else None
+    dt = _grad_dtype(na, nb)
+    a2 = _keep(a2, dt) if nb is not None else None
+    bd = _keep(b.data, dt) if na is not None else None
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -496,7 +542,8 @@ def take(a, indices, axis: int = 0) -> Tensor:
     out = _new(np.take(a.data, idx, axis=axis))
     idx = idx % a.data.shape[axis]  # np.take has checked the range
     unique = bool(np.all(idx[1:] > idx[:-1]))
-    na, sa, dtype = _sink(a), a.data.shape, a.data.dtype
+    na, sa = _sink(a), a.data.shape
+    dtype = _grad_dtype(na)
 
     def bw(g):
         buf = np.zeros(sa, dtype=dtype)
@@ -523,7 +570,8 @@ def take_along_last(a, indices) -> Tensor:
     if idx.shape != a.data.shape[:-1]:
         raise ValueError("index shape must match the tensor shape minus the last axis")
     out = _new(np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0])
-    na, sa, dtype = _sink(a), a.data.shape, a.data.dtype
+    na, sa = _sink(a), a.data.shape
+    dtype = _grad_dtype(na)
 
     def bw(g):
         buf = np.zeros(sa, dtype=dtype)
@@ -541,7 +589,8 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
     out = _new(a.data[sl])
-    na, sa, dtype = _sink(a), a.data.shape, a.data.dtype
+    na, sa = _sink(a), a.data.shape
+    dtype = _grad_dtype(na)
 
     def bw(g):
         buf = np.zeros(sa, dtype=dtype)
@@ -603,9 +652,10 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     del xc
     out = _new(xhat * gain.data + bias.data)
     nx, ng, nb = _sink(x), _sink(gain), _sink(bias)
-    gd = gain.data if nx is not None else None
-    if nx is None and ng is None:
-        xhat = None
+    dt = _grad_dtype(nx, ng, nb)
+    gd = _keep(gain.data, dt) if nx is not None else None
+    xhat = _keep(xhat, dt) if nx is not None or ng is not None else None
+    rstd = _keep(rstd, dt)
 
     def bw(g):
         if ng is not None:
@@ -712,28 +762,37 @@ def causal_attention(
         if query_at is None:
             ctx_pre, pp = _attend(qp, kp, vp, _causal_mask(l, proj.dtype), scale)
             own = (qp.copy(), kp.copy(), vp.copy(), pp)
+            q = q.copy()
+        # k and v are new arrays here; with compact copies of the views,
+        # nothing pins the [positions x 3d] projection, which goes before the
+        # token queries attend
+        del qp, kp, vp, proj
     ctx, p = _attend(q, k, v, mask, scale)
     if query_at is not None:
         out = ctx.reshape(rows, d)
     else:
-        if n_pre:
-            # k and v are new arrays here; with compact copies of the views,
-            # nothing the backward keeps pins the [positions x 3d] projection
-            q = q.copy()
         out = np.empty((n_pos, d), dtype=ctx.dtype)
         out[n_pre:].reshape(rows, n, h, dh)[...] = ctx.transpose(0, 2, 1, 3)
         if n_pre:
             out[:n_pre].reshape(m, l, h, dh)[...] = ctx_pre.transpose(0, 2, 1, 3)
+    del ctx
     out = _new(out)
     nx, nw, nb = _sink(x), [_sink(t) for t in weights], [_sink(t) for t in biases]
-    dtype = proj.dtype
+    dtype = _grad_dtype(nx, *nw, *nb)
     # the backward reads the input rows for weight gradients only, and the
     # weights for x's gradient only
-    x2 = x2 if any(t is not None for t in nw) else None
-    w = w if nx is not None else None
+    x2 = _keep(x2, dtype) if any(t is not None for t in nw) else None
+    w = _keep(w, dtype) if nx is not None else None
+    # one at a time, so that a cast array's original goes before the next cast
+    q = _keep(q, dtype)
+    k = _keep(k, dtype)
+    v = _keep(v, dtype)
+    p = _keep(p, dtype)
+    if own is not None:
+        own = tuple(_keep(a, dtype) for a in own)
 
     def bw(g):
-        dproj = np.empty((n_pos, 3 * d), dtype=np.result_type(g, dtype))
+        dproj = np.empty((n_pos, 3 * d), dtype=dtype)
         if query_at is not None:
             gh = g.reshape(rows, h, 1, dh)
         else:
@@ -808,7 +867,11 @@ def gaussian_cdf(x: np.ndarray) -> np.ndarray:
     polynomial-tanh kernel above, 18 vectorised passes; a float64
     array takes scipy's erf, exact to double rounding."""
     if x.dtype != np.float32:
-        return 0.5 * (1.0 + _special.erf(x * _INV_SQRT2))
+        y = x * _INV_SQRT2
+        _special.erf(y, out=y)
+        y += 1.0
+        y *= 0.5
+        return y
     xc = np.clip(x, -_CDF32_CLIP, _CDF32_CLIP)
     u = xc * xc
     y = u * _CDF32_COEFFS[-1]
@@ -830,28 +893,31 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
     The backward keeps the GELU's slope only when x, w1 or b1 needs a
     gradient, and the GELU output only when w2 does."""
     x, w1, b1, w2, b2 = _lift_all(x, w1, b1, w2, b2)
-    x2 = x.data.reshape(-1, x.data.shape[-1])
+    sinks = nx, nw1, nb1, nw2, nb2 = tuple(_sink(t) for t in (x, w1, b1, w2, b2))
+    dt = _grad_dtype(*sinks)
+    sx = x.data.shape
+    x2 = x.data.reshape(-1, sx[-1])
     pre = x2 @ w1.data + b1.data
     cdf = gaussian_cdf(pre)
-    h = pre * cdf
-    out = _new((h @ w2.data + b2.data).reshape(x.data.shape[:-1] + w2.data.shape[1:]))
-    sinks = nx, nw1, nb1, nw2, nb2 = tuple(_sink(t) for t in (x, w1, b1, w2, b2))
-    sx, w2d = x.data.shape, w2.data
-    w1d = w1.data if nx is not None else None
-    if nw1 is None:
-        x2 = None
-    if nw2 is None:
-        h = None
-    slope = None
+    slope = w2d = None
     if nx is not None or nw1 is not None or nb1 is not None:
-        # GELU'(pre) = Phi(pre) + pre * phi(pre), formed in one buffer
-        slope = pre * pre
+        # GELU'(pre) = Phi(pre) + pre * phi(pre), formed in one buffer of
+        # the node's dtype
+        slope = np.empty(pre.shape, dtype=dt)
+        np.multiply(pre, pre, out=slope)
         slope *= -0.5
         np.exp(slope, out=slope)
         slope *= _INV_SQRT2PI
         slope *= pre
         slope += cdf
+        w2d = _keep(w2.data, dt)
+    h = cdf  # the GELU output, formed in place of Phi(pre)
+    h *= pre
     del pre, cdf
+    out = _new((h @ w2.data + b2.data).reshape(sx[:-1] + w2.data.shape[1:]))
+    w1d = _keep(w1.data, dt) if nx is not None else None
+    x2 = _keep(x2, dt) if nw1 is not None else None
+    h = _keep(h, dt) if nw2 is not None else None
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -885,6 +951,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     y = _np_log_softmax(a.data, axis=axis)
     out = _new(y)
     na = _sink(a)
+    y = _keep(y, _grad_dtype(na))
 
     def bw(g):
         na._acc(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
@@ -899,7 +966,9 @@ def logsumexp(a, axis: int = -1) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     lse = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
     out = _new(lse)
-    na, ad = _sink(a), a.data
+    na = _sink(a)
+    dt = _grad_dtype(na)
+    ad, lse = _keep(a.data, dt), _keep(lse, dt)
 
     def bw(g):
         na._acc(g * np.exp(ad - lse))

@@ -16,21 +16,30 @@ positions once for the whole chunk, with the chunk's graph freed before the
 next chunk's forward.  The chunk losses are divided by the batch size, so
 the accumulated gradient is that of the batch mean.
 
-The transfer is the one computation that runs in float64.  The models are
-trained in float32; `transfer_prompt` makes float64 copies of the frozen
-teacher and student once per call, builds the target prompt as float64
-data beside them, and computes the three constant sides, the
-prompted-teacher forward and the prompt's Adam state on them.  The student
-copy lives only until the constant sides are computed; the teacher copy
-lasts the whole transfer.  The shift term compares
-s_p - s_0 with t_p - t_0, differences of near-equal log-probabilities, and
-float32 forwards lose most of their digits to that cancellation.  On the
-benchmark's plain POST workload (perfbench `post`, seeds 0-5) a float32
-transfer logged a first objective 4.7e-6 to 7.1e-4 (relative) off a
-float64 reference; with the float64 copies it is at most 3.2e-11 off
-(`post` seeds 0-9, `post_dp` seeds 0-4).  The caller's models are left
-untouched, and the returned prompt is float32 with the float32 teacher's
-fingerprint.
+The transfer's forward is the one computation that runs in float64.  The
+models are trained in float32.  `transfer_prompt` makes a float64 copy of
+the frozen student, computes the student's two constant sides on it and
+drops it; only then does it make the float64 copy of the frozen teacher
+that gives the plain teacher's side and every prompted-teacher forward.
+The shift term compares s_p - s_0 with t_p - t_0, differences of near-equal
+log-probabilities, and float32 forwards lose most of their digits to that
+cancellation.  On the benchmark's plain POST workload (perfbench `post`,
+seeds 0-5) a float32 transfer logged a first objective 4.7e-6 to 7.1e-4
+(relative) off a float64 reference; with the float64 copies it is at most
+3.2e-11 off (`post` seeds 0-9, `post_dp` seeds 0-4).
+
+The gradient does not need float64.  The target prompt is an ordinary
+float32 leaf with float32 Adam state, so its forward in front of the
+float64 teacher, and every logged objective, is float64, while its graph is
+float32 (`autograd`: gradients take the leaf's dtype).  That graph keeps
+about half the bytes of a float64 one and runs its backward faster.  One
+step's float32 gradient over perfbench's 32-row public batch is 1.4e-7 to
+4.5e-6 (relative, 2-norm) off a float64 leaf's at the start prompt, and at
+most 1.2e-4 off at the transferred prompt, where the gradient is 10-100
+times smaller (`post` seeds 0-5, `post_dp` seeds 3-4).  A float64 leaf
+(`Tensor(..., dtype=np.float64)`) gives float64 gradients through the same
+code.  The caller's models are left untouched, and the returned prompt is
+float32 with the float32 teacher's fingerprint.
 
 With `alpha` None the transfer takes the heuristic (`heuristic_alpha`)
 from its constant sides at no extra forward: the plain teacher's and the
@@ -148,23 +157,22 @@ def transfer_prompt(
     if len(public_data) == 0:
         raise ValueError("public dataset is empty")
 
-    start = initial_prompt_matrix(d, p_s.length, p_s.init_seed)
-    teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
-    # static sides: prompted/plain student and plain teacher, all constants
+    # static sides: prompted/plain student and plain teacher, all constants;
+    # the student copy goes before the teacher copy is made
     verbalizers = public_data.verbalizers
     seqs = public_data.sequences
-    sides = (
-        class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix),
-        class_log_probs_batch(student64, seqs, verbalizers),
-        class_log_probs_batch(teacher64, seqs, verbalizers),
-    )
-    del student64  # read by the constant sides only
+    student64 = _float64_copy(student)
+    s_prompted = class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix)
+    s_plain = class_log_probs_batch(student64, seqs, verbalizers)
+    del student64
+    teacher64 = _float64_copy(teacher)
+    sides = (s_prompted, s_plain, class_log_probs_batch(teacher64, seqs, verbalizers))
     if alpha is None:  # from the plain teacher's and the prompted student's public accuracy
         zs, compressed = (float(np.mean(np.argmax(s, axis=1) == public_data.labels)) for s in (sides[2], sides[0]))
         alpha = heuristic_alpha(zs, compressed, 1.0 / public_data.n_classes)
     alpha = float(alpha)
 
-    p_t = Tensor(start, requires_grad=True, dtype=np.float64)
+    p_t = Tensor(initial_prompt_matrix(d, p_s.length, p_s.init_seed), requires_grad=True)
     opt = Optimizer([p_t], learning_rate=config.learning_rate)
     rng = np.random.default_rng(seed)
     n = len(public_data)
@@ -190,7 +198,7 @@ def transfer_prompt(
         history.append({"step": step, "total": float(total), "l1": float(l1), "l2": float(l2)})
 
     p_t_prompt = SoftPrompt(
-        matrix=p_t.data.astype(np.float32),
+        matrix=p_t.data,
         init_seed=p_s.init_seed,
         source_fingerprint=teacher.fingerprint(),
         dp_meta=p_s.dp_meta,

@@ -644,23 +644,91 @@ TENSOR_PARENT_TRANSFER_GRAPH_BYTES = 12_894_000
 def test_transfer_graph_keeps_what_its_backward_reads():
     """A frozen teacher's graph keeps no weight-gradient inputs, no residual
     operands and no fused projection: at most 60% of what the graph that
-    linked tensors kept (about 54% when measured)."""
+    linked tensors kept (about 54% when measured).  With a float32 prompt,
+    as the transfer gives its prompt, the graph is float32: about 32% when
+    measured, of which about 5 points are the float32 copies of the frozen
+    weights its backward multiplies by."""
     cfg = ModelConfig(n_layers=4, d_model=64, n_heads=4, vocab_size=120, max_seq_len=64)
     rng = np.random.default_rng(1)
     seqs = [rng.integers(0, 120, size=rng.integers(14, 21)) for _ in range(16)]
     teacher = _float64_copy(init_model(cfg, 0))
-    prompt = Tensor(init_prompt(teacher, 8, 0).matrix, requires_grad=True, dtype=np.float64)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        loss = answer_log_probs(teacher, seqs, [[3, 4], [5, 6]], prompt).sum()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    loss.backward()
-    assert prompt.grad is not None
-    assert held <= 0.6 * TENSOR_PARENT_TRANSFER_GRAPH_BYTES, held
+    for dtype, share in ((np.float64, 0.6), (np.float32, 0.35)):
+        prompt = Tensor(init_prompt(teacher, 8, 0).matrix, requires_grad=True, dtype=dtype)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = answer_log_probs(teacher, seqs, [[3, 4], [5, 6]], prompt).sum()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        loss.backward()
+        assert prompt.grad is not None and prompt.grad.dtype == dtype
+        assert held <= share * TENSOR_PARENT_TRANSFER_GRAPH_BYTES, (dtype, held)
+
+
+def _mixed_block(prompt_dtype):
+    """A prompt leaf of `prompt_dtype` in front of float64 token rows, through
+    float64 `layer_norm`, prefixed `causal_attention` and `gelu_mlp`, read
+    out at random; every weight is a frozen float64 tensor."""
+    rng = np.random.default_rng(31)
+    prompt = Tensor(rng.normal(size=(PREFIX_LEN, D)).astype(np.float32), requires_grad=True, dtype=prompt_dtype)
+    f64 = {k: Tensor(v, dtype=np.float64) for k, v in _fused_args("causal_attention_shared", rng).items()}
+    ln = {k: Tensor(v, dtype=np.float64) for k, v in _fused_args("layer_norm", rng).items() if k != "x"}
+    mlp = {k: Tensor(v, dtype=np.float64) for k, v in _fused_args("gelu_mlp", rng).items() if k != "x"}
+    x = concat([prompt, f64["tokens"]], axis=0)
+    y = layer_norm(x, ln["gain"], ln["bias"], 1e-5)
+    weights = (f64[k] for k in ("wq", "wk", "wv", "bq", "bk", "bv"))
+    z = causal_attention(y, *weights, HEADS, ROWS, (1, PREFIX_LEN))
+    out = gelu_mlp(z, *mlp.values())
+    return prompt, out, (out * rng.normal(size=out.shape)).sum(), [*f64.values(), *ln.values(), *mlp.values()]
+
+
+def _graph_nodes(loss):
+    nodes, stack = {}, [loss._node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ag.Node) and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def test_a_float32_leaf_takes_a_float32_gradient_through_float64_nodes():
+    """Values follow the inputs' dtype and gradients the leaf's: a float32
+    prompt in front of float64 rows gives a float64 output, a float32 graph
+    and a float32 gradient within float32 rounding of the float64 leaf's."""
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        prompt, out, loss, _ = _mixed_block(dtype)
+        assert out.data.dtype == np.float64
+        nodes = _graph_nodes(loss)
+        assert {n.dtype for n in nodes} == {np.dtype(dtype)}
+        assert {a.dtype for n in nodes for a in _closure_arrays(n._backward)} == {np.dtype(dtype)}
+        loss.backward()
+        grads[dtype] = prompt.grad
+        assert prompt.grad.dtype == dtype
+    g64 = grads[np.float64]
+    np.testing.assert_allclose(grads[np.float32], g64, rtol=1e-5, atol=1e-6 * np.abs(g64).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_graph_of_one_dtype_casts_nothing(dtype):
+    """Where the leaf and the data share a dtype, the weights a backward
+    multiplies by are the weights' own arrays, not copies, so the gradient
+    is the one computed before graphs had a dtype of their own."""
+    rng = np.random.default_rng(32)
+    for node, weights in (("gelu_mlp", ("w1", "w2")), ("layer_norm", ("gain",))):
+        args = {k: Tensor(v, dtype=dtype) for k, v in _fused_args(node, rng).items()}
+        args["x"].requires_grad = True
+        kept = _closure_arrays(_call_fused(node, args)._node._backward)
+        assert {a.dtype for a in kept} == {np.dtype(dtype)}
+        for w in weights:
+            assert any(a is args[w].data for a in kept), (node, w)
+    x = Tensor(rng.normal(size=(3, D)), requires_grad=True, dtype=dtype)
+    w = Tensor(rng.normal(size=(D, 2)), dtype=dtype)
+    kept = _closure_arrays(matmul(x, w)._node._backward)
+    assert len(kept) == 1 and kept[0] is w.data
 
 
 def test_training_loop_holds_one_graph_at_a_time():
