@@ -42,16 +42,17 @@ residual adds.
 `ROWS_PER_FORWARD` bounds the rows of one forward.  A training graph holds
 the arrays its backward reads for every row until that backward has run,
 and padding a 32-row transfer batch to its longest row adds about a fifth
-more positions.  In perfbench's plain POST workload (seeds 20 and 21), one
-32-row graph per transfer step peaked at 83.0-83.6 MB resident, against the
-69.7 MB that pretraining and distillation reach; the float64 transfer sets
-the peak.  Smaller chunks, each freed before the next forward, trade time
-for that memory.  With each graph freed as its backward runs (perfbench,
-one 2-core host), 16 rows peaked at 74.7-74.9 MB on post and post_dp and 8
-rows at 70.8-71.5 MB (untraced, seeds 730-733), while a traced transfer
-step on post took a median 28.2 ms with 16 rows and 32.1 ms with 8, slower
-in 7 of 8 pairs (seeds 740-747).  16 is the size kept: 8 rows saves about
-5% of the peak and costs about 14% of each transfer step.
+more positions.  In perfbench's plain POST workload the transfer sets the
+run's peak resident memory, above the 69.7 MB that pretraining and
+distillation reach.  Smaller chunks, each freed before the next forward,
+trade time for that memory.  With the transfer's float32 graph (perfbench,
+one 2-core host), 8 / 16 / 32 rows peaked at a median 70.4 / 72.1 / 77.4 MB
+on post and 70.7 / 72.2 / 77.1 MB on post_dp (untraced, seeds 730-733),
+and a traced transfer step on post took a median 35.7 / 29.9 / 31.1 ms
+(seeds 750-755; 8 and 32 rows were each slower than 16 on 4 of the 6
+seeds).  16 is the size kept: 8 rows saves about 2% of the peak and costs
+about a fifth more per transfer step, and 32 rows costs 5 MB for no
+faster step.
 `row_chunks` sorts a batch's rows by length before it slices them, so each
 chunk is padded to a length close to its own rows' rather than to the
 batch's longest.
