@@ -87,10 +87,9 @@ block in float32):
   ``w1`` or ``b1`` needs a gradient, the GELU output when ``w2`` does
   (``[rows x 4d]`` each, float32 in training, scoring and the transfer),
   and the input rows when ``w1`` does.  The slope is formed in the forward,
-  in the node's dtype, and the output in place of the Gaussian CDF, so the
-  forward holds at most two ``[rows x 4d]`` arrays of the data's dtype
-  besides the slope, and a frozen-weight graph (tuning, DP-SGD, the
-  transfer) keeps one such array per MLP.
+  in the node's dtype, and the output in place of the Gaussian CDF, so a
+  frozen-weight graph (tuning, DP-SGD, the transfer) keeps one such array
+  per MLP.
 
 The output projection and the LM head are ``matmul``, whose right operand
 is always a 2-D weight, so it also runs as one GEMM over the flattened rows.
