@@ -57,9 +57,11 @@ be driven by a single thread; independent graphs may run in parallel.
 A transformer block is three fused nodes, each with a hand-written
 backward.  Besides the weights a backward multiplies by, what each keeps
 alive until it runs, in the node's dtype.  Where that differs from the
-data's, as in the transfer, each kept array is a compact cast copy made as
-the op returns, the frozen weights included (about 0.15 MB per d = 64
-block in float32):
+data's, as for the transfer's float64 activations, each kept array is a
+compact cast copy made as the op returns.  A weight already in the node's
+dtype is kept as it is.  The transfer's float64 models share the float32
+weights (``transfer._with_float64_embeddings``), so its float32 graph
+casts none:
 
 - ``layer_norm``: the normalised input, when the input or the gain needs a
   gradient, and the reciprocal standard deviation per row.

@@ -17,26 +17,35 @@ next chunk's forward.  The chunk losses are divided by the batch size, so
 the accumulated gradient is that of the batch mean.
 
 The transfer's forward is the one computation that runs in float64.  The
-models are trained in float32.  `transfer_prompt` makes a float64 copy of
-the frozen student, computes the student's two constant sides on it and
-drops it; only then does it make the float64 copy of the frozen teacher
-that gives the plain teacher's side and every prompted-teacher forward.
+models are trained in float32.  `transfer_prompt` runs each model's
+forwards on a float64 model (`_with_float64_embeddings`) that casts the
+token and position embeddings alone and shares every other weight, as the
+same array, with the frozen float32 model.  The residual stream starts from the
+embeddings, so every activation is float64, and a float32 weight promotes
+to float64 exactly: each forward equals, bit for bit, that of a model cast
+to float64 whole, without the 1.7 MB that such a copy of perfbench's
+teacher held.  The student's float64 model gives the two student sides, the
+teacher's the plain teacher's side and every prompted-teacher forward.
+Each holds only its float64 embeddings (about 60 kB for perfbench's
+models), so both are made at the start and kept.
+
 The shift term compares s_p - s_0 with t_p - t_0, differences of near-equal
 log-probabilities, and float32 forwards lose most of their digits to that
 cancellation.  On the benchmark's plain POST workload (perfbench `post`,
 seeds 0-5) a float32 transfer logged a first objective 4.7e-6 to 7.1e-4
-(relative) off a float64 reference; with the float64 copies it is at most
+(relative) off a float64 reference; with the float64 forward it is at most
 3.2e-11 off (`post` seeds 0-9, `post_dp` seeds 0-4).
 
 The gradient does not need float64.  The target prompt is an ordinary
 float32 leaf with float32 Adam state, so its forward in front of the
 float64 teacher, and every logged objective, is float64, while its graph is
 float32 (`autograd`: gradients take the leaf's dtype).  That graph keeps
-about half the bytes of a float64 one and runs its backward faster.  One
-step's float32 gradient over perfbench's 32-row public batch is 1.4e-7 to
-4.5e-6 (relative, 2-norm) off a float64 leaf's at the start prompt, and at
-most 1.2e-4 off at the transferred prompt, where the gradient is 10-100
-times smaller (`post` seeds 0-5, `post_dp` seeds 3-4).  A float64 leaf
+the weights' own float32 arrays, about half the bytes of a float64 graph,
+and runs its backward faster.  One step's float32 gradient over
+perfbench's 32-row public batch is 1.4e-7 to 4.5e-6 (relative, 2-norm) off
+a float64 leaf's at the start prompt, and at most 1.2e-4 off at the
+transferred prompt, where the gradient is 10-100 times smaller (`post`
+seeds 0-5, `post_dp` seeds 3-4).  A float64 leaf
 (`Tensor(..., dtype=np.float64)`) gives float64 gradients through the same
 code.  The caller's models are left untouched, and the returned prompt is
 float32 with the float32 teacher's fingerprint.
@@ -157,16 +166,15 @@ def transfer_prompt(
     if len(public_data) == 0:
         raise ValueError("public dataset is empty")
 
-    # static sides: prompted/plain student and plain teacher, all constants;
-    # the student copy goes before the teacher copy is made
+    # static sides: prompted/plain student and plain teacher, all constants
     verbalizers = public_data.verbalizers
     seqs = public_data.sequences
-    student64 = _float64_copy(student)
-    s_prompted = class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix)
-    s_plain = class_log_probs_batch(student64, seqs, verbalizers)
-    del student64
-    teacher64 = _float64_copy(teacher)
-    sides = (s_prompted, s_plain, class_log_probs_batch(teacher64, seqs, verbalizers))
+    student64, teacher64 = _with_float64_embeddings(student), _with_float64_embeddings(teacher)
+    sides = (
+        class_log_probs_batch(student64, seqs, verbalizers, prompt=p_s.matrix),
+        class_log_probs_batch(student64, seqs, verbalizers),
+        class_log_probs_batch(teacher64, seqs, verbalizers),
+    )
     if alpha is None:  # from the plain teacher's and the prompted student's public accuracy
         zs, compressed = (float(np.mean(np.argmax(s, axis=1) == public_data.labels)) for s in (sides[2], sides[0]))
         alpha = heuristic_alpha(zs, compressed, 1.0 / public_data.n_classes)
@@ -206,7 +214,17 @@ def transfer_prompt(
     return p_t_prompt, history, alpha
 
 
-def _float64_copy(model: TransformerLM) -> TransformerLM:
-    """A float64 copy of `model`, frozen: no parameter requires a gradient."""
-    return TransformerLM(model.config, {name: ag._new(p.data.astype(np.float64)) for name, p in model.params.items()})
+def _with_float64_embeddings(model: TransformerLM) -> TransformerLM:
+    """`model` with float64 token and position embeddings, frozen: no
+    parameter requires a gradient.  Every other parameter is a frozen tensor
+    over `model`'s own float32 array.  The residual stream starts from the
+    embeddings, so every forward runs in float64, and each matmul or
+    elementwise op promotes a float32 weight to float64 exactly."""
+    return TransformerLM(
+        model.config,
+        {
+            name: ag._new(p.data.astype(np.float64) if name in ("tok_emb", "pos_emb") else p.data)
+            for name, p in model.params.items()
+        },
+    )
 

@@ -1,6 +1,8 @@
-"""Central-difference gradient check for the autograd tests.
+"""Central-difference gradient check for the autograd tests, and the float64
+models it wants.
 
     ok, max_rel_err = finite_diff_check(lambda t: (t * t).sum(), x)
+    model64 = float64_model(init_model(config, seed))
 """
 
 from __future__ import annotations
@@ -9,7 +11,9 @@ from typing import Callable
 
 import numpy as np
 
+from promptxfer import autograd as ag
 from promptxfer.autograd import Tensor
+from promptxfer.model import TransformerLM
 
 
 def finite_diff_check(
@@ -24,7 +28,8 @@ def finite_diff_check(
 
     Runs in float64: x and every perturbed point are float64 tensors, and
     the output must be float64 too, so no check quietly runs in float32.
-    Tensors and models that `f` captures should be float64 as well.
+    Tensors and models that `f` captures should be float64 as well
+    (`float64_model`).
     Returns (max relative error < tolerance, max relative error).  When
     `max_coords` is set only a random subset of coordinates is probed.
     """
@@ -58,3 +63,11 @@ def finite_diff_check(
         rel = abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1.0)
         max_rel = max(max_rel, rel)
     return max_rel < tolerance, max_rel
+
+
+def float64_model(model: TransformerLM) -> TransformerLM:
+    """A frozen copy of `model` with every parameter cast to float64.  Tests
+    that perturb or differentiate through float64 weights build it, and it
+    is the reference for the transfer's float64 model
+    (`transfer._with_float64_embeddings`), which casts the embeddings alone."""
+    return TransformerLM(model.config, {name: ag._new(p.data.astype(np.float64)) for name, p in model.params.items()})

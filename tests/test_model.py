@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, float64_model
 from promptxfer import autograd as ag
 from promptxfer.autograd import Tensor
 from promptxfer.model import (
@@ -22,7 +22,6 @@ from promptxfer.model import (
     lm_loss,
 )
 from promptxfer.optim import Optimizer
-from promptxfer.transfer import _float64_copy
 
 
 def small_config(**kw):
@@ -317,7 +316,7 @@ def _numpy_forward(model, ids, prompt=None):
 
 @pytest.mark.parametrize("tie", [False, True])
 def test_forward_matches_numpy_reference(tie):
-    model = _float64_copy(init_model(small_config(tie_lm_head=tie), 16))
+    model = float64_model(init_model(small_config(tie_lm_head=tie), 16))
     for t in model.parameters():  # move every weight off its init value
         t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
     prompt = init_prompt(model, length=2, seed=4).matrix
@@ -351,7 +350,7 @@ def test_shared_prompt_matches_copies_and_rows_alone(verbs):
     the prefix positions never see a token, so one copy serves every row."""
     for n_layers in (1, 3):
         cfg = small_config(n_layers=n_layers)
-        model = _float64_copy(init_model(cfg, 17))
+        model = float64_model(init_model(cfg, 17))
         for t in model.parameters():
             t.data += np.random.default_rng(t.size).normal(0.0, 0.3, size=t.shape)
         rng = np.random.default_rng(9)
@@ -375,7 +374,7 @@ def test_shared_prompt_matches_copies_and_rows_alone(verbs):
 def test_shared_prompt_gradient_is_sum_of_copy_gradients():
     """The gradient of a shared prompt is the sum of the per-copy gradients,
     and copy r's gradient is row r's alone, which is what DP-SGD clips."""
-    model = _float64_copy(init_model(small_config(n_layers=3), 18))
+    model = float64_model(init_model(small_config(n_layers=3), 18))
     rng = np.random.default_rng(10)
     seqs = [rng.integers(0, 29, size=n) for n in (5, 2, 8, 3)]
     labels = np.array([1, 0, 0, 1])
@@ -450,7 +449,7 @@ def test_answer_position_forward_runs_one_query_per_row_in_the_last_block(monkey
 
 def test_class_log_probs_batch_returns_input_order():
     """Rows are chunked by length, but come back in the order given."""
-    model = _float64_copy(init_model(small_config(), 20))
+    model = float64_model(init_model(small_config(), 20))
     rng = np.random.default_rng(12)
     seqs = [rng.integers(0, 29, size=n) for n in rng.integers(2, 14, size=2 * ROWS_PER_FORWARD + 5)]
     prompt = init_prompt(model, length=2, seed=3)
@@ -503,7 +502,7 @@ def test_prompt_gradient_path_finite_diff():
     positions of a ragged batch) through the prefix layout, in float64, for
     a shared prompt and for one copy per row."""
     cfg = small_config(vocab_size=17, max_seq_len=12)
-    model = _float64_copy(init_model(cfg, 11))
+    model = float64_model(init_model(cfg, 11))
     seqs = [np.array([1, 5, 2, 9]), np.array([3, 8]), np.array([7, 1, 4])]
     labels = np.array([0, 1, 1])
 

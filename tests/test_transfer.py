@@ -4,10 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gradcheck import finite_diff_check
+from gradcheck import finite_diff_check, float64_model
 from promptxfer.autograd import Tensor
 from promptxfer.model import ModelConfig, init_model, init_prompt, initial_prompt_matrix
-from promptxfer.transfer import TransferConfig, _float64_copy, heuristic_alpha, transfer_loss, transfer_prompt
+from promptxfer.transfer import (
+    TransferConfig,
+    _with_float64_embeddings,
+    heuristic_alpha,
+    transfer_loss,
+    transfer_prompt,
+)
 
 RG2, RG3 = 1.0 / 2.0, 1.0 / 3.0
 
@@ -186,7 +192,7 @@ def test_transfer_step_frees_each_chunk_graph(model_pair):
     forward = TransformerLM._forward_batch
 
     def counting(model, *args, **kwargs):
-        # the transfer runs on a float64 copy of the teacher, not on `teacher`
+        # the transfer runs on its float64 model of the teacher, not on `teacher`
         if model.config == teacher.config:
             live.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
         return forward(model, *args, **kwargs)
@@ -227,7 +233,7 @@ def test_transfer_objective_is_float64_on_float32_models(model_pair):
 
     start = initial_prompt_matrix(16, 3, 4)
     verbs, seqs = public.verbalizers, public.sequences
-    teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
+    teacher64, student64 = float64_model(teacher), float64_model(student)
     total, _, _ = transfer_loss(
         Tensor(class_log_probs_batch(teacher64, seqs, verbs, prompt=start), dtype=np.float64),
         class_log_probs_batch(teacher64, seqs, verbs),
@@ -298,7 +304,7 @@ def test_a_steps_float32_prompt_gradient_matches_a_float64_leaf(model_pair, monk
     transfer_prompt(teacher, student, p_s, public, TransferConfig(steps=1, batch_size=n), 0.4, 5)
     assert len(grads) == 1 and grads[0].dtype == np.float32
 
-    teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
+    teacher64, student64 = float64_model(teacher), float64_model(student)
     seqs, verbs = public.sequences, public.verbalizers
     sides = (
         class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix),
@@ -311,6 +317,61 @@ def test_a_steps_float32_prompt_gradient_matches_a_float64_leaf(model_pair, monk
         transfer._transfer_chunk_backward(teacher64, leaf, seqs, rows[pos], sides, 0.4, verbs, 1.0 / n)
     rel = np.linalg.norm(grads[0] - leaf.grad) / np.linalg.norm(leaf.grad)
     assert rel < 2e-6, rel
+
+
+@pytest.mark.parametrize("tie", [False, True], ids=["head", "tied"])
+def test_the_float64_model_casts_the_embeddings_alone(model_pair, tie):
+    """The transfer's float64 model casts the token and position embeddings
+    and shares every other weight, as the same array, with the float32
+    model.  A float32 weight promotes to float64 exactly, so its forwards and
+    a float32 prompt's gradient equal those of the model cast to float64
+    whole, bit for bit."""
+    from promptxfer import transfer
+    from promptxfer.model import class_log_probs_batch, row_chunks
+
+    teacher, _, public = model_pair
+    model = init_model(replace(teacher.config, tie_lm_head=tie), 7)
+    for p in model.parameters():  # move every weight off its init value
+        p.data += np.random.default_rng(p.size).normal(0.0, 0.3, size=p.shape).astype(np.float32)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    mixed, full = _with_float64_embeddings(model), float64_model(model)
+
+    for name, p in mixed.params.items():
+        own = model.params[name].data
+        assert not p.requires_grad
+        if name in ("tok_emb", "pos_emb"):
+            assert p.data.dtype == np.float64 and not np.shares_memory(p.data, own)
+        else:
+            assert p.data is own and np.shares_memory(p.data, own), name
+
+    seqs, verbs = public.sequences, public.verbalizers
+    start = initial_prompt_matrix(16, 3, 4)
+    for prompt in (None, start + 1.5):
+        got = class_log_probs_batch(mixed, seqs, verbs, prompt=prompt)
+        assert got.tobytes() == class_log_probs_batch(full, seqs, verbs, prompt=prompt).tobytes()
+
+    sides = (
+        class_log_probs_batch(full, seqs, verbs, prompt=start + 1.5),
+        class_log_probs_batch(full, seqs, verbs),
+        class_log_probs_batch(full, seqs, verbs, prompt=start - 1.0),
+    )
+    grads, sums = [], []
+    for m in (mixed, full):
+        leaf = Tensor(start, requires_grad=True)
+        rows = np.arange(len(seqs))
+        sums.append(
+            sum(
+                transfer._transfer_chunk_backward(m, leaf, seqs, rows[pos], sides, 0.4, verbs, 1.0 / len(seqs))
+                for pos in row_chunks([len(s) for s in seqs])
+            )
+        )
+        assert leaf.grad.dtype == np.float32
+        grads.append(leaf.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+    assert sums[0].tobytes() == sums[1].tobytes()
+
+    for name, p in model.params.items():
+        assert p.data.dtype == np.float32 and p.data.tobytes() == before[name].tobytes(), name
 
 
 def test_transfer_carries_dp_meta_unchanged(model_pair):
@@ -329,7 +390,7 @@ def _public_sides(teacher, student, p_s, public):
     on `public`, as the transfer computes its constant sides."""
     from promptxfer.model import class_log_probs_batch
 
-    teacher64, student64 = _float64_copy(teacher), _float64_copy(student)
+    teacher64, student64 = _with_float64_embeddings(teacher), _with_float64_embeddings(student)
     seqs, verbs = public.sequences, public.verbalizers
     compressed = np.argmax(class_log_probs_batch(student64, seqs, verbs, prompt=p_s.matrix), axis=1)
     zero_shot = np.argmax(class_log_probs_batch(teacher64, seqs, verbs), axis=1)
