@@ -43,16 +43,16 @@ residual adds.
 the arrays its backward reads for every row until that backward has run,
 and padding a 32-row transfer batch to its longest row adds about a fifth
 more positions.  In perfbench's plain POST workload the transfer sets the
-run's peak resident memory, above the 69.7 MB that pretraining and
+run's peak resident memory, just above the 69.6 MB that pretraining and
 distillation reach.  Smaller chunks, each freed before the next forward,
-trade time for that memory.  With the transfer's float32 graph (perfbench,
-one 2-core host), 8 / 16 / 32 rows peaked at a median 70.4 / 72.1 / 77.4 MB
-on post and 70.7 / 72.2 / 77.1 MB on post_dp (untraced, seeds 730-733),
-and a traced transfer step on post took a median 35.7 / 29.9 / 31.1 ms
-(seeds 750-755; 8 and 32 rows were each slower than 16 on 4 of the 6
-seeds).  16 is the size kept: 8 rows saves about 2% of the peak and costs
-about a fifth more per transfer step, and 32 rows costs 5 MB for no
-faster step.
+trade time for that memory.  With the transfer's float32 graph over float64
+models that share the float32 weights (perfbench, one 2-core host), 8 / 16
+/ 32 rows peaked at a median 70.6 / 70.3 / 75.3 MB on post and 70.7 / 70.4
+/ 75.6 MB on post_dp (untraced, seeds 730-733), and a traced transfer step
+on post took a median 34.9 / 30.5 / 31.5 ms (seeds 750-755; 8 and 32 rows
+were each slower than 16 on all 6 seeds).  16 is the size kept: 8 rows
+saves no memory and costs about a seventh more per transfer step, and 32
+rows costs 5 MB for no faster step.
 `row_chunks` sorts a batch's rows by length before it slices them, so each
 chunk is padded to a length close to its own rows' rather than to the
 batch's longest.

@@ -342,7 +342,7 @@ def test_the_float64_model_casts_the_embeddings_alone(model_pair, tie):
         if name in ("tok_emb", "pos_emb"):
             assert p.data.dtype == np.float64 and not np.shares_memory(p.data, own)
         else:
-            assert p.data is own and np.shares_memory(p.data, own), name
+            assert p.data is own, name
 
     seqs, verbs = public.sequences, public.verbalizers
     start = initial_prompt_matrix(16, 3, 4)
@@ -350,15 +350,12 @@ def test_the_float64_model_casts_the_embeddings_alone(model_pair, tie):
         got = class_log_probs_batch(mixed, seqs, verbs, prompt=prompt)
         assert got.tobytes() == class_log_probs_batch(full, seqs, verbs, prompt=prompt).tobytes()
 
-    sides = (
-        class_log_probs_batch(full, seqs, verbs, prompt=start + 1.5),
-        class_log_probs_batch(full, seqs, verbs),
-        class_log_probs_batch(full, seqs, verbs, prompt=start - 1.0),
-    )
+    plain = class_log_probs_batch(full, seqs, verbs)
+    sides = (class_log_probs_batch(full, seqs, verbs, prompt=start + 1.5), plain, plain)
+    rows = np.arange(len(seqs))
     grads, sums = [], []
     for m in (mixed, full):
         leaf = Tensor(start, requires_grad=True)
-        rows = np.arange(len(seqs))
         sums.append(
             sum(
                 transfer._transfer_chunk_backward(m, leaf, seqs, rows[pos], sides, 0.4, verbs, 1.0 / len(seqs))
