@@ -38,11 +38,12 @@ def _log_moments(q: float, sigma: float, orders: np.ndarray) -> np.ndarray:
 
 
 def _validate(noise_multiplier: float, sample_rate: float, steps: int, delta: float) -> None:
-    if noise_multiplier <= 0:
+    # each check is written so that NaN fails it
+    if not noise_multiplier > 0:
         raise ValueError("noise multiplier must be positive")
     if not 0 < sample_rate <= 1:
         raise ValueError("sample rate must lie in (0, 1]")
-    if steps < 0:
+    if not steps >= 0:
         raise ValueError("step count must be nonnegative")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -71,8 +72,8 @@ def calibrate_sigma(target_epsilon: float, delta: float, sample_rate: float, ste
     overspends the budget.  The search is pure, so it is memoised on its
     arguments: repeated calibrations (one per DP shadow prompt) cost nothing.
     """
-    if target_epsilon <= 0:
-        raise ValueError("target epsilon must be positive")
+    if not 0 < target_epsilon < math.inf:
+        raise ValueError(f"target epsilon must be positive and finite, got {target_epsilon}")
     lo, hi = SIGMA_SEARCH_RANGE
     _validate(hi, sample_rate, steps, delta)
     if steps == 0:

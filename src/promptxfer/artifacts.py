@@ -11,6 +11,11 @@ magic or version, a truncated or over-long file, unreadable metadata, or a
 checkpoint whose weights do not match its fingerprint.  `save_model` raises
 it for a model with a parameter that is not float32, rather than writing a
 checkpoint that could never load.
+
+A checkpoint's config carries a fixed `"tie_lm_head": false`
+(`model.config_record`) and a prompt file a fixed `"init_scheme":
+"gaussian"` (`model.initial_prompt_matrix`): the one head and the one start
+the program builds.  A reader raises `ArtifactError` for any other value.
 """
 
 from __future__ import annotations
@@ -20,20 +25,17 @@ import io
 import json
 import math
 import struct
-from dataclasses import asdict
 from typing import BinaryIO
 
 import numpy as np
 
 from . import autograd as ag
-from .model import DpMeta, ModelConfig, SoftPrompt, TransformerLM, param_names
+from .model import DpMeta, ModelConfig, SoftPrompt, TransformerLM, config_record, param_names
 
 MODEL_MAGIC = b"PSTL"
 PROMPT_MAGIC = b"PSPA"
 FORMAT_VERSION = 1
 _DTYPE_F32 = 0
-# the one start every prompt has (`model.initial_prompt_matrix`), named in
-# each prompt file's metadata
 INIT_SCHEME = "gaussian"
 
 
@@ -122,7 +124,7 @@ def save_model(path, model: TransformerLM) -> None:
         if p.data.dtype != np.float32:
             raise ArtifactError(f"cannot save {path}: parameter {name} is {p.data.dtype}, not float32")
     meta = {
-        "config": asdict(model.config),
+        "config": config_record(model.config),
         "fingerprint": model.fingerprint(),
         "provenance": model.provenance,
     }
@@ -138,7 +140,10 @@ def load_model(path) -> TransformerLM:
     fh = _open(path)
     with _unreadable_as_artifact_error(path):
         meta = _read_header(fh, MODEL_MAGIC)
-        config = ModelConfig(**meta["config"])
+        record = dict(meta["config"])
+        if record.pop("tie_lm_head") is not False:
+            raise ArtifactError(f"{path}: a tied LM head, which this version does not read")
+        config = ModelConfig(**record)
         (count,) = struct.unpack("<I", _read(fh, 4))
         params: dict[str, ag.Tensor] = {}
         for _ in range(count):

@@ -519,20 +519,6 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
-def transpose(a, axes) -> Tensor:
-    a = _lift(a)
-    axes = tuple(axes)
-    out = _new(np.transpose(a.data, axes))
-    inv = tuple(np.argsort(axes))
-    na = _sink(a)
-
-    def bw(g):
-        na._acc(np.transpose(g, inv))
-
-    _graph(out, (na,), bw)
-    return out
-
-
 def take(a, indices, axis: int = 0) -> Tensor:
     """Index-select along an axis with a 1-D index array; duplicate indices
     accumulate in backward."""
@@ -941,31 +927,31 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
     return out
 
 
-def _np_log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
+def _np_log_softmax(x: np.ndarray) -> np.ndarray:
+    m = x.max(axis=-1, keepdims=True)
     s = x - m
-    return s - np.log(np.sum(np.exp(s), axis=axis, keepdims=True))
+    return s - np.log(np.sum(np.exp(s), axis=-1, keepdims=True))
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a) -> Tensor:
     a = _lift(a)
-    y = _np_log_softmax(a.data, axis=axis)
+    y = _np_log_softmax(a.data)
     out = _new(y)
     na = _sink(a)
     y = _keep(y, _grad_dtype(na))
 
     def bw(g):
-        na._acc(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        na._acc(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
     _graph(out, (na,), bw)
     return out
 
 
-def logsumexp(a, axis: int = -1) -> Tensor:
-    """log(sum(exp(a))) over `axis`, which is kept with length 1."""
+def logsumexp(a) -> Tensor:
+    """log(sum(exp(a))) over the last axis, which is kept with length 1."""
     a = _lift(a)
-    m = a.data.max(axis=axis, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
+    m = a.data.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(a.data - m), axis=-1, keepdims=True))
     out = _new(lse)
     na = _sink(a)
     dt = _grad_dtype(na)

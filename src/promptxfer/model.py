@@ -84,7 +84,6 @@ class ModelConfig:
     n_heads: int
     vocab_size: int
     max_seq_len: int
-    tie_lm_head: bool = False
 
     def __post_init__(self):
         for name in ("n_layers", "d_model", "n_heads", "vocab_size", "max_seq_len"):
@@ -92,6 +91,12 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+
+
+def config_record(config: ModelConfig) -> dict:
+    """The config a checkpoint stores and its fingerprint hashes; the fixed
+    `"tie_lm_head": false` (the head is its own weight) keeps their bytes."""
+    return {**asdict(config), "tie_lm_head": False}
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -108,8 +113,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[base + "mlp.w1"], shapes[base + "mlp.w1_b"] = (d, 4 * d), (4 * d,)
         shapes[base + "mlp.w2"], shapes[base + "mlp.w2_b"] = (4 * d, d), (d,)
     shapes["final_ln.g"] = shapes["final_ln.b"] = (d,)
-    if not config.tie_lm_head:
-        shapes["lm_head"] = (d, v)
+    shapes["lm_head"] = (d, v)
     return shapes
 
 
@@ -143,7 +147,7 @@ class TransformerLM:
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()
-        h.update(json.dumps(asdict(self.config), sort_keys=True).encode())
+        h.update(json.dumps(config_record(self.config), sort_keys=True).encode())
         for name in sorted(self.params):
             arr = self.params[name].data
             h.update(name.encode())
@@ -213,11 +217,7 @@ class TransformerLM:
                 x = ag.take(x, at.reshape(-1), axis=0)
             x = x.reshape((bsz, total, d))
         h = self._layer_norm(x, "final_ln")
-
-        if cfg.tie_lm_head:
-            logits = ag.matmul(h, ag.transpose(self.params["tok_emb"], (1, 0)))
-        else:
-            logits = ag.matmul(h, self.params["lm_head"])
+        logits = ag.matmul(h, self.params["lm_head"])
         if return_hidden:
             return logits, h
         return logits
@@ -265,11 +265,12 @@ class DpMeta:
     clip_norm: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        # each check is written so that NaN fails it
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.sigma <= 0 or self.clip_norm <= 0:
+        if not (self.sigma > 0 and self.clip_norm > 0):
             raise ValueError("sigma and clip_norm must be positive")
 
     def to_dict(self) -> dict:
@@ -321,7 +322,7 @@ def next_token_loss(logits: Tensor, ids: np.ndarray) -> Tensor:
     if ids.shape[1] < 2:
         raise ValueError("the next-token loss needs at least 2 tokens")
     pred = ag.narrow(logits, 1, 0, ids.shape[1] - 1)
-    lp = ag.log_softmax(pred, axis=-1)
+    lp = ag.log_softmax(pred)
     return -ag.take_along_last(lp, ids[:, 1:]).mean()
 
 
@@ -335,15 +336,15 @@ def label_set_log_probability(logits: Tensor, verbalizers: Sequence[Sequence[int
     """Per-class log probability: average softmax mass over each class's
     verbalizer tokens, renormalized across classes.  Computed in log space."""
     _validate_verbalizers(verbalizers)
-    ls = ag.log_softmax(logits, axis=-1)
+    ls = ag.log_softmax(logits)
     cols = []
     for ids in verbalizers:
         ids = list(ids)
         sel = ag.take(ls, ids, axis=-1)
-        avg = ag.logsumexp(sel, axis=-1) - math.log(len(ids))
+        avg = ag.logsumexp(sel) - math.log(len(ids))
         cols.append(avg)
     raw = ag.concat(cols, axis=-1)
-    return raw - ag.logsumexp(raw, axis=-1)
+    return raw - ag.logsumexp(raw)
 
 
 def _validate_verbalizers(verbalizers: Sequence[Sequence[int]]) -> None:

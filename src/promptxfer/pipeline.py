@@ -47,8 +47,9 @@ no model reads the private train split.
 A config loads by one type rule: each JSON value is read against the
 annotation of the field it sets.  A dataclass section takes an object;
 `tuple[X, ...]` takes a list; `X | Y` takes the first type that fits;
-`float` takes an int, and a bool is never a number.  Any other value is a
-`ConfigError` naming its dotted key, before any stage runs.
+`float` takes an int, a bool is never a number, and a number is finite (not
+JSON's `NaN` or `Infinity`).  Any other value is a `ConfigError` naming its
+dotted key, before any stage runs.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -119,7 +121,6 @@ class ArchSpec:
     d_model: int = 64
     n_heads: int = 4
     max_seq_len: int = 64
-    tie_lm_head: bool = False
 
     def __post_init__(self):
         self.to_model_config(1)  # ModelConfig's own checks, before any stage runs
@@ -171,7 +172,6 @@ class AttackConfig:
     learning_rate: float = 3e-2
     batch_size: int = 16
     prompt_length: int = 4
-    with_dp: bool = True
 
     def __post_init__(self):
         if self.n_shadows < 2:
@@ -275,6 +275,8 @@ FIXED_KEYS: dict[tuple[str | None, str], tuple[tuple | None, str]] = {
     ("transfer", "init_from"): (("initial",), "the transfer starts from the regenerated initial rows"),
     ("kd", "freeze_embedding"): ((False,), "distillation trains every student parameter"),
     ("kd", "freeze_lm_head"): ((False,), "distillation trains every student parameter"),
+    ("teacher", "tie_lm_head"): ((False,), "the LM head is its own weight"),
+    ("attack", "with_dp"): ((True,), "the attack always runs its nondp and dp variants"),
     # fields that became arguments of `tune_prompt` and `transfer_prompt`
     ("tune", "seed"): ((0,), "the tuning seed is derived from `seeds`"),
     ("transfer", "seed"): ((0,), "the transfer seed is derived from `seeds`"),
@@ -315,6 +317,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def _read(value, hint, key: str, default=None):
     """`value`, the JSON value at dotted `key`, as the type `hint` declares,
     by the module docstring's rule; a dataclass section over `default`."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value}")
     args, origin = get_args(hint), get_origin(hint)
     if is_dataclass(hint) and isinstance(value, dict):
         hints, given, kwargs = get_type_hints(hint), dict(value), {}
@@ -375,10 +379,10 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}")
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}")
+    except ValueError as e:  # not UTF-8 text, or not JSON
+        raise ConfigError(f"config {path} is not UTF-8 JSON: {e}")
     return config_from_dict(blob)
 
 
@@ -586,8 +590,7 @@ def stage_attack(run: SeedRun, student: TransformerLM, train: LabeledDataset) ->
 
         return train_fn
 
-    variants = [("nondp", False)] + ([("dp", True)] if atk.with_dp else [])
-    for tag, use_dp in variants:
+    for tag, use_dp in (("nondp", False), ("dp", True)):
         train_fn = train_fn_factory(use_dp)
         target = train_fn(pool.subset(members), seed_stream(run.seed, f"attack_target_{tag}"))
         res = lira_attack(

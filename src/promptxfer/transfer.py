@@ -23,11 +23,10 @@ token and position embeddings alone and shares every other weight, as the
 same array, with the frozen float32 model.  The residual stream starts from the
 embeddings, so every activation is float64, and a float32 weight promotes
 to float64 exactly: each forward equals, bit for bit, that of a model cast
-to float64 whole, without the 1.7 MB that such a copy of perfbench's
-teacher held.  The student's float64 model gives the two student sides, the
-teacher's the plain teacher's side and every prompted-teacher forward.
-Each holds only its float64 embeddings (about 60 kB for perfbench's
-models), so both are made at the start and kept.
+to float64 whole.  The student's float64 model gives the two student
+sides, the teacher's the plain teacher's side and every prompted-teacher
+forward.  Each holds only its float64 embeddings (about 60 kB for
+perfbench's models), so both are made at the start and kept.
 
 The shift term compares s_p - s_0 with t_p - t_0, differences of near-equal
 log-probabilities, and float32 forwards lose most of their digits to that

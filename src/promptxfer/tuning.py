@@ -68,13 +68,14 @@ class DpParams:
     delta: float
 
     def __post_init__(self):
-        if self.clip_norm <= 0 or self.noise_multiplier <= 0:
+        # each check is written so that NaN fails it
+        if not (self.clip_norm > 0 and self.noise_multiplier > 0):
             raise ValueError("clip_norm and noise_multiplier must be positive")
         if not 0 < self.sample_rate <= 1:
             raise ValueError("sample_rate must lie in (0, 1]")
-        if self.steps < 0:
+        if not self.steps >= 0:
             raise ValueError("steps must be nonnegative")
-        if self.epsilon <= 0 or not 0 < self.delta < 1:
+        if not (self.epsilon > 0 and 0 < self.delta < 1):
             raise ValueError("epsilon must be positive and delta in (0, 1)")
 
     def spent_epsilon(self) -> float:
@@ -223,7 +224,7 @@ def tune_prompt(
     dp = config.dp
     if dp is not None:
         spent = dp.spent_epsilon()
-        if spent > dp.epsilon:
+        if not spent <= dp.epsilon:  # NaN on either side fails
             raise ValueError(
                 f"DP budget infeasible: sigma={dp.noise_multiplier} spends epsilon={spent:.4f} "
                 f"> {dp.epsilon} at q={dp.sample_rate}, T={dp.steps}; recalibrate sigma"

@@ -144,3 +144,17 @@ def test_calibrate_memoised_on_all_arguments(monkeypatch):
     assert calls == []
     calibrate_sigma(4.0, 1e-5, 0.05, 120)
     assert calls  # different step count: a new search
+
+
+def test_nan_inputs_fail_closed():
+    """Every comparison with NaN is false, so a check written as `x <= 0`
+    would let NaN through: calibrate_sigma returned the search floor for a
+    NaN target, and rdp_epsilon a NaN budget for a NaN sigma."""
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="target epsilon"):
+            calibrate_sigma(bad, 1e-5, 0.05, 100)
+    with pytest.raises(ValueError):
+        calibrate_sigma(4.0, math.nan, 0.05, 100)
+    for args in ((math.nan, 0.01, 10, 1e-5), (1.0, math.nan, 10, 1e-5), (1.0, 0.01, 10, math.nan)):
+        with pytest.raises(ValueError):
+            rdp_epsilon(*args)

@@ -32,6 +32,20 @@ def test_model_round_trip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_a_checkpoint_with_a_tied_head_raises_artifact_error(tmp_path):
+    """A checkpoint's config carries `"tie_lm_head": false`, the one head
+    the program builds; a checkpoint that says true does not load."""
+    model = init_model(ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab_size=11, max_seq_len=8), 0)
+    path = tmp_path / "m.pstl"
+    save_model(path, model)
+    raw = path.read_bytes()
+    assert raw.count(b'"tie_lm_head":false') == 1
+    tied = tmp_path / "tied.pstl"
+    tied.write_bytes(raw.replace(b'"tie_lm_head":false', b'"tie_lm_head": true'))  # the same length
+    with pytest.raises(ArtifactError, match="tied LM head"):
+        load_model(tied)
+
+
 @pytest.fixture(scope="module")
 def trained_models():
     """A teacher after a few LM steps, a student after a few KD steps, and a
@@ -138,6 +152,23 @@ def test_prompt_round_trip_bit_exact(tmp_path):
     assert loaded.dp_meta == prompt.dp_meta
     save_prompt(p2, loaded, tuning_config_digest="abc123")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_dp_meta_fails_closed_on_nan(tmp_path):
+    good = dict(epsilon=8.0, delta=1e-4, sigma=1.3, clip_norm=1.0)
+    for key in good:
+        with pytest.raises(ValueError):
+            DpMeta(**{**good, key: float("nan")})
+    # a prompt file whose dp_meta reads NaN, which JSON's reader accepts
+    model = init_model(ModelConfig(n_layers=1, d_model=8, n_heads=2, vocab_size=11, max_seq_len=8), 0)
+    prompt = init_prompt(model, length=3, seed=9)
+    prompt.dp_meta = DpMeta(**good)
+    path = tmp_path / "p.pspa"
+    save_prompt(path, prompt)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"epsilon":8.0', b'"epsilon":NaN'))  # the same length
+    with pytest.raises(ArtifactError):
+        load_prompt(path)
 
 
 def test_prompt_without_dp_meta(tmp_path):

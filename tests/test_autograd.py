@@ -23,7 +23,6 @@ from promptxfer.autograd import (
     narrow,
     take,
     take_along_last,
-    transpose,
 )
 from promptxfer.model import ModelConfig, answer_log_probs, init_model, init_prompt, lm_loss
 from promptxfer.optim import Optimizer
@@ -50,8 +49,8 @@ OP_CASES = {
     "power": lambda x: ((x * x + 1.0) ** 1.5).sum(),
     "sum_axis": lambda x: (x.sum(axis=0) ** 2.0).sum(),
     "reshape": lambda x: (x.reshape((x.size,)) ** 2.0).mean(),
-    "log_softmax": lambda x: (log_softmax(x, axis=-1) * 0.5).sum(),
-    "logsumexp": lambda x: logsumexp(x, axis=-1).sum(),
+    "log_softmax": lambda x: (log_softmax(x) * 0.5).sum(),
+    "logsumexp": lambda x: logsumexp(x).sum(),
     # the GELU and the softmax live inside the fused nodes; these reduce the
     # nodes to them: an identity MLP is the elementwise GELU, and 1-wide
     # attention with q = 1 and k = v = x has row t = sum_j softmax(x[:t+1])_j x_j
@@ -361,7 +360,6 @@ def test_gradcheck_matmul_and_structure_ops():
         # a 2-D right operand after a 3-D left one: both gradients
         lambda x: (matmul(x.reshape((2, 2, 2)), Tensor(w[:2], dtype=np.float64)) ** 2.0).sum(),
         lambda x: (matmul(Tensor(rows, dtype=np.float64), x) ** 2.0).sum(),
-        lambda x: (transpose(x, (1, 0)) ** 2.0).mean(),
         lambda x: (take(x, [1, 1, 0], axis=0) ** 2.0).sum(),
         # strictly increasing indices scatter by assignment, the others by a
         # grouped sum; a negative index is the same row as its positive twin
@@ -416,7 +414,7 @@ def test_finite_diff_check_coordinate_sampling():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 6))
     ok, _ = finite_diff_check(
-        lambda t: logsumexp(t * 0.1, axis=-1).sum(), x, tolerance=1e-6, max_coords=10, rng=rng
+        lambda t: logsumexp(t * 0.1).sum(), x, tolerance=1e-6, max_coords=10, rng=rng
     )
     assert ok
 

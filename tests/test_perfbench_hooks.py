@@ -58,7 +58,7 @@ def test_perfbench_workload_configs_load_unchanged(monkeypatch, tmp_path):
             baselines=wl.baselines,
             attack=pl.AttackConfig(
                 enabled=wl.attack, n_shadows=wls.ATTACK_SHADOWS, pool_size=wls.ATTACK_POOL,
-                epochs=wls.ATTACK_EPOCHS, batch_size=wls.ATTACK_BATCH, with_dp=True,
+                epochs=wls.ATTACK_EPOCHS, batch_size=wls.ATTACK_BATCH,
             ),
             seeds=(0,),
             output_dir=out,

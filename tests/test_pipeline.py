@@ -8,6 +8,7 @@ declared inputs, data roles among them, and from the data-access ledger a
 run writes from those same declarations."""
 
 import json
+import math
 import weakref
 from collections import defaultdict
 from dataclasses import asdict, fields, is_dataclass, replace
@@ -423,8 +424,36 @@ def test_an_attack_prompt_length_binds_only_when_the_attack_runs(tmp_path):
     assert main(["pipeline", "--config", write_config(tmp_path / "c.json", blob)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        # the retired switches, at the values no run uses
+        ("teacher", "tie_lm_head", True),
+        ("attack", "with_dp", False),
+        # JSON's NaN and Infinity, which Python's reader accepts
+        ("dp", "epsilon", math.nan),
+        ("dp", "clip_norm", math.inf),
+        ("pretrain", "learning_rate", math.inf),
+        ("tune", "learning_rate", math.nan),
+        ("kd", "learning_rate", math.nan),
+        ("transfer", "learning_rate", -math.inf),
+    ],
+)
+def test_a_retired_switch_or_a_non_finite_number_exits_2_naming_its_key(tmp_path, caplog, section, key, value):
+    blob = tiny_config(tmp_path / "run")
+    blob[section] = {**blob.get(section, {}), key: value}
+    assert main(["pipeline", "--config", write_config(tmp_path / "c.json", blob)]) == EXIT_CONFIG
+    assert f"{section}.{key}" in caplog.text
+    assert not (tmp_path / "run").exists()
+
+
 def test_unreadable_config_exits_2(tmp_path):
     assert main(["pipeline", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    # a directory, and a file that is not UTF-8 text
+    assert main(["pipeline", "--config", str(tmp_path)]) == EXIT_CONFIG
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"output_dir": "caf\xe9"}'.encode("latin-1"))
+    assert main(["pipeline", "--config", str(latin1)]) == EXIT_CONFIG
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["pipeline", "--config", str(bad)]) == EXIT_CONFIG
@@ -558,6 +587,17 @@ def test_config_json_round_trip(full_run, tmp_path):
     }
     assert pl.config_from_dict(retired) == config
     assert pl.config_to_dict(pl.config_from_dict(retired)) == pl.config_to_dict(config)
+    # the tied LM head and the attack's DP switch are gone: their keys load at
+    # the value every run uses, and are not written back
+    switches = {
+        **blob,
+        "teacher": {**blob["teacher"], "tie_lm_head": False},
+        "attack": {**blob["attack"], "with_dp": True},
+    }
+    assert pl.config_from_dict(switches) == config
+    written = pl.config_to_dict(pl.config_from_dict(switches))
+    assert written == pl.config_to_dict(config)
+    assert "tie_lm_head" not in written["teacher"] and "with_dp" not in written["attack"]
 
 
 def _leaves(section, prefix=""):
@@ -590,7 +630,7 @@ def test_a_config_with_every_key_set_survives_json(tmp_path):
         corpus_verbalizer_rate=0.25,
     )
     config = pl.ExperimentConfig(
-        teacher=pl.ArchSpec(n_layers=6, d_model=32, n_heads=2, max_seq_len=48, tie_lm_head=True),
+        teacher=pl.ArchSpec(n_layers=6, d_model=32, n_heads=2, max_seq_len=48),
         student_layers=3,
         pretrain=pl.PretrainConfig(steps=7, batch_size=3, learning_rate=0.5),
         kd=KdConfig(
@@ -609,7 +649,7 @@ def test_a_config_with_every_key_set_survives_json(tmp_path):
         baselines=("post", "post_dp"),
         attack=pl.AttackConfig(
             enabled=True, n_shadows=3, pool_size=20, label_noise=0.3, epochs=2,
-            learning_rate=0.1, batch_size=4, prompt_length=2, with_dp=False,
+            learning_rate=0.1, batch_size=4, prompt_length=2,
         ),
         public_subset=12,
         seeds=(4, 9),

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +356,25 @@ def test_default_delta_one_sig_fig():
     assert default_delta(1000) == 1e-4
     assert default_delta(128) == 8e-4
     assert default_delta(67_300) == pytest.approx(1e-6)
+
+
+def test_dp_params_fail_closed_on_nan():
+    with pytest.raises(ValueError, match="target epsilon"):
+        make_dp_params(dataset_size=256, batch_size=16, epochs=3, epsilon=math.nan)
+    good = dict(clip_norm=1.0, noise_multiplier=1.1, sample_rate=0.25, steps=10, epsilon=8.0, delta=1e-4)
+    DpParams(**good)
+    for key in good:
+        with pytest.raises(ValueError):
+            DpParams(**{**good, key: math.nan})
+
+
+def test_tune_prompt_budget_check_fails_closed_on_nan(tiny_task):
+    model, private, _ = tiny_task
+    dp = DpParams(clip_norm=1.0, noise_multiplier=1.1, sample_rate=0.25, steps=4, epsilon=8.0, delta=1e-4)
+    dp.epsilon = math.nan  # past the constructor's check
+    prompt = init_prompt(model, length=4, seed=9)
+    with pytest.raises(ValueError, match="infeasible"):
+        tune_prompt(model, prompt, private.split("train"), TuneConfig(epochs=1, batch_size=16, dp=dp), 0)
 
 
 def test_make_dp_params_paperlike():
