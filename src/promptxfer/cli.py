@@ -1,12 +1,13 @@
 """Command-line entry points: distill, tune, transfer, attack, eval, pipeline.
 
 Every subcommand is one `pipeline.run_pipeline` call over the same stage
-plan.  `distill`, `tune` and `transfer` build every row of the plan up to
-the entry named in `THROUGH`, whatever the config's baselines; `attack`
-runs the membership attack with no baselines; `eval` and `pipeline` build
-the config's baselines (`eval` those given by `--baseline`, when any) and
-the attack when it is enabled.  Nothing is read back from earlier runs;
-each subcommand trains what it needs from scratch.
+plan, naming the plan outputs it builds: `distill`, `tune`, `transfer` and
+`attack` those in `OUTPUTS`, whatever the config's baselines and
+`attack.enabled`; `eval` and `pipeline` what the config asks for, its
+baselines (`eval` those named by `--baseline`, when any) and the attack
+when it is enabled.  A run builds those outputs and the rows their inputs
+reach.  Nothing is read back from earlier runs; each subcommand trains what
+it needs from scratch.
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure.
 """
@@ -31,8 +32,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
-# subcommand -> last STAGE_PLAN entry it runs; the others run the whole plan
-THROUGH = {"distill": "kd", "tune": "tune_student_dp", "transfer": "transfer_dp"}
+# subcommand -> the STAGE_PLAN outputs it builds
+OUTPUTS = {"distill": ("student",), "tune": ("p_s", "p_s_dp"), "transfer": ("p_t", "p_t_dp"), "attack": ("attacks",)}
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -48,11 +49,6 @@ def _load_config(args) -> pl.ExperimentConfig:
         overrides["seeds"] = (args.seed,)
     if args.out is not None:
         overrides["output_dir"] = args.out
-    if args.command == "eval" and args.baseline:
-        overrides["baselines"] = tuple(args.baseline)
-    if args.command == "attack":
-        overrides["baselines"] = ()
-        overrides["attack"] = replace(config.attack, enabled=True)
     return replace(config, **overrides)
 
 
@@ -68,7 +64,7 @@ def main(argv=None) -> int:
         ("tune", "distill, then tune the student-side soft prompts on the private train split"),
         ("transfer", "distill and tune, then transfer the tuned prompts to the teacher via public data"),
         ("attack", "distill, then run the membership-inference harness against tuned prompts"),
-        ("eval", "run the whole workflow for the requested baselines and evaluate them"),
+        ("eval", "build and evaluate the requested baselines (default: the config's)"),
         ("pipeline", "run the whole workflow end to end"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -78,7 +74,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        report = pl.run_pipeline(_load_config(args), through=THROUGH.get(args.command))
+        config = _load_config(args)
+        wanted = OUTPUTS.get(args.command)
+        if getattr(args, "baseline", None):  # eval's, in place of the config's baselines
+            pl.check_baselines(args.baseline)
+            wanted = (*args.baseline, *(("attacks",) if config.attack.enabled else ()))
+        report = pl.run_pipeline(config, wanted)
     except pl.ConfigError as e:
         log.error("config error: %s", e)
         return EXIT_CONFIG

@@ -36,11 +36,13 @@ class KdWeights:
     temperature: float = 2.0
 
     def __post_init__(self):
-        if min(self.alpha_ce, self.alpha_lm, self.alpha_cos) < 0:
+        # each check is written so that NaN fails it
+        weights = (self.alpha_ce, self.alpha_lm, self.alpha_cos)
+        if not all(w >= 0 for w in weights):
             raise ValueError("loss weights must be nonnegative")
-        if max(self.alpha_ce, self.alpha_lm, self.alpha_cos) <= 0:
+        if not any(w > 0 for w in weights):
             raise ValueError("at least one loss weight must be strictly positive")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
 
@@ -56,7 +58,7 @@ class KdConfig:
         idx = self.student_layer_indices
         if idx is not None and (not idx or idx[0] < 0 or any(b <= a for a, b in zip(idx, idx[1:]))):
             raise ValueError("student_layer_indices must be non-empty, nonnegative and strictly increasing")
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.max_steps <= 0:
+        if not (self.learning_rate > 0 and self.batch_size > 0 and self.max_steps > 0):  # NaN fails it
             raise ValueError("learning_rate, batch_size and max_steps must be positive")
 
 

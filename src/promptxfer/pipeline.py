@@ -13,12 +13,9 @@ A run asks for some outputs, and one rule picks the rows: a seed's run
 loads its data (`stage_data`), then walks back from those outputs through
 the rows' declared inputs and runs, in plan order, exactly the rows that
 build something on that walk.  Each runs in its own timed call; no stage
-runs inside another.  A whole run, `run_pipeline(config)`, asks for the
-config's baselines, and "attacks" when the attack is enabled.  A prefix
-run, `run_pipeline(config, through=name)`, asks for every output of the
-plan up to and including its last row of that name, whatever the config's
-baselines, so it builds every row of that prefix; the CLI's `distill`,
-`tune` and `transfer` subcommands are such runs.
+runs inside another.  `run_pipeline(config, wanted)` names the outputs;
+by default they are the config's baselines, and "attacks" when the attack
+is enabled.  Each CLI subcommand names its own (`cli.OUTPUTS`).
 
 Each transfer row passes `transfer_alpha` to `transfer_prompt`: a float as
 it is, "heuristic" as None, for which the transfer computes the heuristic
@@ -62,7 +59,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable, Collection, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -136,7 +133,7 @@ class PretrainConfig:
     learning_rate: float = 3e-3
 
     def __post_init__(self):
-        if self.steps <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
+        if not (self.steps > 0 and self.batch_size > 0 and self.learning_rate > 0):  # NaN fails it
             raise ConfigError("pretrain.steps, batch_size and learning_rate must be positive")
 
 
@@ -156,7 +153,7 @@ class DpSpec:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.clip_norm <= 0:
+        if not (self.epsilon > 0 and self.clip_norm > 0):  # NaN fails it
             raise ConfigError("dp.epsilon and dp.clip_norm must be positive")
         if self.delta is not None and not 0 < self.delta < 1:
             raise ConfigError("dp.delta must lie in (0, 1)")
@@ -182,7 +179,7 @@ class AttackConfig:
             raise ConfigError("attack.pool_size must be at least 2")
         if self.prompt_length < 1 or self.batch_size < 1:
             raise ConfigError("attack.prompt_length and attack.batch_size must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails it
             raise ConfigError("attack.learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigError("attack.epochs must be >= 0")
@@ -196,6 +193,13 @@ class CsvTask:
     corpus: str
     template_suffix: str = ", it was"
     verbalizer_words: tuple[tuple[str, ...], ...] = ()
+
+
+def check_baselines(names) -> None:
+    """ConfigError unless every one of `names` is in ALL_BASELINES."""
+    unknown = set(names) - set(ALL_BASELINES)
+    if unknown:
+        raise ConfigError(f"unknown baselines: {sorted(unknown)}")
 
 
 @dataclass
@@ -217,9 +221,7 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self):
-        unknown = set(self.baselines) - set(ALL_BASELINES)
-        if unknown:
-            raise ConfigError(f"unknown baselines: {sorted(unknown)}")
+        check_baselines(self.baselines)
         if self.student_layers < 1 or self.student_layers > self.teacher.n_layers:
             raise ConfigError("student_layers must lie in [1, teacher.n_layers]")
         alpha = self.transfer_alpha
@@ -369,7 +371,6 @@ def config_from_dict(blob: dict) -> ExperimentConfig:
     it names; the rest keep the default experiment's values, not their class
     defaults.  The `task` section is the exception: it is taken whole."""
     blob = _drop_fixed_keys(_read(blob, dict, "config"))
-    blob.pop("kind", None)
     if "task" in blob:
         blob["task"] = _task_from_dict(blob["task"])
     return _read(blob, ExperimentConfig, "", ExperimentConfig())
@@ -703,10 +704,13 @@ def _outputs_needed(wanted) -> set[str]:
     return needed
 
 
-def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str, wanted: set[str]) -> SeedRun:
+def run_seed(
+    config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_dir: str, wanted: Collection[str]
+) -> SeedRun:
     """Run, in plan order, the rows of STAGE_PLAN that build the outputs
     named in `wanted`, and those their inputs reach.  Each row's data-role
-    inputs go to `ledger` before the row runs."""
+    inputs go to `ledger` before the row runs.  The run keeps only the
+    outputs `wanted` names, so the rest go before the next seed runs."""
     run = SeedRun(config=config, seed=seed, out_dir=out_dir)
     needed = _outputs_needed(wanted)
     stage_data(run, with_attack="attacks" in needed)
@@ -717,6 +721,7 @@ def run_seed(config: ExperimentConfig, seed: int, ledger: DataAccessLedger, out_
                     ledger.log(seed, row.name, name, getattr(run.outputs[name], "name", "corpus"))
             args = [run.outputs[name] for name in row.inputs]
             run.outputs[row.output] = run.timed(row.name, lambda: row.fn(run, *args), row.amortizable)
+    run.outputs = {name: run.outputs[name] for name in wanted}
     return run
 
 
@@ -738,19 +743,16 @@ class RunReport:
         return asdict(self)
 
 
-def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunReport:
-    """Build, over all seeds, what the config asks for (its baselines, and
-    the attack when it is enabled) or, for `through` a row name, every
-    output of STAGE_PLAN up to and including its last row of that name,
-    whatever the config asks for; then aggregate what was evaluated."""
-    names = [row.name for row in STAGE_PLAN]
-    if through is None:
-        wanted = set(config.baselines) | ({"attacks"} if config.attack.enabled else set())
-    elif through in names:
-        end = max(i for i, name in enumerate(names) if name == through) + 1
-        wanted = {row.output for row in STAGE_PLAN[:end]}
-    else:
-        raise ConfigError(f"unknown stage {through!r}; the plan is {list(dict.fromkeys(names))}")
+def run_pipeline(config: ExperimentConfig, wanted: Collection[str] | None = None) -> RunReport:
+    """Build, over all seeds, the STAGE_PLAN outputs named in `wanted` (by
+    default the config's baselines, and "attacks" when the attack is
+    enabled); then aggregate the baselines and attacks among them."""
+    if wanted is None:
+        wanted = (*config.baselines, *(("attacks",) if config.attack.enabled else ()))
+    plan = [row.output for row in STAGE_PLAN]
+    unknown = sorted(set(wanted) - set(plan))
+    if unknown:
+        raise ConfigError(f"unknown outputs {unknown}; the plan builds {plan}")
     ledger = DataAccessLedger()
     out_root = config.output_dir
     os.makedirs(out_root, exist_ok=True)
@@ -766,27 +768,19 @@ def run_pipeline(config: ExperimentConfig, through: str | None = None) -> RunRep
             errors[seed] = str(e)
             log.error("seed %d failed: %s", seed, e)
             continue
-        # of a seed's outputs the report reads the accuracies and the attack
-        # metrics; its models, prompts and data go before the next seed runs
-        run.outputs = {name: run.outputs[name] for name in (*config.baselines, "attacks") if name in run.outputs}
         runs[seed] = run
     if not runs:
         raise StageError("pipeline", f"every seed failed: {errors}")
 
-    def per_seed(value: Callable[[dict], object]) -> dict:
-        found = {str(s): value(runs[s].outputs) for s in sorted(runs)}
-        return {s: v for s, v in found.items() if v is not None}
-
     baselines: dict[str, dict] = {}
-    for kind in config.baselines:
-        accs = per_seed(lambda out: out.get(kind))
-        if accs:
-            values = list(accs.values())
-            baselines[kind] = {"mean": float(np.mean(values)), "std": float(np.std(values)), "per_seed": accs}
+    for kind in (name for name in wanted if name in BASELINE_INPUTS):
+        accs = {str(s): runs[s].outputs[kind] for s in sorted(runs)}
+        values = list(accs.values())
+        baselines[kind] = {"mean": float(np.mean(values)), "std": float(np.std(values)), "per_seed": accs}
     attack_metrics: dict[str, dict] = {}
-    for tag in ("nondp", "dp"):
-        aucs = per_seed(lambda out: out.get("attacks", {}).get(tag, {}).get("auc"))
-        if aucs:
+    if "attacks" in wanted:
+        for tag in ("nondp", "dp"):
+            aucs = {str(s): runs[s].outputs["attacks"][tag]["auc"] for s in sorted(runs)}
             attack_metrics[tag] = {"auc_mean": float(np.mean(list(aucs.values()))), "auc_per_seed": aucs}
 
     timings = [row for seed in sorted(runs) for row in runs[seed].timings]

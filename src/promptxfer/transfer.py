@@ -100,7 +100,7 @@ class TransferConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
+        if not (self.steps >= 0 and self.batch_size > 0 and self.learning_rate > 0):  # NaN fails it
             raise ValueError("steps must be >= 0; batch_size and learning_rate positive")
 
 

@@ -91,7 +91,7 @@ class TuneConfig:
     eval_every: int = 1  # epochs of ceil(N / batch_size) steps between history rows; 0: none
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
+        if not (self.epochs >= 0 and self.batch_size > 0 and self.learning_rate > 0):  # NaN fails it
             raise ValueError("epochs must be >= 0; batch_size and learning_rate positive")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0 (0 records no history)")

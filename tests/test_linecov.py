@@ -2,9 +2,12 @@
 module."""
 
 import importlib.util
+import json
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "linecov.py"
 _SPEC = importlib.util.spec_from_file_location("linecov", _PATH)
@@ -32,10 +35,8 @@ def unused():
 '''
 
 
-def test_executable_lines_are_those_of_the_nested_code_objects(tmp_path):
-    path = tmp_path / "small.py"
-    path.write_text(SMALL)
-    assert linecov.executable_lines(path) == {1, 2, 5, 7, 8, 9, 12, 13, 14, 17, 18}
+def test_executable_lines_are_those_of_the_nested_code_objects():
+    assert linecov.executable_lines(SMALL) == {1, 2, 5, 7, 8, 9, 12, 13, 14, 17, 18}
 
 
 def test_the_recorder_reaches_what_an_import_and_a_call_run(tmp_path):
@@ -51,7 +52,7 @@ def test_the_recorder_reaches_what_an_import_and_a_call_run(tmp_path):
     finally:
         sys.settrace(None)
     reached = recorder.reached[str(path.resolve())]
-    assert linecov.executable_lines(path) - reached == {9, 14, 18}
+    assert linecov.executable_lines(SMALL) - reached == {9, 14, 18}
 
 
 def test_ranges_join_consecutive_lines():
@@ -73,3 +74,32 @@ def test_each_workload_runs_untraced_and_traced(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     linecov.run_workloads(["post", "lira"], 3, 35, linecov.LineRecorder([]))
     assert calls == [("post", "0"), ("post", "1"), ("lira", "0"), ("lira", "1")]
+
+
+@pytest.mark.parametrize("edit", [False, True], ids=["unchanged", "edited"])
+def test_a_source_edited_during_the_runs_gets_no_listing(tmp_path, monkeypatch, capsys, edit):
+    """The listing maps the lines reached onto the text each module had
+    before the runs; a module whose text differs after them is named, and
+    nothing is listed."""
+    program = tmp_path / "src" / "promptxfer"
+    program.mkdir(parents=True)
+    (program / "small.py").write_text(SMALL)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 35}))
+
+    def run_workloads(workloads, seed, seconds, recorder):
+        if edit:  # a docstring grows by a line: every later line moves
+            (program / "small.py").write_text(SMALL.replace('"""A small module."""', '"""A small\nmodule."""'))
+
+    monkeypatch.setattr(linecov, "ROOT", tmp_path)
+    monkeypatch.setattr(linecov, "PROGRAM", program)
+    monkeypatch.setattr(linecov, "run_workloads", run_workloads)
+    if edit:
+        with pytest.raises(SystemExit, match="src/promptxfer/small.py") as stopped:
+            linecov.main(["--workloads", "post", "--seed", "3"])
+        assert stopped.value.code != 0
+        assert capsys.readouterr().out == ""
+    else:
+        assert linecov.main(["--workloads", "post", "--seed", "3"]) == 0
+        listing = capsys.readouterr().out
+        assert listing.startswith("src/promptxfer/small.py: 11 of 11 executable lines not reached")
+        assert "      1-2  \"\"\"A small module.\"\"\"" in listing

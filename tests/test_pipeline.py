@@ -131,6 +131,28 @@ def test_a_prefix_subcommand_builds_its_whole_prefix_whatever_the_baselines(
     check_subcommand(full_run, tmp_path, blob, command, files, stages)
 
 
+def test_attack_runs_the_attack_alone_whatever_the_config_asks_for(full_run, tmp_path):
+    """`attack` on a config that asks for every baseline and no attack
+    builds the attack and what it reads, and records the config as loaded."""
+    blob = tiny_config(tmp_path / "run")
+    blob["attack"]["enabled"] = False
+    (files, stages), = [(files, stages) for command, files, stages in SUBCOMMAND_RUNS if command == "attack"]
+    check_subcommand(full_run, tmp_path, blob, "attack", files, stages)
+    assert pl.load_config(tmp_path / "run" / "config.json") == pl.config_from_dict(blob)
+
+
+def test_a_run_builds_the_outputs_it_names(full_run, tmp_path):
+    """Asked for the student prompt alone, a run builds it and what it
+    reads, and evaluates nothing, whatever the config asks for."""
+    report = pl.run_pipeline(pl.config_from_dict(tiny_config(tmp_path / "run")), {"p_s"})
+    assert [row["stage"] for row in report.timings] == ["data", "pretrain", "kd", "tune_student"]
+    assert report.baselines == {} and report.attack_metrics == {}
+    written, expected = seed_files(tmp_path / "run"), seed_files(full_run)
+    assert "prompt_student.pspa" in written
+    for name, data in written.items():
+        assert data == expected[name], name
+
+
 def check_subcommand(full_run, tmp_path, blob, command, files, stages):
     """`command` on `blob` runs `stages`, writes `files` among others, and
     writes each file as the whole plan does."""
@@ -229,6 +251,18 @@ def test_eval_restricts_the_baselines(full_run, tmp_path):
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     full = json.loads((full_run / "report.json").read_text())
     assert report["baselines"] == {k: full["baselines"][k] for k in ("full_zs", "post")}
+    # the baselines it names in place of the config's, and the enabled attack
+    assert [row["stage"] for row in report["timings"]] == ["data", "pretrain", "kd", "tune_student", "transfer",
+                                                           "eval", "eval", "attacks"]
+    assert report["attack_metrics"] == full["attack_metrics"]
+
+
+def test_eval_takes_only_baselines(tmp_path):
+    """A plan output that is not a baseline, such as the student prompt,
+    is no `--baseline`."""
+    config = write_config(tmp_path / "c.json", tiny_config(tmp_path / "run"))
+    assert main(["eval", "--config", config, "--baseline", "p_s"]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
 
 
 def test_written_checkpoints_load_and_reproduce_the_report(full_run, tmp_path):
@@ -411,11 +445,40 @@ def test_resolved_alphas_follow_the_transfers_a_seed_ran(full_run, full_run_fixe
         {"teacher": {"n_layers": 2, "d_model": 10, "n_heads": 4, "max_seq_len": 32}},
         {"teacher": {"n_layers": 2, "d_model": 16, "n_heads": 0, "max_seq_len": 32}},
         {"teacher": {"n_layers": 2, "d_model": -16, "n_heads": 2, "max_seq_len": 32}},
+        # a top-level "kind", which no version wrote: the task's kind is task.kind
+        {"kind": "synthetic"},
     ],
 )
 def test_bad_config_exits_2(tmp_path, change):
     config = write_config(tmp_path / "c.json", tiny_config(tmp_path / "run", **change))
     assert main(["pipeline", "--config", config]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pl.PretrainConfig(learning_rate=math.nan),
+        lambda: KdConfig(learning_rate=math.nan),
+        lambda: TuneConfig(learning_rate=math.nan),
+        lambda: TransferConfig(learning_rate=math.nan),
+        lambda: pl.AttackConfig(learning_rate=math.nan),
+        lambda: KdWeights(temperature=math.nan),
+        lambda: KdWeights(alpha_ce=math.nan),
+        lambda: KdWeights(alpha_lm=math.nan),
+        lambda: pl.DpSpec(epsilon=math.nan),
+        lambda: pl.DpSpec(clip_norm=math.nan),
+    ],
+    ids=[
+        "pretrain.learning_rate", "kd.learning_rate", "tune.learning_rate", "transfer.learning_rate",
+        "attack.learning_rate", "kd.weights.temperature", "kd.weights.alpha_ce", "kd.weights.alpha_lm",
+        "dp.epsilon", "dp.clip_norm",
+    ],
+)
+def test_a_section_built_with_nan_raises(build):
+    """A program caller that builds a section skips the config reader's
+    finite-number check, so each section's own range check fails on NaN."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_an_attack_prompt_length_binds_only_when_the_attack_runs(tmp_path):
@@ -463,9 +526,11 @@ def test_unreadable_config_exits_2(tmp_path):
                  "--baseline", "nope"]) == EXIT_CONFIG
 
 
-def test_unknown_stage_is_a_config_error(tmp_path):
-    with pytest.raises(pl.ConfigError, match="unknown stage"):
-        pl.run_pipeline(pl.config_from_dict(tiny_config(tmp_path)), through="tune")
+def test_an_unknown_output_is_a_config_error(tmp_path):
+    """A row name that is no output ("tune") fails before anything runs."""
+    with pytest.raises(pl.ConfigError, match=r"unknown outputs \['tune'\]"):
+        pl.run_pipeline(pl.config_from_dict(tiny_config(tmp_path / "run")), {"p_s", "tune"})
+    assert not (tmp_path / "run").exists()
 
 
 def test_failing_stage_exits_3(tmp_path, monkeypatch):

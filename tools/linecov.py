@@ -11,9 +11,12 @@ before the program is imported, so module-level lines count.  A run that
 does not read `correct` stops the script.  It then prints, per module,
 the executable lines that no run reached, as ranges with the source of each
 range's first line.  A module's executable lines are the line numbers of
-its compiled code objects, nested ones included (`co_lines`).  It changes
-no file under `perfbench/`; each run writes its git-ignored `perfbench/out/`
-as any benchmark run does.
+its compiled code objects, nested ones included (`co_lines`).  Both come
+from the text each module had before the runs; a module whose text differs
+after them stops the script with no listing, since the lines the runs
+reached may no longer be the lines it lists.  It changes no file under
+`perfbench/`; each run writes its git-ignored `perfbench/out/` as any
+benchmark run does.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ PROGRAM = ROOT / "src" / "promptxfer"
 BENCH = ROOT / "perfbench"
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The line numbers of every code object compiled from `path`."""
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+def executable_lines(source: str) -> set[int]:
+    """The line numbers of every code object compiled from `source`."""
+    stack = [compile(source, "<source>", "exec")]
     lines: set[int] = set()
     while stack:
         code = stack.pop()
@@ -109,14 +112,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
-    modules = sorted(PROGRAM.glob("*.py"))
-    recorder = LineRecorder(modules)
+    texts = {path: path.read_text(encoding="utf-8") for path in sorted(PROGRAM.glob("*.py"))}
+    recorder = LineRecorder(texts)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     run_workloads(args.workloads, args.seed, seconds, recorder)
 
-    for path in modules:
-        source = path.read_text(encoding="utf-8").splitlines()
-        lines = executable_lines(path)
+    changed = [path for path, text in texts.items() if not path.exists() or path.read_text(encoding="utf-8") != text]
+    if changed:
+        names = ", ".join(str(path.relative_to(ROOT)) for path in changed)
+        raise SystemExit(f"changed during the runs, so no listing: {names}")
+    for path, text in texts.items():
+        source = text.splitlines()
+        lines = executable_lines(text)
         missed = lines - recorder.reached[os.path.realpath(path)]
         print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} executable lines not reached")
         for first, last in ranges(missed):
