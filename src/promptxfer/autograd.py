@@ -54,44 +54,57 @@ a later ``backward()`` that reaches one raises before it accumulates any
 gradient; nothing here runs backward twice through one graph.  A graph must
 be driven by a single thread; independent graphs may run in parallel.
 
-A transformer block is three fused nodes, each with a hand-written
-backward.  Besides the weights a backward multiplies by, what each keeps
-alive until it runs, in the node's dtype.  Where that differs from the
-data's, as for the transfer's float64 activations, each kept array is a
-compact cast copy made as the op returns.  A weight already in the node's
-dtype is kept as it is.  The transfer's float64 models share the float32
-weights (``transfer._with_float64_embeddings``), so its float32 graph
-casts none:
+A transformer block is two fused nodes, each with a hand-written backward
+and each normalising its own input: ``causal_attention`` and ``gelu_mlp``
+run the block's two layer norms (``layer_norm`` is the final one alone),
+so the normalised rows a sublayer multiplies by never become a tensor of
+their own.  One pair of helpers (``_ln_forward``, ``_ln_backward``) holds
+the layer-norm arithmetic for all three nodes.  Besides the weights a
+backward multiplies by, what each keeps alive until it runs, in the node's
+dtype.  Where that differs from the data's, as for the transfer's float64
+activations, each kept array is a compact cast copy made as the op
+returns.  A weight already in the node's dtype is kept as it is.  The
+transfer's float64 models share the float32 weights
+(``transfer._with_float64_embeddings``), so its float32 graph casts none:
 
-- ``layer_norm``: the normalised input, when the input or the gain needs a
-  gradient, and the reciprocal standard deviation per row.
+- the layer norm of each of the three: the normalised input xhat
+  (``[rows x d]``) when the input's or the gain's gradient needs it, or a
+  sublayer's weight gradient does, and the reciprocal standard deviation
+  per row when the input's does.  A sublayer whose weights take a gradient
+  re-forms the normalised rows xhat * gain + bias in its backward, bit for
+  bit the forward's, rather than keeping them.
 - ``causal_attention``: each row's keys and values with its prefix copy in
   front (``[b x heads x (l + T) x dh]``), the token queries
   (``[b x heads x T x dh]``) and their attention probabilities
   (``[b x heads x T x (l + T)]``); with a prefix, also each copy's own
   queries, keys and values (``[m x heads x l x dh]`` each, m = 1 or b
   copies) and the probabilities of its own attention
-  (``[m x heads x l x l]``); the input rows only when a weight needs a
-  gradient, and the concatenated Q/K/V weight only when the input does.
-  Q, K and V come from one fused ``[positions x 3d]`` projection.  With a
-  prefix the keys and values are new arrays, and the queries and the
-  copies' own q/k/v are kept as compact copies, so nothing pins that
-  projection, which goes before the token queries attend; without one, the
-  queries, keys and values kept are views that fill it, unless they are
-  cast.  With ``query_at`` (one query per row) each row's query is taken
+  (``[m x heads x l x l]``); and the three Q/K/V weights when the layer
+  norm needs a gradient, which the backward concatenates again rather than
+  keeping a ``[d x 3d]`` copy.  Q, K and V come from one fused
+  ``[positions x 3d]`` projection.  With a prefix the keys and values are
+  new arrays, and the queries and the copies' own q/k/v are kept as compact
+  copies, so nothing pins that projection, which goes before the token
+  queries attend; without one, the queries, keys and values kept are views
+  that fill it, unless they are cast.  With ``query_at`` (one query per row) each row's query is taken
   from the Q columns of that same projection, and it keeps the same keys
   and values (without a prefix, views that pin the projection), a copy of
   the queries (``[b x heads x 1 x dh]``), ``[b x heads x 1 x (l + T)]``
   probabilities, and no prefix attention of its own.  The softmax gradient
   is formed from the saved probabilities P as P * (dP - rowsum(dP * P)),
   the form the FlashAttention backward uses (Dao et al. 2022).
-- ``gelu_mlp``: the GELU's slope at the pre-activation when the input,
-  ``w1`` or ``b1`` needs a gradient, the GELU output when ``w2`` does
-  (``[rows x 4d]`` each, float32 in training, scoring and the transfer),
-  and the input rows when ``w1`` does.  The slope is formed in the forward,
-  in the node's dtype, and the output in place of the Gaussian CDF, so a
-  frozen-weight graph (tuning, DP-SGD, the transfer) keeps one such array
-  per MLP.
+- ``gelu_mlp``: the GELU's slope at the pre-activation when the layer
+  norm, ``w1`` or ``b1`` needs a gradient, and the GELU output when ``w2``
+  does (``[rows x 4d]`` each, float32 in training, scoring and the
+  transfer).  The slope is formed in the forward, in the node's dtype, and
+  the output in place of the Gaussian CDF, so a frozen-weight graph
+  (tuning, DP-SGD, the transfer) keeps one such array per MLP.
+
+A training graph (every weight trained) thus keeps per layer xhat, the
+``[rows x 3d]`` projection, the probabilities, the context (the output
+projection's left operand), the MLP's xhat and the GELU's slope and
+output; the float32 Gaussian CDF allocates its result and one scratch
+array.
 
 The output projection and the LM head are ``matmul``, whose right operand
 is always a 2-D weight, so it also runs as one GEMM over the flattened rows.
@@ -629,31 +642,56 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(a, -1, 0)).max(axis=0)[..., None]
 
 
-def layer_norm(x, gain, bias, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+LN_EPS = 1e-5
+
+
+def _ln_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, dtype, nx, ng, reform: bool):
+    """Layer norm over the last axis, (x - mean) / sqrt(var + LN_EPS) *
+    gain + bias, and the tuple `_ln_backward` reads, in the node's `dtype`:
+    the normalised input xhat when x's (sink `nx`) or the gain's (`ng`)
+    gradient needs it, the reciprocal standard deviation per row and the
+    gain when x's does, and with `reform` xhat, the gain and the bias, from
+    which a backward re-forms the output (xhat * gain + bias, bit for bit)."""
+    d = x.shape[-1]
+    xhat = x - _row_sum(x) / d
+    rstd = (_row_dot(xhat, xhat) / d + LN_EPS) ** -0.5
+    xhat *= rstd
+    out = xhat * gain + bias
+    need_x = nx is not None
+    saved = (
+        _keep(xhat, dtype) if need_x or ng is not None or reform else None,
+        _keep(rstd, dtype) if need_x else None,
+        _keep(gain, dtype) if need_x or reform else None,
+        _keep(bias, dtype) if reform else None,
+    )
+    return out, saved
+
+
+def _ln_backward(g: np.ndarray, saved: tuple, nx, ng, nb) -> None:
+    """Pass the gradient g of `_ln_forward`'s output to the sinks of its
+    input, gain and bias (each None when it needs none)."""
+    xhat, rstd, gain, _ = saved
+    d = g.shape[-1]
+    if ng is not None:
+        ng._acc((g * xhat).reshape(-1, d).sum(axis=0))
+    if nb is not None:
+        nb._acc(g.reshape(-1, d).sum(axis=0))
+    if nx is not None:
+        gy = g * gain
+        mean_gy = _row_sum(gy) / d
+        mean_gyx = _row_dot(gy, xhat) / d
+        nx._acc(rstd * (gy - mean_gy - xhat * mean_gyx))
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """(x - mean) / sqrt(var + LN_EPS) * gain + bias over the last axis."""
     x, gain, bias = _lift_all(x, gain, bias)
-    d = x.data.shape[-1]
-    xc = x.data - _row_sum(x.data) / d
-    rstd = (_row_dot(xc, xc) / d + eps) ** -0.5
-    xhat = xc * rstd
-    del xc
-    out = _new(xhat * gain.data + bias.data)
     nx, ng, nb = _sink(x), _sink(gain), _sink(bias)
-    dt = _grad_dtype(nx, ng, nb)
-    gd = _keep(gain.data, dt) if nx is not None else None
-    xhat = _keep(xhat, dt) if nx is not None or ng is not None else None
-    rstd = _keep(rstd, dt)
+    y, saved = _ln_forward(x.data, gain.data, bias.data, _grad_dtype(nx, ng, nb), nx, ng, False)
+    out = _new(y)
 
     def bw(g):
-        if ng is not None:
-            ng._acc((g * xhat).reshape(-1, d).sum(axis=0))
-        if nb is not None:
-            nb._acc(g.reshape(-1, d).sum(axis=0))
-        if nx is not None:
-            gy = g * gd
-            mean_gy = _row_sum(gy) / d
-            mean_gyx = _row_dot(gy, xhat) / d
-            nx._acc(rstd * (gy - mean_gy - xhat * mean_gyx))
+        _ln_backward(g, saved, nx, ng, nb)
 
     _graph(out, (nx, ng, nb), bw)
     return out
@@ -700,10 +738,23 @@ def _attend_backward(gh, q, k, v, p, scale):
 
 
 def causal_attention(
-    x, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix: tuple[int, int] = (0, 0), query_at=None
+    x,
+    ln_g,
+    ln_b,
+    wq,
+    wk,
+    wv,
+    bq,
+    bk,
+    bv,
+    n_heads: int,
+    rows: int,
+    prefix: tuple[int, int] = (0, 0),
+    query_at=None,
 ) -> Tensor:
     """Multi-head causal self-attention before the output projection, over
-    the flat hidden state x [m*l + rows*T x d]: `prefix` = (m, l) gives m
+    the layer norm (gain `ln_g`, bias `ln_b`) of the flat hidden state
+    x [m*l + rows*T x d]: `prefix` = (m, l) gives m
     copies of an l-position prefix, then come `rows` sequences of T token
     positions each.  m is 1 (one prefix that every row shares) or `rows`
     (one copy per row); m*l = 0 is a batch without a prefix.
@@ -721,7 +772,7 @@ def causal_attention(
     query_at[r] of each row r runs, and the result is [rows x d]: each row
     takes that query from the same projection, K and V come from every
     position, and the prefix's own queries do not run."""
-    x, *params = _lift_all(x, wq, wk, wv, bq, bk, bv)
+    x, gain, bias, *params = _lift_all(x, ln_g, ln_b, wq, wk, wv, bq, bk, bv)
     weights, biases = params[:3], params[3:]
     n_pos, d = x.data.shape
     m, l = prefix
@@ -731,9 +782,16 @@ def causal_attention(
         raise ValueError(f"{n_pos} positions do not split into {m} x {l} prefix and {rows} rows")
     h, dh = n_heads, d // n_heads
     scale = dh**-0.5
-    x2 = x.data
+    ln_sinks = nx, ng, nb = _sink(x), _sink(gain), _sink(bias)
+    nw, nbias = [_sink(t) for t in weights], [_sink(t) for t in biases]
+    dtype = _grad_dtype(nx, ng, nb, *nw, *nbias)
+    train_w = any(t is not None for t in nw)
+    # the backward re-forms the normalised rows for weight gradients only, and
+    # reads the weights for the layer norm's gradients only
+    y, saved = _ln_forward(x.data, gain.data, bias.data, dtype, nx, ng, train_w)
     w = np.concatenate([t.data for t in weights], axis=1)
-    proj = x2 @ w + np.concatenate([t.data for t in biases])  # [positions x 3d]
+    proj = y @ w + np.concatenate([t.data for t in biases])  # [positions x 3d]
+    del y, w
     q, k, v = proj[n_pre:].reshape(rows, n, 3, h, dh).transpose(2, 0, 3, 1, 4)  # each [rows x h x T x dh]
     mask = _causal_mask(l + n, proj.dtype)[l:]
     if query_at is not None:
@@ -764,12 +822,7 @@ def causal_attention(
             out[:n_pre].reshape(m, l, h, dh)[...] = ctx_pre.transpose(0, 2, 1, 3)
     del ctx
     out = _new(out)
-    nx, nw, nb = _sink(x), [_sink(t) for t in weights], [_sink(t) for t in biases]
-    dtype = _grad_dtype(nx, *nw, *nb)
-    # the backward reads the input rows for weight gradients only, and the
-    # weights for x's gradient only
-    x2 = _keep(x2, dtype) if any(t is not None for t in nw) else None
-    w = _keep(w, dtype) if nx is not None else None
+    ws = tuple(_keep(t.data, dtype) for t in weights) if any(s is not None for s in ln_sinks) else None
     # one at a time, so that a cast array's original goes before the next cast
     q = _keep(q, dtype)
     k = _keep(k, dtype)
@@ -808,20 +861,21 @@ def causal_attention(
                 pre[:, :, 0] = dqp.transpose(0, 2, 1, 3)
             pre[:, :, 1] = dkp.transpose(0, 2, 1, 3)
             pre[:, :, 2] = dvp.transpose(0, 2, 1, 3)
-        if nx is not None:
-            nx._acc(dproj @ w.T)
-        if any(t is not None for t in nw):
-            dw = x2.T @ dproj
+        if train_w:
+            xhat, _, gd, bd = saved
+            dw = (xhat * gd + bd).T @ dproj
             for i, t in enumerate(nw):
                 if t is not None:
                     t._acc(dw[:, i * d : (i + 1) * d])
-        if any(t is not None for t in nb):
+        if any(t is not None for t in nbias):
             db = dproj.sum(axis=0)
-            for i, t in enumerate(nb):
+            for i, t in enumerate(nbias):
                 if t is not None:
                     t._acc(db[i * d : (i + 1) * d])
+        if ws is not None:
+            _ln_backward(dproj @ np.concatenate(ws, axis=1).T, saved, *ln_sinks)
 
-    _graph(out, (nx, *nw, *nb), bw)
+    _graph(out, (*ln_sinks, *nw, *nbias), bw)
     return out
 
 
@@ -851,43 +905,49 @@ _CDF32_COEFFS = (
 
 def gaussian_cdf(x: np.ndarray) -> np.ndarray:
     """Phi(x) elementwise, in x's dtype.  A float32 array takes the
-    polynomial-tanh kernel above, 18 vectorised passes; a float64
-    array takes scipy's erf, exact to double rounding."""
+    polynomial-tanh kernel above, 19 vectorised passes over two buffers;
+    a float64 array takes scipy's erf, exact to double rounding."""
     if x.dtype != np.float32:
         y = x * _INV_SQRT2
         _special.erf(y, out=y)
         y += 1.0
         y *= 0.5
         return y
-    xc = np.clip(x, -_CDF32_CLIP, _CDF32_CLIP)
-    u = xc * xc
-    y = u * _CDF32_COEFFS[-1]
+    # two buffers: the clipped x, then Horner's sum in y; its square in u,
+    # then the clipped x again (squaring an unclipped x could overflow)
+    y = np.clip(x, -_CDF32_CLIP, _CDF32_CLIP)
+    u = y * y
+    np.multiply(u, _CDF32_COEFFS[-1], out=y)
     for c in _CDF32_COEFFS[-2:0:-1]:
         y += c
         y *= u
     y += _CDF32_COEFFS[0]
-    y *= xc
+    y *= np.clip(x, -_CDF32_CLIP, _CDF32_CLIP, out=u)
     np.tanh(y, out=y)
     y *= 0.5
     y += 0.5
     return y
 
 
-def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
-    """GELU(x @ w1 + b1) @ w2 + b2 over the last axis, with the GELU
-    x * Phi(x) (Hendrycks & Gimpel 2016; Phi from `gaussian_cdf`).
+def gelu_mlp(x, ln_g, ln_b, w1, b1, w2, b2) -> Tensor:
+    """GELU(LN(x) @ w1 + b1) @ w2 + b2 over the last axis, with LN the
+    layer norm of gain `ln_g` and bias `ln_b` and the GELU x * Phi(x)
+    (Hendrycks & Gimpel 2016; Phi from `gaussian_cdf`).
 
-    The backward keeps the GELU's slope only when x, w1 or b1 needs a
-    gradient, and the GELU output only when w2 does."""
-    x, w1, b1, w2, b2 = _lift_all(x, w1, b1, w2, b2)
-    sinks = nx, nw1, nb1, nw2, nb2 = tuple(_sink(t) for t in (x, w1, b1, w2, b2))
+    The backward keeps the GELU's slope only when x, the layer norm, w1 or
+    b1 needs a gradient, and the GELU output only when w2 does."""
+    x, gain, bias, w1, b1, w2, b2 = _lift_all(x, ln_g, ln_b, w1, b1, w2, b2)
+    sinks = nx, ng, nb, nw1, nb1, nw2, nb2 = tuple(_sink(t) for t in (x, gain, bias, w1, b1, w2, b2))
     dt = _grad_dtype(*sinks)
     sx = x.data.shape
-    x2 = x.data.reshape(-1, sx[-1])
-    pre = x2 @ w1.data + b1.data
+    need_dy = nx is not None or ng is not None or nb is not None
+    # the backward re-forms the layer norm's output for w1's gradient only
+    y, saved = _ln_forward(x.data, gain.data, bias.data, dt, nx, ng, nw1 is not None)
+    pre = y.reshape(-1, sx[-1]) @ w1.data + b1.data
+    del y
     cdf = gaussian_cdf(pre)
     slope = w2d = None
-    if nx is not None or nw1 is not None or nb1 is not None:
+    if need_dy or nw1 is not None or nb1 is not None:
         # GELU'(pre) = Phi(pre) + pre * phi(pre), formed in one buffer of
         # the node's dtype
         slope = np.empty(pre.shape, dtype=dt)
@@ -902,8 +962,7 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
     h *= pre
     del pre, cdf
     out = _new((h @ w2.data + b2.data).reshape(sx[:-1] + w2.data.shape[1:]))
-    w1d = _keep(w1.data, dt) if nx is not None else None
-    x2 = _keep(x2, dt) if nw1 is not None else None
+    w1d = _keep(w1.data, dt) if need_dy else None
     h = _keep(h, dt) if nw2 is not None else None
 
     def bw(g):
@@ -917,11 +976,12 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
         dpre = g2 @ w2d.T
         dpre *= slope
         if nw1 is not None:
-            nw1._acc(x2.T @ dpre)
+            xhat, _, gd, bd = saved
+            nw1._acc((xhat * gd + bd).reshape(-1, sx[-1]).T @ dpre)
         if nb1 is not None:
             nb1._acc(dpre.sum(axis=0))
-        if nx is not None:
-            nx._acc((dpre @ w1d.T).reshape(sx))
+        if need_dy:
+            _ln_backward((dpre @ w1d.T).reshape(sx), saved, nx, ng, nb)
 
     _graph(out, sinks, bw)
     return out

@@ -35,9 +35,10 @@ gathered at the answer positions beside it, so the rest of that block, the
 final layer norm and the LM head run on one row per sequence.  Full-logit
 forwards (`lm_loss`, distillation) run every query in every block.
 
-Each block is three fused autograd nodes (`autograd.layer_norm`,
-`causal_attention`, `gelu_mlp`) plus the output projection and the
-residual adds.
+Each block is two fused autograd nodes, `autograd.causal_attention` and
+`gelu_mlp`, each of which runs the layer norm in front of it, plus the
+output projection and the residual adds.  `autograd.layer_norm` runs the
+final layer norm alone.
 
 `ROWS_PER_FORWARD` bounds the rows of one forward.  A training graph holds
 the arrays its backward reads for every row until that backward has run,
@@ -73,7 +74,6 @@ from .autograd import Tensor
 
 PARAM_INIT_STD = 0.02
 PROMPT_INIT_STD = 0.5
-LN_EPS = 1e-5
 ROWS_PER_FORWARD = 16
 
 
@@ -203,12 +203,12 @@ class TransformerLM:
 
         for i in range(cfg.n_layers):
             query_at = answer_at if i == cfg.n_layers - 1 else None
-            attn = self._attention(self._layer_norm(x, f"layers.{i}.ln1"), i, bsz, (m, l), query_at)
+            attn = self._attention(x, i, bsz, (m, l), query_at)
             if query_at is not None:
                 # nothing after this reads the other positions
                 x = ag.take(x, m * l + np.arange(bsz) * n_tok + np.asarray(query_at, dtype=np.int64), axis=0)
             x = x + attn
-            x = x + self._mlp(self._layer_norm(x, f"layers.{i}.ln2"), i)
+            x = x + self._mlp(x, i)
         if answer_at is None:
             if l:
                 # each row's own positions: its prefix copy, then its tokens
@@ -216,24 +216,22 @@ class TransformerLM:
                 at = np.concatenate([rows % m * l + np.arange(l), m * l + rows * n_tok + np.arange(n_tok)], axis=1)
                 x = ag.take(x, at.reshape(-1), axis=0)
             x = x.reshape((bsz, total, d))
-        h = self._layer_norm(x, "final_ln")
+        h = ag.layer_norm(x, self.params["final_ln.g"], self.params["final_ln.b"])
         logits = ag.matmul(h, self.params["lm_head"])
         if return_hidden:
             return logits, h
         return logits
 
-    def _layer_norm(self, x: Tensor, name: str) -> Tensor:
-        return ag.layer_norm(x, self.params[name + ".g"], self.params[name + ".b"], LN_EPS)
-
     def _attention(self, x: Tensor, i: int, rows: int, prefix: tuple[int, int], query_at=None) -> Tensor:
-        p, base = self.params, f"layers.{i}.attn."
-        qkv = [p[base + name] for name in ("wq", "wk", "wv", "wq_b", "wk_b", "wv_b")]
-        ctx = ag.causal_attention(x, *qkv, self.config.n_heads, rows, prefix, query_at)
-        return ag.matmul(ctx, p[base + "wo"]) + p[base + "wo_b"]
+        p, base = self.params, f"layers.{i}."
+        names = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wq_b", "attn.wk_b", "attn.wv_b")
+        ctx = ag.causal_attention(x, *(p[base + name] for name in names), self.config.n_heads, rows, prefix, query_at)
+        return ag.matmul(ctx, p[base + "attn.wo"]) + p[base + "attn.wo_b"]
 
     def _mlp(self, x: Tensor, i: int) -> Tensor:
-        p, base = self.params, f"layers.{i}.mlp."
-        return ag.gelu_mlp(x, p[base + "w1"], p[base + "w1_b"], p[base + "w2"], p[base + "w2_b"])
+        p, base = self.params, f"layers.{i}."
+        names = ("ln2.g", "ln2.b", "mlp.w1", "mlp.w1_b", "mlp.w2", "mlp.w2_b")
+        return ag.gelu_mlp(x, *(p[base + name] for name in names))
 
 
 def init_model(config: ModelConfig, seed: int) -> TransformerLM:

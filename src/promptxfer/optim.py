@@ -15,9 +15,10 @@ EPS = 1e-8
 
 class Optimizer:
     """Adam (Kingma & Ba 2015) with bias-corrected moments, updating each
-    parameter's data in place of the old array.
+    parameter's array in place, so that a step allocates no parameter
+    arrays and each keeps its place on the heap.
 
-    The parameters must share one dtype.  Both moments live in one flat
+    The parameters must share one dtype, and their arrays must be writeable.  Both moments live in one flat
     buffer each, in parameter order, so a step is about a dozen whole-buffer
     operations rather than a dozen per parameter.  Each elementwise update
     is the one a per-parameter Adam computes, in the same order, so the
@@ -25,9 +26,14 @@ class Optimizer:
     dtype."""
 
     def __init__(self, params: Sequence[Tensor], learning_rate: float):
-        if learning_rate <= 0:
+        if not learning_rate > 0:  # NaN fails it
             raise ValueError("learning_rate must be positive")
         self.params = list(params)
+        for i, p in enumerate(self.params):
+            # checked here, as a step that failed on one would already have
+            # moved the moments
+            if not p.data.flags.writeable:
+                raise ValueError(f"parameter {i} has a read-only array, which a step cannot update in place")
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) > 1:
             raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
@@ -72,7 +78,7 @@ class Optimizer:
         offset = 0
         for p in self.params:
             n = p.data.size
-            p.data = p.data - tmp[offset : offset + n].reshape(p.data.shape)
+            p.data -= tmp[offset : offset + n].reshape(p.data.shape)
             offset += n
 
     def zero_grad(self) -> None:

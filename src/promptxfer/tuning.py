@@ -145,7 +145,7 @@ def make_dp_params(
 def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
     """g * min(1, c / ||g||_2), for each row of g when g is 2-D; zero rows
     pass through."""
-    if c <= 0:
+    if not c > 0:  # NaN fails it
         raise ValueError("clip norm must be positive")
     norms = np.linalg.norm(g, axis=-1, keepdims=True)
     return g * (c / np.maximum(norms, c))

@@ -401,13 +401,14 @@ def test_prompted_forward_runs_the_prefix_once(monkeypatch):
     padded = ROWS_PER_FORWARD * max(len(s) for s in seqs)
     l = 8
     rows_seen = []
-    layer_norm = ag.layer_norm
+    ln_forward = ag._ln_forward
 
     def counting(x, *args):
-        rows_seen.append(x.data.size // x.data.shape[-1])
-        return layer_norm(x, *args)
+        rows_seen.append(x.size // x.shape[-1])
+        return ln_forward(x, *args)
 
-    monkeypatch.setattr(ag, "layer_norm", counting)
+    # every layer norm, the first block's attention's included, runs this
+    monkeypatch.setattr(ag, "_ln_forward", counting)
     prompt = init_prompt(model, length=l, seed=0)
     answer_log_probs(model, seqs, [[4], [5]], prompt)
     assert rows_seen[0] == l + padded  # not ROWS_PER_FORWARD * (l + longest row)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,33 @@ def test_flat_update_is_bit_identical_to_per_array_adam(shapes, dtype):
             assert np.array_equal(p.data, e)
 
 
+def test_a_step_updates_each_parameter_array_in_place():
+    """Each parameter keeps its array object from step to step, and the
+    values are the per-parameter reference's bit for bit."""
+    rng = np.random.default_rng(12)
+    shapes = [(5, 3), (3,), (2, 4, 2)]
+    init = [(rng.normal(size=s) * 1e-3).astype(np.float32) for s in shapes]
+    grad_seq = [[rng.normal(size=s).astype(np.float32) for s in shapes] for _ in range(3)]
+    params = [Tensor(a.copy()) for a in init]
+    arrays = [p.data for p in params]
+    opt = Optimizer(params, learning_rate=3e-3)
+    for grads, expected in zip(grad_seq, _per_array_adam(init, grad_seq, 3e-3)):
+        step(opt, *grads)
+        for p, a, e in zip(params, arrays, expected):
+            assert p.data is a
+            assert np.array_equal(a, e)
+
+
+def test_a_read_only_parameter_is_rejected_when_the_optimizer_is_built():
+    """A step updates arrays in place, so a parameter over a read-only view
+    (here numpy's broadcast view, which a tensor keeps as it is) fails
+    before any moment moves, not in the middle of a step."""
+    p, ro = Tensor(np.zeros(3)), Tensor(np.broadcast_to(np.float32(1.0), (3,)))
+    assert not ro.data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        Optimizer([p, ro], learning_rate=0.1)
+
+
 def test_mixed_parameter_dtypes_rejected():
     p = Tensor(np.zeros(2), dtype=np.float64)
     with pytest.raises(ValueError):
@@ -124,6 +153,11 @@ def test_invalid_config_rejected():
         Optimizer([], learning_rate=0.0)
     with pytest.raises(ValueError):
         Optimizer([], learning_rate=-1e-3)
+
+
+def test_a_nan_learning_rate_is_rejected():
+    with pytest.raises(ValueError, match="learning_rate"):
+        Optimizer([Tensor(np.zeros(2))], learning_rate=math.nan)
 
 
 def test_optimizer_wrapper_uses_tensor_grads():

@@ -368,6 +368,11 @@ def test_dp_params_fail_closed_on_nan():
             DpParams(**{**good, key: math.nan})
 
 
+def test_clip_gradient_fails_closed_on_nan():
+    with pytest.raises(ValueError, match="clip norm"):
+        clip_gradient(np.ones((2, 3)), math.nan)
+
+
 def test_tune_prompt_budget_check_fails_closed_on_nan(tiny_task):
     model, private, _ = tiny_task
     dp = DpParams(clip_norm=1.0, noise_multiplier=1.1, sample_rate=0.25, steps=4, epsilon=8.0, delta=1e-4)
