@@ -103,7 +103,7 @@ transfer's float64 models share the float32 weights
 A training graph (every weight trained) thus keeps per layer xhat, the
 ``[rows x 3d]`` projection, the probabilities, the context (the output
 projection's left operand), the MLP's xhat and the GELU's slope and
-output; the float32 Gaussian CDF allocates its result and one scratch
+output; the float32 Gaussian CDF allocates its result and one working
 array.
 
 The output projection and the LM head are ``matmul``, whose right operand
@@ -738,19 +738,7 @@ def _attend_backward(gh, q, k, v, p, scale):
 
 
 def causal_attention(
-    x,
-    ln_g,
-    ln_b,
-    wq,
-    wk,
-    wv,
-    bq,
-    bk,
-    bv,
-    n_heads: int,
-    rows: int,
-    prefix: tuple[int, int] = (0, 0),
-    query_at=None,
+    x, ln_g, ln_b, wq, wk, wv, bq, bk, bv, n_heads: int, rows: int, prefix: tuple[int, int] = (0, 0), query_at=None
 ) -> Tensor:
     """Multi-head causal self-attention before the output projection, over
     the layer norm (gain `ln_g`, bias `ln_b`) of the flat hidden state

@@ -18,12 +18,12 @@ class Optimizer:
     parameter's array in place, so that a step allocates no parameter
     arrays and each keeps its place on the heap.
 
-    The parameters must share one dtype, and their arrays must be writeable.  Both moments live in one flat
-    buffer each, in parameter order, so a step is about a dozen whole-buffer
-    operations rather than a dozen per parameter.  Each elementwise update
-    is the one a per-parameter Adam computes, in the same order, so the
-    results are bit-identical to it.  Gradients are cast to the parameters'
-    dtype."""
+    The parameters must share one dtype, and their arrays must be
+    writeable.  Both moments live in one flat buffer each, in parameter
+    order, so a step is about a dozen whole-buffer operations rather than a
+    dozen per parameter.  Each elementwise update is the one a per-parameter
+    Adam computes, in the same order, so the results are bit-identical to
+    it.  Gradients are cast to the parameters' dtype."""
 
     def __init__(self, params: Sequence[Tensor], learning_rate: float):
         if not learning_rate > 0:  # NaN fails it

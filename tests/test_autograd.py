@@ -345,7 +345,7 @@ def test_gaussian_cdf_float32_tails_and_nan():
 
 
 def test_gaussian_cdf_float32_takes_two_buffers():
-    """The float32 kernel allocates its result and one scratch array the
+    """The float32 kernel allocates its result and one working array the
     size of x, no third one."""
     x = np.random.default_rng(1).normal(scale=4.0, size=100_000).astype(np.float32)
     tracemalloc.start()
