@@ -742,10 +742,10 @@ def causal_attention(
 ) -> Tensor:
     """Multi-head causal self-attention before the output projection, over
     the layer norm (gain `ln_g`, bias `ln_b`) of the flat hidden state
-    x [m*l + rows*T x d]: `prefix` = (m, l) gives m
-    copies of an l-position prefix, then come `rows` sequences of T token
-    positions each.  m is 1 (one prefix that every row shares) or `rows`
-    (one copy per row); m*l = 0 is a batch without a prefix.
+    x [m*l + rows*T x d]: `prefix` = (m, l) gives m copies of an l-position
+    prefix, then come `rows` sequences of T token positions each.  m is 1
+    (one prefix that every row shares) or `rows` (one copy per row); m*l = 0
+    is a batch without a prefix.
 
     Prefix queries attend causally within their copy: they never see a
     token (prefix-tuning, Li & Liang 2021), so each copy runs one l x l
@@ -772,7 +772,7 @@ def causal_attention(
     scale = dh**-0.5
     ln_sinks = nx, ng, nb = _sink(x), _sink(gain), _sink(bias)
     nw, nbias = [_sink(t) for t in weights], [_sink(t) for t in biases]
-    dtype = _grad_dtype(nx, ng, nb, *nw, *nbias)
+    dtype = _grad_dtype(*ln_sinks, *nw, *nbias)
     train_w = any(t is not None for t in nw)
     # the backward re-forms the normalised rows for weight gradients only, and
     # reads the weights for the layer norm's gradients only
